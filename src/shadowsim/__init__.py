@@ -2,7 +2,8 @@
 
 Two engines compute the same detector statistics: a stream engine that
 propagates one emission per run as a bundle of phase-clocked paths, and a
-mode-basis state-vector engine used as the reference.  A lattice
+link-mode state-vector engine, reading the same circuits, used as the
+reference.  A lattice
 propagator handles the continuum side, and the experiments module wires
 up the canonical interferometer benches.
 """
@@ -35,22 +36,13 @@ from .experiments import (
     ifm_circuit,
     mach_zehnder_circuit,
     run_bghz,
+    run_circuit,
     run_ifm,
     run_mach_zehnder,
     run_wheeler,
     sample,
 )
-from .hilbert import (
-    StateVector,
-    TwoParticleState,
-    apply_beamsplitter,
-    apply_phase,
-    basis_state,
-    evolve_bghz,
-    evolve_circuit,
-    evolve_mz,
-    project_mode,
-)
+from .hilbert import CircuitEvolution, evolve_circuit, evolve_pair
 from .outcomes import (
     ENGINE_CLOSED_FORM,
     ENGINE_HILBERT,
@@ -97,6 +89,7 @@ __all__ = [
     "CircuitParseError",
     "CircuitValidationError",
     "ChshReport",
+    "CircuitEvolution",
     "CongruenceReport",
     "Element",
     "ElementType",
@@ -116,13 +109,8 @@ __all__ = [
     "SampleRecord",
     "SampleResult",
     "ShadowStream",
-    "StateVector",
     "StreamPair",
     "TabulatedPotential",
-    "TwoParticleState",
-    "apply_beamsplitter",
-    "apply_phase",
-    "basis_state",
     "bghz_allowed_pairs",
     "bghz_left_circuit",
     "bghz_pair",
@@ -134,9 +122,8 @@ __all__ = [
     "congruence_check",
     "crank_nicolson_propagate",
     "enumerate_paths",
-    "evolve_bghz",
     "evolve_circuit",
-    "evolve_mz",
+    "evolve_pair",
     "gaussian_packet",
     "ifm_circuit",
     "joint_probabilities",
@@ -147,11 +134,11 @@ __all__ = [
     "parse_angle",
     "parse_circuit",
     "path_amplitude",
-    "project_mode",
     "propagate",
     "propagate_snapshots",
     "render_circuit",
     "run_bghz",
+    "run_circuit",
     "run_ifm",
     "run_mach_zehnder",
     "run_wheeler",

@@ -178,6 +178,14 @@ class Circuit:
             raise CircuitValidationError(f"{eid} is not a source")
         return len([1 for (e, _p) in self._out if e == eid])
 
+    def sole_source(self) -> str:
+        """The source to use when the caller names none."""
+        if len(self.sources) != 1:
+            raise CircuitValidationError(
+                f"circuit has {len(self.sources)} sources, pass one explicitly"
+            )
+        return self.sources[0]
+
     def terminal_key(self, eid: str) -> str:
         """Outcome key for a terminal: detector label, or blocker id."""
         el = self.elements[eid]
@@ -446,11 +454,7 @@ def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
     output ports guarantees termination and uniqueness.
     """
     if source is None:
-        if len(circuit.sources) != 1:
-            raise CircuitValidationError(
-                f"circuit has {len(circuit.sources)} sources, pass one explicitly"
-            )
-        source = circuit.sources[0]
+        source = circuit.sole_source()
     if source not in circuit.elements:
         raise CircuitValidationError(f"unknown source {source!r}")
     if circuit.elements[source].kind is not ElementType.SOURCE:

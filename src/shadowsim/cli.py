@@ -27,6 +27,7 @@ from .circuit import CircuitError, parse_circuit
 from .experiments import (
     chsh,
     run_bghz,
+    run_circuit,
     run_ifm,
     run_mach_zehnder,
     run_wheeler,
@@ -104,6 +105,14 @@ def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
     if key in config:
         return config[key]
     return default
+
+
+def _shots(args: argparse.Namespace, config: dict, default=None, minimum: int = 1):
+    """Monte Carlo shot count; None (exact probabilities) when unset."""
+    shots = _merge(args, config, "shots", default)
+    if shots is not None and not (isinstance(shots, (int, float)) and shots >= minimum):
+        raise ConfigError(f"shots must be at least {minimum}, got {shots!r}")
+    return shots
 
 
 def _load_config(path: str | None) -> dict:
@@ -189,6 +198,8 @@ def _seed_str(seed) -> str:
 # -- run ----------------------------------------------------------------------
 
 def _engines(engine: str) -> list[str]:
+    if engine not in ("streams", "hilbert", "both"):
+        raise ConfigError(f"engine must be streams, hilbert or both, got {engine!r}")
     return ["streams", "hilbert"] if engine == "both" else [engine]
 
 
@@ -219,7 +230,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     seed = _merge(args, config, "seed")
     out = _merge(args, config, "out")
     fmt = _merge(args, config, "format", "json")
-    shots = _merge(args, config, "shots")
+    shots = _shots(args, config)
     run_config = {"experiment": experiment, "engine": engine}
 
     if experiment == "chsh":
@@ -276,15 +287,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot read circuit file: {exc}") from exc
         run_config["circuit_file"] = circuit_file
-        dists = []
-        for eng in _engines(engine):
-            if eng == "hilbert":
-                probs = hilbert.evolve_circuit(circuit).probabilities()
-                dists.append(OutcomeDistribution(probs, "hilbert", run_config))
-            else:
-                stream = streams.build_stream(circuit, seed=seed)
-                probs = streams.terminal_probabilities(stream)
-                dists.append(OutcomeDistribution(probs, "streams", run_config))
+        dists = [run_circuit(circuit, eng, run_config, seed=seed) for eng in _engines(engine)]
     else:
         runners = {
             "mz": lambda eng: run_mach_zehnder(
@@ -357,7 +360,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out = _merge(args, config, "out")
     fmt = _merge(args, config, "format", "csv")
     threads = int(_merge(args, config, "threads", 1))
-    shots = _merge(args, config, "shots")
+    shots = _shots(args, config)
     peek = bool(_merge(args, config, "peek", False))
     run_config = {
         "experiment": experiment,
@@ -436,7 +439,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = _merge(args, config, "seed", 20260814)
     corpus = int(_merge(args, config, "corpus-cases", 500))
-    shots = int(_merge(args, config, "shots", 1_000_000))
+    if corpus < checks.MIN_CORPUS_CASES:
+        raise ConfigError(f"corpus-cases must be at least {checks.MIN_CORPUS_CASES}, got {corpus}")
+    shots = int(_shots(args, config, 1_000_000, minimum=checks.MIN_SHOTS))
     results = checks.run_all(corpus_cases=corpus, shots=shots, seed=int(seed))
     failed = 0
     for result in results:

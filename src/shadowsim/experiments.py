@@ -19,7 +19,8 @@ Geometry conventions for the canonical benches:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +35,12 @@ from .outcomes import (
 )
 from .rng import RNG_NAME, make_rng, substream
 from .streams import (
+    ShadowStream,
     StreamPair,
     build_stream,
     build_stream_pair,
     joint_terminal_amplitudes,
-    path_amplitude,
-    stream_terminal_amplitudes,
+    terminal_probabilities,
 )
 
 ENGINES = (ENGINE_STREAMS, ENGINE_HILBERT)
@@ -189,11 +190,11 @@ def _mz_arm(path: Path) -> str:
     raise ValueError("path does not traverse the first splitter")
 
 
-def _arm_weights(circuit: Circuit, paths, amplitudes, arm_of) -> dict[str, dict[str, float]]:
+def _arm_weights(stream: ShadowStream, arm_of) -> dict[str, dict[str, float]]:
     """Conditional tangible-path weights per outcome, from |amplitude|^2."""
     weights: dict[str, dict[str, float]] = {}
-    for path, amp in zip(paths, amplitudes):
-        outcome = circuit.terminal_key(path.terminal)
+    for path, amp in zip(stream.paths, stream.amplitudes):
+        outcome = stream.circuit.terminal_key(path.terminal)
         weights.setdefault(outcome, {})
         weights[outcome][arm_of(path)] = weights[outcome].get(arm_of(path), 0.0) + abs(amp) ** 2
     for outcome, table in weights.items():
@@ -205,6 +206,32 @@ def _arm_weights(circuit: Circuit, paths, amplitudes, arm_of) -> dict[str, dict[
 
 # -- experiment runners -------------------------------------------------------
 
+def run_circuit(
+    circuit: Circuit,
+    engine: str,
+    params: dict,
+    *,
+    seed: int | None = None,
+    arm_of: Callable[[Path], str] | None = None,
+) -> OutcomeDistribution:
+    """One single-particle circuit on either engine.
+
+    ``arm_of`` names the tangible arm of a stream path; when given, the
+    streams result carries the per-outcome arm weights the sampler narrates.
+    """
+    _require_engine(engine)
+    if engine == ENGINE_HILBERT:
+        probs = hilbert.evolve_circuit(circuit).probabilities()
+        return OutcomeDistribution(probs, ENGINE_HILBERT, params)
+    stream = build_stream(circuit, seed=seed)
+    weights = None
+    if arm_of is not None:
+        weights = _arm_weights(stream, arm_of)
+    return OutcomeDistribution(
+        terminal_probabilities(stream), ENGINE_STREAMS, params, path_weights=weights
+    )
+
+
 def run_mach_zehnder(
     alpha: float,
     engine: str = ENGINE_STREAMS,
@@ -212,17 +239,11 @@ def run_mach_zehnder(
     theta: float = 0.0,
     seed: int | None = None,
 ) -> OutcomeDistribution:
-    _require_engine(engine)
     params = {"experiment": "mz", "alpha": alpha, "theta": theta, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
-    if engine == ENGINE_HILBERT:
-        dist = hilbert.evolve_mz(alpha, theta)
-        return OutcomeDistribution(dist.outcomes, ENGINE_HILBERT, params)
-    circuit = mach_zehnder_circuit(alpha, theta)
-    stream = build_stream(circuit, seed=seed)
-    probs = {k: abs(v) ** 2 for k, v in stream_terminal_amplitudes(stream).items()}
-    weights = _arm_weights(circuit, stream.paths, stream.amplitudes, _mz_arm)
-    return OutcomeDistribution(probs, ENGINE_STREAMS, params, path_weights=weights)
+    return run_circuit(
+        mach_zehnder_circuit(alpha, theta), engine, params, seed=seed, arm_of=_mz_arm
+    )
 
 
 def run_wheeler(
@@ -244,15 +265,14 @@ def run_wheeler(
     params = {"experiment": "wheeler", "alpha": alpha, "peek": True,
               "engine": engine, "seed": seed, "rng": RNG_NAME}
     if engine == ENGINE_HILBERT:
-        state = hilbert.basis_state("s")
-        state = hilbert.apply_beamsplitter(state, ("s", "vac"), ("b", "a"))
-        state = hilbert.apply_phase(state, "a", alpha)
+        # Marking the arm after bs1 leaves each arm's contribution on its
+        # own: the two arm-blocked benches add as probabilities, and a
+        # phase on a lone arm drops out of |amplitude|^2.
         outcomes = {"u": 0.0, "d": 0.0}
-        for arm in ("a", "b"):
-            prob_arm, collapsed = hilbert.project_mode(state, arm)
-            after = hilbert.apply_beamsplitter(collapsed, ("a", "b"), ("u", "d"))
+        for blocked in ("a", "b"):
+            probs = hilbert.evolve_circuit(ifm_circuit(blocked)).probabilities()
             for out in outcomes:
-                outcomes[out] += prob_arm * abs(after.coefficient(out)) ** 2
+                outcomes[out] += probs[out]
         return OutcomeDistribution(outcomes, ENGINE_HILBERT, params)
     circuit = mach_zehnder_circuit(alpha)
     stream = build_stream(circuit, seed=seed)
@@ -265,7 +285,7 @@ def run_wheeler(
     outcomes = {k: 0.0 for k in circuit.terminal_keys()}
     for (_arm, terminal), amp in by_arm_terminal.items():
         outcomes[terminal] += abs(amp) ** 2
-    weights = _arm_weights(circuit, stream.paths, stream.amplitudes, _mz_arm)
+    weights = _arm_weights(stream, _mz_arm)
     return OutcomeDistribution(outcomes, ENGINE_STREAMS, params, path_weights=weights)
 
 
@@ -277,17 +297,9 @@ def run_ifm(
 ) -> OutcomeDistribution:
     """Blocked-arm bench.  Unblocked, every particle exits at u; blocked,
     the absorbed/u/d split is 1/2, 1/4, 1/4 whichever arm is blocked."""
-    _require_engine(engine)
-    circuit = ifm_circuit(blocked_arm)
     params = {"experiment": "ifm", "blocked_arm": blocked_arm, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
-    if engine == ENGINE_HILBERT:
-        evolution = hilbert.evolve_circuit(circuit)
-        return OutcomeDistribution(evolution.probabilities(), ENGINE_HILBERT, params)
-    stream = build_stream(circuit, seed=seed)
-    probs = {k: abs(v) ** 2 for k, v in stream_terminal_amplitudes(stream).items()}
-    weights = _arm_weights(circuit, stream.paths, stream.amplitudes, _mz_arm)
-    return OutcomeDistribution(probs, ENGINE_STREAMS, params, path_weights=weights)
+    return run_circuit(ifm_circuit(blocked_arm), engine, params, seed=seed, arm_of=_mz_arm)
 
 
 def run_bghz(
@@ -301,8 +313,8 @@ def run_bghz(
     params = {"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
     if engine == ENGINE_HILBERT:
-        dist = hilbert.evolve_bghz(alpha, beta)
-        return OutcomeDistribution(dist.outcomes, ENGINE_HILBERT, params)
+        evolution = hilbert.evolve_pair(bghz_left_circuit(alpha), bghz_right_circuit(beta))
+        return OutcomeDistribution(evolution.probabilities(), ENGINE_HILBERT, params)
     pair = bghz_pair(alpha, beta, seed=seed)
     allowed = bghz_allowed_pairs(pair)
     joint = joint_terminal_amplitudes(pair, allowed)

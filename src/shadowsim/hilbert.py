@@ -1,353 +1,128 @@
-"""Mode-basis state-vector engine, the reference the stream picture is
+"""Link-mode state-vector engine, the reference the stream picture is
 checked against.
 
-States live over named modes (a, b, u, d and primed variants for the
-two-particle bench).  Evolution is always a sequence of elementwise
-unitaries; nothing in here knows any closed-form law.  The balanced
-beamsplitter convention matches the circuit module: the transmission route
-keeps its phase, the reflection route gains the factor i, both scale by
-1/sqrt(2).  apply_beamsplitter lists output modes reflection-first, so
+The basis is the set of in-flight links of a ``Circuit``: the state maps each
+link a particle may occupy to its complex amplitude.  Elements act in
+topological order by local unitaries, so nothing here knows a closed-form
+law or a canned bench.  The balanced beamsplitter matches the circuit
+module: transmission keeps its phase, reflection gains the factor i, both
+scale by 1/sqrt(2).  With outputs listed reflection-first, input port 0
+scatters as
 
-    |m1> -> (i|n1> + |n2>) / sqrt(2)
-    |m2> -> (|n1> + i|n2>) / sqrt(2)
+    |in0> -> (i|out1> + |out0>) / sqrt(2)
+    |in1> -> (|out1> + i|out0>) / sqrt(2)
 
-Applying the same splitter twice through matched ports therefore returns
-the input mode up to one overall factor i, a useful self-test.
+so two splitters wired port to matched port return the input times i.  A
+one-port element moves the amplitude onto its output link times
+exp(i(link phase + its shift)).  Pairs evolve each side per source arm and
+combine matching arms, the same decomposition the stream engine uses.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .circuit import Circuit, ElementType, TERMINAL_TYPES
-from .outcomes import ENGINE_HILBERT, OutcomeDistribution
+from .circuit import Circuit, ElementType, Link, TERMINAL_TYPES
+from .outcomes import Outcome
 
 ENGINE_VERSION = "1.0"
 
 _NORM_TOL = 1e-12
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# One balanced splitter block, rows/cols ordered (n1, n2) x (m1, m2).
-_BS_BLOCK = np.array([[1j, 1.0], [1.0, 1j]], dtype=complex) * _INV_SQRT2
+# Balanced splitter block: rows output ports (1, 0), columns input ports (0, 1).
+_BS_BLOCK = ((1j * _INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, 1j * _INV_SQRT2))
 
-
-@dataclass(frozen=True)
-class StateVector:
-    """Single-particle state over named modes with unit norm."""
-
-    labels: tuple[str, ...]
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", coeffs)
-        if len(self.labels) != coeffs.shape[0] or coeffs.ndim != 1:
-            raise ValueError("one coefficient per mode label required")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate mode labels")
-        if abs(self.norm() - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {self.norm()!r} drifted from 1")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def coefficient(self, mode: str) -> complex:
-        if mode not in self.labels:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[self.labels.index(mode)])
-
-
-def basis_state(mode: str, extra: tuple[str, ...] = ()) -> StateVector:
-    labels = (mode, *extra)
-    coeffs = np.zeros(len(labels), dtype=complex)
-    coeffs[0] = 1.0
-    return StateVector(labels, coeffs)
-
-
-def _index_map(state: StateVector) -> dict[str, int]:
-    return {label: i for i, label in enumerate(state.labels)}
-
-
-def apply_phase(state: StateVector, mode: str, shift: float) -> StateVector:
-    """Multiply the coefficient of ``mode`` by exp(i*shift).
-
-    Consecutive shifts on the same mode compose additively by construction.
-    Shifting an absent mode is a no-op on the zero coefficient.
-    """
-    if mode not in state.labels:
-        return state
-    coeffs = state.coeffs.copy()
-    coeffs[state.labels.index(mode)] *= np.exp(1j * shift)
-    return StateVector(state.labels, coeffs)
-
-
-def apply_beamsplitter(
-    state: StateVector,
-    in_modes: tuple[str, str],
-    out_modes: tuple[str, str],
-) -> StateVector:
-    """Scatter the two input modes into the two output modes.
-
-    Input modes absent from the state enter as vacuum (coefficient 0).
-    Output labels must be fresh, except that reusing an input label in
-    place is allowed.
-    """
-    m1, m2 = in_modes
-    n1, n2 = out_modes
-    if m1 == m2 or n1 == n2:
-        raise ValueError("beamsplitter ports must be distinct modes")
-    c_in = np.array([state.coefficient(m1), state.coefficient(m2)])
-    c_out = _BS_BLOCK @ c_in
-
-    keep = [(label, coeff) for label, coeff in zip(state.labels, state.coeffs)
-            if label not in (m1, m2)]
-    kept_labels = [label for label, _ in keep]
-    for n in (n1, n2):
-        if n in kept_labels:
-            raise ValueError(f"output mode {n!r} already present")
-    labels = tuple(kept_labels) + (n1, n2)
-    coeffs = np.array([coeff for _, coeff in keep] + [c_out[0], c_out[1]])
-    return StateVector(labels, coeffs)
-
-
-def relabel_mode(state: StateVector, old: str, new: str) -> StateVector:
-    if old not in state.labels:
-        raise ValueError(f"unknown mode {old!r}")
-    if new != old and new in state.labels:
-        raise ValueError(f"mode {new!r} already present")
-    labels = tuple(new if label == old else label for label in state.labels)
-    return StateVector(labels, state.coeffs)
-
-
-def project_mode(state: StateVector, mode: str) -> tuple[float, StateVector]:
-    """Projective which-path marking onto one mode.
-
-    Returns the outcome probability and the renormalized collapsed state,
-    which keeps the full mode basis with everything else zeroed.
-    """
-    c = state.coefficient(mode)
-    prob = abs(c) ** 2
-    if prob == 0.0:
-        raise ValueError(f"cannot collapse onto mode {mode!r} with zero amplitude")
-    coeffs = np.zeros_like(state.coeffs)
-    coeffs[state.labels.index(mode)] = c / abs(c)
-    return prob, StateVector(state.labels, coeffs)
-
-
-# -- canned single-particle benches ----------------------------------------
-
-def evolve_mz(alpha: float, theta: float = 0.0) -> OutcomeDistribution:
-    """Balanced two-splitter interferometer with shift alpha on the
-    transmitted arm and common arm phase theta."""
-    state = basis_state("s")
-    state = apply_beamsplitter(state, ("s", "vac"), ("b", "a"))
-    state = apply_phase(state, "a", alpha + theta)
-    state = apply_phase(state, "b", theta)
-    state = apply_beamsplitter(state, ("a", "b"), ("u", "d"))
-    outcomes = {
-        "u": abs(state.coefficient("u")) ** 2,
-        "d": abs(state.coefficient("d")) ** 2,
-    }
-    return OutcomeDistribution(
-        outcomes, ENGINE_HILBERT, {"alpha": alpha, "theta": theta}
-    )
-
-
-# -- generic circuit evolution ----------------------------------------------
 
 @dataclass(frozen=True)
 class CircuitEvolution:
-    """Terminal amplitudes of a single particle fed through a circuit."""
+    """Terminal amplitudes of a particle (or pair) fed through a circuit."""
 
-    amplitudes: dict[str, complex]
+    amplitudes: dict[Outcome, complex]
     max_norm_drift: float
 
-    def probabilities(self) -> dict[str, float]:
+    def probabilities(self) -> dict[Outcome, float]:
         return {key: abs(amp) ** 2 for key, amp in self.amplitudes.items()}
 
 
-def _link_mode(link) -> str:
-    return f"{link.src}:{link.src_port}->{link.dst}:{link.dst_port}"
+def _drift(state: dict[Link, complex]) -> float:
+    """Distance of the state norm from 1; refuses a non-unitary step."""
+    drift = abs(math.sqrt(sum(abs(amp) ** 2 for amp in state.values())) - 1.0)
+    if drift > _NORM_TOL:
+        raise ValueError(f"state norm drifted from 1 by {drift!r}")
+    return drift
 
 
-def evolve_circuit(circuit: Circuit, source: str | None = None) -> CircuitEvolution:
+def evolve_circuit(
+    circuit: Circuit, source: str | None = None, *, port: int | None = None
+) -> CircuitEvolution:
     """Propagate one particle through the circuit by per-element unitaries.
 
-    The basis is the set of in-flight link modes.  A multi-port source
-    emits an equal-weight superposition over its arms.  Link pathlength
-    phases apply at emission onto the link.
+    With ``port=None`` a multi-port source emits an equal-weight
+    superposition over its arms; ``port=k`` starts from arm k alone with
+    weight 1.  Link pathlength phases apply at emission onto the link.
     """
     if source is None:
-        if len(circuit.sources) != 1:
-            raise ValueError("circuit has several sources, pass one explicitly")
-        source = circuit.sources[0]
+        source = circuit.sole_source()
 
     fanout = circuit.source_fanout(source)
-    labels: list[str] = []
-    coeffs: list[complex] = []
-    for port in range(fanout):
-        link = circuit.out_link(source, port)
-        assert link is not None
-        labels.append(_link_mode(link))
-        coeffs.append(np.exp(1j * link.phase) / math.sqrt(fanout))
-    state = StateVector(tuple(labels), np.array(coeffs))
+    state: dict[Link, complex] = {}
+    for arm in range(fanout) if port is None else [port]:
+        link = circuit.out_link(source, arm)
+        if link is None:
+            raise ValueError(f"source {source} has no arm {arm}")
+        amp = cmath.exp(1j * link.phase)
+        state[link] = amp / math.sqrt(fanout) if port is None else amp
 
-    max_drift = abs(state.norm() - 1.0)
-    vacuum_counter = 0
+    max_drift = _drift(state)
     for eid in circuit.topo_order:
         el = circuit.elements[eid]
         if el.kind in TERMINAL_TYPES or el.kind is ElementType.SOURCE:
             continue
         if el.kind is ElementType.BEAMSPLITTER:
-            in_modes = []
-            for port in range(2):
-                link = circuit.in_link(eid, port)
-                if link is None:
-                    in_modes.append(f"vac{vacuum_counter}")
-                    vacuum_counter += 1
-                else:
-                    in_modes.append(_link_mode(link))
-            out0 = circuit.out_link(eid, 0)
-            out1 = circuit.out_link(eid, 1)
-            assert out0 is not None and out1 is not None
-            # Reflection-first output ordering: port 1 is the cross port
-            # for input port 0.
-            state = apply_beamsplitter(
-                state,
-                (in_modes[0], in_modes[1]),
-                (_link_mode(out1), _link_mode(out0)),
-            )
-            state = apply_phase(state, _link_mode(out0), out0.phase)
-            state = apply_phase(state, _link_mode(out1), out1.phase)
+            m1, m2 = (state.pop(circuit.in_link(eid, p), 0.0 + 0.0j) for p in range(2))
+            # Reflection-first rows: output port 1 is the cross port of input 0.
+            for (b1, b2), out_port in zip(_BS_BLOCK, (1, 0)):
+                out = circuit.out_link(eid, out_port)
+                state[out] = (b1 * m1 + b2 * m2) * cmath.exp(1j * out.phase)
         else:
             in_link = circuit.in_link(eid, 0)
-            out = circuit.out_link(eid, 0)
-            assert out is not None
-            if in_link is None or _link_mode(in_link) not in state.labels:
+            if in_link not in state:
                 continue  # dead element, nothing arrives
-            state = relabel_mode(state, _link_mode(in_link), _link_mode(out))
-            shift = out.phase
-            if el.kind is ElementType.PHASESHIFTER:
-                shift += el.shift
-            state = apply_phase(state, _link_mode(out), shift)
-        max_drift = max(max_drift, abs(state.norm() - 1.0))
+            out = circuit.out_link(eid, 0)
+            shift = out.phase + (el.shift if el.kind is ElementType.PHASESHIFTER else 0.0)
+            state[out] = state.pop(in_link) * cmath.exp(1j * shift)
+        max_drift = max(max_drift, _drift(state))
 
-    amplitudes: dict[str, complex] = {}
-    for term in circuit.terminals:
-        link = circuit.in_link(term, 0)
-        amp = state.coefficient(_link_mode(link)) if link is not None else 0.0 + 0.0j
-        amplitudes[circuit.terminal_key(term)] = amp
+    amplitudes: dict[Outcome, complex] = {
+        circuit.terminal_key(term): state.get(circuit.in_link(term, 0), 0.0 + 0.0j)
+        for term in circuit.terminals
+    }
     return CircuitEvolution(amplitudes=amplitudes, max_norm_drift=max_drift)
 
 
-# -- two-particle tensor states ---------------------------------------------
+def evolve_pair(left: Circuit, right: Circuit) -> CircuitEvolution:
+    """Joint (left, right) terminal amplitudes of a correlated pair.
 
-@dataclass(frozen=True)
-class TwoParticleState:
-    """Tensor-basis state of the left and right particles."""
-
-    left_labels: tuple[str, ...]
-    right_labels: tuple[str, ...]
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        coeffs = np.asarray(self.coeffs, dtype=complex)
-        object.__setattr__(self, "coeffs", coeffs)
-        if coeffs.shape != (len(self.left_labels), len(self.right_labels)):
-            raise ValueError("coefficient matrix shape must match the two bases")
-        if abs(self.norm() - 1.0) > _NORM_TOL:
-            raise ValueError(f"state norm {self.norm()!r} drifted from 1")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def coefficient(self, left: str, right: str) -> complex:
-        i = self.left_labels.index(left)
-        j = self.right_labels.index(right)
-        return complex(self.coeffs[i, j])
-
-
-def _side_matrix(
-    labels: tuple[str, ...],
-    in_modes: tuple[str, str],
-    out_modes: tuple[str, str],
-) -> tuple[tuple[str, ...], np.ndarray]:
-    """Unitary acting on one side that scatters in_modes into out_modes."""
-    m1, m2 = in_modes
-    new_labels = [label for label in labels if label not in in_modes]
-    new_labels += list(out_modes)
-    matrix = np.zeros((len(new_labels), len(labels)), dtype=complex)
-    for j, label in enumerate(labels):
-        if label == m1:
-            matrix[new_labels.index(out_modes[0]), j] = _BS_BLOCK[0, 0]
-            matrix[new_labels.index(out_modes[1]), j] = _BS_BLOCK[1, 0]
-        elif label == m2:
-            matrix[new_labels.index(out_modes[0]), j] = _BS_BLOCK[0, 1]
-            matrix[new_labels.index(out_modes[1]), j] = _BS_BLOCK[1, 1]
-        else:
-            matrix[new_labels.index(label), j] = 1.0
-    return tuple(new_labels), matrix
-
-
-def bghz_initial_state() -> TwoParticleState:
-    """Equal superposition of the two correlated emission arms."""
-    coeffs = np.zeros((2, 2), dtype=complex)
-    coeffs[0, 0] = _INV_SQRT2  # |a, a'>
-    coeffs[1, 1] = _INV_SQRT2  # |b, b'>
-    return TwoParticleState(("a", "b"), ("a'", "b'"), coeffs)
-
-
-def apply_phase_left(state: TwoParticleState, mode: str, shift: float) -> TwoParticleState:
-    coeffs = state.coeffs.copy()
-    coeffs[state.left_labels.index(mode), :] *= np.exp(1j * shift)
-    return TwoParticleState(state.left_labels, state.right_labels, coeffs)
-
-
-def apply_phase_right(state: TwoParticleState, mode: str, shift: float) -> TwoParticleState:
-    coeffs = state.coeffs.copy()
-    coeffs[:, state.right_labels.index(mode)] *= np.exp(1j * shift)
-    return TwoParticleState(state.left_labels, state.right_labels, coeffs)
-
-
-def apply_beamsplitter_left(
-    state: TwoParticleState, in_modes: tuple[str, str], out_modes: tuple[str, str]
-) -> TwoParticleState:
-    labels, matrix = _side_matrix(state.left_labels, in_modes, out_modes)
-    return TwoParticleState(labels, state.right_labels, matrix @ state.coeffs)
-
-
-def apply_beamsplitter_right(
-    state: TwoParticleState, in_modes: tuple[str, str], out_modes: tuple[str, str]
-) -> TwoParticleState:
-    labels, matrix = _side_matrix(state.right_labels, in_modes, out_modes)
-    return TwoParticleState(state.left_labels, labels, state.coeffs @ matrix.T)
-
-
-def evolve_bghz_amplitudes(alpha: float, beta: float) -> dict[tuple[str, str], complex]:
-    """Joint detector amplitudes of the two-particle interferometer.
-
-    Shift alpha sits on the left a-arm, beta on the right b'-arm.  On the
-    left splitter the a-arm reflects toward u; on the right splitter the
-    b'-arm reflects toward u'.
+    The source sends both daughters out through matching arm indices, in an
+    equal superposition over the arms: each side is evolved from arm k
+    alone, arm k pairs with arm k, and the sum carries 1/sqrt(arms).
     """
-    state = bghz_initial_state()
-    state = apply_phase_left(state, "a", alpha)
-    state = apply_phase_right(state, "b'", beta)
-    state = apply_beamsplitter_left(state, ("a", "b"), ("u", "d"))
-    state = apply_beamsplitter_right(state, ("b'", "a'"), ("u'", "d'"))
-    return {
-        (x, y): state.coefficient(x, y)
-        for x in ("u", "d")
-        for y in ("u'", "d'")
+    arms = left.source_fanout(left.sole_source())
+    if right.source_fanout(right.sole_source()) != arms:
+        raise ValueError("both sides of a pair need the same number of source arms")
+    joint: dict[Outcome, complex] = {
+        (x, y): 0.0 + 0.0j for x in left.terminal_keys() for y in right.terminal_keys()
     }
-
-
-def evolve_bghz(alpha: float, beta: float) -> OutcomeDistribution:
-    amplitudes = evolve_bghz_amplitudes(alpha, beta)
-    outcomes = {key: abs(amp) ** 2 for key, amp in amplitudes.items()}
-    return OutcomeDistribution(
-        outcomes, ENGINE_HILBERT, {"alpha": alpha, "beta": beta}
-    )
+    max_drift = 0.0
+    for arm in range(arms):
+        side_l = evolve_circuit(left, port=arm)
+        side_r = evolve_circuit(right, port=arm)
+        max_drift = max(max_drift, side_l.max_norm_drift, side_r.max_norm_drift)
+        for x, amp_l in side_l.amplitudes.items():
+            for y, amp_r in side_r.amplitudes.items():
+                joint[(x, y)] += amp_l * amp_r
+    weight = 1.0 / math.sqrt(arms)
+    return CircuitEvolution({key: weight * amp for key, amp in joint.items()}, max_drift)

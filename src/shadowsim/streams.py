@@ -129,10 +129,17 @@ def build_stream(
 
 
 def stream_terminal_amplitudes(stream: ShadowStream) -> dict[str, complex]:
-    """Summed amplitude per terminal, blockers included, unreached ones 0."""
+    """Summed amplitude per terminal, blockers included, unreached ones 0.
+
+    A source with several arms emits an equal-weight superposition over
+    them, so the sums carry 1/sqrt(fanout).
+    """
     sums: dict[str, complex] = {key: 0.0 + 0.0j for key in stream.circuit.terminal_keys()}
     for path, amp in zip(stream.paths, stream.amplitudes):
         sums[stream.circuit.terminal_key(path.terminal)] += amp
+    fanout = stream.circuit.source_fanout(stream.source)
+    if fanout > 1:
+        sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
     return sums
 
 
@@ -141,11 +148,8 @@ def terminal_probabilities(stream: ShadowStream) -> dict[str, float]:
 
 
 def unitarity_defect(stream: ShadowStream) -> float:
-    """|total probability - 1| for a single-emission-port circuit.
-
-    Multi-port sources carry their normalisation in the pair superposition
-    weight (see joint_terminal_amplitudes), not per side.
-    """
+    """|total probability - 1| of one emission; a multi-arm source counts
+    with its 1/sqrt(fanout) weight (see stream_terminal_amplitudes)."""
     return abs(sum(p for p in terminal_probabilities(stream).values()) - 1.0)
 
 

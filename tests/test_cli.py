@@ -32,6 +32,19 @@ link bs2:1 u:0
 """
 
 
+TWO_ARM_TEXT = """\
+# two-arm source whose arms meet at one splitter
+element src source
+element bs beamsplitter
+element u detector:u
+element d detector:d
+link src:0 bs:0 phase=0.3
+link src:1 bs:1 phase=2.1
+link bs:0 d:0
+link bs:1 u:0
+"""
+
+
 def _rows(path):
     with open(path, newline="") as fh:
         meta_line = fh.readline()
@@ -79,6 +92,18 @@ def test_broken_circuit_exits_three(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_several_sources_is_a_circuit_error_on_either_engine(tmp_path, capsys):
+    path = tmp_path / "two-sources.circuit"
+    path.write_text(
+        "element s1 source\nelement s2 source\nelement a detector:a\n"
+        "element b detector:b\nlink s1:0 a:0\nlink s2:0 b:0\n"
+    )
+    for engine in ("streams", "hilbert"):
+        argv = ["run", "circuit", "--circuit-file", str(path), "--engine", engine]
+        assert cli.main(argv) == 3
+        assert "2 sources" in capsys.readouterr().err
+
+
 def test_unstable_step_exits_four(capsys):
     code = cli.main(["propagate", "--eps", "0.05", "--steps", "1"])
     assert code == 4
@@ -124,6 +149,48 @@ def test_run_circuit_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.750000" in out  # cos^2(pi/6) at the u port
     assert "0.250000" in out
+
+
+def test_run_circuit_with_two_arm_source(tmp_path, capsys):
+    path = tmp_path / "two-arm.circuit"
+    path.write_text(TWO_ARM_TEXT)
+    out = tmp_path / "two-arm.json"
+    argv = ["run", "circuit", "--circuit-file", str(path), "--engine", "both",
+            "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    results = json.loads(out.read_text())["results"]
+    probs = {
+        r["engine"]: {row["outcome"]: row["probability"] for row in r["outcomes"]}
+        for r in results
+    }
+    for engine in ("streams", "hilbert"):
+        assert sum(probs[engine].values()) == pytest.approx(1.0, abs=1e-12)
+    for key, p in probs["hilbert"].items():
+        assert probs["streams"][key] == pytest.approx(p, abs=1e-12)
+
+
+def test_unknown_engine_in_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "mz.circuit"
+    path.write_text(MZ_TEXT)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"engine": "quantum"}))
+    assert cli.main(["run", "circuit", "--circuit-file", str(path), "--config", str(cfg)]) == 2
+    assert "engine" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "mz", "--shots", "-5"],
+        ["sweep", "mz", "--grid", "0:pi:3", "--shots", "-5"],
+        ["run", "chsh", "--angles", "0,pi/2,pi/4,3pi/4", "--shots", "0"],
+    ],
+)
+def test_shots_below_one_is_a_config_error(argv, capsys):
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "shots" in err
+    assert "Traceback" not in err
 
 
 def test_run_pathintegral_is_propagate(capsys):
@@ -262,6 +329,26 @@ def test_check_command_all_green(capsys):
     lines = [line for line in out.splitlines() if line]
     assert lines[-1].endswith("checks passed")
     assert all(line.startswith("PASS") for line in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    ("argv", "field"),
+    [
+        (["--corpus-cases", "0", "--shots", "10"], "corpus-cases"),
+        (["--corpus-cases", "0"], "corpus-cases"),
+        (["--shots", "999"], "shots"),
+    ],
+)
+def test_check_refuses_vacuous_power(argv, field, monkeypatch, capsys):
+    monkeypatch.setattr(cli.checks, "run_all", lambda **kw: pytest.fail("ran the checks"))
+    assert cli.main(["check"] + argv) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_chsh_exact_check_is_reproducible_for_one_seed():
+    first = checks.check_chsh_exact(seed=11)
+    assert first.passed
+    assert checks.check_chsh_exact(seed=11).detail == first.detail
 
 
 def test_check_failure_flips_exit_code(monkeypatch, capsys):

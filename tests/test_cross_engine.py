@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsim import hilbert
+from shadowsim.circuit import parse_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import run_bghz, run_mach_zehnder
 from shadowsim.streams import build_stream, stream_terminal_amplitudes, unitarity_defect
@@ -94,3 +95,31 @@ def test_any_corpus_circuit_agrees_and_conserves(seed, clock_seed):
     amps = stream_terminal_amplitudes(stream)
     for key, p in probs_h.items():
         assert abs(amps[key]) ** 2 == pytest.approx(p, abs=1e-12)
+
+
+# Two-arm source: the arms carry different phases into one splitter, so the
+# equal-weight superposition the source emits interferes there.
+TWO_ARM_TEXT = """\
+element src source
+element bs beamsplitter
+element ps phaseshifter:0.7
+element u detector:u
+element d detector:d
+link src:0 bs:0 phase=0.3
+link src:1 ps:0 phase=1.9
+link ps:0 bs:1
+link bs:0 d:0
+link bs:1 u:0
+"""
+
+
+def test_multi_arm_source_engines_agree_and_conserve():
+    circuit = parse_circuit(TWO_ARM_TEXT)
+    probs_h = hilbert.evolve_circuit(circuit).probabilities()
+    for clock_seed in range(5):
+        stream = build_stream(circuit, seed=clock_seed)
+        assert unitarity_defect(stream) < 1e-12
+        probs_s = _stream_probabilities(circuit, seed=clock_seed)
+        assert sum(probs_s.values()) == pytest.approx(1.0, abs=1e-12)
+        for key, p in probs_h.items():
+            assert probs_s[key] == pytest.approx(p, abs=1e-12)

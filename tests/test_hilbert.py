@@ -8,99 +8,124 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsim import hilbert
-from shadowsim.experiments import ifm_circuit, mach_zehnder_circuit
+from shadowsim.circuit import Circuit, Element, ElementType, Link
+from shadowsim.experiments import (
+    bghz_left_circuit,
+    bghz_right_circuit,
+    ifm_circuit,
+    mach_zehnder_circuit,
+)
 
 
-def _random_state(rng, labels):
-    coeffs = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
-    return hilbert.StateVector(tuple(labels), coeffs / np.linalg.norm(coeffs))
+def _two_arm_circuit(body, links):
+    """Two-arm source feeding ``body`` elements through ``links``."""
+    elements = {"src": Element(ElementType.SOURCE), **body}
+    return Circuit(elements, links)
 
 
-def test_state_vector_enforces_unit_norm():
+def _double_splitter(phase0: float, phase1: float) -> Circuit:
+    """Two splitters wired port to matched port: bs1's reflection-first
+    outputs (1, 0) feed bs2's inputs (0, 1)."""
+    body = {
+        "bs1": Element(ElementType.BEAMSPLITTER),
+        "bs2": Element(ElementType.BEAMSPLITTER),
+        "p1": Element(ElementType.DETECTOR, label="p1"),
+        "p2": Element(ElementType.DETECTOR, label="p2"),
+    }
+    links = [
+        Link("src", 0, "bs1", 0, phase0),
+        Link("src", 1, "bs1", 1, phase1),
+        Link("bs1", 1, "bs2", 0),
+        Link("bs1", 0, "bs2", 1),
+        Link("bs2", 1, "p1", 0),
+        Link("bs2", 0, "p2", 0),
+    ]
+    return _two_arm_circuit(body, links)
+
+
+def _pair(alpha: float, beta: float) -> hilbert.CircuitEvolution:
+    return hilbert.evolve_pair(bghz_left_circuit(alpha), bghz_right_circuit(beta))
+
+
+def test_state_vector_enforces_unit_norm(monkeypatch):
+    monkeypatch.setattr(hilbert, "_BS_BLOCK", ((1.0, 1.0), (1.0, 1.0)))
     with pytest.raises(ValueError, match="norm"):
-        hilbert.StateVector(("a", "b"), np.array([1.0, 1.0]))
-
-
-def test_state_vector_rejects_duplicate_labels():
-    with pytest.raises(ValueError, match="duplicate"):
-        hilbert.StateVector(("a", "a"), np.array([1.0, 0.0]))
+        hilbert.evolve_circuit(mach_zehnder_circuit(0.3))
 
 
 def test_basis_state_and_missing_mode():
-    state = hilbert.basis_state("a", extra=("b",))
-    assert state.coefficient("a") == 1.0
-    assert state.coefficient("b") == 0.0
-    assert state.coefficient("never-there") == 0.0
+    """port= starts from one arm alone; unreached terminals read 0."""
+    body = {
+        "a": Element(ElementType.DETECTOR, label="a"),
+        "b": Element(ElementType.DETECTOR, label="b"),
+        "idle": Element(ElementType.MIRROR),
+        "c": Element(ElementType.DETECTOR, label="never-there"),
+    }
+    links = [Link("src", 0, "a", 0), Link("src", 1, "b", 0), Link("idle", 0, "c", 0)]
+    amps = hilbert.evolve_circuit(_two_arm_circuit(body, links), port=0).amplitudes
+    assert amps["a"] == 1.0
+    assert amps["b"] == 0.0
+    assert amps["never-there"] == 0.0
 
 
 def test_phase_composes_additively():
-    state = hilbert.basis_state("a")
-    one = hilbert.apply_phase(hilbert.apply_phase(state, "a", 0.4), "a", 1.1)
-    two = hilbert.apply_phase(state, "a", 1.5)
-    assert one.coefficient("a") == pytest.approx(two.coefficient("a"), abs=1e-15)
+    def chain(*shifts):
+        elements = {
+            "src": Element(ElementType.SOURCE),
+            "det": Element(ElementType.DETECTOR, label="a"),
+        }
+        links, prev = [], "src"
+        for i, shift in enumerate(shifts):
+            elements[f"ps{i}"] = Element(ElementType.PHASESHIFTER, shift=shift)
+            links.append(Link(prev, 0, f"ps{i}", 0))
+            prev = f"ps{i}"
+        links.append(Link(prev, 0, "det", 0))
+        return hilbert.evolve_circuit(Circuit(elements, links)).amplitudes["a"]
+
+    assert chain(0.4, 1.1) == pytest.approx(chain(1.5), abs=1e-15)
 
 
 def test_double_splitter_through_matched_ports_is_identity_times_i():
     """Crossing the same splitter twice returns the input up to a factor i."""
     rng = np.random.default_rng(1)
     for _ in range(20):
-        state = _random_state(rng, ("m1", "m2"))
-        mid = hilbert.apply_beamsplitter(state, ("m1", "m2"), ("n1", "n2"))
-        # reflection-first ordering makes (n1, n2) the matched feed order
-        back = hilbert.apply_beamsplitter(mid, ("n1", "n2"), ("p1", "p2"))
-        assert back.coefficient("p2") == pytest.approx(1j * state.coefficient("m1"), abs=1e-12)
-        assert back.coefficient("p1") == pytest.approx(1j * state.coefficient("m2"), abs=1e-12)
+        phase0, phase1 = rng.uniform(0.0, 2 * math.pi, size=2)
+        circuit = _double_splitter(float(phase0), float(phase1))
+        m1, m2 = np.exp(1j * phase0) / math.sqrt(2), np.exp(1j * phase1) / math.sqrt(2)
+        back = hilbert.evolve_circuit(circuit).amplitudes
+        assert back["p2"] == pytest.approx(1j * m1, abs=1e-12)
+        assert back["p1"] == pytest.approx(1j * m2, abs=1e-12)
 
 
 def test_splitter_preserves_norm_on_random_states():
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        state = _random_state(rng, ("m1", "m2", "spare"))
-        out = hilbert.apply_beamsplitter(state, ("m1", "m2"), ("n1", "n2"))
-        assert abs(out.norm() - 1.0) < 1e-12
+        phase0, phase1 = rng.uniform(0.0, 2 * math.pi, size=2)
+        evolution = hilbert.evolve_circuit(_double_splitter(float(phase0), float(phase1)))
+        assert evolution.max_norm_drift < 1e-12
 
 
-def test_splitter_requires_fresh_outputs():
-    state = hilbert.basis_state("a", extra=("b", "c"))
-    with pytest.raises(ValueError, match="already present"):
-        hilbert.apply_beamsplitter(state, ("a", "b"), ("c", "d"))
-
-
-def test_project_mode_is_born_rule():
-    state = hilbert.apply_beamsplitter(hilbert.basis_state("s"), ("s", "vac"), ("b", "a"))
-    prob, collapsed = hilbert.project_mode(state, "a")
-    assert prob == pytest.approx(0.5, abs=1e-12)
-    assert abs(collapsed.coefficient("a")) == pytest.approx(1.0, abs=1e-12)
-    assert collapsed.coefficient("b") == 0.0
-
-
-def test_project_mode_rejects_zero_amplitude():
-    with pytest.raises(ValueError, match="zero amplitude"):
-        hilbert.project_mode(hilbert.basis_state("a", extra=("b",)), "b")
+def test_which_path_marking_is_born_rule():
+    """Blocking either arm after the first splitter absorbs half the flux."""
+    for arm in ("a", "b"):
+        probs = hilbert.evolve_circuit(ifm_circuit(arm)).probabilities()
+        assert probs["absorbed"] == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize(
     ("alpha", "want_u"),
     [(0.0, 1.0), (math.pi, 0.0), (math.pi / 3, 0.75), (2.2, math.cos(1.1) ** 2)],
 )
-def test_evolve_mz_law(alpha, want_u):
-    dist = hilbert.evolve_mz(alpha)
-    assert dist.probability("u") == pytest.approx(want_u, abs=1e-12)
-    assert dist.probability("d") == pytest.approx(1 - want_u, abs=1e-12)
+def test_mz_circuit_law(alpha, want_u):
+    probs = hilbert.evolve_circuit(mach_zehnder_circuit(alpha)).probabilities()
+    assert probs["u"] == pytest.approx(want_u, abs=1e-12)
+    assert probs["d"] == pytest.approx(1 - want_u, abs=1e-12)
 
 
-def test_evolve_mz_ignores_common_arm_phase():
+def test_mz_circuit_ignores_common_arm_phase():
     for theta in (0.0, 0.9, 4.0):
-        dist = hilbert.evolve_mz(0.7, theta)
-        assert dist.probability("u") == pytest.approx(math.cos(0.35) ** 2, abs=1e-12)
-
-
-def test_evolve_circuit_matches_evolve_mz():
-    for alpha in np.linspace(0, 2 * math.pi, 16):
-        via_circuit = hilbert.evolve_circuit(mach_zehnder_circuit(float(alpha))).probabilities()
-        direct = hilbert.evolve_mz(float(alpha))
-        assert via_circuit["u"] == pytest.approx(direct.probability("u"), abs=1e-12)
-        assert via_circuit["d"] == pytest.approx(direct.probability("d"), abs=1e-12)
+        probs = hilbert.evolve_circuit(mach_zehnder_circuit(0.7, theta)).probabilities()
+        assert probs["u"] == pytest.approx(math.cos(0.35) ** 2, abs=1e-12)
 
 
 def test_evolve_circuit_norm_drift_is_tiny():
@@ -109,48 +134,57 @@ def test_evolve_circuit_norm_drift_is_tiny():
     assert sum(evolution.probabilities().values()) == pytest.approx(1.0, abs=1e-12)
 
 
-# -- two-particle states -----------------------------------------------------------
+# -- pairs ---------------------------------------------------------------------------
 
 
 def test_bghz_initial_state_is_maximally_correlated():
-    state = hilbert.bghz_initial_state()
-    assert state.coefficient("a", "a'") == pytest.approx(1 / math.sqrt(2))
-    assert state.coefficient("b", "b'") == pytest.approx(1 / math.sqrt(2))
-    assert state.coefficient("a", "b'") == 0.0
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    """With nothing on either side, the pair leaves as (|a,a'> + |b,b'>)/sqrt 2."""
+    def side(prime):
+        body = {
+            f"a{prime}": Element(ElementType.DETECTOR, label=f"a{prime}"),
+            f"b{prime}": Element(ElementType.DETECTOR, label=f"b{prime}"),
+        }
+        links = [Link("src", 0, f"a{prime}", 0), Link("src", 1, f"b{prime}", 0)]
+        return _two_arm_circuit(body, links)
+
+    evolution = hilbert.evolve_pair(side(""), side("'"))
+    assert evolution.amplitudes[("a", "a'")] == pytest.approx(1 / math.sqrt(2))
+    assert evolution.amplitudes[("b", "b'")] == pytest.approx(1 / math.sqrt(2))
+    assert evolution.amplitudes[("a", "b'")] == 0.0
+    assert sum(evolution.probabilities().values()) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_side_operations_commute_across_sides():
-    """Left and right operations act on different tensor factors, so their
-    order cannot matter."""
-    state = hilbert.bghz_initial_state()
-    one = hilbert.apply_beamsplitter_right(
-        hilbert.apply_phase_left(state, "a", 0.8), ("b'", "a'"), ("u'", "d'")
-    )
-    two = hilbert.apply_phase_left(
-        hilbert.apply_beamsplitter_right(state, ("b'", "a'"), ("u'", "d'")), "a", 0.8
-    )
-    assert np.allclose(one.coeffs, two.coeffs, atol=1e-14)
-    assert one.left_labels == two.left_labels
-    assert one.right_labels == two.right_labels
+    """Each side evolves on its own tensor factor, so swapping which side is
+    called left only transposes the joint table."""
+    left, right = bghz_left_circuit(0.8), bghz_right_circuit(0.3)
+    one = hilbert.evolve_pair(left, right).amplitudes
+    two = hilbert.evolve_pair(right, left).amplitudes
+    for (x, y), amp in one.items():
+        assert amp == pytest.approx(two[(y, x)], abs=1e-14)
+
+
+def test_evolve_pair_rejects_unmatched_arms():
+    with pytest.raises(ValueError, match="source arms"):
+        hilbert.evolve_pair(bghz_left_circuit(0.0), mach_zehnder_circuit(0.0))
 
 
 @pytest.mark.parametrize(("alpha", "beta"), [(0.0, 0.0), (0.4, 1.5), (5.0, 2.2)])
-def test_evolve_bghz_law(alpha, beta):
-    dist = hilbert.evolve_bghz(alpha, beta)
+def test_evolve_pair_law(alpha, beta):
+    probs = _pair(alpha, beta).probabilities()
     half = 0.5 * (beta - alpha)
-    assert dist.probability(("u", "u'")) == pytest.approx(0.5 * math.cos(half) ** 2, abs=1e-12)
-    assert dist.probability(("d", "d'")) == pytest.approx(0.5 * math.cos(half) ** 2, abs=1e-12)
-    assert dist.probability(("u", "d'")) == pytest.approx(0.5 * math.sin(half) ** 2, abs=1e-12)
-    assert dist.probability(("d", "u'")) == pytest.approx(0.5 * math.sin(half) ** 2, abs=1e-12)
+    assert probs[("u", "u'")] == pytest.approx(0.5 * math.cos(half) ** 2, abs=1e-12)
+    assert probs[("d", "d'")] == pytest.approx(0.5 * math.cos(half) ** 2, abs=1e-12)
+    assert probs[("u", "d'")] == pytest.approx(0.5 * math.sin(half) ** 2, abs=1e-12)
+    assert probs[("d", "u'")] == pytest.approx(0.5 * math.sin(half) ** 2, abs=1e-12)
 
 
 def test_bghz_marginals_are_unbiased():
     """Each side alone sees 1/2 - 1/2 whatever the shifts are."""
     for alpha, beta in [(0.0, 0.0), (1.0, 0.2), (2.9, 4.4)]:
-        dist = hilbert.evolve_bghz(alpha, beta)
-        left_u = dist.probability(("u", "u'")) + dist.probability(("u", "d'"))
-        right_u = dist.probability(("u", "u'")) + dist.probability(("d", "u'"))
+        probs = _pair(alpha, beta).probabilities()
+        left_u = probs[("u", "u'")] + probs[("u", "d'")]
+        right_u = probs[("u", "u'")] + probs[("d", "u'")]
         assert left_u == pytest.approx(0.5, abs=1e-12)
         assert right_u == pytest.approx(0.5, abs=1e-12)
 
@@ -161,7 +195,7 @@ def test_bghz_marginals_are_unbiased():
     st.floats(min_value=0.0, max_value=2 * math.pi),
 )
 def test_bghz_depends_only_on_shift_difference(alpha, beta):
-    shifted = hilbert.evolve_bghz(alpha, beta)
-    reference = hilbert.evolve_bghz(0.0, beta - alpha)
-    for key in shifted.outcomes:
-        assert shifted.probability(key) == pytest.approx(reference.probability(key), abs=1e-12)
+    shifted = _pair(alpha, beta).probabilities()
+    reference = _pair(0.0, beta - alpha).probabilities()
+    for key, p in shifted.items():
+        assert p == pytest.approx(reference[key], abs=1e-12)
