@@ -45,6 +45,8 @@ def parse_angle(text: str) -> float:
             value /= den
     else:
         value = float(m.group("num"))
+    if not math.isfinite(value):
+        raise ValueError(f"angle is not finite: {text!r}")
     return sign * value
 
 

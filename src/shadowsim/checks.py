@@ -15,10 +15,8 @@ import numpy as np
 from scipy import stats
 
 from . import hilbert, pathintegral
-from .circuit import ElementType
 from .corpus import random_circuit
 from .experiments import (
-    bghz_allowed_pairs,
     bghz_pair,
     chsh,
     run_bghz,
@@ -30,8 +28,6 @@ from .experiments import (
 from .streams import (
     build_stream,
     congruence_check,
-    joint_probabilities,
-    path_amplitude,
     stream_terminal_amplitudes,
     unitarity_defect,
 )

@@ -1,4 +1,4 @@
-"""Optical-bench circuit description: elements, links, parsing, path listing.
+"""Optical-bench circuit description: elements, links, parsing, path tables.
 
 A circuit is a finite DAG of bench elements.  Ports are integer indexed.
 Beamsplitters have input ports {0, 1} and output ports {0, 1}; the same-index
@@ -21,8 +21,11 @@ Radians accept literals and pi-expressions such as ``pi/2`` or ``3pi/4``.
 from __future__ import annotations
 
 import enum
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from .angles import canonical_angle, parse_angle
 
@@ -31,14 +34,26 @@ __all__ = [
     "Element",
     "Link",
     "Path",
+    "PathTable",
     "Circuit",
     "CircuitError",
     "CircuitParseError",
     "CircuitValidationError",
     "parse_circuit",
     "render_circuit",
+    "compile_paths",
+    "count_paths",
     "enumerate_paths",
+    "MAX_PATHS",
+    "REFLECTION_TURN",
 ]
+
+# Clock advance of a splitter reflection: the quarter-turn factor i.
+REFLECTION_TURN = math.pi / 2.0
+
+# Most routes one source may have before compile_paths refuses the circuit:
+# k cascaded splitters give 2**k routes, so this admits 20 of them.
+MAX_PATHS = 2**20
 
 
 class ElementType(enum.Enum):
@@ -86,6 +101,10 @@ class Link:
     phase: float = 0.0
 
 
+# (element id, in-port, out-port) of one element on a route.
+Step = tuple[str, int | None, int | None]
+
+
 @dataclass(frozen=True)
 class Path:
     """One complete route from a source to a terminal.
@@ -97,7 +116,7 @@ class Path:
     """
 
     source: str
-    steps: tuple[tuple[str, int | None, int | None], ...]
+    steps: tuple[Step, ...]
     terminal: str
     geometric_phase: float
 
@@ -173,10 +192,20 @@ class Circuit:
     def in_link(self, eid: str, port: int) -> Link | None:
         return self._in.get((eid, port))
 
+    @cached_property
+    def _successors(self) -> dict[str, list[Link]]:
+        """Links leaving each element, in output-port order."""
+        successors: dict[str, list[Link]] = {eid: [] for eid in self.elements}
+        for link in self.links:
+            successors[link.src].append(link)
+        for links in successors.values():
+            links.sort(key=attrgetter("src_port"))
+        return successors
+
     def source_fanout(self, eid: str) -> int:
         if self.elements[eid].kind is not ElementType.SOURCE:
             raise CircuitValidationError(f"{eid} is not a source")
-        return len([1 for (e, _p) in self._out if e == eid])
+        return len(self._successors[eid])
 
     def sole_source(self) -> str:
         """The source to use when the caller names none."""
@@ -444,52 +473,132 @@ def render_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- path enumeration ------------------------------------------------------
+# -- path tables -----------------------------------------------------------
 
-def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
-    """All source-to-terminal routes, sorted by their element-id sequence.
-
-    The walker branches at every beamsplitter (both output ports) and at the
-    source (every emission port).  The circuit being a DAG with single-linked
-    output ports guarantees termination and uniqueness.
-    """
+def _resolve_source(circuit: Circuit, source: str | None) -> str:
     if source is None:
-        source = circuit.sole_source()
+        return circuit.sole_source()
     if source not in circuit.elements:
         raise CircuitValidationError(f"unknown source {source!r}")
     if circuit.elements[source].kind is not ElementType.SOURCE:
         raise CircuitValidationError(f"{source} is not a source")
+    return source
 
-    paths: list[Path] = []
 
-    def walk(
-        eid: str,
-        in_port: int | None,
-        steps: list[tuple[str, int | None, int | None]],
-        phase: float,
-    ) -> None:
-        el = circuit.elements[eid]
-        if el.kind in TERMINAL_TYPES:
-            paths.append(
-                Path(source, tuple(steps + [(eid, in_port, None)]), eid, phase)
-            )
-            return
-        if el.kind is ElementType.SOURCE:
-            out_ports = range(circuit.source_fanout(eid))
-        elif el.kind is ElementType.BEAMSPLITTER:
-            out_ports = range(2)
-        else:
-            out_ports = range(1)
-        for out_port in out_ports:
-            link = circuit.out_link(eid, out_port)
-            assert link is not None, "validated circuits have no open outputs"
-            walk(
+def count_paths(circuit: Circuit, source: str | None = None) -> int:
+    """Number of source-to-terminal routes, counted without walking them.
+
+    One pass over the topological order adds each element's route count to
+    every element its outputs feed; the count is exact however large.
+    """
+    source = _resolve_source(circuit, source)
+    counts = dict.fromkeys(circuit.topo_order, 0)
+    counts[source] = 1
+    for eid in circuit.topo_order:
+        for link in circuit._successors[eid]:
+            counts[link.dst] += counts[eid]
+    return sum(counts[eid] for eid in circuit.terminals)
+
+
+@dataclass(frozen=True)
+class PathTable:
+    """Every route of one source, one row per route.  Rows are sorted by
+    their element-id sequence, ties kept in the walk's order.
+
+    Column entry i describes route i.  ``routes[i]`` names its elements,
+    one character each: character c is ``element_ids[ord(c)]``, the ids
+    being sorted, so comparing routes compares element-id sequences.
+    ``ports[i]`` holds two characters per element, in-port + 1 and
+    out-port + 1, with 0 for the source's missing in-port and the
+    terminal's missing out-port.  Then come the geometric phase, the link
+    phases added one by one from the source; the clock ``advances`` in
+    route order (REFLECTION_TURN per splitter reflection, the shift per
+    phase shifter); the number of splitter ``crossings``; the terminal the
+    route ends at; and the source port it leaves through.
+    """
+
+    source: str
+    element_ids: tuple[str, ...]
+    routes: tuple[str, ...]
+    ports: tuple[str, ...]
+    geometric_phases: tuple[float, ...]
+    advances: tuple[tuple[float, ...], ...]
+    crossings: tuple[int, ...]
+    terminals: tuple[str, ...]
+    source_ports: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.routes)
+
+    def steps(self, row: int) -> tuple[Step, ...]:
+        """Path.steps of route ``row``."""
+        ports = [None if c == "\0" else ord(c) - 1 for c in self.ports[row]]
+        return tuple(
+            (self.element_ids[ord(c)], ports[2 * j], ports[2 * j + 1])
+            for j, c in enumerate(self.routes[row])
+        )
+
+    def paths(self) -> list[Path]:
+        return [
+            Path(self.source, self.steps(row), self.terminals[row], self.geometric_phases[row])
+            for row in range(len(self))
+        ]
+
+
+def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
+    """Walk every route from ``source`` once and tabulate it, no Path built.
+
+    The walker branches at every beamsplitter (both output ports) and at the
+    source (every emission port).  The circuit being a DAG with single-linked
+    output ports guarantees termination and uniqueness.  A circuit with more
+    than MAX_PATHS routes is refused before the walk.
+    """
+    source = _resolve_source(circuit, source)
+    total = count_paths(circuit, source)
+    if total > MAX_PATHS:
+        raise CircuitValidationError(
+            f"source {source} has {total} paths, more than the limit of {MAX_PATHS}"
+        )
+    elements = circuit.elements
+    outs = circuit._successors
+    splitters = {eid for eid, el in elements.items() if el.kind is ElementType.BEAMSPLITTER}
+    shifts = {eid: el.shift for eid, el in elements.items() if el.kind is ElementType.PHASESHIFTER}
+    element_ids = tuple(sorted(elements))
+    code = {eid: chr(rank) for rank, eid in enumerate(element_ids)}
+    rows: list[tuple] = []
+    # Depth first, port 0 first: an element's successors are pushed in
+    # reverse port order.  Each entry carries its route so far; the source
+    # enters with in-port -1.
+    stack: list[tuple] = [(source, -1, "", "", 0.0, (), 0, 0)]
+    while stack:
+        eid, in_port, route, ports, phase, advances, crossings, source_port = stack.pop()
+        route += code[eid]
+        ports += chr(in_port + 1)
+        links = outs[eid]
+        if not links:  # only terminals have no outputs
+            rows.append((route, ports + "\0", phase, advances, crossings, eid, source_port))
+            continue
+        splitter = eid in splitters
+        if splitter:
+            crossings += 1
+        elif eid in shifts:
+            advances += (shifts[eid],)
+        for link in reversed(links):
+            out_port = link.src_port
+            stack.append((
                 link.dst,
                 link.dst_port,
-                steps + [(eid, in_port, out_port)],
+                route,
+                ports + chr(out_port + 1),
                 phase + link.phase,
-            )
+                advances + (REFLECTION_TURN,) if splitter and in_port != out_port else advances,
+                crossings,
+                out_port if in_port < 0 else source_port,
+            ))
+    rows.sort(key=itemgetter(0))
+    return PathTable(source, element_ids, *zip(*rows))
 
-    walk(source, None, [], 0.0)
-    paths.sort(key=lambda p: p.element_ids)
-    return paths
+
+def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
+    """All source-to-terminal routes as Path objects, in PathTable order."""
+    return compile_paths(circuit, source).paths()

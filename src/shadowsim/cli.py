@@ -60,11 +60,18 @@ def _angle_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _float_list(text: str) -> list[float]:
+def _finite_float(text: str) -> float:
     try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _float_list(text: str) -> list[float]:
+    return [_finite_float(part) for part in text.split(",")]
 
 
 def _grid_spec(text: str) -> tuple[float, float, int]:
@@ -494,15 +501,20 @@ def _initial_wavefunction(args: argparse.Namespace, config: dict):
             raise ConfigError(f"cannot read wavefunction file: {exc}") from exc
         if table.shape[1] != 3:
             raise ConfigError("wavefunction file needs three columns: x, re, im")
+        if table.shape[0] < 2:
+            raise ConfigError("wavefunction file needs at least two rows")
         x = table[:, 0]
         values = table[:, 1] + 1j * table[:, 2]
         dx = x[1] - x[0]
         norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
         if norm == 0.0:
             raise ConfigError("wavefunction file is identically zero")
-        wf = pathintegral.LatticeWavefunction(
-            x=x, values=values / norm, mass=mass, hbar=hbar
-        )
+        try:
+            wf = pathintegral.LatticeWavefunction(
+                x=x, values=values / norm, mass=mass, hbar=hbar
+            )
+        except ValueError as exc:
+            raise ConfigError(f"wavefunction file: {exc}") from exc
         return wf, {"psi_file": psi_file, "mass": mass, "hbar": hbar}
     n = int(_merge(args, config, "grid-n", 1024))
     xmin = float(_merge(args, config, "xmin", -30.0))
@@ -637,25 +649,25 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
 
 def _add_propagate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-n", type=int, default=None, help="grid points")
-    parser.add_argument("--xmin", type=float, default=None)
-    parser.add_argument("--xmax", type=float, default=None)
-    parser.add_argument("--x0", type=float, default=None, help="packet centre")
-    parser.add_argument("--sigma0", type=float, default=None, help="packet width")
-    parser.add_argument("--k0", type=float, default=None, help="packet wavenumber")
-    parser.add_argument("--mass", type=float, default=None)
-    parser.add_argument("--hbar", type=float, default=None)
-    parser.add_argument("--eps", type=float, default=None, help="time step")
+    parser.add_argument("--xmin", type=_finite_float, default=None)
+    parser.add_argument("--xmax", type=_finite_float, default=None)
+    parser.add_argument("--x0", type=_finite_float, default=None, help="packet centre")
+    parser.add_argument("--sigma0", type=_finite_float, default=None, help="packet width")
+    parser.add_argument("--k0", type=_finite_float, default=None, help="packet wavenumber")
+    parser.add_argument("--mass", type=_finite_float, default=None)
+    parser.add_argument("--hbar", type=_finite_float, default=None)
+    parser.add_argument("--eps", type=_finite_float, default=None, help="time step")
     parser.add_argument("--steps", type=int, default=None, help="number of steps")
     parser.add_argument("--times", type=_float_list, default=None,
                         help="snapshot times, comma separated, multiples of eps")
     parser.add_argument("--potential", choices=["free", "harmonic", "file"], default=None)
-    parser.add_argument("--omega", type=float, default=None,
+    parser.add_argument("--omega", type=_finite_float, default=None,
                         help="harmonic angular frequency")
     parser.add_argument("--potential-file", default=None,
                         help="two-column x, V table")
     parser.add_argument("--psi-file", default=None,
                         help="three-column x, re, im initial wavefunction")
-    parser.add_argument("--window", type=float, default=None,
+    parser.add_argument("--window", type=_finite_float, default=None,
                         help="kernel truncation radius (default: exact dense kernel)")
 
 

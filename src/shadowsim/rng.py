@@ -2,8 +2,8 @@
 
 Everything stochastic in this package draws from numpy's PCG64 generator so
 runs are reproducible from a single integer seed.  Independent substreams for
-subtasks are derived with numpy's SeedSequence.spawn, keyed by task index,
-which is the documented split function for this package.
+subtasks are the children numpy's SeedSequence.spawn would give, keyed by
+task index, which is the documented split function for this package.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ def make_rng(seed: int | None) -> np.random.Generator:
 
 
 def substream(seed: int | None, index: int) -> np.random.Generator:
-    """Generator for subtask ``index`` of a run seeded with ``seed``."""
-    root = np.random.SeedSequence(seed)
-    return np.random.default_rng(root.spawn(index + 1)[index])
+    """Generator for subtask ``index`` of a run seeded with ``seed``.
+
+    Child ``index`` of SeedSequence(seed).spawn is the sequence with spawn
+    key (index,), so it is built directly, in time independent of ``index``.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))

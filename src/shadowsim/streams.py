@@ -1,8 +1,10 @@
 """Shadow streams: per-path clock amplitudes and their composition rules.
 
-Every emission event creates one stream covering all enumerated paths of the
-circuit.  A path's amplitude is the product of a unit phase, tracked by a
-path clock, and a magnitude factor 1/sqrt(2) per beamsplitter crossing:
+Every emission event creates one stream covering all paths of the circuit.
+The engine first compiles the circuit into a path table (circuit.PathTable),
+one row per path, and then evaluates each row.  A path's amplitude is the
+product of a unit phase, tracked by a path clock, and a magnitude factor
+1/sqrt(2) per beamsplitter crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -14,7 +16,8 @@ never add, they only multiply when a joint event needs both.  The clock is
 represented by its phase alone, so its modulus cannot drift.  The initial
 clock value is uniform random per emission and drops out of every
 probability; the tangible path index is bookkeeping with no effect on any
-number computed here.
+number computed here.  ``path_amplitude`` evaluates one Path object step by
+step and is the reference the table evaluation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -22,17 +25,17 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .angles import canonical_angle
-from .circuit import Circuit, ElementType, Path, enumerate_paths
+from .circuit import REFLECTION_TURN, Circuit, ElementType, Path, PathTable, compile_paths
 from .rng import make_rng
 
 ENGINE_VERSION = "1.0"
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-REFLECTION_TURN = math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -74,27 +77,48 @@ def path_amplitude(path: Path, circuit: Circuit, initial_clock: float = 0.0) -> 
 class ShadowStream:
     """All paths of one emission with their amplitudes.
 
-    ``tangible_index`` marks which path the tangible particle took; it is
-    sampled uniformly and never consulted by probability computations.
+    ``amplitudes[i]`` belongs to row i of ``table``.  ``tangible_index``
+    marks which path the tangible particle took; it is sampled uniformly and
+    never consulted by probability computations.
     """
 
     circuit: Circuit
-    source: str
-    paths: tuple[Path, ...]
+    table: PathTable
     amplitudes: tuple[complex, ...]
     initial_clock: float
     tangible_index: int
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if len(self.paths) != len(self.amplitudes):
+        if len(self.table) != len(self.amplitudes):
             raise ValueError("one amplitude per path required")
-        if not 0 <= self.tangible_index < len(self.paths):
+        if not 0 <= self.tangible_index < len(self.table):
             raise ValueError("tangible index out of range")
+
+    @property
+    def source(self) -> str:
+        return self.table.source
+
+    @cached_property
+    def paths(self) -> tuple[Path, ...]:
+        """The table's rows as Path objects, built on first use."""
+        return tuple(self.table.paths())
 
     @property
     def tangible_path(self) -> Path:
         return self.paths[self.tangible_index]
+
+
+def _table_amplitudes(table: PathTable, initial_clock: float) -> tuple[complex, ...]:
+    """path_amplitude for every row, in the same order of operations."""
+    start = canonical_angle(initial_clock)
+    amplitudes = []
+    for phase, advances, crossings in zip(table.geometric_phases, table.advances, table.crossings):
+        clock = canonical_angle(start + phase)
+        for delta in advances:
+            clock = canonical_angle(clock + delta)
+        amplitudes.append(complex(math.cos(clock), math.sin(clock)) * INV_SQRT2**crossings)
+    return tuple(amplitudes)
 
 
 def build_stream(
@@ -105,22 +129,22 @@ def build_stream(
     rng: np.random.Generator | None = None,
     initial_clock: float | None = None,
 ) -> ShadowStream:
-    """Enumerate paths and evaluate their amplitudes under one shared clock.
+    """Compile the path table and evaluate its amplitudes under one shared
+    clock.
 
     The clock value is drawn uniformly from [0, 2pi) unless given explicitly
     (pair experiments reuse one draw across both daughters).
     """
     if rng is None:
         rng = make_rng(seed)
-    paths = tuple(enumerate_paths(circuit, source))
+    table = compile_paths(circuit, source)
     if initial_clock is None:
         initial_clock = float(rng.uniform(0.0, 2.0 * math.pi))
-    amplitudes = tuple(path_amplitude(p, circuit, initial_clock) for p in paths)
-    tangible = int(rng.integers(len(paths)))
+    amplitudes = _table_amplitudes(table, initial_clock)
+    tangible = int(rng.integers(len(table)))
     return ShadowStream(
         circuit=circuit,
-        source=paths[0].source,
-        paths=paths,
+        table=table,
         amplitudes=amplitudes,
         initial_clock=initial_clock,
         tangible_index=tangible,
@@ -134,10 +158,12 @@ def stream_terminal_amplitudes(stream: ShadowStream) -> dict[str, complex]:
     A source with several arms emits an equal-weight superposition over
     them, so the sums carry 1/sqrt(fanout).
     """
-    sums: dict[str, complex] = {key: 0.0 + 0.0j for key in stream.circuit.terminal_keys()}
-    for path, amp in zip(stream.paths, stream.amplitudes):
-        sums[stream.circuit.terminal_key(path.terminal)] += amp
-    fanout = stream.circuit.source_fanout(stream.source)
+    circuit = stream.circuit
+    keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
+    sums: dict[str, complex] = {key: 0.0 + 0.0j for key in keys.values()}
+    for terminal, amp in zip(stream.table.terminals, stream.amplitudes):
+        sums[keys[terminal]] += amp
+    fanout = circuit.source_fanout(stream.source)
     if fanout > 1:
         sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
     return sums
@@ -304,8 +330,9 @@ def congruence_check(
 
     def arm_amplitudes(stream: ShadowStream) -> dict[tuple[int, str], complex]:
         sums: dict[tuple[int, str], complex] = {}
-        for path, amp in zip(stream.paths, stream.amplitudes):
-            key = (path.source_port, stream.circuit.terminal_key(path.terminal))
+        table = stream.table
+        for port, terminal, amp in zip(table.source_ports, table.terminals, stream.amplitudes):
+            key = (port, stream.circuit.terminal_key(terminal))
             sums[key] = sums.get(key, 0.0 + 0.0j) + amp
         return sums
 

@@ -13,7 +13,11 @@ from shadowsim.circuit import (
     CircuitValidationError,
     Element,
     ElementType,
+    MAX_PATHS,
     Link,
+    Path,
+    compile_paths,
+    count_paths,
     enumerate_paths,
     parse_circuit,
     render_circuit,
@@ -321,6 +325,79 @@ def test_paths_are_deterministically_ordered():
     assert [p.element_ids for p in enumerate_paths(circuit)] == sorted(
         p.element_ids for p in enumerate_paths(circuit)
     )
+
+
+# Path tuples listed by the walker before the path-table compile; the table
+# must hand back the same routes, in the same order, with the same phases.
+FROZEN_PATHS = {
+    "mz": [
+        ("src", (("src", None, 0), ("bs1", 0, 0), ("m_a", 0, 0), ("shift_a", 0, 0), ("bs2", 0, 0), ("det_d", 0, None)), "det_d", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 0), ("m_a", 0, 0), ("shift_a", 0, 0), ("bs2", 0, 1), ("det_u", 0, None)), "det_u", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 1), ("m_b", 0, 0), ("bs2", 1, 0), ("det_d", 0, None)), "det_d", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 1), ("m_b", 0, 0), ("bs2", 1, 1), ("det_u", 0, None)), "det_u", 0.0),
+    ],
+    "ifm_a": [
+        ("src", (("src", None, 0), ("bs1", 0, 0), ("absorbed", 0, None)), "absorbed", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 1), ("m_b", 0, 0), ("bs2", 1, 0), ("det_d", 0, None)), "det_d", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 1), ("m_b", 0, 0), ("bs2", 1, 1), ("det_u", 0, None)), "det_u", 0.0),
+    ],
+    "ifm_b": [
+        ("src", (("src", None, 0), ("bs1", 0, 1), ("absorbed", 0, None)), "absorbed", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 0), ("m_a", 0, 0), ("bs2", 0, 0), ("det_d", 0, None)), "det_d", 0.0),
+        ("src", (("src", None, 0), ("bs1", 0, 0), ("m_a", 0, 0), ("bs2", 0, 1), ("det_u", 0, None)), "det_u", 0.0),
+    ],
+    "corpus_17": [
+        ("src", (("src", None, 0), ("bs0", 1, 0), ("bs1", 0, 0), ("bs2", 1, 1), ("m0", 0, 0), ("bs3", 1, 1), ("det1", 0, None)), "det1", 16.430502407659493),
+        ("src", (("src", None, 0), ("bs0", 1, 1), ("bs1", 1, 0), ("bs2", 1, 1), ("m0", 0, 0), ("bs3", 1, 1), ("det1", 0, None)), "det1", 14.834316270695105),
+        ("src", (("src", None, 0), ("bs0", 1, 0), ("bs1", 0, 0), ("bs2", 1, 1), ("m0", 0, 0), ("bs3", 1, 0), ("det2", 0, None)), "det2", 20.53523709063776),
+        ("src", (("src", None, 0), ("bs0", 1, 1), ("bs1", 1, 0), ("bs2", 1, 1), ("m0", 0, 0), ("bs3", 1, 0), ("det2", 0, None)), "det2", 18.939050953673373),
+        ("src", (("src", None, 0), ("bs0", 1, 0), ("bs1", 0, 0), ("bs2", 1, 0), ("ps0", 0, 0), ("det0", 0, None)), "det0", 9.800326727169281),
+        ("src", (("src", None, 0), ("bs0", 1, 1), ("bs1", 1, 0), ("bs2", 1, 0), ("ps0", 0, 0), ("det0", 0, None)), "det0", 8.204140590204895),
+        ("src", (("src", None, 0), ("bs0", 1, 0), ("bs1", 0, 1), ("det3", 0, None)), "det3", 8.656475736178576),
+        ("src", (("src", None, 0), ("bs0", 1, 1), ("bs1", 1, 1), ("det3", 0, None)), "det3", 7.06028959921419),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    ("name", "build"),
+    [
+        ("mz", lambda: mach_zehnder_circuit(0.7)),
+        ("ifm_a", lambda: ifm_circuit("a")),
+        ("ifm_b", lambda: ifm_circuit("b")),
+        ("corpus_17", lambda: random_circuit(17)),
+    ],
+)
+def test_enumerate_paths_matches_frozen_routes(name, build):
+    assert enumerate_paths(build()) == [Path(*fields) for fields in FROZEN_PATHS[name]]
+
+
+def test_path_table_columns_agree_with_the_steps():
+    for circuit in (random_circuit(17), bghz_left_circuit(0.3)):
+        table = compile_paths(circuit)
+        for row in range(len(table)):
+            steps = table.steps(row)
+            assert table.terminals[row] == steps[-1][0]
+            assert table.source_ports[row] == steps[0][2]
+            kinds = [circuit.elements[eid].kind for eid, _in, _out in steps]
+            assert table.crossings[row] == kinds.count(ElementType.BEAMSPLITTER)
+
+
+def test_count_paths_on_ladders_is_two_to_the_k(ladder_text):
+    for k in range(1, 41):
+        assert count_paths(parse_circuit(ladder_text(k))) == 2**k
+
+
+def test_count_paths_matches_enumeration():
+    for seed in range(50):
+        circuit = random_circuit(seed)
+        assert count_paths(circuit) == len(enumerate_paths(circuit))
+
+
+def test_compile_refuses_circuits_past_the_path_limit(ladder_text):
+    k = MAX_PATHS.bit_length()  # 2**k is twice the limit
+    with pytest.raises(CircuitValidationError, match=f"{2**k} paths"):
+        compile_paths(parse_circuit(ladder_text(k)))
 
 
 # -- generated corpus properties ---------------------------------------------------

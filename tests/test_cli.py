@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -104,6 +105,26 @@ def test_several_sources_is_a_circuit_error_on_either_engine(tmp_path, capsys):
         assert "2 sources" in capsys.readouterr().err
 
 
+def test_circuit_past_the_path_limit_exits_three_without_walking(tmp_path, ladder_text, capsys):
+    path = tmp_path / "ladder40.circuit"
+    path.write_text(ladder_text(40))
+    start = time.perf_counter()
+    code = cli.main(["run", "circuit", "--circuit-file", str(path), "--engine", "both"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"{2**40} paths" in err
+    assert "Traceback" not in err
+    assert elapsed < 1.0
+
+
+def test_non_finite_angle_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "mz", "--alpha", "1e999"])
+    assert exc.value.code == 2
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_unstable_step_exits_four(capsys):
     code = cli.main(["propagate", "--eps", "0.05", "--steps", "1"])
     assert code == 4
@@ -118,6 +139,35 @@ def test_fractional_snapshot_time_is_a_config_error(capsys):
 def test_propagate_requires_a_time_axis(capsys):
     assert cli.main(["propagate", "--eps", "0.5"]) == 2
     assert "--steps or --times" in capsys.readouterr().err
+
+
+def test_one_row_wavefunction_file_is_a_config_error(tmp_path, capsys):
+    psi = tmp_path / "one-row.psi"
+    psi.write_text("0.0 1.0 0.0\n")
+    assert cli.main(["propagate", "--eps", "0.5", "--steps", "1", "--psi-file", str(psi)]) == 2
+    err = capsys.readouterr().err
+    assert "two rows" in err
+    assert "Traceback" not in err
+
+
+def test_non_uniform_wavefunction_grid_is_a_config_error(tmp_path, capsys):
+    x = [-10.0 + 20.0 * i / 63 for i in range(64)]
+    x[5] += 0.01
+    psi = tmp_path / "bent.psi"
+    psi.write_text("".join(f"{v!r} {math.exp(-v * v)!r} 0.0\n" for v in x))
+    assert cli.main(["propagate", "--eps", "0.5", "--steps", "1", "--psi-file", str(psi)]) == 2
+    err = capsys.readouterr().err
+    assert "uniform" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_eps_is_rejected_where_flags_are_parsed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["propagate", "--eps", "nan", "--steps", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--eps: must be finite" in err
+    assert "Traceback" not in err
 
 
 def test_packet_against_the_wall_is_a_config_error(capsys):
@@ -167,6 +217,29 @@ def test_run_circuit_with_two_arm_source(tmp_path, capsys):
         assert sum(probs[engine].values()) == pytest.approx(1.0, abs=1e-12)
     for key, p in probs["hilbert"].items():
         assert probs["streams"][key] == pytest.approx(p, abs=1e-12)
+
+
+# Captured from the path-by-path engine before the path-table compile: the
+# table evaluation must reproduce every probability bit for bit.
+LADDER10_SEED17 = [
+    ("streams", "u", 0.010599671577299326),
+    ("streams", "d", 0.9894003284227028),
+    ("hilbert", "u", 0.010599671577298846),
+    ("hilbert", "d", 0.9894003284226992),
+]
+
+
+def test_ladder_circuit_output_is_frozen(tmp_path, ladder_text, capsys):
+    path = tmp_path / "ladder10.circuit"
+    path.write_text(ladder_text(10))
+    out = tmp_path / "ladder10.json"
+    argv = ["run", "circuit", "--circuit-file", str(path), "--engine", "both",
+            "--seed", "17", "--out", str(out)]
+    assert cli.main(argv) == 0
+    results = json.loads(out.read_text())["results"]
+    got = [(r["engine"], row["outcome"], row["probability"])
+           for r in results for row in r["outcomes"]]
+    assert got == LADDER10_SEED17
 
 
 def test_unknown_engine_in_config_is_a_config_error(tmp_path, capsys):

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsim.circuit import parse_circuit
+from shadowsim.circuit import enumerate_paths, parse_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
     bghz_allowed_pairs,
+    bghz_left_circuit,
     bghz_pair,
+    bghz_right_circuit,
     ifm_circuit,
     mach_zehnder_circuit,
 )
@@ -126,6 +128,66 @@ def test_build_stream_reproducible_from_seed():
     assert one.initial_clock == two.initial_clock
     assert one.tangible_index == two.tangible_index
     assert one.amplitudes == two.amplitudes
+
+
+# -- path table against the path-by-path reference ------------------------------
+
+CLOCKS = (0.0, 1.3, math.pi, 5.9, math.nextafter(2 * math.pi, 0.0))
+
+TWO_ARM_TEXT = """\
+element src source
+element bs beamsplitter
+element ps phaseshifter:0.7
+element u detector:u
+element d detector:d
+link src:0 bs:0 phase=0.3
+link src:1 ps:0 phase=2.1
+link ps:0 bs:1
+link bs:0 d:0
+link bs:1 u:0
+"""
+
+
+def _assert_bitwise_reference(circuit, clock):
+    """The table evaluation equals path_amplitude exactly, path for path."""
+    reference = tuple(path_amplitude(p, circuit, clock) for p in enumerate_paths(circuit))
+    assert build_stream(circuit, initial_clock=clock).amplitudes == reference
+
+
+def test_table_amplitudes_equal_reference_on_the_corpus():
+    for seed in range(500):
+        circuit = random_circuit(seed)
+        for clock in CLOCKS:
+            _assert_bitwise_reference(circuit, clock)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: parse_circuit(TWO_ARM_TEXT),
+        lambda: bghz_left_circuit(0.4),
+        lambda: bghz_right_circuit(1.5, arm_phase=0.3),
+        lambda: mach_zehnder_circuit(2.0, 0.25),
+    ],
+)
+@pytest.mark.parametrize("clock", CLOCKS)
+def test_table_amplitudes_equal_reference(build, clock):
+    _assert_bitwise_reference(build(), clock)
+
+
+def test_table_amplitudes_equal_reference_on_a_ladder(ladder_text):
+    circuit = parse_circuit(ladder_text(10))
+    for clock in CLOCKS:
+        _assert_bitwise_reference(circuit, clock)
+
+
+def test_terminal_sums_follow_table_order(ladder_text):
+    circuit = parse_circuit(ladder_text(6))
+    stream = build_stream(circuit, initial_clock=2.5)
+    sums = {key: 0.0 + 0.0j for key in circuit.terminal_keys()}
+    for path, amp in zip(stream.paths, stream.amplitudes):
+        sums[circuit.terminal_key(path.terminal)] += amp
+    assert stream_terminal_amplitudes(stream) == sums
 
 
 @settings(max_examples=60, deadline=None)
