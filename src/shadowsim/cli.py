@@ -122,12 +122,22 @@ def _shots(args: argparse.Namespace, config: dict, default=None, minimum: int = 
     return shots
 
 
+def _finite_json_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config file holds a non-finite number: {text}")
+    return value
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+            # NaN, Infinity and -Infinity reach parse_constant; 1e999 reaches parse_float.
+            config = json.load(
+                fh, parse_float=_finite_json_number, parse_constant=_finite_json_number
+            )
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -668,7 +678,7 @@ def _add_propagate_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--psi-file", default=None,
                         help="three-column x, re, im initial wavefunction")
     parser.add_argument("--window", type=_finite_float, default=None,
-                        help="kernel truncation radius (default: exact dense kernel)")
+                        help="kernel truncation radius (default: untruncated kernel)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,9 +21,17 @@ that shift exceeds the grid span, i.e.
     eps >= m * dx * span / (2*pi*hbar)
 
 so for a fixed grid the step must be coarse enough, not fine enough.  The
-optional window truncates the kernel at |x - a| > window; truncation cuts
-cost but adds an edge error per step, so the exact dense sum (window=None)
-is the default and windowed runs should be validated against it.
+optional window truncates the kernel at |x - a| > window; truncation adds an
+edge error per step, so windowed runs should be validated against the
+untruncated kernel (window=None, the default).
+
+Free and harmonic kernels are applied by FFT in O(N log N) per step: the
+free kernel depends on x - a alone (Toeplitz), and the harmonic midpoint
+kernel is diag . Toeplitz . diag, so each step is one circulant convolution
+on a 2N embedding with nothing of size N^2 built.  Tabulated potentials fall
+back to the dense N x N ``kernel_matrix``, which also serves as the
+reference the FFT apply is tested against; it refuses grids whose 16*N^2
+bytes would exceed DENSE_KERNEL_MAX_BYTES (N > 5792) before allocating.
 
 Boundaries are hard walls: no amplitude beyond the grid, so keep packets
 several widths away from the edges for the duration of a run.
@@ -55,9 +63,12 @@ __all__ = [
     "crank_nicolson_propagate",
     "aliasing_ghost_shift",
     "NORM_DRIFT_LIMIT",
+    "DENSE_KERNEL_MAX_BYTES",
 ]
 
 NORM_DRIFT_LIMIT = 1e-3
+# Largest dense kernel_matrix allowed: 16*N^2 bytes of complex128 (N = 5792).
+DENSE_KERNEL_MAX_BYTES = 2**29
 _NORM_TOL = 1e-9
 _GRID_TOL = 1e-9
 
@@ -189,36 +200,91 @@ def aliasing_ghost_shift(eps: float, dx: float, mass: float, hbar: float) -> flo
     return 2.0 * math.pi * hbar * eps / (mass * dx)
 
 
+def _check_step_args(eps: float, window: float | None) -> None:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    if window is not None and window <= 0:
+        raise ValueError("window must be positive")
+
+
+def _prefactor(wf: LatticeWavefunction, eps: float) -> complex:
+    """Free-kernel normalisation A times the quadrature weight dx."""
+    amplitude = math.sqrt(wf.mass / (2.0 * math.pi * wf.hbar * eps))
+    return amplitude * wf.dx * np.exp(-1j * math.pi / 4.0)
+
+
 def kernel_matrix(
     wf: LatticeWavefunction,
     eps: float,
     potential=FREE,
     window: float | None = None,
 ) -> np.ndarray:
-    """Dense one-step propagation matrix; optionally banded by ``window``."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x, dx, m, hbar = wf.x, wf.dx, wf.mass, wf.hbar
-    amplitude = math.sqrt(m / (2.0 * math.pi * hbar * eps))
-    prefactor = amplitude * dx * np.exp(-1j * math.pi / 4.0)
+    """Dense one-step propagation matrix; optionally banded by ``window``.
+
+    Raises ValueError, before allocating, when the matrix would exceed
+    DENSE_KERNEL_MAX_BYTES.
+    """
+    _check_step_args(eps, window)
+    needed = 16 * wf.n * wf.n
+    if needed > DENSE_KERNEL_MAX_BYTES:
+        raise ValueError(
+            f"dense kernel for N = {wf.n} grid points needs {needed} bytes, over "
+            f"the {DENSE_KERNEL_MAX_BYTES}-byte budget; use fewer grid points"
+        )
+    x, m, hbar = wf.x, wf.mass, wf.hbar
     diff = x[:, None] - x[None, :]
     action = 0.5 * m * diff**2 / eps
     v_mid = potential.values(0.5 * (x[:, None] + x[None, :]), m)
     if np.ndim(v_mid) == 0:
         v_mid = np.full_like(diff, float(v_mid))
     action = action - v_mid * eps
-    matrix = prefactor * np.exp(1j * action / hbar)
+    matrix = _prefactor(wf, eps) * np.exp(1j * action / hbar)
     if window is not None:
-        if window <= 0:
-            raise ValueError("window must be positive")
         matrix = np.where(np.abs(diff) <= window, matrix, 0.0)
     return matrix
 
 
+def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float | None):
+    """The one-step kernel as a map from values to values.
+
+    Free and harmonic kernels are applied by FFT: their exponent is
+    c*(x - a)^2 plus, for the harmonic midpoint rule, -2B*(x^2 + a^2), so
+    the kernel is diag . Toeplitz . diag and the Toeplitz part is a
+    circulant convolution on a 2N embedding.  Other potentials fall back
+    to the dense ``kernel_matrix``.
+    """
+    _check_step_args(eps, window)
+    m, hbar = wf.mass, wf.hbar
+    if isinstance(potential, FreePotential):
+        curvature, diagonal = 0.5 * m / eps, None
+    elif isinstance(potential, HarmonicPotential):
+        # A (x-a)^2 - B (x+a)^2 = (A+B) (x-a)^2 - 2B (x^2 + a^2)
+        b = eps * m * potential.omega**2 / 8.0
+        curvature = 0.5 * m / eps + b
+        diagonal = np.exp(-2j * b * wf.x**2 / hbar)
+    else:
+        matrix = kernel_matrix(wf, eps, potential, window)
+        return matrix.__matmul__
+    n = wf.n
+    d = wf.x - wf.x[0]
+    column = _prefactor(wf, eps) * np.exp(1j * curvature * d**2 / hbar)
+    if window is not None:
+        column[d > window] = 0.0
+    spectrum = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
+
+    def apply(values: np.ndarray) -> np.ndarray:
+        if diagonal is not None:
+            values = diagonal * values
+        values = np.fft.ifft(spectrum * np.fft.fft(values, 2 * n))[:n]
+        return values if diagonal is None else diagonal * values
+
+    return apply
+
+
 def _apply_step(
-    wf: LatticeWavefunction, matrix: np.ndarray, eps: float
+    wf: LatticeWavefunction, apply, eps: float
 ) -> tuple[LatticeWavefunction, float]:
-    values = matrix @ wf.values
+    values = apply(wf.values)
     norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * wf.dx))
     drift = abs(norm - 1.0)
     if drift > NORM_DRIFT_LIMIT:
@@ -242,6 +308,27 @@ def _apply_step(
     )
 
 
+def _advance(
+    wf: LatticeWavefunction,
+    eps: float,
+    counts: list[int],
+    potential,
+    window: float | None,
+) -> tuple[list[LatticeWavefunction], float]:
+    """States after each of the ascending step ``counts``, and the worst drift."""
+    apply = _kernel_apply(wf, eps, potential, window)
+    states: list[LatticeWavefunction] = []
+    max_drift = 0.0
+    done = 0
+    for k in counts:
+        while done < k:
+            wf, drift = _apply_step(wf, apply, eps)
+            max_drift = max(max_drift, drift)
+            done += 1
+        states.append(wf)
+    return states, max_drift
+
+
 def step(
     wf: LatticeWavefunction,
     eps: float,
@@ -249,8 +336,7 @@ def step(
     window: float | None = None,
 ) -> LatticeWavefunction:
     """One renormalized lattice step of size eps."""
-    matrix = kernel_matrix(wf, eps, potential, window)
-    new_wf, _ = _apply_step(wf, matrix, eps)
+    (new_wf,), _ = _advance(wf, eps, [1], potential, window)
     return new_wf
 
 
@@ -261,17 +347,13 @@ def propagate(
     potential=FREE,
     window: float | None = None,
 ) -> PropagationRun:
-    """Advance by ``steps`` equal steps, reusing one kernel matrix."""
+    """Advance by ``steps`` equal steps, reusing one kernel."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return PropagationRun(wf, 0, eps, 0.0)
-    matrix = kernel_matrix(wf, eps, potential, window)
-    max_drift = 0.0
-    for _ in range(steps):
-        wf, drift = _apply_step(wf, matrix, eps)
-        max_drift = max(max_drift, drift)
-    return PropagationRun(wf, steps, eps, max_drift)
+    (new_wf,), max_drift = _advance(wf, eps, [steps], potential, window)
+    return PropagationRun(new_wf, steps, eps, max_drift)
 
 
 def propagate_snapshots(
@@ -282,23 +364,15 @@ def propagate_snapshots(
     window: float | None = None,
 ) -> tuple[list[tuple[float, LatticeWavefunction]], float]:
     """States at the requested times, each of which must be a multiple of eps."""
+    _check_step_args(eps, window)
     steps_at = []
     for t in sorted(times):
         k = round((t - wf.t) / eps)
         if k < 0 or abs(wf.t + k * eps - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"snapshot time {t} is not a whole number of steps")
         steps_at.append((int(k), t))
-    matrix = kernel_matrix(wf, eps, potential, window)
-    snapshots: list[tuple[float, LatticeWavefunction]] = []
-    max_drift = 0.0
-    done = 0
-    for k, t in steps_at:
-        while done < k:
-            wf, drift = _apply_step(wf, matrix, eps)
-            max_drift = max(max_drift, drift)
-            done += 1
-        snapshots.append((t, wf))
-    return snapshots, max_drift
+    states, max_drift = _advance(wf, eps, [k for k, _ in steps_at], potential, window)
+    return [(t, state) for (_, t), state in zip(steps_at, states)], max_drift
 
 
 # -- observables -------------------------------------------------------------

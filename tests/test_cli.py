@@ -10,7 +10,7 @@ import time
 import pytest
 
 import shadowsim
-from shadowsim import checks, cli
+from shadowsim import checks, cli, pathintegral
 
 MZ_TEXT = """\
 # balanced interferometer, one shifter in the upper arm
@@ -136,6 +136,13 @@ def test_fractional_snapshot_time_is_a_config_error(capsys):
     assert "whole number" in capsys.readouterr().err
 
 
+def test_zero_eps_is_a_config_error(capsys):
+    assert cli.main(["propagate", "--eps", "0", "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "eps must be positive" in err
+    assert "Traceback" not in err
+
+
 def test_propagate_requires_a_time_axis(capsys):
     assert cli.main(["propagate", "--eps", "0.5"]) == 2
     assert "--steps or --times" in capsys.readouterr().err
@@ -174,6 +181,50 @@ def test_packet_against_the_wall_is_a_config_error(capsys):
     code = cli.main(["propagate", "--eps", "0.5", "--steps", "1", "--x0", "29"])
     assert code == 2
     assert "walls" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"eps": NaN, "steps": 2}',
+        '{"eps": Infinity, "steps": 2}',
+        '{"eps": 0.5, "steps": 2, "x0": -Infinity}',
+        '{"eps": 1e999, "steps": 2}',
+    ],
+)
+def test_non_finite_config_value_is_a_config_error(tmp_path, text, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert cli.main(["propagate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config file holds a non-finite number" in err
+    assert "Traceback" not in err
+
+
+def test_dense_kernel_past_its_budget_exits_two_quickly(tmp_path, capsys):
+    table = tmp_path / "well.txt"
+    table.write_text("".join(f"{x} {0.01 * x * x}\n" for x in range(-30, 31)))
+    start = time.perf_counter()
+    code = cli.main([
+        "propagate", "--eps", "0.5", "--steps", "1", "--potential", "file",
+        "--potential-file", str(table), "--grid-n", "20000",
+    ])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "N = 20000" in err and f"{16 * 20000**2} bytes" in err
+    assert "Traceback" not in err
+    assert elapsed < 2.0
+
+
+def test_free_propagation_never_builds_the_dense_kernel(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("free propagation built the dense kernel")
+
+    monkeypatch.setattr(pathintegral, "kernel_matrix", refuse)
+    code = cli.main(["propagate", "--grid-n", "16384", "--steps", "20", "--eps", "0.5"])
+    assert code == 0
+    assert "t = 10:" in capsys.readouterr().out
 
 
 # -- run ------------------------------------------------------------------------

@@ -230,6 +230,49 @@ def test_window_error_grows_as_window_shrinks():
         pi.step(wf, 0.5, window=5.0)
 
 
+@pytest.mark.parametrize("window", [None, 45.0, 5.0])
+@pytest.mark.parametrize("potential", [pi.FREE, pi.HarmonicPotential(0.15)])
+@pytest.mark.parametrize(
+    ("n", "xmin", "xmax", "mass", "hbar", "eps"),
+    [
+        (8, -12.5, 47.5, 0.6, 1.3, 0.35),
+        (63, -12.5, 47.5, 0.6, 1.3, 0.35),
+        (1024, -12.5, 47.5, 0.6, 1.3, 0.35),
+        (4096, -12.5, 47.5, 0.6, 1.3, 0.35),
+        (1024, -30.0, 30.0, 1.0, 1.0, 0.5),
+    ],
+)
+def test_fft_apply_matches_dense_kernel(n, xmin, xmax, mass, hbar, eps, potential, window):
+    """The FFT kernel apply equals the dense matvec to rounding.
+
+    The off-centre grid catches sign or offset errors in the harmonic
+    diagonal, which uses absolute x.  Both sides round kernel phases of up
+    to c*span^2/hbar radians (at most about 3600 here), which sets the 1e-12 floor;
+    every window edge falls between grid points.
+    """
+    rng = np.random.default_rng(n)
+    x = pi.uniform_grid(n, xmin, xmax)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    wf = pi.LatticeWavefunction(
+        x, values / np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0])), mass=mass, hbar=hbar
+    )
+    want = pi.kernel_matrix(wf, eps, potential, window) @ wf.values
+    got = pi._kernel_apply(wf, eps, potential, window)(wf.values)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_dense_kernel_refuses_grids_past_its_budget():
+    n = math.isqrt(pi.DENSE_KERNEL_MAX_BYTES // 16) + 1
+    x = pi.uniform_grid(n, -30.0, 30.0)
+    wf = pi.gaussian_packet(x, 0.0, 1.5)
+    with pytest.raises(ValueError, match=f"N = {n} .* {16 * n * n} bytes"):
+        pi.kernel_matrix(wf, 0.5)
+    table = pi.TabulatedPotential(np.array([-30.0, 30.0]), np.zeros(2))
+    with pytest.raises(ValueError, match="budget"):
+        pi.propagate(wf, 0.5, 1, table)
+    assert pi.propagate(wf, 0.5, 1).steps == 1
+
+
 def test_snapshot_times_must_be_whole_steps():
     x = pi.uniform_grid(64, -10.0, 10.0)
     wf = pi.gaussian_packet(x, 0.0, 1.0)
