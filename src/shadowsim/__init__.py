@@ -26,9 +26,7 @@ from .circuit import (
 )
 from .experiments import (
     ChshReport,
-    SampleRecord,
     SampleResult,
-    bghz_allowed_pairs,
     bghz_left_circuit,
     bghz_pair,
     bghz_right_circuit,
@@ -73,7 +71,6 @@ from .streams import (
     build_stream,
     build_stream_pair,
     congruence_check,
-    joint_probabilities,
     joint_terminal_amplitudes,
     path_amplitude,
     stream_terminal_amplitudes,
@@ -106,12 +103,10 @@ __all__ = [
     "PropagationRun",
     "PropagationUnstableError",
     "RNG_NAME",
-    "SampleRecord",
     "SampleResult",
     "ShadowStream",
     "StreamPair",
     "TabulatedPotential",
-    "bghz_allowed_pairs",
     "bghz_left_circuit",
     "bghz_pair",
     "bghz_right_circuit",
@@ -126,7 +121,6 @@ __all__ = [
     "evolve_pair",
     "gaussian_packet",
     "ifm_circuit",
-    "joint_probabilities",
     "joint_terminal_amplitudes",
     "kernel_matrix",
     "mach_zehnder_circuit",

@@ -268,7 +268,7 @@ def check_sampling(shots: int = 1_000_000, seed: int = 4242) -> CheckResult:
     ]
     worst_p = 1.0
     for k, dist in enumerate(dists):
-        result = sample(dist, shots, seed + k, keep_records=False)
+        result = sample(dist, shots, seed + k)
         support = [key for key, p in dist.outcomes.items() if p > 0.0]
         stray = sum(result.counts[key] for key in dist.outcomes if key not in support)
         if stray:

@@ -77,6 +77,16 @@ def _float_list(text: str) -> list[float]:
     return [_finite_float(part) for part in text.split(",")]
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _grid_spec(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
@@ -92,35 +102,80 @@ def _grid_spec(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError("grid count must be >= 1")
     if start > stop:
         raise argparse.ArgumentTypeError("grid start must be <= stop")
+    if not math.isfinite(stop - start):
+        raise argparse.ArgumentTypeError("grid span stop - start must be finite")
     return start, stop, count
 
 
 def _coerce_angle(value, field: str) -> float:
-    """Config-file angles may be numbers or pi-expression strings."""
+    """Angles may be numbers or pi-expression strings."""
     if isinstance(value, str):
         try:
             return parse_angle(value)
         except ValueError as exc:
             raise ConfigError(f"{field}: {exc}") from exc
-    if isinstance(value, (int, float)):
-        return float(value)
-    raise ConfigError(f"{field}: expected an angle, got {value!r}")
+    return float(value)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_number(value) and value >= 0 and value == int(value)
+
+
+def _is_angle(value) -> bool:
+    return isinstance(value, str) or _is_number(value)
+
+
+_TEXT = ("a string", lambda value: isinstance(value, str))
+_NUMBER = ("a number", _is_number)
+_COUNT = ("a whole number >= 0", _is_count)
+_ANGLE = ("a number or a pi-expression string", _is_angle)
+
+# The JSON value each config-file key accepts, as (description, test).  Flags
+# are typed where argparse parses them; config values are checked in _merge.
+# JSON null means the key is absent.
+_CONFIG_KINDS = {
+    **dict.fromkeys(("experiment", "engine", "out", "circuit-file", "blocked-arm", "grid",
+                     "potential", "potential-file", "psi-file"), _TEXT),
+    **dict.fromkeys(("seed", "shots", "threads", "corpus-cases", "grid-n", "steps"), _COUNT),
+    **dict.fromkeys(("eps", "window", "omega", "mass", "hbar", "xmin", "xmax", "x0",
+                     "sigma0", "k0"), _NUMBER),
+    **dict.fromkeys(("alpha", "beta", "theta"), _ANGLE),
+    "format": ("json or csv", lambda value: value in ("json", "csv")),
+    "peek": ("true or false", lambda value: isinstance(value, bool)),
+    "angles": ("a comma-separated string or a list of angles",
+               lambda value: isinstance(value, str)
+               or (isinstance(value, list) and all(map(_is_angle, value)))),
+    "times": ("a list of numbers",
+              lambda value: isinstance(value, list) and all(map(_is_number, value))),
+}
 
 
 def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default."""
+    """Flag value if given, else config-file value, else default.
+
+    A config-file value of the wrong JSON type is a ConfigError naming the
+    key; whole numbers come back as int.
+    """
     flag = getattr(args, key.replace("-", "_"), None)
     if flag is not None:
         return flag
-    if key in config:
-        return config[key]
-    return default
+    value = config.get(key)
+    if value is None:
+        return default
+    kind, accepts = _CONFIG_KINDS[key]
+    if not accepts(value):
+        raise ConfigError(f"{key} must be {kind}, got {value!r}")
+    return int(value) if accepts is _is_count else value
 
 
 def _shots(args: argparse.Namespace, config: dict, default=None, minimum: int = 1):
     """Monte Carlo shot count; None (exact probabilities) when unset."""
     shots = _merge(args, config, "shots", default)
-    if shots is not None and not (isinstance(shots, (int, float)) and shots >= minimum):
+    if shots is not None and shots < minimum:
         raise ConfigError(f"shots must be at least {minimum}, got {shots!r}")
     return shots
 
@@ -169,20 +224,25 @@ def _meta_block(config: dict, seed) -> dict:
     }
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
+
+
 def _write_csv(path: str, meta: dict, columns: list[str], rows: list[list]) -> None:
     lines = [f"# {json.dumps(meta, sort_keys=True)}"]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, meta: dict, results) -> None:
     payload = {"meta": meta, "results": results}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _outcome_str(outcome) -> str:
@@ -238,7 +298,7 @@ def _print_distribution_table(dists: list[OutcomeDistribution]) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    experiment = args.experiment or config.get("experiment")
+    experiment = _merge(args, config, "experiment")
     if experiment is None:
         raise ConfigError("no experiment named; pass one or set it in the config file")
     if experiment not in EXPERIMENTS:
@@ -318,7 +378,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             ),
             "wheeler": lambda eng: run_wheeler(
                 _coerce_angle(_merge(args, config, "alpha", 0.0), "alpha"),
-                bool(_merge(args, config, "peek", False)),
+                _merge(args, config, "peek", False),
                 eng,
                 seed=seed,
             ),
@@ -341,7 +401,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     _print_distribution_table(dists)
     if shots:
-        result = sample(dists[0], int(shots), seed, keep_records=False)
+        result = sample(dists[0], shots, seed)
         print(f"\nfrequencies from {shots} shots (engine {dists[0].engine}):")
         for outcome, freq in result.frequencies.items():
             print(f"{_outcome_str(outcome).ljust(14)}{freq:16.6f}")
@@ -361,7 +421,7 @@ def _blocked_arm(value) -> str | None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    experiment = args.experiment or config.get("experiment")
+    experiment = _merge(args, config, "experiment")
     if experiment not in SWEEPABLE:
         raise ConfigError(f"sweep supports {SWEEPABLE}, got {experiment!r}")
     grid_spec = _merge(args, config, "grid")
@@ -371,17 +431,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             grid_spec = _grid_spec(grid_spec)
         except argparse.ArgumentTypeError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"grid: {exc}") from exc
     start, stop, count = grid_spec
+    if experiment == "chsh" and not math.isfinite(3.0 * max(abs(start), abs(stop))):
+        raise ConfigError("grid: sweep chsh sets angles up to 3*phi, which must be finite")
     grid = np.linspace(start, stop, count)
 
     engine = _merge(args, config, "engine", "streams")
     seed = _merge(args, config, "seed")
     out = _merge(args, config, "out")
     fmt = _merge(args, config, "format", "csv")
-    threads = int(_merge(args, config, "threads", 1))
+    threads = _merge(args, config, "threads", 1)
     shots = _shots(args, config)
-    peek = bool(_merge(args, config, "peek", False))
+    peek = _merge(args, config, "peek", False)
     run_config = {
         "experiment": experiment,
         "engine": engine,
@@ -407,7 +469,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             dist = run_bghz(0.0, float(value), eng, seed=point_seed)
         rows = []
         if shots:
-            freqs = sample(dist, int(shots), point_seed, keep_records=False).frequencies
+            freqs = sample(dist, shots, point_seed).frequencies
             for outcome, freq in freqs.items():
                 rows.append(
                     [float(value), _outcome_str(outcome), float(freq), eng, _seed_str(point_seed)]
@@ -458,11 +520,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     seed = _merge(args, config, "seed", 20260814)
-    corpus = int(_merge(args, config, "corpus-cases", 500))
+    corpus = _merge(args, config, "corpus-cases", 500)
     if corpus < checks.MIN_CORPUS_CASES:
         raise ConfigError(f"corpus-cases must be at least {checks.MIN_CORPUS_CASES}, got {corpus}")
-    shots = int(_shots(args, config, 1_000_000, minimum=checks.MIN_SHOTS))
-    results = checks.run_all(corpus_cases=corpus, shots=shots, seed=int(seed))
+    shots = _shots(args, config, 1_000_000, minimum=checks.MIN_SHOTS)
+    results = checks.run_all(corpus_cases=corpus, shots=shots, seed=seed)
     failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -529,7 +591,7 @@ def _initial_wavefunction(args: argparse.Namespace, config: dict):
         except ValueError as exc:
             raise ConfigError(f"wavefunction file: {exc}") from exc
         return wf, {"psi_file": psi_file, "mass": mass, "hbar": hbar}
-    n = int(_merge(args, config, "grid-n", 1024))
+    n = _merge(args, config, "grid-n", 1024)
     xmin = float(_merge(args, config, "xmin", -30.0))
     xmax = float(_merge(args, config, "xmax", 30.0))
     x0 = float(_merge(args, config, "x0", 0.0))
@@ -559,12 +621,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
     times = _merge(args, config, "times")
     if steps is None and times is None:
         raise ConfigError("propagate needs --steps or --times")
-    if steps is not None and (
-        isinstance(steps, bool)
-        or not isinstance(steps, (int, float))
-        or steps < 0
-        or steps != int(steps)
-    ):
+    if steps is not None and steps < 0:
         raise ConfigError(f"steps must be a whole number >= 0, got {steps!r}")
     window = _merge(args, config, "window")
 
@@ -634,7 +691,7 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
 # -- parser ---------------------------------------------------------------------
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
+    parser.add_argument("--seed", type=_seed_flag, default=None, help="master RNG seed")
     parser.add_argument(
         "--engine", choices=["streams", "hilbert", "both"], default=None,
         help="which engine(s) to run",

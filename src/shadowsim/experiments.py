@@ -9,8 +9,9 @@ Geometry conventions for the canonical benches:
 * Bomb-test bench: the same interferometer tuned to alpha = 0 (every
   particle reaches u), with an optional blocker replacing one arm.
 * Delayed-choice bench: the same interferometer; with ``peek`` the arm is
-  read out right after the first splitter (projective which-path marking)
-  and the interference pattern collapses to half-half.
+  marked right after the first splitter, so the two arms add as
+  probabilities (the two arm-blocked bomb-test benches, summed on either
+  engine) and the interference pattern collapses to half-half.
 * Pair bench: one two-arm emission per side; the left a-arm carries
   alpha and reflects toward u, the right b'-arm carries beta and reflects
   toward u'.  Joint outcomes are keyed (left label, right label).
@@ -19,13 +20,12 @@ Geometry conventions for the canonical benches:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import hilbert
-from .circuit import Circuit, Element, ElementType, Link, Path
+from .circuit import Circuit, Element, ElementType, Link
 from .outcomes import (
     ENGINE_CLOSED_FORM,
     ENGINE_HILBERT,
@@ -35,7 +35,6 @@ from .outcomes import (
 )
 from .rng import RNG_NAME, make_rng, substream
 from .streams import (
-    ShadowStream,
     StreamPair,
     build_stream,
     build_stream_pair,
@@ -162,74 +161,22 @@ def bghz_pair(
     return build_stream_pair(
         bghz_left_circuit(alpha),
         bghz_right_circuit(beta, arm_phase=right_arm_phase),
-        stream1_arms=(0, 1),
         seed=seed,
     )
-
-
-def bghz_allowed_pairs(pair: StreamPair) -> list[tuple[Path, Path]]:
-    """Source correlation: the pair leaves through matching arm indices."""
-    return [
-        (pl, pr)
-        for pl in pair.left.paths
-        for pr in pair.right.paths
-        if pl.source_port == pr.source_port
-    ]
-
-
-# -- path narration ----------------------------------------------------------
-
-_ARM_NAMES = {0: "a", 1: "b"}
-
-
-def _mz_arm(path: Path) -> str:
-    for eid, _in, out in path.steps:
-        if eid == "bs1":
-            assert out is not None
-            return _ARM_NAMES[out]
-    raise ValueError("path does not traverse the first splitter")
-
-
-def _arm_weights(stream: ShadowStream, arm_of) -> dict[str, dict[str, float]]:
-    """Conditional tangible-path weights per outcome, from |amplitude|^2."""
-    weights: dict[str, dict[str, float]] = {}
-    for path, amp in zip(stream.paths, stream.amplitudes):
-        outcome = stream.circuit.terminal_key(path.terminal)
-        weights.setdefault(outcome, {})
-        weights[outcome][arm_of(path)] = weights[outcome].get(arm_of(path), 0.0) + abs(amp) ** 2
-    for outcome, table in weights.items():
-        total = sum(table.values())
-        if total > 0:
-            weights[outcome] = {k: v / total for k, v in table.items()}
-    return {k: v for k, v in weights.items() if sum(v.values()) > 0}
 
 
 # -- experiment runners -------------------------------------------------------
 
 def run_circuit(
-    circuit: Circuit,
-    engine: str,
-    params: dict,
-    *,
-    seed: int | None = None,
-    arm_of: Callable[[Path], str] | None = None,
+    circuit: Circuit, engine: str, params: dict, *, seed: int | None = None
 ) -> OutcomeDistribution:
-    """One single-particle circuit on either engine.
-
-    ``arm_of`` names the tangible arm of a stream path; when given, the
-    streams result carries the per-outcome arm weights the sampler narrates.
-    """
+    """One single-particle circuit on either engine."""
     _require_engine(engine)
     if engine == ENGINE_HILBERT:
         probs = hilbert.evolve_circuit(circuit).probabilities()
         return OutcomeDistribution(probs, ENGINE_HILBERT, params)
     stream = build_stream(circuit, seed=seed)
-    weights = None
-    if arm_of is not None:
-        weights = _arm_weights(stream, arm_of)
-    return OutcomeDistribution(
-        terminal_probabilities(stream), ENGINE_STREAMS, params, path_weights=weights
-    )
+    return OutcomeDistribution(terminal_probabilities(stream), ENGINE_STREAMS, params)
 
 
 def run_mach_zehnder(
@@ -241,9 +188,7 @@ def run_mach_zehnder(
 ) -> OutcomeDistribution:
     params = {"experiment": "mz", "alpha": alpha, "theta": theta, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
-    return run_circuit(
-        mach_zehnder_circuit(alpha, theta), engine, params, seed=seed, arm_of=_mz_arm
-    )
+    return run_circuit(mach_zehnder_circuit(alpha, theta), engine, params, seed=seed)
 
 
 def run_wheeler(
@@ -260,33 +205,18 @@ def run_wheeler(
         dist = run_mach_zehnder(alpha, engine, seed=seed)
         params = dict(dist.parameters)
         params.update({"experiment": "wheeler", "peek": False})
-        return OutcomeDistribution(dist.outcomes, dist.engine, params,
-                                   path_weights=dist.path_weights)
+        return OutcomeDistribution(dist.outcomes, dist.engine, params)
     params = {"experiment": "wheeler", "alpha": alpha, "peek": True,
               "engine": engine, "seed": seed, "rng": RNG_NAME}
-    if engine == ENGINE_HILBERT:
-        # Marking the arm after bs1 leaves each arm's contribution on its
-        # own: the two arm-blocked benches add as probabilities, and a
-        # phase on a lone arm drops out of |amplitude|^2.
-        outcomes = {"u": 0.0, "d": 0.0}
-        for blocked in ("a", "b"):
-            probs = hilbert.evolve_circuit(ifm_circuit(blocked)).probabilities()
-            for out in outcomes:
-                outcomes[out] += probs[out]
-        return OutcomeDistribution(outcomes, ENGINE_HILBERT, params)
-    circuit = mach_zehnder_circuit(alpha)
-    stream = build_stream(circuit, seed=seed)
-    # Which-path marking: amplitudes stay coherent within an arm but add
-    # as probabilities across arms.
-    by_arm_terminal: dict[tuple[str, str], complex] = {}
-    for path, amp in zip(stream.paths, stream.amplitudes):
-        key = (_mz_arm(path), circuit.terminal_key(path.terminal))
-        by_arm_terminal[key] = by_arm_terminal.get(key, 0.0 + 0.0j) + amp
-    outcomes = {k: 0.0 for k in circuit.terminal_keys()}
-    for (_arm, terminal), amp in by_arm_terminal.items():
-        outcomes[terminal] += abs(amp) ** 2
-    weights = _arm_weights(stream, _mz_arm)
-    return OutcomeDistribution(outcomes, ENGINE_STREAMS, params, path_weights=weights)
+    # Marking the arm after bs1 leaves each arm's contribution on its own:
+    # the two arm-blocked benches add as probabilities, and a phase on a
+    # lone arm drops out of |amplitude|^2.
+    outcomes = {"u": 0.0, "d": 0.0}
+    for blocked in ("a", "b"):
+        probs = run_circuit(ifm_circuit(blocked), engine, params, seed=seed).outcomes
+        for out in outcomes:
+            outcomes[out] += probs[out]
+    return OutcomeDistribution(outcomes, engine, params)
 
 
 def run_ifm(
@@ -299,7 +229,7 @@ def run_ifm(
     the absorbed/u/d split is 1/2, 1/4, 1/4 whichever arm is blocked."""
     params = {"experiment": "ifm", "blocked_arm": blocked_arm, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
-    return run_circuit(ifm_circuit(blocked_arm), engine, params, seed=seed, arm_of=_mz_arm)
+    return run_circuit(ifm_circuit(blocked_arm), engine, params, seed=seed)
 
 
 def run_bghz(
@@ -315,31 +245,9 @@ def run_bghz(
     if engine == ENGINE_HILBERT:
         evolution = hilbert.evolve_pair(bghz_left_circuit(alpha), bghz_right_circuit(beta))
         return OutcomeDistribution(evolution.probabilities(), ENGINE_HILBERT, params)
-    pair = bghz_pair(alpha, beta, seed=seed)
-    allowed = bghz_allowed_pairs(pair)
-    joint = joint_terminal_amplitudes(pair, allowed)
+    joint = joint_terminal_amplitudes(bghz_pair(alpha, beta, seed=seed))
     probs: dict[Outcome, float] = {key: abs(amp) ** 2 for key, amp in joint.items()}
-    # Tangible-pair narration: weight each same-arm pair by its product
-    # amplitude within the outcome.
-    left_amp = dict(zip(pair.left.paths, pair.left.amplitudes))
-    right_amp = dict(zip(pair.right.paths, pair.right.amplitudes))
-    weights: dict[Outcome, dict[str, float]] = {}
-    for pl, pr in allowed:
-        key = (
-            pair.left.circuit.terminal_key(pl.terminal),
-            pair.right.circuit.terminal_key(pr.terminal),
-        )
-        label = f"{_ARM_NAMES[pl.source_port]}-{_ARM_NAMES[pr.source_port]}'"
-        w = abs(left_amp[pl] * right_amp[pr]) ** 2
-        weights.setdefault(key, {})
-        weights[key][label] = weights[key].get(label, 0.0) + w
-    for key, table in list(weights.items()):
-        total = sum(table.values())
-        if total <= 0:
-            del weights[key]
-            continue
-        weights[key] = {k: v / total for k, v in table.items()}
-    return OutcomeDistribution(probs, ENGINE_STREAMS, params, path_weights=weights)
+    return OutcomeDistribution(probs, ENGINE_STREAMS, params)
 
 
 def closed_form_mz(alpha: float) -> OutcomeDistribution:
@@ -354,19 +262,6 @@ def closed_form_mz(alpha: float) -> OutcomeDistribution:
 
 # -- sampling -----------------------------------------------------------------
 
-RECORD_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class SampleRecord:
-    """One shot: its outcome plus the hidden tangible-path narration."""
-
-    index: int
-    outcome: Outcome
-    tangible: str | None
-    seed: int | None
-
-
 @dataclass(frozen=True)
 class SampleResult:
     counts: dict[Outcome, int]
@@ -374,27 +269,12 @@ class SampleResult:
     shots: int
     seed: int | None
     rng: str = RNG_NAME
-    records: list[SampleRecord] | None = None
 
 
-def sample(
-    dist: OutcomeDistribution,
-    shots: int,
-    seed: int | None = None,
-    *,
-    keep_records: bool | None = None,
-) -> SampleResult:
-    """Draw i.i.d. shots from a distribution, reproducibly.
-
-    Hidden tangible labels are drawn from the outcome's contributing-path
-    weights when the engine recorded them; they never influence the
-    outcome statistics.  Records are materialized unless the shot count
-    exceeds RECORD_CAP (override with ``keep_records``).
-    """
+def sample(dist: OutcomeDistribution, shots: int, seed: int | None = None) -> SampleResult:
+    """Draw i.i.d. shots from a distribution, reproducibly."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if keep_records is None:
-        keep_records = shots <= RECORD_CAP
     rng = make_rng(seed)
     labels = list(dist.outcomes)
     probs = np.array([dist.outcomes[k] for k in labels])
@@ -403,38 +283,7 @@ def sample(
     counts = np.bincount(drawn, minlength=len(labels))
     count_map = {label: int(c) for label, c in zip(labels, counts)}
     freq_map = {label: c / shots for label, c in count_map.items()}
-
-    records = None
-    if keep_records:
-        tangible = np.empty(shots, dtype=object)
-        if dist.path_weights:
-            for i, label in enumerate(labels):
-                mask = drawn == i
-                n_here = int(mask.sum())
-                if n_here == 0:
-                    continue
-                table = dist.path_weights.get(label)
-                if not table:
-                    continue
-                arms = list(table)
-                arm_p = np.array([table[a] for a in arms])
-                tangible[mask] = rng.choice(arms, size=n_here, p=arm_p / arm_p.sum())
-        records = [
-            SampleRecord(
-                i,
-                labels[int(drawn[i])],
-                None if tangible[i] is None else str(tangible[i]),
-                seed,
-            )
-            for i in range(shots)
-        ]
-    return SampleResult(
-        counts=count_map,
-        frequencies=freq_map,
-        shots=shots,
-        seed=seed,
-        records=records,
-    )
+    return SampleResult(counts=count_map, frequencies=freq_map, shots=shots, seed=seed)
 
 
 # -- CHSH ---------------------------------------------------------------------
@@ -504,7 +353,7 @@ def chsh(
             correlations[(x, y)] = _correlator(dist.outcomes)
         else:
             shot_seed = int(substream(seed, i).integers(2**63))
-            result = sample(dist, shots, shot_seed, keep_records=False)
+            result = sample(dist, shots, shot_seed)
             correlations[(x, y)] = _correlator(result.frequencies)
     s_value = sum(s * correlations[setting] for s, setting in zip(signs, settings))
     return ChshReport(

@@ -21,15 +21,13 @@ class OutcomeDistribution:
     ``engine`` records which backend produced the numbers: streams,
     hilbert, or closed-form.
     ``parameters`` carries everything needed to reproduce the run, seed
-    included when one was used.  ``path_weights`` optionally stores, per
-    outcome, the conditional weights of the paths feeding it; samplers use
-    it to narrate a hidden tangible path per shot.
+    included when one was used.  The probabilities are the whole result:
+    no engine attaches per-path detail to them.
     """
 
     outcomes: dict[Outcome, float]
     engine: str
     parameters: dict = field(default_factory=dict)
-    path_weights: dict[Outcome, dict[str, float]] | None = None
 
     def __post_init__(self) -> None:
         cleaned: dict[Outcome, float] = {}

@@ -32,6 +32,9 @@ on a 2N embedding with nothing of size N^2 built.  Tabulated potentials fall
 back to the dense N x N ``kernel_matrix``, which also serves as the
 reference the FFT apply is tested against; it refuses grids whose 16*N^2
 bytes would exceed DENSE_KERNEL_MAX_BYTES (N > 5792) before allocating.
+Two more budgets fail fast instead of exhausting memory or time:
+``uniform_grid`` refuses grids whose FFT-path arrays would exceed
+FFT_MAX_BYTES, and no run takes more than MAX_STEPS steps.
 
 Boundaries are hard walls: no amplitude beyond the grid, so keep packets
 several widths away from the edges for the duration of a run.
@@ -66,11 +69,22 @@ __all__ = [
     "aliasing_ghost_shift",
     "NORM_DRIFT_LIMIT",
     "DENSE_KERNEL_MAX_BYTES",
+    "FFT_MAX_BYTES",
+    "MAX_STEPS",
 ]
 
 NORM_DRIFT_LIMIT = 1e-3
 # Largest dense kernel_matrix allowed: 16*N^2 bytes of complex128 (N = 5792).
 DENSE_KERNEL_MAX_BYTES = 2**29
+# Largest FFT-path working set.  A free or harmonic run holds about
+# _FFT_BYTES_PER_POINT bytes per grid point at its peak (the grid, the
+# 2N-point embedding, its spectrum and transforms; 136 free and 168
+# harmonic, measured with tracemalloc at N = 2^16 and 2^18), so the budget
+# admits N <= 6,391,320.
+FFT_MAX_BYTES = 2**30
+_FFT_BYTES_PER_POINT = 168
+# Most steps one run may take.
+MAX_STEPS = 2**20
 # Elements per row block of kernel_matrix, which keeps its float temporaries
 # (difference, midpoint, potential, action) small beside the N x N result.
 _KERNEL_BLOCK_ELEMENTS = 2**14
@@ -171,8 +185,16 @@ class PropagationRun:
 
 
 def uniform_grid(n: int, xmin: float, xmax: float) -> np.ndarray:
+    """``n`` evenly spaced points; refuses, before allocating, a grid whose
+    FFT-path arrays would exceed FFT_MAX_BYTES."""
     if n < 8 or xmax <= xmin:
         raise ValueError("need n >= 8 and xmax > xmin")
+    needed = _FFT_BYTES_PER_POINT * n
+    if needed > FFT_MAX_BYTES:
+        raise ValueError(
+            f"N = {n} grid points need about {needed} bytes on the FFT path, over "
+            f"the {FFT_MAX_BYTES}-byte budget; use fewer grid points"
+        )
     return np.linspace(xmin, xmax, n)
 
 
@@ -326,7 +348,15 @@ def _advance(
     potential,
     window: float | None,
 ) -> tuple[list[LatticeWavefunction], float]:
-    """States after each of the ascending step ``counts``, and the worst drift."""
+    """States after each of the ascending step ``counts``, and the worst drift.
+
+    Refuses, before building the kernel, a run of more than MAX_STEPS steps.
+    """
+    if counts and counts[-1] > MAX_STEPS:
+        raise ValueError(
+            f"{counts[-1]} steps exceed the {MAX_STEPS}-step budget; "
+            "use a larger eps or an earlier time"
+        )
     apply = _kernel_apply(wf, eps, potential, window)
     states: list[LatticeWavefunction] = []
     max_drift = 0.0

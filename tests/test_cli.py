@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -199,6 +200,17 @@ def test_snapshot_time_past_float_range_is_a_config_error(capsys):
     assert "Traceback" not in err
 
 
+def _exit_code(argv):
+    """Exit code and stderr of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
 _NON_NUMBERS = ["nan", "inf", "-inf", "1e999", "abc", ""]
 
 
@@ -248,14 +260,132 @@ def _propagate_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_propagate_argv())
 def test_propagate_flags_exit_cleanly(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code, err = _exit_code(argv)
+    assert code in (0, 2, 4), (argv, code, err)
+    assert "Traceback" not in err
+
+
+def _assert_clean_exit(argv, code, err):
+    assert code in (0, 1, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert code != 1 or argv[0] == "check", (argv, err)
+
+
+_ANGLE_TEXTS = st.one_of(
+    st.sampled_from(["0", "pi", "-pi/2", "3pi/4", "2pi", "pi/0", "1e308", "-1e308",
+                     "nan", "banana", ""]),
+    st.floats(-10.0, 10.0).map(repr),
+)
+_INT_TEXTS = _one_in(5, st.sampled_from(["x", "1.5", "", "-0"]), st.integers(-3, 300).map(str))
+_RUN_EXPERIMENTS = [e for e in cli.EXPERIMENTS if e != "pathintegral"]
+
+
+@st.composite
+def _run_sweep_check_argv(draw):
+    """run, sweep and check argument vectors, one --flag=value word each.
+    Sizes stay small: grids of at most 9 points, a few hundred shots, and
+    check at --corpus-cases 1 --shots 1000 when its values are valid."""
+    command = draw(st.sampled_from(["run", "sweep", "check"]))
+    if command == "check":
+        argv = [
+            "check",
+            f"--corpus-cases={draw(st.sampled_from(['1', '0', '-1', 'x']))}",
+            f"--shots={draw(st.sampled_from(['1000', '999', '0', 'x']))}",
+        ]
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(_INT_TEXTS)}")
+        return argv
+    if command == "run":
+        argv = ["run", draw(st.sampled_from(_RUN_EXPERIMENTS))]
+    else:
+        grid = draw(st.one_of(
+            st.tuples(_ANGLE_TEXTS, _ANGLE_TEXTS, st.integers(-1, 9).map(str)).map(":".join),
+            st.sampled_from(["0:pi", "pi:0:3", "0:pi:x", ""]),
+        ))
+        argv = ["sweep", draw(st.sampled_from(cli.SWEEPABLE)), f"--grid={grid}"]
+    optional = {
+        "--alpha": _ANGLE_TEXTS,
+        "--beta": _ANGLE_TEXTS,
+        "--theta": _ANGLE_TEXTS,
+        "--blocked-arm": st.sampled_from(["a", "b", "none", "c"]),
+        "--angles": st.lists(_ANGLE_TEXTS, min_size=1, max_size=5).map(",".join),
+        "--shots": _INT_TEXTS,
+        "--engine": st.sampled_from(["streams", "hilbert", "both", "quantum"]),
+        "--seed": _INT_TEXTS,
+        "--format": st.sampled_from(["json", "csv", "xml"]),
+        "--threads": st.integers(-2, 3).map(str),
+        "--circuit-file": st.just("/nonexistent/mz.circuit"),
+        "--out": st.just("/nonexistent/out.csv"),
+    }
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(values)}")
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(["--peek", "--no-peek"])))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_sweep_check_argv())
+def test_run_sweep_check_flags_exit_cleanly(argv):
+    _assert_clean_exit(argv, *_exit_code(argv))
+
+
+_RUN_KEYS = ("experiment", "engine", "seed", "out", "format", "shots", "angles",
+             "circuit-file", "alpha", "beta", "theta", "peek", "blocked-arm")
+_SWEEP_KEYS = ("experiment", "grid", "engine", "seed", "out", "format", "threads",
+               "shots", "peek")
+_CHECK_KEYS = ("seed", "corpus-cases", "shots")
+_CHECK_FLAGS = {"corpus-cases": ["--corpus-cases", "1"], "shots": ["--shots", "1000"]}
+_JSON_VALUES = st.one_of(
+    st.sampled_from(["", "x", "no", "pi", "none", "a", "json", "streams", "0:pi:3"]),
+    st.lists(st.one_of(st.integers(-3, 3), st.sampled_from(["x", "pi"])), max_size=4),
+    st.booleans(),
+    st.none(),
+    st.integers(-3, 3),
+    st.floats(-3.0, 3.0),
+)
+
+
+@st.composite
+def _config_case(draw):
+    """(argv, config) with one key of a run, sweep or check config file set
+    to a JSON value of any type; the key is left off the command line so
+    that the file's value is the one read."""
+    command = draw(st.sampled_from(["run", "sweep", "check"]))
+    if command == "check":
+        key = draw(st.sampled_from(_CHECK_KEYS))
+        argv = ["check"]
+        for other, flag in _CHECK_FLAGS.items():
+            if other != key:
+                argv += flag
+    else:
+        keys, experiments = {
+            "run": (_RUN_KEYS, _RUN_EXPERIMENTS), "sweep": (_SWEEP_KEYS, cli.SWEEPABLE)
+        }[command]
+        key = draw(st.sampled_from(keys))
+        argv = [command]
+        if key != "experiment":
+            argv.append(draw(st.sampled_from(experiments)))
+        if command == "sweep" and key != "grid":
+            argv.append("--grid=0:pi:3")
+    return argv, {key: draw(_JSON_VALUES)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_case())
+def test_config_values_of_any_type_exit_cleanly(case):
+    argv, config = case
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        os.chdir(tmp)  # a string "out" value writes here
         try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    assert code in (0, 2, 4), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue()
+            code, err = _exit_code(argv + ["--config", str(cfg)])
+        finally:
+            os.chdir(cwd)
+    _assert_clean_exit(argv, code, err)
 
 
 def test_propagate_requires_a_time_axis(capsys):
@@ -330,6 +460,37 @@ def test_dense_kernel_past_its_budget_exits_two_quickly(tmp_path, capsys):
     assert "N = 20000" in err and f"{16 * 20000**2} bytes" in err
     assert "Traceback" not in err
     assert elapsed < 2.0
+
+
+def test_fft_grid_past_its_budget_exits_two_quickly(capsys):
+    start = time.perf_counter()
+    code = cli.main(["propagate", "--eps", "0.5", "--steps", "1", "--grid-n", "100000000000"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "N = 100000000000" in err and f"{pathintegral.FFT_MAX_BYTES}-byte budget" in err
+    assert "Traceback" not in err
+    assert elapsed < 2.0
+
+
+def test_step_count_past_its_budget_exits_two_quickly(capsys):
+    start = time.perf_counter()
+    code = cli.main([
+        "propagate", "--potential", "harmonic", "--omega", "0.15", "--xmin", "-16",
+        "--xmax", "16", "--eps", "0.25", "--times", "1e300",
+    ])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{pathintegral.MAX_STEPS}-step budget" in err
+    assert "Traceback" not in err
+    assert elapsed < 2.0
+
+
+def test_propagate_refuses_steps_past_the_budget():
+    wf = pathintegral.gaussian_packet(pathintegral.uniform_grid(64, -30.0, 30.0), 0.0, 1.5)
+    with pytest.raises(ValueError, match="step budget"):
+        pathintegral.propagate(wf, 0.5, pathintegral.MAX_STEPS + 1)
 
 
 def test_free_propagation_never_builds_the_dense_kernel(monkeypatch, capsys):
@@ -429,6 +590,75 @@ def test_shots_below_one_is_a_config_error(argv, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "shots" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "key"),
+    [
+        (["propagate"], {"eps": "abc", "steps": 2}, "eps"),
+        (["propagate"], {"eps": 0.5, "times": 3}, "times"),
+        (["sweep", "mz"], {"grid": 5}, "grid"),
+        (["sweep", "mz", "--grid", "0:pi:3"], {"threads": "x"}, "threads"),
+        (["check"], {"corpus-cases": "x"}, "corpus-cases"),
+        (["run", "mz", "--shots", "10"], {"seed": "x"}, "seed"),
+        (["run", "mz"], {"seed": -1}, "seed"),
+        (["run", "wheeler"], {"peek": "no"}, "peek"),
+        (["run", "mz"], {"alpha": True}, "alpha"),
+        (["run", "chsh"], {"angles": 5}, "angles"),
+        (["run", "mz"], {"format": "xml"}, "format"),
+    ],
+)
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, argv, config, key, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert "Traceback" not in err
+
+
+def test_config_null_means_absent(tmp_path, capsys):
+    cfg = tmp_path / "null.json"
+    cfg.write_text(json.dumps({"alpha": None, "seed": None, "blocked-arm": None}))
+    assert cli.main(["run", "mz", "--config", str(cfg)]) == 0
+    assert "1.000000" in capsys.readouterr().out
+
+
+def test_config_peek_must_be_a_json_boolean(tmp_path, capsys):
+    cfg = tmp_path / "peek.json"
+    cfg.write_text(json.dumps({"peek": True}))
+    assert cli.main(["run", "wheeler", "--alpha", "pi", "--config", str(cfg)]) == 0
+    assert "0.500000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_flag_is_a_usage_error(seed, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "mz", f"--seed={seed}"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "mz", "--grid=-1e308:1e308:3"],
+        ["sweep", "chsh", "--grid=-1e308:0:1"],
+    ],
+)
+def test_sweep_grid_past_the_float_range_is_refused(argv):
+    code, err = _exit_code(argv)
+    assert code == 2
+    assert "grid" in err
+    assert "Traceback" not in err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "mz.json"
+    assert cli.main(["run", "mz", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write output file" in err
     assert "Traceback" not in err
 
 

@@ -1,5 +1,6 @@
 """Stream bookkeeping and matrix evolution must tell the same statistics."""
 
+import cmath
 import math
 
 import numpy as np
@@ -10,8 +11,19 @@ from hypothesis import strategies as st
 from shadowsim import hilbert
 from shadowsim.circuit import parse_circuit
 from shadowsim.corpus import random_circuit
-from shadowsim.experiments import run_bghz, run_mach_zehnder
-from shadowsim.streams import build_stream, stream_terminal_amplitudes, unitarity_defect
+from shadowsim.experiments import (
+    bghz_left_circuit,
+    bghz_pair,
+    bghz_right_circuit,
+    run_bghz,
+    run_mach_zehnder,
+)
+from shadowsim.streams import (
+    build_stream,
+    joint_terminal_amplitudes,
+    stream_terminal_amplitudes,
+    unitarity_defect,
+)
 
 CASES = 500
 
@@ -83,6 +95,25 @@ def test_pair_engines_agree_on_grid():
             b = run_bghz(float(alpha), float(beta), "hilbert", seed=0)
             for key, p in b.outcomes.items():
                 assert a.probability(key) == pytest.approx(p, abs=1e-12)
+
+
+_ANGLES = st.floats(-10.0, 10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANGLES, _ANGLES, _ANGLES, st.integers(0, 2**32))
+def test_pair_amplitudes_equal_hilbert_times_the_shared_clock(alpha, beta, arm_phase, seed):
+    """Each daughter carries e^{i clock}, so the joint amplitude carries it
+    twice; hilbert has no clock."""
+    pair = bghz_pair(alpha, beta, seed=seed, right_arm_phase=arm_phase)
+    joint = joint_terminal_amplitudes(pair)
+    reference = hilbert.evolve_pair(
+        bghz_left_circuit(alpha), bghz_right_circuit(beta, arm_phase=arm_phase)
+    ).amplitudes
+    rotation = cmath.exp(2j * pair.left.initial_clock)
+    assert set(joint) == set(reference)
+    for key, amp in reference.items():
+        assert abs(joint[key] - amp * rotation) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)

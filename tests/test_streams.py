@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from shadowsim.circuit import enumerate_paths, parse_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
-    bghz_allowed_pairs,
     bghz_left_circuit,
     bghz_pair,
     bghz_right_circuit,
@@ -21,10 +20,9 @@ from shadowsim.experiments import (
 from shadowsim.streams import (
     INV_SQRT2,
     PathClock,
+    StreamPair,
     build_stream,
-    build_stream_pair,
     congruence_check,
-    joint_probabilities,
     joint_terminal_amplitudes,
     path_amplitude,
     stream_terminal_amplitudes,
@@ -89,7 +87,7 @@ def test_mz_amplitudes_up_to_global_phase():
 def test_path_amplitude_magnitude_counts_crossings():
     circuit = mach_zehnder_circuit(1.1)
     stream = build_stream(circuit, seed=0)
-    for path, amp in zip(stream.paths, stream.amplitudes):
+    for path, amp in zip(stream.table.paths(), stream.amplitudes):
         crossings = sum(1 for eid, _i, _o in path.steps if eid.startswith("bs"))
         assert abs(amp) == pytest.approx(INV_SQRT2**crossings, abs=1e-15)
 
@@ -112,21 +110,11 @@ def test_probabilities_independent_of_clock():
             assert abs(probs[key] - value) < 1e-14
 
 
-def test_tangible_index_has_no_statistical_effect():
-    circuit = mach_zehnder_circuit(0.5)
-    streams = [build_stream(circuit, seed=s, initial_clock=1.0) for s in range(20)]
-    assert {s.tangible_index for s in streams} == set(range(4))
-    base = terminal_probabilities(streams[0])
-    for stream in streams[1:]:
-        assert terminal_probabilities(stream) == base
-
-
 def test_build_stream_reproducible_from_seed():
     circuit = mach_zehnder_circuit(2.0)
     one = build_stream(circuit, seed=99)
     two = build_stream(circuit, seed=99)
     assert one.initial_clock == two.initial_clock
-    assert one.tangible_index == two.tangible_index
     assert one.amplitudes == two.amplitudes
 
 
@@ -185,7 +173,7 @@ def test_terminal_sums_follow_table_order(ladder_text):
     circuit = parse_circuit(ladder_text(6))
     stream = build_stream(circuit, initial_clock=2.5)
     sums = {key: 0.0 + 0.0j for key in circuit.terminal_keys()}
-    for path, amp in zip(stream.paths, stream.amplitudes):
+    for path, amp in zip(stream.table.paths(), stream.amplitudes):
         sums[circuit.terminal_key(path.terminal)] += amp
     assert stream_terminal_amplitudes(stream) == sums
 
@@ -203,25 +191,24 @@ def test_unitarity_on_random_circuits(seed):
 def test_pair_daughters_share_one_clock():
     pair = bghz_pair(0.2, 1.0, seed=5)
     assert pair.left.initial_clock == pair.right.initial_clock
-    ones = [p for p, s in pair.assignment.items() if s == 1]
-    twos = [p for p, s in pair.assignment.items() if s == 2]
-    # stream 1 holds left arm a with right arm b', stream 2 the others
-    assert {(p.source, p.source_port) for p in ones} == {("srcL", 0), ("srcR", 1)}
-    assert len(ones) + len(twos) == len(pair.left.paths) + len(pair.right.paths)
 
 
 def test_joint_amplitudes_match_frozen_oracle():
     pair = bghz_pair(0.4, 1.5, seed=11)
-    joint = joint_terminal_amplitudes(pair, bghz_allowed_pairs(pair))
+    joint = joint_terminal_amplitudes(pair)
     rotation = cmath.exp(2j * pair.left.initial_clock)
     for key, want in BGHZ_JOINT_ORACLE.items():
         assert joint[key] == pytest.approx(want * rotation, abs=1e-12)
 
 
+def _joint_probabilities(pair):
+    return {key: abs(amp) ** 2 for key, amp in joint_terminal_amplitudes(pair).items()}
+
+
 def test_joint_probabilities_normalized_and_correct():
     for alpha, beta in [(0.0, 0.0), (0.4, 1.5), (3.0, 0.7)]:
         pair = bghz_pair(alpha, beta, seed=3)
-        probs = joint_probabilities(pair, bghz_allowed_pairs(pair))
+        probs = _joint_probabilities(pair)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         half = 0.5 * (beta - alpha)
         assert probs[("u", "u'")] == pytest.approx(0.5 * math.cos(half) ** 2, abs=1e-12)
@@ -230,25 +217,28 @@ def test_joint_probabilities_normalized_and_correct():
 
 def test_perfect_correlation_at_equal_shifts():
     pair = bghz_pair(1.234, 1.234, seed=8)
-    probs = joint_probabilities(pair, bghz_allowed_pairs(pair))
+    probs = _joint_probabilities(pair)
     assert probs[("u", "u'")] == pytest.approx(0.5, abs=1e-12)
     assert probs[("d", "d'")] == pytest.approx(0.5, abs=1e-12)
     assert probs[("u", "d'")] == pytest.approx(0.0, abs=1e-12)
     assert probs[("d", "u'")] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_joint_rejects_foreign_paths():
-    pair = bghz_pair(0.1, 0.2, seed=0)
-    foreign = build_stream(mach_zehnder_circuit(0.1), seed=0).paths[0]
-    with pytest.raises(ValueError, match="left stream"):
-        joint_terminal_amplitudes(pair, [(foreign, pair.right.paths[0])])
+def test_joint_rejects_unequal_source_fanouts():
+    two_arm = bghz_left_circuit(0.1)
+    one_arm = mach_zehnder_circuit(0.2)
+    for left, right in [(two_arm, one_arm), (one_arm, two_arm)]:
+        pair = StreamPair(
+            left=build_stream(left, initial_clock=0.3),
+            right=build_stream(right, initial_clock=0.3),
+        )
+        with pytest.raises(ValueError, match="same number of source arms"):
+            joint_terminal_amplitudes(pair)
 
 
 def test_pair_requires_shared_clock():
     left = build_stream(mach_zehnder_circuit(0.1), initial_clock=0.5)
     right = build_stream(ifm_circuit("a"), initial_clock=0.6)
-    from shadowsim.streams import StreamPair
-
     with pytest.raises(ValueError, match="clock"):
         StreamPair(left=left, right=right)
 
@@ -282,12 +272,6 @@ def test_congruence_detects_desymmetrized_geometry():
     assert report.refactoring_deviation > 0.01
 
 
-def test_congruence_rejects_declared_asymmetric():
-    pair = bghz_pair(0.0, 0.0, seed=0)
-    with pytest.raises(ValueError, match="symmetric"):
-        congruence_check(pair, symmetric=False)
-
-
 def test_refactored_terms_use_single_side_products():
     """The rewritten form must equal the cross form term by term, which is
     the numerical content of the locality rearrangement."""
@@ -296,25 +280,3 @@ def test_refactored_terms_use_single_side_products():
     assert set(report.cross_terms) == set(report.refactored_terms)
     for key, value in report.cross_terms.items():
         assert report.refactored_terms[key] == pytest.approx(value, abs=1e-12)
-
-
-def test_build_stream_pair_rejects_shared_path_objects():
-    circuit = mach_zehnder_circuit(0.4)
-    stream = build_stream(circuit, initial_clock=0.2)
-    from shadowsim.streams import StreamPair
-
-    with pytest.raises(ValueError, match="distinct"):
-        StreamPair(left=stream, right=stream)
-
-
-def test_stream1_arms_partition_controls_assignment():
-    from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit
-
-    pair = build_stream_pair(
-        bghz_left_circuit(0.0),
-        bghz_right_circuit(0.0),
-        stream1_arms=(1, 0),
-        seed=6,
-    )
-    ones = {(p.source, p.source_port) for p, s in pair.assignment.items() if s == 1}
-    assert ones == {("srcL", 1), ("srcR", 0)}
