@@ -18,6 +18,7 @@ from .corpus import random_circuit
 from .experiments import (
     bghz_pair,
     chsh,
+    mach_zehnder_circuit,
     run_bghz,
     run_ifm,
     run_mach_zehnder,
@@ -71,8 +72,6 @@ def check_mz_law() -> CheckResult:
 
 def check_mz_stream_amplitudes() -> CheckResult:
     """Stream amplitudes match the two-arm closed forms up to the clock."""
-    from .experiments import mach_zehnder_circuit
-
     worst = 0.0
     for alpha in np.linspace(0.0, 2.0 * np.pi, 9):
         for theta in (0.0, 0.7, 2.0):
@@ -197,8 +196,6 @@ def check_unitarity(cases: int = 200) -> CheckResult:
 
 def check_clock_invariance() -> CheckResult:
     """Outcome probabilities identical for 100 different clock values."""
-    from .experiments import mach_zehnder_circuit
-
     circuit = mach_zehnder_circuit(0.9, 0.4)
     base = None
     worst = 0.0

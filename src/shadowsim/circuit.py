@@ -124,13 +124,6 @@ class Path:
     def element_ids(self) -> tuple[str, ...]:
         return tuple(step[0] for step in self.steps)
 
-    @property
-    def source_port(self) -> int:
-        """Output port through which the route leaves its source."""
-        port = self.steps[0][2]
-        assert port is not None
-        return port
-
 
 class CircuitError(Exception):
     """Base class for circuit description problems."""

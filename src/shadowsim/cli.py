@@ -9,6 +9,9 @@ timestamps, sorted config keys, fixed float formatting.  CSV files start
 with ``#`` metadata lines embedding the config, seed, and engine versions;
 JSON files carry the same block as a ``meta`` object.  CSV floats use 12
 significant digits.
+
+Two tables drive every subcommand: ``KEYS`` describes each flag once and
+``REGISTRY`` each experiment once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import json
 import locale  # noqa: F401
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,26 +42,28 @@ from .experiments import (
 from .outcomes import OutcomeDistribution
 from .rng import RNG_NAME, substream
 
-EXPERIMENTS = ("mz", "wheeler", "ifm", "bghz", "chsh", "pathintegral", "circuit")
-SWEEPABLE = ("mz", "wheeler", "bghz", "chsh")
+# Bounds on the sizes a run may ask for, checked where each value is read and
+# before any work.  sample() holds 16 bytes per shot (16.0 MB at 10**6 shots
+# under tracemalloc), so MAX_SHOTS shots fit in 2**30 bytes.
+MAX_SHOTS = 2**26
+# A sweep's memory peaks at about 13 kB per grid point (tracemalloc: bghz on
+# both engines to JSON; mz to CSV takes 2.4 kB), so MAX_GRID_POINTS points
+# stay under 2**30 bytes.
+MAX_GRID_POINTS = 2**16
+# Time bound: the cross-engine and unitarity checks take about 0.57 ms per
+# corpus case; the cap matches pathintegral.MAX_STEPS.
+MAX_CORPUS_CASES = 2**20
 
 
 class ConfigError(Exception):
     """Bad or incomplete run configuration; message names the field."""
 
 
-# -- flag plumbing ------------------------------------------------------------
+# -- flag types and value conversions -------------------------------------------
 
 def _angle_flag(text: str) -> float:
     try:
         return parse_angle(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _angle_list(text: str) -> list[float]:
-    try:
-        return [parse_angle(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -87,34 +92,34 @@ def _seed_flag(text: str) -> int:
     return value
 
 
-def _grid_spec(text: str) -> tuple[float, float, int]:
+def _angle(value) -> float:
+    """Angles may be numbers or pi-expression strings."""
+    return parse_angle(value) if isinstance(value, str) else float(value)
+
+
+def _angles(value) -> list[float]:
+    """chsh settings a,a',b,b' from a comma-separated string or a list."""
+    parts = value.split(",") if isinstance(value, str) else value
+    angles = [_angle(part) for part in parts]
+    if len(angles) != 4:
+        raise ValueError(f"chsh needs exactly four angles a,a',b,b', got {len(angles)}")
+    return angles
+
+
+def _grid_spec(text: str) -> list:
+    """start:stop:count, pi-expressions allowed, as [start, stop, count]."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"grid spec must be start:stop:count, got {text!r}"
-        )
-    try:
-        start, stop = parse_angle(parts[0]), parse_angle(parts[1])
-        count = int(parts[2])
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    if count < 1:
-        raise argparse.ArgumentTypeError("grid count must be >= 1")
+        raise ValueError(f"grid spec must be start:stop:count, got {text!r}")
+    start, stop = parse_angle(parts[0]), parse_angle(parts[1])
+    count = int(parts[2])
+    if not 1 <= count <= MAX_GRID_POINTS:
+        raise ValueError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {count}")
     if start > stop:
-        raise argparse.ArgumentTypeError("grid start must be <= stop")
+        raise ValueError("grid start must be <= stop")
     if not math.isfinite(stop - start):
-        raise argparse.ArgumentTypeError("grid span stop - start must be finite")
-    return start, stop, count
-
-
-def _coerce_angle(value, field: str) -> float:
-    """Angles may be numbers or pi-expression strings."""
-    if isinstance(value, str):
-        try:
-            return parse_angle(value)
-        except ValueError as exc:
-            raise ConfigError(f"{field}: {exc}") from exc
-    return float(value)
+        raise ValueError("grid span stop - start must be finite")
+    return [start, stop, count]
 
 
 def _is_number(value) -> bool:
@@ -129,55 +134,135 @@ def _is_angle(value) -> bool:
     return isinstance(value, str) or _is_number(value)
 
 
-_TEXT = ("a string", lambda value: isinstance(value, str))
-_NUMBER = ("a number", _is_number)
-_COUNT = ("a whole number >= 0", _is_count)
-_ANGLE = ("a number or a pi-expression string", _is_angle)
+# The JSON value a config-file key accepts, as (description, test, conversion).
+# Flags are typed where argparse parses them; config values are tested in
+# _values, and JSON null means the key is absent.  The conversion applies to
+# every value, so a runner sees one form whether it came from a flag, the
+# config file or the default.
+_TEXT = ("a string", lambda value: isinstance(value, str), str)
+_NUMBER = ("a number", _is_number, float)
+_COUNT = ("a whole number >= 0", _is_count, int)
+_ANGLE = ("a number or a pi-expression string", _is_angle, _angle)
+_BOOL = ("true or false", lambda value: isinstance(value, bool), bool)
+_ARM = (
+    "a, b or none",
+    lambda value: value in ("a", "b", "none", "None"),
+    lambda value: None if value in ("none", "None") else value,
+)
+_GRID = ("a start:stop:count string", lambda value: isinstance(value, str), _grid_spec)
+_ANGLES = (
+    "a comma-separated string or a list of angles",
+    lambda value: isinstance(value, str)
+    or (isinstance(value, list) and all(map(_is_angle, value))),
+    _angles,
+)
+_TIMES = (
+    "a list of numbers",
+    lambda value: isinstance(value, list) and all(map(_is_number, value)),
+    lambda times: [float(t) for t in times],
+)
 
-# The JSON value each config-file key accepts, as (description, test).  Flags
-# are typed where argparse parses them; config values are checked in _merge.
-# JSON null means the key is absent.
-_CONFIG_KINDS = {
-    **dict.fromkeys(("experiment", "engine", "out", "circuit-file", "blocked-arm", "grid",
-                     "potential", "potential-file", "psi-file"), _TEXT),
-    **dict.fromkeys(("seed", "shots", "threads", "corpus-cases", "grid-n", "steps"), _COUNT),
-    **dict.fromkeys(("eps", "window", "omega", "mass", "hbar", "xmin", "xmax", "x0",
-                     "sigma0", "k0"), _NUMBER),
-    **dict.fromkeys(("alpha", "beta", "theta"), _ANGLE),
-    "format": ("json or csv", lambda value: value in ("json", "csv")),
-    "peek": ("true or false", lambda value: isinstance(value, bool)),
-    "angles": ("a comma-separated string or a list of angles",
-               lambda value: isinstance(value, str)
-               or (isinstance(value, list) and all(map(_is_angle, value)))),
-    "times": ("a list of numbers",
-              lambda value: isinstance(value, list) and all(map(_is_number, value))),
+
+def _key(kind: tuple, default=None, **flag) -> tuple:
+    """One flag as (config-file kind, default, argparse keywords)."""
+    return kind, default, flag
+
+
+def _choice_key(choices: tuple, default=None, **flag) -> tuple:
+    """A flag whose value, on the command line or in the file, is one of ``choices``."""
+    kind = (f"one of {', '.join(choices)}", lambda value: value in choices, str)
+    return _key(kind, default, choices=list(choices), **flag)
+
+
+KEYS = {
+    "seed": _key(_COUNT, type=_seed_flag, help="master RNG seed"),
+    "out": _key(_TEXT, help="output file path"),
+    "format": _choice_key(("json", "csv"), "csv", help="output format"),
+    "engine": _choice_key(("streams", "hilbert", "both"), "streams",
+                          help="which engine(s) to run"),
+    "shots": _key(_COUNT, type=int,
+                  help="Monte Carlo shots (run and sweep: omit for exact probabilities)"),
+    "alpha": _key(_ANGLE, 0.0, type=_angle_flag,
+                  help="phase shift (radians or pi-expression)"),
+    "beta": _key(_ANGLE, 0.0, type=_angle_flag, help="right-side phase shift"),
+    "theta": _key(_ANGLE, 0.0, type=_angle_flag, help="common arm pathlength phase"),
+    "peek": _key(_BOOL, False, action=argparse.BooleanOptionalAction,
+                 help="which-path marking after the first splitter"),
+    "blocked-arm": _key(_ARM, "none", choices=["a", "b", "none"]),
+    "angles": _key(_ANGLES, help="chsh settings a,a',b,b' (pi-expressions allowed)"),
+    "circuit-file": _key(_TEXT, help="circuit description file for 'run circuit'"),
+    "grid": _key(_GRID, help="start:stop:count, pi-expressions allowed"),
+    "corpus-cases": _key(_COUNT, 500, type=int,
+                         help="randomized circuits for the cross-engine check"),
+    "grid-n": _key(_COUNT, 1024, type=int, help="grid points"),
+    "xmin": _key(_NUMBER, -30.0, type=_finite_float),
+    "xmax": _key(_NUMBER, 30.0, type=_finite_float),
+    "x0": _key(_NUMBER, 0.0, type=_finite_float, help="packet centre"),
+    "sigma0": _key(_NUMBER, 1.5, type=_finite_float, help="packet width"),
+    "k0": _key(_NUMBER, 0.0, type=_finite_float, help="packet wavenumber"),
+    "mass": _key(_NUMBER, 1.0, type=_finite_float),
+    "hbar": _key(_NUMBER, 1.0, type=_finite_float),
+    "eps": _key(_NUMBER, type=_finite_float, help="time step"),
+    "steps": _key(_COUNT, type=int, help="number of steps"),
+    "times": _key(_TIMES, type=_float_list,
+                  help="snapshot times, comma separated, multiples of eps"),
+    "potential": _choice_key(("free", "harmonic", "file"), "free"),
+    "omega": _key(_NUMBER, type=_finite_float, help="harmonic angular frequency"),
+    "potential-file": _key(_TEXT, help="two-column x, V table"),
+    "psi-file": _key(_TEXT, help="three-column x, re, im initial wavefunction"),
+    "window": _key(_NUMBER, type=_finite_float,
+                   help="kernel truncation radius (default: untruncated kernel)"),
 }
+# Keys a data file's config block leaves out: the meta block records the
+# seed, and out and format only say where and how the results are written.
+OUTPUT_KEYS = ("seed", "out", "format")
 
 
-def _merge(args: argparse.Namespace, config: dict, key: str, default=None):
-    """Flag value if given, else config-file value, else default.
+def _values(args: argparse.Namespace, config: dict, keys, **defaults) -> dict:
+    """Each key's flag value if given, else its config-file value, else its
+    default (``defaults`` overrides the table's), converted.
 
     A config-file value of the wrong JSON type is a ConfigError naming the
-    key; whole numbers come back as int.
+    key, and so is a value its conversion refuses.
     """
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    value = config.get(key)
-    if value is None:
-        return default
-    kind, accepts = _CONFIG_KINDS[key]
-    if not accepts(value):
-        raise ConfigError(f"{key} must be {kind}, got {value!r}")
-    return int(value) if accepts is _is_count else value
+    values = {}
+    for key in keys:
+        (kind, accepts, convert), default, _ = KEYS[key]
+        value = getattr(args, key.replace("-", "_"))
+        if value is None:
+            value = config.get(key)
+            if value is not None and not accepts(value):
+                raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        if value is None:
+            value = defaults.get(key, default)
+        try:
+            values[key] = None if value is None else convert(value)
+        except (ValueError, OverflowError) as exc:  # OverflowError: a JSON int past float range
+            raise ConfigError(f"{key}: {exc}") from exc
+    return values
 
 
-def _shots(args: argparse.Namespace, config: dict, default=None, minimum: int = 1):
-    """Monte Carlo shot count; None (exact probabilities) when unset."""
-    shots = _merge(args, config, "shots", default)
-    if shots is not None and shots < minimum:
-        raise ConfigError(f"shots must be at least {minimum}, got {shots!r}")
-    return shots
+def _refuse_unread(args: argparse.Namespace, keys, what: str) -> None:
+    """A flag given for a key that ``what`` does not read is a ConfigError."""
+    for key in KEYS:
+        if key not in keys and getattr(args, key.replace("-", "_"), None) is not None:
+            raise ConfigError(f"{what} does not read --{key}")
+
+
+def _bounded(values: dict, key: str, minimum: int, maximum: int) -> None:
+    """Refuse a count outside [minimum, maximum]; an unset count passes."""
+    value = values[key]
+    if value is not None and not minimum <= value <= maximum:
+        raise ConfigError(f"{key} must be between {minimum} and {maximum}, got {value!r}")
+
+
+def _experiment(args: argparse.Namespace, config: dict, names: tuple) -> str:
+    """The experiment named on the command line, else in the config file."""
+    name = args.experiment or config.get("experiment")
+    if name not in names:
+        raise ConfigError(f"{args.command} needs an experiment (argument or config key), "
+                          f"one of {', '.join(names)}; got {name!r}")
+    return name
 
 
 def _finite_json_number(text: str) -> float:
@@ -211,6 +296,10 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _csv_row(row: list) -> str:
+    return ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+
+
 def _meta_block(config: dict, seed) -> dict:
     return {
         "config": config,
@@ -224,6 +313,11 @@ def _meta_block(config: dict, seed) -> dict:
     }
 
 
+def _run_config(name: str, values: dict) -> dict:
+    """The experiment and every value read but the output settings."""
+    return {"experiment": name, **{k: v for k, v in values.items() if k not in OUTPUT_KEYS}}
+
+
 def _write_text(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
@@ -235,8 +329,7 @@ def _write_text(path: str, text: str) -> None:
 def _write_csv(path: str, meta: dict, columns: list[str], rows: list[list]) -> None:
     lines = [f"# {json.dumps(meta, sort_keys=True)}"]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    lines.extend(_csv_row(row) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -251,44 +344,18 @@ def _outcome_str(outcome) -> str:
     return str(outcome)
 
 
-def _write_distributions(
-    out: str | None,
-    fmt: str,
-    config: dict,
-    seed,
-    dists: list[OutcomeDistribution],
-) -> None:
-    if out is None:
-        return
-    meta = _meta_block(config, seed)
-    if fmt == "json":
-        _write_json(out, meta, [d.to_jsonable() for d in dists])
-        return
-    rows = []
-    for dist in dists:
-        for outcome, p in dist.outcomes.items():
-            rows.append([_outcome_str(outcome), float(p), dist.engine, _seed_str(seed)])
-    _write_csv(out, meta, ["outcome", "probability", "engine", "seed"], rows)
-
-
 def _seed_str(seed) -> str:
     return "" if seed is None else str(seed)
 
 
-# -- run ----------------------------------------------------------------------
+# -- experiment outputs -----------------------------------------------------------
 
 def _engines(engine: str) -> list[str]:
-    if engine not in ("streams", "hilbert", "both"):
-        raise ConfigError(f"engine must be streams, hilbert or both, got {engine!r}")
     return ["streams", "hilbert"] if engine == "both" else [engine]
 
 
 def _print_distribution_table(dists: list[OutcomeDistribution]) -> None:
-    labels: list = []
-    for dist in dists:
-        for outcome in dist.outcomes:
-            if outcome not in labels:
-                labels.append(outcome)
+    labels = dict.fromkeys(outcome for dist in dists for outcome in dist.outcomes)
     header = "outcome".ljust(14) + "".join(d.engine.rjust(16) for d in dists)
     print(header)
     for outcome in labels:
@@ -296,235 +363,223 @@ def _print_distribution_table(dists: list[OutcomeDistribution]) -> None:
         print(_outcome_str(outcome).ljust(14) + cells)
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    experiment = _merge(args, config, "experiment")
-    if experiment is None:
-        raise ConfigError("no experiment named; pass one or set it in the config file")
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}, expected one of {EXPERIMENTS}")
-    if experiment == "pathintegral":
-        return _cmd_propagate(args)
-
-    engine = _merge(args, config, "engine", "streams")
-    seed = _merge(args, config, "seed")
-    out = _merge(args, config, "out")
-    fmt = _merge(args, config, "format", "json")
-    shots = _shots(args, config)
-    run_config = {"experiment": experiment, "engine": engine}
-
-    if experiment == "chsh":
-        angles = _merge(args, config, "angles")
-        if angles is None:
-            raise ConfigError("chsh needs --angles a,a',b,b'")
-        if isinstance(angles, str):
-            angles = [_coerce_angle(part, "angles") for part in angles.split(",")]
-        angles = [_coerce_angle(a, "angles") for a in angles]
-        if len(angles) != 4:
-            raise ConfigError("chsh needs exactly four angles a,a',b,b'")
-        run_config["angles"] = angles
-        run_config["shots"] = shots
-        reports = []
-        for eng in _engines(engine):
-            reports.append(chsh(*angles, eng, shots=shots, seed=seed))
-        for report in reports:
-            for (x, y), e in report.correlations.items():
-                print(f"E({_fmt(x)}, {_fmt(y)}) = {e:9.6f}   [{report.engine}]")
-            verdict = "VIOLATION" if report.violation else "no violation"
-            print(f"S = {report.s_value:.6f}, {verdict}   [{report.engine}]")
-        if out is not None:
-            meta = _meta_block(run_config, seed)
-            if fmt == "json":
-                results = [
-                    {
-                        "engine": r.engine,
-                        "S": r.s_value,
-                        "violation": r.violation,
-                        "correlations": [
-                            {"x": x, "y": y, "E": e} for (x, y), e in r.correlations.items()
-                        ],
-                        "shots": r.shots,
-                    }
-                    for r in reports
-                ]
-                _write_json(out, meta, results)
-            else:
-                rows = []
-                for r in reports:
-                    for (x, y), e in r.correlations.items():
-                        rows.append(["E", float(x), float(y), float(e), r.engine])
-                    rows.append(["S", "", "", float(r.s_value), r.engine])
-                _write_csv(out, meta, ["quantity", "x", "y", "value", "engine"], rows)
-        return 0
-
-    if experiment == "circuit":
-        circuit_file = _merge(args, config, "circuit-file")
-        if circuit_file is None:
-            raise ConfigError("run circuit needs --circuit-file")
-        try:
-            with open(circuit_file, "r", encoding="utf-8") as fh:
-                circuit = parse_circuit(fh.read())
-        except OSError as exc:
-            raise ConfigError(f"cannot read circuit file: {exc}") from exc
-        run_config["circuit_file"] = circuit_file
-        dists = [run_circuit(circuit, eng, run_config, seed=seed) for eng in _engines(engine)]
-    else:
-        runners = {
-            "mz": lambda eng: run_mach_zehnder(
-                _coerce_angle(_merge(args, config, "alpha", 0.0), "alpha"),
-                eng,
-                theta=_coerce_angle(_merge(args, config, "theta", 0.0), "theta"),
-                seed=seed,
-            ),
-            "wheeler": lambda eng: run_wheeler(
-                _coerce_angle(_merge(args, config, "alpha", 0.0), "alpha"),
-                _merge(args, config, "peek", False),
-                eng,
-                seed=seed,
-            ),
-            "ifm": lambda eng: run_ifm(
-                _blocked_arm(_merge(args, config, "blocked-arm", "none")),
-                eng,
-                seed=seed,
-            ),
-            "bghz": lambda eng: run_bghz(
-                _coerce_angle(_merge(args, config, "alpha", 0.0), "alpha"),
-                _coerce_angle(_merge(args, config, "beta", 0.0), "beta"),
-                eng,
-                seed=seed,
-            ),
-        }
-        dists = [runners[experiment](eng) for eng in _engines(engine)]
-        run_config.update(
-            {k: v for k, v in dists[0].parameters.items() if k not in ("engine", "rng")}
-        )
-
+def _report_distributions(name: str, values: dict, dists: list[OutcomeDistribution]) -> None:
+    """Print the outcome table, sampled frequencies with shots, and write the file."""
     _print_distribution_table(dists)
+    shots = values["shots"]
+    seed = values["seed"]
     if shots:
         result = sample(dists[0], shots, seed)
         print(f"\nfrequencies from {shots} shots (engine {dists[0].engine}):")
         for outcome, freq in result.frequencies.items():
             print(f"{_outcome_str(outcome).ljust(14)}{freq:16.6f}")
-    _write_distributions(out, fmt, run_config, seed, dists)
+    if values["out"] is None:
+        return
+    config = {"experiment": name, "engine": values["engine"]}
+    config.update({k: v for k, v in dists[0].parameters.items() if k not in ("engine", "rng")})
+    meta = _meta_block(config, seed)
+    if values["format"] == "json":
+        _write_json(values["out"], meta, [d.to_jsonable() for d in dists])
+        return
+    rows = []
+    for dist in dists:
+        for outcome, p in dist.outcomes.items():
+            rows.append([_outcome_str(outcome), float(p), dist.engine, _seed_str(seed)])
+    _write_csv(values["out"], meta, ["outcome", "probability", "engine", "seed"], rows)
+
+
+def _distribution_cells(values: dict, dist: OutcomeDistribution) -> list[dict]:
+    """One sweep point: its probabilities, or with shots its sampled frequencies."""
+    column, found = "probability", dist.outcomes
+    if values["shots"]:
+        column, found = "frequency", sample(dist, values["shots"], values["seed"]).frequencies
+    return [{"outcome": _outcome_str(o), column: float(v)} for o, v in found.items()]
+
+
+def _report_chsh(name: str, values: dict, reports: list) -> None:
+    """Print each engine's correlators and S, and write the file."""
+    for report in reports:
+        for (x, y), e in report.correlations.items():
+            print(f"E({_fmt(x)}, {_fmt(y)}) = {e:9.6f}   [{report.engine}]")
+        verdict = "VIOLATION" if report.violation else "no violation"
+        print(f"S = {report.s_value:.6f}, {verdict}   [{report.engine}]")
+    if values["out"] is None:
+        return
+    meta = _meta_block(_run_config(name, values), values["seed"])
+    if values["format"] == "json":
+        results = [
+            {
+                "engine": r.engine,
+                "S": r.s_value,
+                "violation": r.violation,
+                "correlations": [
+                    {"x": x, "y": y, "E": e} for (x, y), e in r.correlations.items()
+                ],
+                "shots": r.shots,
+            }
+            for r in reports
+        ]
+        _write_json(values["out"], meta, results)
+        return
+    rows = []
+    for r in reports:
+        for (x, y), e in r.correlations.items():
+            rows.append(["E", float(x), float(y), float(e), r.engine])
+        rows.append(["S", "", "", float(r.s_value), r.engine])
+    _write_csv(values["out"], meta, ["quantity", "x", "y", "value", "engine"], rows)
+
+
+# -- experiment registry ----------------------------------------------------------
+
+def _run_chsh(values: dict, engine: str):
+    if values["angles"] is None:
+        raise ConfigError("chsh needs --angles a,a',b,b'")
+    return chsh(*values["angles"], engine, shots=values["shots"], seed=values["seed"])
+
+
+def _run_circuit_file(values: dict, engine: str) -> OutcomeDistribution:
+    path = values["circuit-file"]
+    seed = values["seed"]
+    if path is None:
+        raise ConfigError("run circuit needs --circuit-file")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            circuit = parse_circuit(fh.read())
+    except OSError as exc:
+        raise ConfigError(f"cannot read circuit file: {exc}") from exc
+    params = {"experiment": "circuit", "circuit_file": path, "engine": engine,
+              "seed": seed, "rng": RNG_NAME}
+    return run_circuit(circuit, engine, params, seed=seed)
+
+
+class Experiment(NamedTuple):
+    """One bench: the keys it reads, its runner and its sweep axis.
+
+    ``run`` maps the values read and one engine to that engine's result.
+    ``axis`` is the swept column's name and a map from a grid value to the
+    keys it sets; an experiment without one cannot be swept.  ``report``
+    prints and writes a run's results, one per engine, and ``cells`` gives
+    the sweep columns of one engine's result at one grid point.
+    """
+
+    keys: tuple[str, ...]
+    run: Callable | None
+    axis: tuple[str, Callable] | None = None
+    report: Callable = _report_distributions
+    cells: Callable = _distribution_cells
+
+    @property
+    def sweep_keys(self) -> tuple[str, ...]:
+        """The keys a sweep reads: those the axis leaves alone, and the grid."""
+        swept = self.axis[1](0.0)
+        return tuple(key for key in self.keys if key not in swept) + ("grid",)
+
+
+BENCH_KEYS = OUTPUT_KEYS + ("engine", "shots")
+PROPAGATE_KEYS = OUTPUT_KEYS + (
+    "grid-n", "xmin", "xmax", "x0", "sigma0", "k0", "mass", "hbar", "eps", "steps",
+    "times", "potential", "omega", "potential-file", "psi-file", "window",
+)
+CHECK_KEYS = ("seed", "corpus-cases", "shots")
+
+REGISTRY = {
+    "mz": Experiment(
+        BENCH_KEYS + ("alpha", "theta"),
+        lambda v, engine: run_mach_zehnder(v["alpha"], engine, theta=v["theta"], seed=v["seed"]),
+        ("alpha", lambda x: {"alpha": x, "theta": 0.0}),
+    ),
+    "wheeler": Experiment(
+        BENCH_KEYS + ("alpha", "peek"),
+        lambda v, engine: run_wheeler(v["alpha"], v["peek"], engine, seed=v["seed"]),
+        ("alpha", lambda x: {"alpha": x}),
+    ),
+    "ifm": Experiment(
+        BENCH_KEYS + ("blocked-arm",),
+        lambda v, engine: run_ifm(v["blocked-arm"], engine, seed=v["seed"]),
+    ),
+    "bghz": Experiment(
+        BENCH_KEYS + ("alpha", "beta"),
+        lambda v, engine: run_bghz(v["alpha"], v["beta"], engine, seed=v["seed"]),
+        ("delta", lambda x: {"alpha": 0.0, "beta": x}),
+    ),
+    "chsh": Experiment(
+        BENCH_KEYS + ("angles",),
+        _run_chsh,
+        ("phi", lambda x: {"angles": [0.0, 2 * x, x, 3 * x]}),
+        _report_chsh,
+        lambda values, report: [{"quantity": "S", "value": float(report.s_value)}],
+    ),
+    # run pathintegral is the propagate command.
+    "pathintegral": Experiment(PROPAGATE_KEYS, None),
+    "circuit": Experiment(BENCH_KEYS + ("circuit-file",), _run_circuit_file),
+}
+EXPERIMENTS = tuple(REGISTRY)
+SWEEPABLE = tuple(name for name, experiment in REGISTRY.items() if experiment.axis)
+
+
+# -- run ----------------------------------------------------------------------
+
+def _cmd_run(args: argparse.Namespace, config: dict) -> int:
+    name = _experiment(args, config, EXPERIMENTS)
+    experiment = REGISTRY[name]
+    _refuse_unread(args, experiment.keys, f"run {name}")
+    if experiment.run is None:
+        return _cmd_propagate(args, config)
+    values = _values(args, config, experiment.keys, format="json")
+    _bounded(values, "shots", 1, MAX_SHOTS)
+    results = [experiment.run(values, engine) for engine in _engines(values["engine"])]
+    experiment.report(name, values, results)
     return 0
-
-
-def _blocked_arm(value) -> str | None:
-    if value in (None, "none", "None"):
-        return None
-    if value in ("a", "b"):
-        return value
-    raise ConfigError(f"blocked-arm must be a, b, or none, got {value!r}")
 
 
 # -- sweep ----------------------------------------------------------------------
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    experiment = _merge(args, config, "experiment")
-    if experiment not in SWEEPABLE:
-        raise ConfigError(f"sweep supports {SWEEPABLE}, got {experiment!r}")
-    grid_spec = _merge(args, config, "grid")
-    if grid_spec is None:
+def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
+    name = _experiment(args, config, SWEEPABLE)
+    experiment = REGISTRY[name]
+    column, sets = experiment.axis
+    _refuse_unread(args, experiment.sweep_keys, f"sweep {name}")
+    values = _values(args, config, experiment.sweep_keys)
+    if values["grid"] is None:
         raise ConfigError("sweep needs --grid start:stop:count")
-    if isinstance(grid_spec, str):
-        try:
-            grid_spec = _grid_spec(grid_spec)
-        except argparse.ArgumentTypeError as exc:
-            raise ConfigError(f"grid: {exc}") from exc
-    start, stop, count = grid_spec
-    if experiment == "chsh" and not math.isfinite(3.0 * max(abs(start), abs(stop))):
-        raise ConfigError("grid: sweep chsh sets angles up to 3*phi, which must be finite")
-    grid = np.linspace(start, stop, count)
+    _bounded(values, "shots", 1, MAX_SHOTS)
+    start, stop, count = values["grid"]
+    for x in (start, stop):
+        if not np.isfinite(np.hstack(list(sets(x).values()))).all():
+            raise ConfigError(f"grid: sweep {name} at {column} = {x:g} sets a non-finite angle")
+    engines = _engines(values["engine"])
 
-    engine = _merge(args, config, "engine", "streams")
-    seed = _merge(args, config, "seed")
-    out = _merge(args, config, "out")
-    fmt = _merge(args, config, "format", "csv")
-    threads = _merge(args, config, "threads", 1)
-    shots = _shots(args, config)
-    peek = _merge(args, config, "peek", False)
-    run_config = {
-        "experiment": experiment,
-        "engine": engine,
-        "grid": [start, stop, count],
-        "shots": shots,
-    }
-    if experiment == "wheeler":
-        run_config["peek"] = peek
+    master = values["seed"]
+    rows = []
+    for i, x in enumerate(np.linspace(start, stop, count).tolist()):
+        seed = None if master is None else int(substream(master, i).integers(2**63))
+        point = {**values, **sets(x), "seed": seed}
+        for engine in engines:
+            for cells in experiment.cells(point, experiment.run(point, engine)):
+                rows.append({column: x, **cells, "engine": engine, "seed": _seed_str(seed)})
 
-    def point(task: tuple[int, float, str]) -> list[list]:
-        index, value, eng = task
-        point_seed = None if seed is None else int(substream(seed, index).integers(2**63))
-        if experiment == "chsh":
-            report = chsh(
-                0.0, 2 * value, value, 3 * value, eng, shots=shots, seed=point_seed
-            )
-            return [[float(value), "S", float(report.s_value), eng, _seed_str(point_seed)]]
-        if experiment == "mz":
-            dist = run_mach_zehnder(float(value), eng, seed=point_seed)
-        elif experiment == "wheeler":
-            dist = run_wheeler(float(value), peek, eng, seed=point_seed)
-        else:
-            dist = run_bghz(0.0, float(value), eng, seed=point_seed)
-        rows = []
-        if shots:
-            freqs = sample(dist, shots, point_seed).frequencies
-            for outcome, freq in freqs.items():
-                rows.append(
-                    [float(value), _outcome_str(outcome), float(freq), eng, _seed_str(point_seed)]
-                )
-        else:
-            for outcome, p in dist.outcomes.items():
-                rows.append(
-                    [float(value), _outcome_str(outcome), float(p), eng, _seed_str(point_seed)]
-                )
-        return rows
-
-    tasks = [
-        (i, float(value), eng)
-        for i, value in enumerate(grid)
-        for eng in _engines(engine)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(point, tasks))
-    else:
-        chunks = [point(task) for task in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-
-    parameter = {"mz": "alpha", "wheeler": "alpha", "bghz": "delta", "chsh": "phi"}[experiment]
-    value_name = "frequency" if shots else "probability"
-    columns = [parameter, "outcome", value_name, "engine", "seed"]
-    if experiment == "chsh":
-        columns = [parameter, "quantity", "value", "engine", "seed"]
-    meta = _meta_block(run_config, seed)
-    if out is not None:
-        if fmt == "json":
-            _write_json(
-                out,
-                meta,
-                [dict(zip(columns, row)) for row in rows],
-            )
-        else:
-            _write_csv(out, meta, columns, rows)
-    else:
+    columns = list(rows[0])
+    meta = _meta_block(_run_config(name, values), master)
+    if values["out"] is None:
         print(",".join(columns))
         for row in rows:
-            print(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+            print(_csv_row(row.values()))
+    elif values["format"] == "json":
+        _write_json(values["out"], meta, rows)
+    else:
+        _write_csv(values["out"], meta, columns, [row.values() for row in rows])
     return 0
 
 
 # -- check ----------------------------------------------------------------------
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = _merge(args, config, "seed", 20260814)
-    corpus = _merge(args, config, "corpus-cases", 500)
-    if corpus < checks.MIN_CORPUS_CASES:
-        raise ConfigError(f"corpus-cases must be at least {checks.MIN_CORPUS_CASES}, got {corpus}")
-    shots = _shots(args, config, 1_000_000, minimum=checks.MIN_SHOTS)
-    results = checks.run_all(corpus_cases=corpus, shots=shots, seed=seed)
+def _cmd_check(args: argparse.Namespace, config: dict) -> int:
+    values = _values(args, config, CHECK_KEYS, seed=20260814, shots=1_000_000)
+    _bounded(values, "corpus-cases", checks.MIN_CORPUS_CASES, MAX_CORPUS_CASES)
+    _bounded(values, "shots", checks.MIN_SHOTS, MAX_SHOTS)
+    results = checks.run_all(
+        corpus_cases=values["corpus-cases"], shots=values["shots"], seed=values["seed"]
+    )
     failed = 0
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -536,39 +591,36 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 # -- propagate --------------------------------------------------------------------
 
-def _build_potential(args: argparse.Namespace, config: dict):
-    kind = _merge(args, config, "potential", "free")
+def _build_potential(values: dict):
+    kind = values["potential"]
     if kind == "free":
         return pathintegral.FREE, {"potential": "free"}
     if kind == "harmonic":
-        omega = _merge(args, config, "omega")
+        omega = values["omega"]
         if omega is None:
             raise ConfigError("harmonic potential needs --omega")
         return (
-            pathintegral.HarmonicPotential(float(omega)),
-            {"potential": "harmonic", "omega": float(omega)},
+            pathintegral.HarmonicPotential(omega),
+            {"potential": "harmonic", "omega": omega},
         )
-    if kind == "file":
-        path = _merge(args, config, "potential-file")
-        if path is None:
-            raise ConfigError("potential file mode needs --potential-file")
-        try:
-            table = np.loadtxt(path, comments="#", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read potential file: {exc}") from exc
-        if table.shape[1] != 2:
-            raise ConfigError("potential file needs two columns: x, V")
-        return (
-            pathintegral.TabulatedPotential(table[:, 0], table[:, 1]),
-            {"potential": "file", "potential_file": path},
-        )
-    raise ConfigError(f"unknown potential {kind!r}, expected free, harmonic, or file")
+    path = values["potential-file"]
+    if path is None:
+        raise ConfigError("potential file mode needs --potential-file")
+    try:
+        table = np.loadtxt(path, comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read potential file: {exc}") from exc
+    if table.shape[1] != 2:
+        raise ConfigError("potential file needs two columns: x, V")
+    return (
+        pathintegral.TabulatedPotential(table[:, 0], table[:, 1]),
+        {"potential": "file", "potential_file": path},
+    )
 
 
-def _initial_wavefunction(args: argparse.Namespace, config: dict):
-    psi_file = _merge(args, config, "psi-file")
-    mass = float(_merge(args, config, "mass", 1.0))
-    hbar = float(_merge(args, config, "hbar", 1.0))
+def _initial_wavefunction(values: dict):
+    psi_file = values["psi-file"]
+    units = {"mass": values["mass"], "hbar": values["hbar"]}
     if psi_file is not None:
         try:
             table = np.loadtxt(psi_file, comments="#", ndmin=2)
@@ -579,69 +631,55 @@ def _initial_wavefunction(args: argparse.Namespace, config: dict):
         if table.shape[0] < 2:
             raise ConfigError("wavefunction file needs at least two rows")
         x = table[:, 0]
-        values = table[:, 1] + 1j * table[:, 2]
+        amplitudes = table[:, 1] + 1j * table[:, 2]
         dx = x[1] - x[0]
-        norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
+        norm = float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * dx))
         if norm == 0.0:
             raise ConfigError("wavefunction file is identically zero")
         try:
-            wf = pathintegral.LatticeWavefunction(
-                x=x, values=values / norm, mass=mass, hbar=hbar
-            )
+            wf = pathintegral.LatticeWavefunction(x=x, values=amplitudes / norm, **units)
         except ValueError as exc:
             raise ConfigError(f"wavefunction file: {exc}") from exc
-        return wf, {"psi_file": psi_file, "mass": mass, "hbar": hbar}
-    n = _merge(args, config, "grid-n", 1024)
-    xmin = float(_merge(args, config, "xmin", -30.0))
-    xmax = float(_merge(args, config, "xmax", 30.0))
-    x0 = float(_merge(args, config, "x0", 0.0))
-    sigma0 = float(_merge(args, config, "sigma0", 1.5))
-    k0 = float(_merge(args, config, "k0", 0.0))
+        return wf, {"psi_file": psi_file, **units}
+    packet = {key.replace("-", "_"): values[key]
+              for key in ("grid-n", "xmin", "xmax", "x0", "sigma0", "k0")}
     try:
-        x = pathintegral.uniform_grid(n, xmin, xmax)
-        wf = pathintegral.gaussian_packet(x, x0, sigma0, k0, mass=mass, hbar=hbar)
+        x = pathintegral.uniform_grid(values["grid-n"], values["xmin"], values["xmax"])
+        wf = pathintegral.gaussian_packet(
+            x, values["x0"], values["sigma0"], values["k0"], **units
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return wf, {
-        "grid_n": n, "xmin": xmin, "xmax": xmax, "x0": x0,
-        "sigma0": sigma0, "k0": k0, "mass": mass, "hbar": hbar,
-    }
+    return wf, {**packet, **units}
 
 
-def _cmd_propagate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    seed = _merge(args, config, "seed")
-    out = _merge(args, config, "out")
-    fmt = _merge(args, config, "format", "csv")
-    eps = _merge(args, config, "eps")
+def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
+    values = _values(args, config, PROPAGATE_KEYS)
+    eps = values["eps"]
+    steps = values["steps"]
+    times = values["times"]
     if eps is None:
         raise ConfigError("propagate needs --eps")
-    eps = float(eps)
-    steps = _merge(args, config, "steps")
-    times = _merge(args, config, "times")
     if steps is None and times is None:
         raise ConfigError("propagate needs --steps or --times")
     if steps is not None and steps < 0:
         raise ConfigError(f"steps must be a whole number >= 0, got {steps!r}")
-    window = _merge(args, config, "window")
 
-    wf, packet_config = _initial_wavefunction(args, config)
-    potential, pot_config = _build_potential(args, config)
+    wf, packet_config = _initial_wavefunction(values)
+    potential, pot_config = _build_potential(values)
     run_config = {"experiment": "pathintegral", "eps": eps, **packet_config, **pot_config}
-    if window is not None:
-        window = float(window)
-        run_config["window"] = window
+    if values["window"] is not None:
+        run_config["window"] = values["window"]
 
     if times is None:
         try:
-            times = [int(steps) * eps]
+            times = [steps * eps]
         except OverflowError:
             raise ConfigError(f"steps = {steps} is past the float range") from None
-    times = [float(t) for t in times]
     run_config["times"] = times
     try:
         snapshots, max_drift = pathintegral.propagate_snapshots(
-            wf, eps, times, potential, window
+            wf, eps, times, potential, values["window"]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -657,9 +695,9 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
         )
     print(f"max one-step norm drift: {max_drift:.3e}")
 
-    if out is not None:
-        meta = _meta_block(run_config, seed)
-        if fmt == "json":
+    if values["out"] is not None:
+        meta = _meta_block(run_config, values["seed"])
+        if values["format"] == "json":
             results = [
                 {
                     "t": t,
@@ -669,86 +707,31 @@ def _cmd_propagate(args: argparse.Namespace) -> int:
                 }
                 for t, snap in snapshots
             ]
-            _write_json(out, meta, results)
+            _write_json(values["out"], meta, results)
         else:
             rows = []
             for t, snap in snapshots:
-                density = snap.probability_density()
-                for i in range(snap.n):
-                    rows.append(
-                        [
-                            float(t),
-                            float(snap.x[i]),
-                            float(density[i]),
-                            float(snap.values[i].real),
-                            float(snap.values[i].imag),
-                        ]
-                    )
-            _write_csv(out, meta, ["t", "x", "density", "re", "im"], rows)
+                rows.extend(
+                    [float(t), float(x), float(d), float(v.real), float(v.imag)]
+                    for x, d, v in zip(snap.x, snap.probability_density(), snap.values)
+                )
+            _write_csv(values["out"], meta, ["t", "x", "density", "re", "im"], rows)
     return 0
 
 
 # -- parser ---------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed_flag, default=None, help="master RNG seed")
-    parser.add_argument(
-        "--engine", choices=["streams", "hilbert", "both"], default=None,
-        help="which engine(s) to run",
-    )
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument(
-        "--format", choices=["json", "csv"], default=None, help="output format"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=None, help="worker cap for sweeps"
-    )
-    parser.add_argument(
-        "--config", default=None,
-        help="JSON config file; explicit flags override its values",
-    )
+RUN_KEYS = tuple(dict.fromkeys(key for e in REGISTRY.values() for key in e.keys))
+SWEEP_KEYS = tuple(dict.fromkeys(key for name in SWEEPABLE for key in REGISTRY[name].sweep_keys))
 
-
-def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=_angle_flag, default=None,
-                        help="phase shift (radians or pi-expression)")
-    parser.add_argument("--beta", type=_angle_flag, default=None,
-                        help="right-side phase shift")
-    parser.add_argument("--theta", type=_angle_flag, default=None,
-                        help="common arm pathlength phase")
-    parser.add_argument("--peek", action=argparse.BooleanOptionalAction, default=None,
-                        help="which-path marking after the first splitter")
-    parser.add_argument("--blocked-arm", choices=["a", "b", "none"], default=None)
-    parser.add_argument("--angles", type=str, default=None,
-                        help="chsh settings a,a',b,b' (pi-expressions allowed)")
-    parser.add_argument("--shots", type=int, default=None,
-                        help="Monte Carlo shots (omit for exact probabilities)")
-    parser.add_argument("--circuit-file", default=None,
-                        help="circuit description file for 'run circuit'")
-
-
-def _add_propagate_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-n", type=int, default=None, help="grid points")
-    parser.add_argument("--xmin", type=_finite_float, default=None)
-    parser.add_argument("--xmax", type=_finite_float, default=None)
-    parser.add_argument("--x0", type=_finite_float, default=None, help="packet centre")
-    parser.add_argument("--sigma0", type=_finite_float, default=None, help="packet width")
-    parser.add_argument("--k0", type=_finite_float, default=None, help="packet wavenumber")
-    parser.add_argument("--mass", type=_finite_float, default=None)
-    parser.add_argument("--hbar", type=_finite_float, default=None)
-    parser.add_argument("--eps", type=_finite_float, default=None, help="time step")
-    parser.add_argument("--steps", type=int, default=None, help="number of steps")
-    parser.add_argument("--times", type=_float_list, default=None,
-                        help="snapshot times, comma separated, multiples of eps")
-    parser.add_argument("--potential", choices=["free", "harmonic", "file"], default=None)
-    parser.add_argument("--omega", type=_finite_float, default=None,
-                        help="harmonic angular frequency")
-    parser.add_argument("--potential-file", default=None,
-                        help="two-column x, V table")
-    parser.add_argument("--psi-file", default=None,
-                        help="three-column x, re, im initial wavefunction")
-    parser.add_argument("--window", type=_finite_float, default=None,
-                        help="kernel truncation radius (default: untruncated kernel)")
+# Each subcommand: its handler, help line, experiment choices and the keys
+# that become its flags.
+COMMANDS = {
+    "run": (_cmd_run, "run one experiment and print its table", EXPERIMENTS, RUN_KEYS),
+    "sweep": (_cmd_sweep, "run an experiment over a parameter grid", SWEEPABLE, SWEEP_KEYS),
+    "check": (_cmd_check, "run the full invariant suite", (), CHECK_KEYS),
+    "propagate": (_cmd_propagate, "lattice propagation of a wavepacket", (), PROPAGATE_KEYS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -758,45 +741,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run one experiment and print its table")
-    p_run.add_argument("experiment", nargs="?", choices=list(EXPERIMENTS))
-    _add_common(p_run)
-    _add_experiment_args(p_run)
-    _add_propagate_args(p_run)
-
-    p_sweep = sub.add_parser("sweep", help="run an experiment over a parameter grid")
-    p_sweep.add_argument("experiment", nargs="?", choices=list(SWEEPABLE))
-    p_sweep.add_argument("--grid", type=_grid_spec, default=None,
-                         help="start:stop:count, pi-expressions allowed")
-    _add_common(p_sweep)
-    _add_experiment_args(p_sweep)
-
-    p_check = sub.add_parser("check", help="run the full invariant suite")
-    _add_common(p_check)
-    p_check.add_argument("--corpus-cases", type=int, default=None,
-                         help="randomized circuits for the cross-engine check")
-    p_check.add_argument("--shots", type=int, default=None,
-                         help="Monte Carlo shots for the statistical checks")
-
-    p_prop = sub.add_parser("propagate", help="lattice propagation of a wavepacket")
-    _add_common(p_prop)
-    _add_propagate_args(p_prop)
-
+    for command, (_, help_text, experiments, keys) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if experiments:
+            p.add_argument("experiment", nargs="?", choices=list(experiments))
+        for key in keys:
+            _, _, flag = KEYS[key]
+            p.add_argument(f"--{key}", **flag)
+        p.add_argument("--config", help="JSON config file; explicit flags override its values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "check": _cmd_check,
-        "propagate": _cmd_propagate,
-    }
     try:
-        return handlers[args.command](args)
+        return COMMANDS[args.command][0](args, _load_config(args.config))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,9 +47,6 @@ class OutcomeDistribution:
     def probability(self, outcome: Outcome) -> float:
         return self.outcomes.get(outcome, 0.0)
 
-    def labels(self) -> list[Outcome]:
-        return list(self.outcomes)
-
     def to_jsonable(self) -> dict:
         """JSON-friendly form; joint outcomes become two-element lists."""
         rows = []

@@ -83,7 +83,6 @@ class ShadowStream:
     table: PathTable
     amplitudes: tuple[complex, ...]
     initial_clock: float
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.table) != len(self.amplitudes):
@@ -127,7 +126,6 @@ def build_stream(
         table=table,
         amplitudes=_table_amplitudes(table, initial_clock),
         initial_clock=initial_clock,
-        seed=seed,
     )
 
 

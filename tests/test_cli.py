@@ -284,7 +284,9 @@ _RUN_EXPERIMENTS = [e for e in cli.EXPERIMENTS if e != "pathintegral"]
 def _run_sweep_check_argv(draw):
     """run, sweep and check argument vectors, one --flag=value word each.
     Sizes stay small: grids of at most 9 points, a few hundred shots, and
-    check at --corpus-cases 1 --shots 1000 when its values are valid."""
+    check at --corpus-cases 1 --shots 1000 when its values are valid.  Each
+    flag the chosen experiment reads is drawn one time in two, and one time
+    in four one flag it does not read (refused with exit 2) is added."""
     command = draw(st.sampled_from(["run", "sweep", "check"]))
     if command == "check":
         argv = [
@@ -296,13 +298,15 @@ def _run_sweep_check_argv(draw):
             argv.append(f"--seed={draw(_INT_TEXTS)}")
         return argv
     if command == "run":
-        argv = ["run", draw(st.sampled_from(_RUN_EXPERIMENTS))]
+        experiment = draw(st.sampled_from(_RUN_EXPERIMENTS))
+        argv, reads = ["run", experiment], cli.REGISTRY[experiment].keys
     else:
         grid = draw(st.one_of(
             st.tuples(_ANGLE_TEXTS, _ANGLE_TEXTS, st.integers(-1, 9).map(str)).map(":".join),
             st.sampled_from(["0:pi", "pi:0:3", "0:pi:x", ""]),
         ))
-        argv = ["sweep", draw(st.sampled_from(cli.SWEEPABLE)), f"--grid={grid}"]
+        experiment = draw(st.sampled_from(cli.SWEEPABLE))
+        argv, reads = ["sweep", experiment, f"--grid={grid}"], cli.REGISTRY[experiment].sweep_keys
     optional = {
         "--alpha": _ANGLE_TEXTS,
         "--beta": _ANGLE_TEXTS,
@@ -313,15 +317,20 @@ def _run_sweep_check_argv(draw):
         "--engine": st.sampled_from(["streams", "hilbert", "both", "quantum"]),
         "--seed": _INT_TEXTS,
         "--format": st.sampled_from(["json", "csv", "xml"]),
-        "--threads": st.integers(-2, 3).map(str),
         "--circuit-file": st.just("/nonexistent/mz.circuit"),
         "--out": st.just("/nonexistent/out.csv"),
+        "--corpus-cases": st.sampled_from(["1", "x"]),
+        "--eps": st.sampled_from(["0.5", "nan"]),
+        "--grid-n": st.sampled_from(["64", "-1"]),
     }
     for flag, values in optional.items():
-        if draw(st.booleans()):
+        if flag[2:] in reads and draw(st.booleans()):
             argv.append(f"{flag}={draw(values)}")
-    if draw(st.booleans()):
+    if "peek" in reads and draw(st.booleans()):
         argv.append(draw(st.sampled_from(["--peek", "--no-peek"])))
+    if draw(_one_in(4, st.just(True), st.just(False))):
+        flag = draw(st.sampled_from([f for f in [*optional, "--peek"] if f[2:] not in reads]))
+        argv.append(flag if flag == "--peek" else f"{flag}={draw(optional[flag])}")
     return argv
 
 
@@ -333,8 +342,7 @@ def test_run_sweep_check_flags_exit_cleanly(argv):
 
 _RUN_KEYS = ("experiment", "engine", "seed", "out", "format", "shots", "angles",
              "circuit-file", "alpha", "beta", "theta", "peek", "blocked-arm")
-_SWEEP_KEYS = ("experiment", "grid", "engine", "seed", "out", "format", "threads",
-               "shots", "peek")
+_SWEEP_KEYS = ("experiment", "grid", "engine", "seed", "out", "format", "shots", "peek")
 _CHECK_KEYS = ("seed", "corpus-cases", "shots")
 _CHECK_FLAGS = {"corpus-cases": ["--corpus-cases", "1"], "shots": ["--shots", "1000"]}
 _JSON_VALUES = st.one_of(
@@ -446,6 +454,19 @@ def test_non_finite_config_value_is_a_config_error(tmp_path, text, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "key"),
+    [(["propagate", "--steps", "2"], "eps"), (["run", "mz"], "alpha"), (["run", "bghz"], "beta")],
+)
+def test_config_integer_past_the_float_range_is_a_config_error(tmp_path, argv, key, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({key: 10**400}))
+    assert cli.main(argv + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: ")
+    assert "Traceback" not in err
+
+
 def test_dense_kernel_past_its_budget_exits_two_quickly(tmp_path, capsys):
     table = tmp_path / "well.txt"
     table.write_text("".join(f"{x} {0.01 * x * x}\n" for x in range(-30, 31)))
@@ -546,6 +567,21 @@ def test_run_circuit_with_two_arm_source(tmp_path, capsys):
         assert probs["streams"][key] == pytest.approx(p, abs=1e-12)
 
 
+def test_run_circuit_records_each_engines_parameters(tmp_path):
+    path = tmp_path / "mz.circuit"
+    path.write_text(MZ_TEXT)
+    out = tmp_path / "mz.json"
+    argv = ["run", "circuit", "--circuit-file", str(path), "--engine", "both",
+            "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    blob = json.loads(out.read_text())
+    common = {"experiment": "circuit", "circuit_file": str(path), "seed": 3}
+    assert blob["meta"]["config"] == {**common, "engine": "both"}
+    assert [r["parameters"] for r in blob["results"]] == [
+        {**common, "engine": engine, "rng": "numpy-pcg64"} for engine in ("streams", "hilbert")
+    ]
+
+
 # Captured from the path-by-path engine before the path-table compile: the
 # table evaluation must reproduce every probability bit for bit.
 LADDER10_SEED17 = [
@@ -599,7 +635,6 @@ def test_shots_below_one_is_a_config_error(argv, capsys):
         (["propagate"], {"eps": "abc", "steps": 2}, "eps"),
         (["propagate"], {"eps": 0.5, "times": 3}, "times"),
         (["sweep", "mz"], {"grid": 5}, "grid"),
-        (["sweep", "mz", "--grid", "0:pi:3"], {"threads": "x"}, "threads"),
         (["check"], {"corpus-cases": "x"}, "corpus-cases"),
         (["run", "mz", "--shots", "10"], {"seed": "x"}, "seed"),
         (["run", "mz"], {"seed": -1}, "seed"),
@@ -651,6 +686,59 @@ def test_sweep_grid_past_the_float_range_is_refused(argv):
     code, err = _exit_code(argv)
     assert code == 2
     assert "grid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["check", "--corpus-cases", "1", "--shots", "1000", "--out", "c.json"], "--out"),
+        (["check", "--corpus-cases", "1", "--shots", "1000", "--engine", "both"], "--engine"),
+        (["propagate", "--eps", "0.5", "--steps", "1", "--engine", "both"], "--engine"),
+        (["run", "mz", "--beta", "2", "--out", "mz.json"], "--beta"),
+        (["run", "mz", "--eps", "0.5", "--out", "mz.json"], "--eps"),
+        (["run", "pathintegral", "--eps", "0.5", "--steps", "1", "--alpha", "1",
+          "--out", "p.csv"], "--alpha"),
+        (["sweep", "mz", "--grid", "0:pi:3", "--theta", "1.3", "--out", "s.csv"], "--theta"),
+        (["sweep", "mz", "--grid", "0:pi:3", "--peek", "--out", "s.csv"], "--peek"),
+        (["sweep", "mz", "--grid", "0:pi:3", "--threads", "2", "--out", "s.csv"], "--threads"),
+    ],
+)
+def test_flag_the_experiment_does_not_read_is_refused(argv, flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = _exit_code(argv)
+    assert code == 2, err
+    assert flag in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the size was checked")
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "bound"),
+    [
+        (["run", "mz", f"--shots={cli.MAX_SHOTS + 1}"], {}, cli.MAX_SHOTS),
+        (["run", "mz"], {"shots": cli.MAX_SHOTS + 1}, cli.MAX_SHOTS),
+        (["sweep", "mz", "--grid", "0:pi:3", f"--shots={cli.MAX_SHOTS + 1}"], {}, cli.MAX_SHOTS),
+        (["check", f"--shots={cli.MAX_SHOTS + 1}"], {}, cli.MAX_SHOTS),
+        (["sweep", "mz", f"--grid=0:pi:{cli.MAX_GRID_POINTS + 1}"], {}, cli.MAX_GRID_POINTS),
+        (["sweep", "mz"], {"grid": f"0:pi:{cli.MAX_GRID_POINTS + 1}"}, cli.MAX_GRID_POINTS),
+        (["check", f"--corpus-cases={cli.MAX_CORPUS_CASES + 1}"], {}, cli.MAX_CORPUS_CASES),
+        (["check"], {"corpus-cases": cli.MAX_CORPUS_CASES + 1}, cli.MAX_CORPUS_CASES),
+    ],
+)
+def test_size_past_its_cap_exits_two_before_any_work(argv, config, bound, tmp_path, monkeypatch):
+    for name in ("run_mach_zehnder", "sample", "substream"):
+        monkeypatch.setattr(cli, name, _refuse_work)
+    monkeypatch.setattr(cli.checks, "run_all", _refuse_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, err = _exit_code(argv + ["--config", str(cfg)])
+    assert code == 2, err
+    assert f"and {bound}, got {bound + 1}" in err
     assert "Traceback" not in err
 
 
@@ -711,14 +799,6 @@ def test_sweep_reruns_are_byte_identical(tmp_path):
             "--shots", "400", "--out", str(path),
         ]) == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
-
-
-def test_sweep_threads_do_not_change_output(tmp_path):
-    serial, pooled = tmp_path / "serial.csv", tmp_path / "pooled.csv"
-    base = ["sweep", "bghz", "--grid", "0:pi:8", "--seed", "3"]
-    assert cli.main(base + ["--out", str(serial)]) == 0
-    assert cli.main(base + ["--threads", "4", "--out", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
 
 
 def test_sweep_chsh_traces_the_standard_curve(tmp_path):

@@ -1,0 +1,87 @@
+"""Golden CLI outputs: seeded runs and sweeps must reproduce their frozen
+stdout and CSV data files byte for byte.
+
+The files under ``tests/golden`` were written by this module's cases;
+``python tests/test_golden.py`` writes them again from the installed package.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from shadowsim import cli
+
+GOLDEN = Path(__file__).with_name("golden")
+
+BOTH = ["--engine", "both", "--format", "csv"]
+CASES = {
+    "run-mz": ["run", "mz", "--alpha", "0.7", "--theta", "0.3", "--shots", "1000",
+               "--seed", "4"] + BOTH,
+    "run-wheeler": ["run", "wheeler", "--alpha", "0.8", "--seed", "4"] + BOTH,
+    "run-wheeler-peek": ["run", "wheeler", "--alpha", "0.8", "--peek", "--seed", "4"] + BOTH,
+    "run-ifm-a": ["run", "ifm", "--blocked-arm", "a", "--seed", "4"] + BOTH,
+    "run-ifm-b": ["run", "ifm", "--blocked-arm", "b", "--seed", "4"] + BOTH,
+    "run-ifm-none": ["run", "ifm", "--blocked-arm", "none", "--seed", "4"] + BOTH,
+    "run-bghz": ["run", "bghz", "--alpha", "0.3", "--beta", "1.1", "--seed", "4"] + BOTH,
+    "run-chsh": ["run", "chsh", "--angles", "0,pi/2,pi/4,3pi/4", "--seed", "4"] + BOTH,
+    "run-chsh-shots": ["run", "chsh", "--angles", "0,pi/2,pi/4,3pi/4", "--shots", "2000",
+                       "--seed", "4"] + BOTH,
+    "run-pathintegral": ["run", "pathintegral", "--grid-n", "64", "--xmin", "-10",
+                         "--xmax", "10", "--eps", "1.5", "--steps", "2", "--seed", "4"],
+    "sweep-mz": ["sweep", "mz", "--grid", "0:2pi:5", "--seed", "7"] + BOTH,
+    "sweep-mz-shots": ["sweep", "mz", "--grid", "0:2pi:5", "--shots", "300", "--seed", "7"] + BOTH,
+    "sweep-wheeler": ["sweep", "wheeler", "--grid", "0:pi:4", "--seed", "7"] + BOTH,
+    "sweep-wheeler-peek": ["sweep", "wheeler", "--grid", "0:pi:4", "--peek", "--seed", "7"] + BOTH,
+    "sweep-chsh": ["sweep", "chsh", "--grid", "0:pi:5", "--seed", "7"] + BOTH,
+    "sweep-chsh-shots": ["sweep", "chsh", "--grid", "0:pi:3", "--shots", "500", "--seed", "7"] + BOTH,
+    "sweep-bghz": ["sweep", "bghz", "--grid", "0:pi:4", "--seed", "7"] + BOTH,
+    "run-config": ["run"],
+    "sweep-config": ["sweep"],
+    "sweep-stdout": ["sweep", "bghz", "--grid", "0:pi:3", "--shots", "100", "--seed", "3"],
+}
+# Cases that write no data file: their whole output is stdout.
+STDOUT_ONLY = {"sweep-stdout"}
+CONFIGS = {
+    "run-config": {"experiment": "bghz", "alpha": "pi/4", "beta": 0.5, "engine": "both",
+                   "seed": 9, "format": "csv", "shots": 300},
+    "sweep-config": {"experiment": "wheeler", "grid": "0:pi:3", "peek": True, "seed": 3,
+                     "shots": 200},
+}
+
+
+def _run(name, argv, tmp):
+    """stdout and data file bytes (None without --out) of one in-process call."""
+    if name in CONFIGS:
+        cfg = tmp / f"{name}.json"
+        cfg.write_text(json.dumps(CONFIGS[name]))
+        argv = argv + ["--config", str(cfg)]
+    data = None if name in STDOUT_ONLY else tmp / f"{name}.csv"
+    if data is not None:
+        argv = argv + ["--out", str(data)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue().encode(), None if data is None else data.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    stdout, data = _run(name, CASES[name], tmp_path)
+    assert stdout == (GOLDEN / f"{name}.out").read_bytes()
+    if data is not None:
+        assert data == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in CASES.items():
+            stdout, data = _run(name, argv, Path(tmp))
+            (GOLDEN / f"{name}.out").write_bytes(stdout)
+            if data is not None:
+                (GOLDEN / f"{name}.csv").write_bytes(data)
