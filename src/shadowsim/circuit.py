@@ -24,8 +24,8 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter, itemgetter
+from typing import Any, Callable, Hashable
 
 from .angles import canonical_angle, parse_angle
 
@@ -176,6 +176,31 @@ class Circuit:
             eid for eid, el in self.elements.items() if el.kind in TERMINAL_TYPES
         )
         self.topo_order: tuple[str, ...] = self._toposort()
+        # Links leaving each element, in output-port order.
+        self._successors: dict[str, list[Link]] = {eid: [] for eid in self.elements}
+        for link in sorted(self.links, key=attrgetter("src_port")):
+            self._successors[link.src].append(link)
+        self._compiled: dict = {}
+
+    def with_shifts(self, shifts: dict[str, float]) -> Circuit:
+        """This circuit with new phase-shifter values, each checked as an
+        Element is.  It shares the validated structure (links, port maps,
+        topological order) and everything ``compiled`` built from it."""
+        elements = dict(self.elements)
+        for eid, shift in shifts.items():
+            if eid not in elements or elements[eid].kind is not ElementType.PHASESHIFTER:
+                raise CircuitValidationError(f"{eid!r} is not a phase shifter")
+            elements[eid] = Element(ElementType.PHASESHIFTER, shift=shift)
+        derived = object.__new__(Circuit)
+        derived.__dict__.update(self.__dict__, elements=elements)
+        return derived
+
+    def compiled(self, key: Hashable, build: Callable[[], Any]) -> Any:
+        """``build()``, computed once per structure and shared by every
+        circuit ``with_shifts`` derives; ``build`` must not read shift values."""
+        if key not in self._compiled:
+            self._compiled[key] = build()
+        return self._compiled[key]
 
     # -- structure queries ------------------------------------------------
 
@@ -184,16 +209,6 @@ class Circuit:
 
     def in_link(self, eid: str, port: int) -> Link | None:
         return self._in.get((eid, port))
-
-    @cached_property
-    def _successors(self) -> dict[str, list[Link]]:
-        """Links leaving each element, in output-port order."""
-        successors: dict[str, list[Link]] = {eid: [] for eid in self.elements}
-        for link in self.links:
-            successors[link.src].append(link)
-        for links in successors.values():
-            links.sort(key=attrgetter("src_port"))
-        return successors
 
     def source_fanout(self, eid: str) -> int:
         if self.elements[eid].kind is not ElementType.SOURCE:
@@ -505,9 +520,11 @@ class PathTable:
     out-port + 1, with 0 for the source's missing in-port and the
     terminal's missing out-port.  Then come the geometric phase, the link
     phases added one by one from the source; the clock ``advances`` in
-    route order (REFLECTION_TURN per splitter reflection, the shift per
-    phase shifter); the number of splitter ``crossings``; the terminal the
-    route ends at; and the source port it leaves through.
+    route order, each the id of the phase shifter passed or None for a
+    splitter reflection (a REFLECTION_TURN); the number of splitter
+    ``crossings``; the terminal the route ends at; and the source port it
+    leaves through.  No column holds a shift value, so one table serves
+    every circuit ``Circuit.with_shifts`` derives from the same structure.
     """
 
     source: str
@@ -515,7 +532,7 @@ class PathTable:
     routes: tuple[str, ...]
     ports: tuple[str, ...]
     geometric_phases: tuple[float, ...]
-    advances: tuple[tuple[float, ...], ...]
+    advances: tuple[tuple[str | None, ...], ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
     source_ports: tuple[int, ...]
@@ -544,9 +561,14 @@ def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
     The walker branches at every beamsplitter (both output ports) and at the
     source (every emission port).  The circuit being a DAG with single-linked
     output ports guarantees termination and uniqueness.  A circuit with more
-    than MAX_PATHS routes is refused before the walk.
+    than MAX_PATHS routes is refused before the walk.  The table is walked
+    once per circuit structure and source, then shared.
     """
     source = _resolve_source(circuit, source)
+    return circuit.compiled(("paths", source), lambda: _walk_paths(circuit, source))
+
+
+def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     total = count_paths(circuit, source)
     if total > MAX_PATHS:
         raise CircuitValidationError(
@@ -555,7 +577,7 @@ def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
     elements = circuit.elements
     outs = circuit._successors
     splitters = {eid for eid, el in elements.items() if el.kind is ElementType.BEAMSPLITTER}
-    shifts = {eid: el.shift for eid, el in elements.items() if el.kind is ElementType.PHASESHIFTER}
+    shifters = {eid for eid, el in elements.items() if el.kind is ElementType.PHASESHIFTER}
     element_ids = tuple(sorted(elements))
     code = {eid: chr(rank) for rank, eid in enumerate(element_ids)}
     rows: list[tuple] = []
@@ -574,8 +596,8 @@ def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
         splitter = eid in splitters
         if splitter:
             crossings += 1
-        elif eid in shifts:
-            advances += (shifts[eid],)
+        elif eid in shifters:
+            advances += (eid,)
         for link in reversed(links):
             out_port = link.src_port
             stack.append((
@@ -584,7 +606,7 @@ def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
                 route,
                 ports + chr(out_port + 1),
                 phase + link.phase,
-                advances + (REFLECTION_TURN,) if splitter and in_port != out_port else advances,
+                advances + (None,) if splitter and in_port != out_port else advances,
                 crossings,
                 out_port if in_port < 0 else source_port,
             ))

@@ -50,6 +50,9 @@ MAX_SHOTS = 2**26
 # both engines to JSON; mz to CSV takes 2.4 kB), so MAX_GRID_POINTS points
 # stay under 2**30 bytes.
 MAX_GRID_POINTS = 2**16
+# Time bound on a sweep's draws, summed over points, engines and settings:
+# sample() takes about 25.8 ms per 10**6 shots, so this is about 28 s.
+MAX_SWEEP_DRAWS = 2**30
 # Time bound: the cross-engine and unitarity checks take about 0.57 ms per
 # corpus case; the cap matches pathintegral.MAX_STEPS.
 MAX_CORPUS_CASES = 2**20
@@ -281,7 +284,7 @@ def _load_config(path: str | None) -> dict:
             config = json.load(
                 fh, parse_float=_finite_json_number, parse_constant=_finite_json_number
             )
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
@@ -445,7 +448,7 @@ def _run_circuit_file(values: dict, engine: str) -> OutcomeDistribution:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             circuit = parse_circuit(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read circuit file: {exc}") from exc
     params = {"experiment": "circuit", "circuit_file": path, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
@@ -467,6 +470,7 @@ class Experiment(NamedTuple):
     axis: tuple[str, Callable] | None = None
     report: Callable = _report_distributions
     cells: Callable = _distribution_cells
+    settings: int = 1  # distributions a sweep point samples per engine, with shots
 
     @property
     def sweep_keys(self) -> tuple[str, ...]:
@@ -508,6 +512,7 @@ REGISTRY = {
         ("phi", lambda x: {"angles": [0.0, 2 * x, x, 3 * x]}),
         _report_chsh,
         lambda values, report: [{"quantity": "S", "value": float(report.s_value)}],
+        settings=4,
     ),
     # run pathintegral is the propagate command.
     "pathintegral": Experiment(PROPAGATE_KEYS, None),
@@ -548,6 +553,10 @@ def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         if not np.isfinite(np.hstack(list(sets(x).values()))).all():
             raise ConfigError(f"grid: sweep {name} at {column} = {x:g} sets a non-finite angle")
     engines = _engines(values["engine"])
+    draws = count * len(engines) * experiment.settings * (values["shots"] or 0)
+    if draws > MAX_SWEEP_DRAWS:
+        raise ConfigError(f"sweep {name} would draw {draws} shots (points x engines x settings"
+                          f" x shots), more than {MAX_SWEEP_DRAWS}")
 
     master = values["seed"]
     rows = []

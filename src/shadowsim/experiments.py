@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import hilbert
 from .circuit import Circuit, Element, ElementType, Link
 from .outcomes import (
-    ENGINE_CLOSED_FORM,
     ENGINE_HILBERT,
     ENGINE_STREAMS,
     Outcome,
@@ -51,13 +51,16 @@ def _require_engine(engine: str) -> None:
 
 
 # -- canonical circuits ------------------------------------------------------
+# Each structure is built once per structural argument (a bounded memo), then
+# re-phased per call by Circuit.with_shifts, so a sweep compiles it once.
 
-def mach_zehnder_circuit(alpha: float, theta: float = 0.0) -> Circuit:
+@lru_cache(maxsize=32)
+def _mach_zehnder_structure(theta: float) -> Circuit:
     elements = {
         "src": Element(ElementType.SOURCE),
         "bs1": Element(ElementType.BEAMSPLITTER),
         "m_a": Element(ElementType.MIRROR),
-        "shift_a": Element(ElementType.PHASESHIFTER, shift=alpha),
+        "shift_a": Element(ElementType.PHASESHIFTER),
         "m_b": Element(ElementType.MIRROR),
         "bs2": Element(ElementType.BEAMSPLITTER),
         "det_u": Element(ElementType.DETECTOR, label="u"),
@@ -76,10 +79,12 @@ def mach_zehnder_circuit(alpha: float, theta: float = 0.0) -> Circuit:
     return Circuit(elements, links)
 
 
-def ifm_circuit(blocked_arm: str | None) -> Circuit:
-    """Alpha = 0 bench, optionally with a blocker swallowing one arm."""
-    if blocked_arm is None:
-        return mach_zehnder_circuit(0.0)
+def mach_zehnder_circuit(alpha: float, theta: float = 0.0) -> Circuit:
+    return _mach_zehnder_structure(theta).with_shifts({"shift_a": alpha})
+
+
+@lru_cache(maxsize=2)
+def _blocked_structure(blocked_arm: str) -> Circuit:
     if blocked_arm not in ("a", "b"):
         raise ValueError("blocked_arm must be 'a', 'b', or None")
     elements = {
@@ -90,33 +95,32 @@ def ifm_circuit(blocked_arm: str | None) -> Circuit:
         "det_u": Element(ElementType.DETECTOR, label="u"),
         "det_d": Element(ElementType.DETECTOR, label="d"),
     }
-    if blocked_arm == "a":
-        elements["m_b"] = Element(ElementType.MIRROR)
-        links = [
-            Link("src", 0, "bs1", 0),
-            Link("bs1", 0, "absorbed", 0),
-            Link("bs1", 1, "m_b", 0),
-            Link("m_b", 0, "bs2", 1),
-        ]
-    else:
-        elements["m_a"] = Element(ElementType.MIRROR)
-        links = [
-            Link("src", 0, "bs1", 0),
-            Link("bs1", 1, "absorbed", 0),
-            Link("bs1", 0, "m_a", 0),
-            Link("m_a", 0, "bs2", 0),
-        ]
-    links += [
+    # Arm a leaves bs1 through port 0, arm b through port 1.
+    blocked, kept, mirror = (0, 1, "m_b") if blocked_arm == "a" else (1, 0, "m_a")
+    elements[mirror] = Element(ElementType.MIRROR)
+    links = [
+        Link("src", 0, "bs1", 0),
+        Link("bs1", blocked, "absorbed", 0),
+        Link("bs1", kept, mirror, 0),
+        Link(mirror, 0, "bs2", kept),
         Link("bs2", 1, "det_u", 0),
         Link("bs2", 0, "det_d", 0),
     ]
     return Circuit(elements, links)
 
 
-def bghz_left_circuit(alpha: float) -> Circuit:
+def ifm_circuit(blocked_arm: str | None) -> Circuit:
+    """Alpha = 0 bench, optionally with a blocker swallowing one arm."""
+    if blocked_arm is None:
+        return mach_zehnder_circuit(0.0)
+    return _blocked_structure(blocked_arm).with_shifts({})
+
+
+@lru_cache(maxsize=1)
+def _bghz_left_structure() -> Circuit:
     elements = {
         "srcL": Element(ElementType.SOURCE),
-        "shift_a": Element(ElementType.PHASESHIFTER, shift=alpha),
+        "shift_a": Element(ElementType.PHASESHIFTER),
         "bsL": Element(ElementType.BEAMSPLITTER),
         "det_u": Element(ElementType.DETECTOR, label="u"),
         "det_d": Element(ElementType.DETECTOR, label="d"),
@@ -131,11 +135,15 @@ def bghz_left_circuit(alpha: float) -> Circuit:
     return Circuit(elements, links)
 
 
-def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
-    """Right half; ``arm_phase`` desymmetrizes the plain arm when nonzero."""
+def bghz_left_circuit(alpha: float) -> Circuit:
+    return _bghz_left_structure().with_shifts({"shift_a": alpha})
+
+
+@lru_cache(maxsize=32)
+def _bghz_right_structure(arm_phase: float) -> Circuit:
     elements = {
         "srcR": Element(ElementType.SOURCE),
-        "shift_b": Element(ElementType.PHASESHIFTER, shift=beta),
+        "shift_b": Element(ElementType.PHASESHIFTER),
         "bsR": Element(ElementType.BEAMSPLITTER),
         "det_up": Element(ElementType.DETECTOR, label="u'"),
         "det_dp": Element(ElementType.DETECTOR, label="d'"),
@@ -148,6 +156,11 @@ def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
         Link("bsR", 1, "det_dp", 0),
     ]
     return Circuit(elements, links)
+
+
+def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
+    """Right half; ``arm_phase`` desymmetrizes the plain arm when nonzero."""
+    return _bghz_right_structure(arm_phase).with_shifts({"shift_b": beta})
 
 
 def bghz_pair(
@@ -248,16 +261,6 @@ def run_bghz(
     joint = joint_terminal_amplitudes(bghz_pair(alpha, beta, seed=seed))
     probs: dict[Outcome, float] = {key: abs(amp) ** 2 for key, amp in joint.items()}
     return OutcomeDistribution(probs, ENGINE_STREAMS, params)
-
-
-def closed_form_mz(alpha: float) -> OutcomeDistribution:
-    """Textbook law, kept as sampling fodder and an independent reference."""
-    half = 0.5 * alpha
-    return OutcomeDistribution(
-        {"u": math.cos(half) ** 2, "d": math.sin(half) ** 2},
-        ENGINE_CLOSED_FORM,
-        {"experiment": "mz", "alpha": alpha},
-    )
 
 
 # -- sampling -----------------------------------------------------------------

@@ -55,6 +55,28 @@ def _drift(state: dict[Link, complex]) -> float:
     return drift
 
 
+def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple]:
+    """The structure evolve_circuit reads: non-terminal elements in
+    topological order with their links and out-link factors (None for a
+    phase shifter, whose shift is no structure), then each terminal's key
+    and in-link."""
+    steps = []
+    for eid in circuit.topo_order:
+        kind = circuit.elements[eid].kind
+        if kind is ElementType.BEAMSPLITTER:
+            # Reflection-first rows: output port 1 is the cross port of input 0.
+            outs = [circuit.out_link(eid, port) for port in (1, 0)]
+            ins = (circuit.in_link(eid, 0), circuit.in_link(eid, 1))
+            steps.append((eid, True, ins, [(out, cmath.exp(1j * out.phase)) for out in outs]))
+        elif kind not in TERMINAL_TYPES and kind is not ElementType.SOURCE:
+            out = circuit.out_link(eid, 0)
+            # + 0.0 turns a -0.0 link phase into 0.0, as adding a shift would.
+            factor = None if kind is ElementType.PHASESHIFTER else cmath.exp(1j * (out.phase + 0.0))
+            steps.append((eid, False, circuit.in_link(eid, 0), (out, factor)))
+    terminals = tuple((circuit.terminal_key(t), circuit.in_link(t, 0)) for t in circuit.terminals)
+    return steps, terminals
+
+
 def evolve_circuit(
     circuit: Circuit, source: str | None = None, *, port: int | None = None
 ) -> CircuitEvolution:
@@ -76,31 +98,20 @@ def evolve_circuit(
         amp = cmath.exp(1j * link.phase)
         state[link] = amp / math.sqrt(fanout) if port is None else amp
 
+    steps, terminals = circuit.compiled("hilbert", lambda: _schedule(circuit))
     max_drift = _drift(state)
-    for eid in circuit.topo_order:
-        el = circuit.elements[eid]
-        if el.kind in TERMINAL_TYPES or el.kind is ElementType.SOURCE:
-            continue
-        if el.kind is ElementType.BEAMSPLITTER:
-            m1, m2 = (state.pop(circuit.in_link(eid, p), 0.0 + 0.0j) for p in range(2))
-            # Reflection-first rows: output port 1 is the cross port of input 0.
-            for (b1, b2), out_port in zip(_BS_BLOCK, (1, 0)):
-                out = circuit.out_link(eid, out_port)
-                state[out] = (b1 * m1 + b2 * m2) * cmath.exp(1j * out.phase)
-        else:
-            in_link = circuit.in_link(eid, 0)
-            if in_link not in state:
-                continue  # dead element, nothing arrives
-            out = circuit.out_link(eid, 0)
-            shift = out.phase + (el.shift if el.kind is ElementType.PHASESHIFTER else 0.0)
-            state[out] = state.pop(in_link) * cmath.exp(1j * shift)
+    for eid, splitter, ins, outs in steps:
+        if splitter:
+            m1, m2 = (state.pop(link, 0.0 + 0.0j) for link in ins)
+            for (b1, b2), (out, factor) in zip(_BS_BLOCK, outs):
+                state[out] = (b1 * m1 + b2 * m2) * factor
+        elif ins in state:  # else a dead element: nothing arrives
+            out, factor = outs
+            if factor is None:
+                factor = cmath.exp(1j * (out.phase + circuit.elements[eid].shift))
+            state[out] = state.pop(ins) * factor
         max_drift = max(max_drift, _drift(state))
-
-    amplitudes: dict[Outcome, complex] = {
-        circuit.terminal_key(term): state.get(circuit.in_link(term, 0), 0.0 + 0.0j)
-        for term in circuit.terminals
-    }
-    return CircuitEvolution(amplitudes=amplitudes, max_norm_drift=max_drift)
+    return CircuitEvolution({key: state.get(link, 0j) for key, link in terminals}, max_drift)
 
 
 def evolve_pair(left: Circuit, right: Circuit) -> CircuitEvolution:

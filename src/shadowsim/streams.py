@@ -2,9 +2,10 @@
 
 Every emission event creates one stream covering all paths of the circuit.
 The engine first compiles the circuit into a path table (circuit.PathTable),
-one row per path, and then evaluates each row.  A path's amplitude is the
-product of a unit phase, tracked by a path clock, and a magnitude factor
-1/sqrt(2) per beamsplitter crossing:
+one row per path, and then evaluates each row.  The table holds no shift
+value, so circuits derived by ``Circuit.with_shifts`` share one table, walked
+once.  A path's amplitude is the product of a unit phase, tracked by a path
+clock, and a magnitude factor 1/sqrt(2) per beamsplitter crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -93,14 +94,17 @@ class ShadowStream:
         return self.table.source
 
 
-def _table_amplitudes(table: PathTable, initial_clock: float) -> tuple[complex, ...]:
-    """path_amplitude for every row, in the same order of operations."""
+def _table_amplitudes(circuit: Circuit, table: PathTable, initial_clock: float) -> tuple:
+    """path_amplitude for every row, in the same order of operations; the
+    turn of each advance is looked up in ``circuit``."""
+    turns = {eid: el.shift for eid, el in circuit.elements.items()}
+    turns[None] = REFLECTION_TURN
     start = canonical_angle(initial_clock)
     amplitudes = []
     for phase, advances, crossings in zip(table.geometric_phases, table.advances, table.crossings):
         clock = canonical_angle(start + phase)
-        for delta in advances:
-            clock = canonical_angle(clock + delta)
+        for advance in advances:
+            clock = canonical_angle(clock + turns[advance])
         amplitudes.append(complex(math.cos(clock), math.sin(clock)) * INV_SQRT2**crossings)
     return tuple(amplitudes)
 
@@ -124,7 +128,7 @@ def build_stream(
     return ShadowStream(
         circuit=circuit,
         table=table,
-        amplitudes=_table_amplitudes(table, initial_clock),
+        amplitudes=_table_amplitudes(circuit, table, initial_clock),
         initial_clock=initial_clock,
     )
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowsim import circuit as circuit_module
 from shadowsim.angles import canonical_angle, parse_angle
 from shadowsim.circuit import (
     Circuit,
@@ -23,7 +24,12 @@ from shadowsim.circuit import (
     render_circuit,
 )
 from shadowsim.corpus import random_circuit
-from shadowsim.experiments import bghz_left_circuit, ifm_circuit, mach_zehnder_circuit
+from shadowsim.experiments import (
+    bghz_left_circuit,
+    bghz_right_circuit,
+    ifm_circuit,
+    mach_zehnder_circuit,
+)
 
 # -- angles -------------------------------------------------------------------
 
@@ -398,6 +404,76 @@ def test_compile_refuses_circuits_past_the_path_limit(ladder_text):
     k = MAX_PATHS.bit_length()  # 2**k is twice the limit
     with pytest.raises(CircuitValidationError, match=f"{2**k} paths"):
         compile_paths(parse_circuit(ladder_text(k)))
+
+
+# -- structure shared across shift values ------------------------------------------
+
+
+def test_with_shifts_replaces_the_shifts_and_shares_the_structure():
+    base = mach_zehnder_circuit(0.3, 0.2)
+    derived = base.with_shifts({"shift_a": 7.0})
+    assert derived.elements["shift_a"].shift == canonical_angle(7.0)
+    assert base.elements["shift_a"].shift == 0.3
+    assert derived.links is base.links
+    assert derived.topo_order is base.topo_order
+    fresh = Circuit(dict(derived.elements), derived.links)
+    assert derived == fresh
+    assert derived != base
+    assert parse_circuit(render_circuit(derived)) == derived
+
+
+@pytest.mark.parametrize("eid", ["src", "bs1", "m_a", "det_u", "nowhere"])
+def test_with_shifts_refuses_an_element_that_is_not_a_shifter(eid):
+    with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
+        mach_zehnder_circuit(0.3).with_shifts({eid: 1.0})
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_with_shifts_refuses_a_non_finite_shift_as_construction_does(shift):
+    with pytest.raises(ValueError, match="finite") as built:
+        Element(ElementType.PHASESHIFTER, shift=shift)
+    with pytest.raises(ValueError, match="finite") as derived:
+        mach_zehnder_circuit(0.3).with_shifts({"shift_a": shift})
+    assert str(derived.value) == str(built.value)
+
+
+def test_compile_paths_walks_once_per_structure(monkeypatch):
+    walks = []
+    walk = circuit_module._walk_paths
+
+    def counted_walk(circuit, source):
+        walks.append(source)
+        return walk(circuit, source)
+
+    monkeypatch.setattr(circuit_module, "_walk_paths", counted_walk)
+    circuit = bghz_right_circuit(0.4, arm_phase=0.9)
+    circuit = Circuit(dict(circuit.elements), circuit.links)
+    table = compile_paths(circuit)
+    assert compile_paths(circuit) is table
+    assert compile_paths(circuit.with_shifts({"shift_b": 2.0}), "srcR") is table
+    assert walks == ["srcR"]
+    assert compile_paths(mach_zehnder_circuit(0.1)) is compile_paths(mach_zehnder_circuit(2.5))
+
+
+def test_every_advance_names_a_shifter_on_its_route_or_a_reflection():
+    circuits = [random_circuit(seed) for seed in range(200)]
+    circuits += [mach_zehnder_circuit(0.4, 0.1), bghz_left_circuit(1.0), bghz_right_circuit(2.0)]
+    shifters_seen = 0
+    for circuit in circuits:
+        table = compile_paths(circuit)
+        for row, advances in enumerate(table.advances):
+            route = [table.element_ids[ord(c)] for c in table.routes[row]]
+            kinds = [circuit.elements[eid].kind for eid in route]
+            shifters = [eid for eid, kind in zip(route, kinds) if kind is ElementType.PHASESHIFTER]
+            reflections = [
+                in_port != out_port
+                for (_eid, in_port, out_port), kind in zip(table.steps(row), kinds)
+                if kind is ElementType.BEAMSPLITTER
+            ]
+            assert [advance for advance in advances if advance is not None] == shifters
+            assert advances.count(None) == sum(reflections)
+            shifters_seen += len(shifters)
+    assert shifters_seen > 0
 
 
 # -- generated corpus properties ---------------------------------------------------

@@ -742,6 +742,61 @@ def test_size_past_its_cap_exits_two_before_any_work(argv, config, bound, tmp_pa
     assert "Traceback" not in err
 
 
+class _Started(Exception):
+    """Raised by a patched runner: the sweep got past its size checks."""
+
+
+def _start(*args, **kwargs):
+    raise _Started
+
+
+@pytest.mark.parametrize(
+    ("argv", "draws"),
+    [
+        # 13,325 points x 80,581 shots on one engine is MAX_SWEEP_DRAWS + 1.
+        (["sweep", "mz", "--grid", "0:pi:13325", "--shots", "80581"], cli.MAX_SWEEP_DRAWS + 1),
+        # chsh samples four settings per point.
+        (["sweep", "chsh", "--grid", "0:pi:4096", "--shots", "65537"], 4 * 4096 * 65537),
+    ],
+)
+def test_sweep_past_the_draw_cap_exits_two_before_any_work(argv, draws, monkeypatch):
+    assert cli.MAX_SWEEP_DRAWS + 1 == 13325 * 80581
+    for name in ("run_mach_zehnder", "chsh", "sample", "substream"):
+        monkeypatch.setattr(cli, name, _refuse_work)
+    code, err = _exit_code(argv + ["--seed", "3"])
+    assert code == 2, err
+    assert f"would draw {draws} shots" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "mz", "--grid", "0:pi:8192", "--engine", "both", "--shots", "65536"],
+        ["sweep", "chsh", "--grid", "0:pi:4096", "--shots", "65536"],
+        ["sweep", "mz", "--grid", "0:pi:4096", "--shots", "65537"],
+    ],
+)
+def test_sweep_at_the_draw_cap_starts(argv, monkeypatch):
+    for name in ("run_mach_zehnder", "chsh"):
+        monkeypatch.setattr(cli, name, _start)
+    with pytest.raises(_Started):
+        cli.main(argv)
+
+
+@pytest.mark.parametrize(
+    ("flag", "what"), [("--circuit-file", "circuit"), ("--config", "config")]
+)
+def test_file_that_is_not_utf8_is_a_config_error(flag, what, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe" + "element src source\n".encode("utf-16-le"))
+    argv = ["run", "circuit" if what == "circuit" else "mz", flag, str(bad)]
+    code, err = _exit_code(argv)
+    assert code == 2, err
+    assert f"cannot read {what} file" in err
+    assert "Traceback" not in err
+
+
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):
     out = tmp_path / "missing-dir" / "mz.json"
     assert cli.main(["run", "mz", "--out", str(out)]) == 2

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsim import hilbert
-from shadowsim.circuit import parse_circuit
+from shadowsim.circuit import Circuit, parse_circuit, render_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
     bghz_left_circuit,
     bghz_pair,
     bghz_right_circuit,
+    ifm_circuit,
+    mach_zehnder_circuit,
     run_bghz,
     run_mach_zehnder,
 )
@@ -154,3 +156,44 @@ def test_multi_arm_source_engines_agree_and_conserve():
         assert sum(probs_s.values()) == pytest.approx(1.0, abs=1e-12)
         for key, p in probs_h.items():
             assert probs_s[key] == pytest.approx(p, abs=1e-12)
+
+
+# -- canned benches re-phased from one shared structure ----------------------------
+
+ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
+
+
+def _engine_results(circuit):
+    return (
+        build_stream(circuit, initial_clock=1.3).amplitudes,
+        hilbert.evolve_circuit(circuit).amplitudes,
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=ANGLES,
+    theta=ANGLES,
+    arm_phase=ANGLES,
+    blocked=st.sampled_from([None, "a", "b"]),
+)
+def test_shared_structure_gives_the_amplitudes_of_a_fresh_build(alpha, theta, arm_phase, blocked):
+    """A canned bench re-phased from its memoised structure, whose path table
+    and hilbert schedule were compiled at another shift, equals the same
+    circuit built anew by Circuit(...), on both engines."""
+    builds = [
+        lambda a: mach_zehnder_circuit(a, theta),
+        lambda a: ifm_circuit(blocked),
+        bghz_left_circuit,
+        lambda a: bghz_right_circuit(a, arm_phase=arm_phase),
+    ]
+    for build in builds:
+        _engine_results(build(alpha + 1.0))  # compile at another shift
+        derived = build(alpha)
+        fresh = Circuit(dict(derived.elements), derived.links)
+        assert derived == fresh
+        assert parse_circuit(render_circuit(derived)) == fresh
+        assert _engine_results(derived) == _engine_results(fresh)
+    pair = (bghz_left_circuit(alpha), bghz_right_circuit(theta, arm_phase=arm_phase))
+    fresh_pair = [Circuit(dict(side.elements), side.links) for side in pair]
+    assert hilbert.evolve_pair(*pair) == hilbert.evolve_pair(*fresh_pair)

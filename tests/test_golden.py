@@ -2,10 +2,13 @@
 stdout and CSV data files byte for byte.
 
 The files under ``tests/golden`` were written by this module's cases;
-``python tests/test_golden.py`` writes them again from the installed package.
+``python tests/test_golden.py`` writes them again from the installed package
+and prints the sha256 of each ``DIGESTS`` sweep, whose CSV files are too
+large to commit.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -50,6 +53,21 @@ CONFIGS = {
     "sweep-config": {"experiment": "wheeler", "grid": "0:pi:3", "peek": True, "seed": 3,
                      "shots": 200},
 }
+# Benchmark-sized seeded sweeps on both engines: the sha256 of the CSV file.
+DIGESTS = {
+    "sweep-mz-501": (
+        ["sweep", "mz", "--grid", "0:2pi:501", "--engine", "both", "--seed", "7"],
+        "ed13412b45e15eecb0dc7082c797ae61b2cd485a2e4b2fca5b814011b49ffced",
+    ),
+    "sweep-bghz-181": (
+        ["sweep", "bghz", "--grid", "0:2pi:181", "--engine", "both", "--seed", "7"],
+        "fefce74e5fda6fade7ea0f1ef67e05931a0d98a7c3d2643a10e14c146a93ba50",
+    ),
+    "sweep-wheeler-peek-65": (
+        ["sweep", "wheeler", "--peek", "--grid", "0:2pi:65", "--engine", "both", "--seed", "7"],
+        "56c5b96492f53b8322bd5e92e01b267b227dd54999feb9aeff57ec2dc703f276",
+    ),
+}
 
 
 def _run(name, argv, tmp):
@@ -75,6 +93,13 @@ def test_output_matches_golden(name, tmp_path):
         assert data == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_sweep_digest_matches_golden(name, tmp_path):
+    argv, digest = DIGESTS[name]
+    _, data = _run(name, argv, tmp_path)
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -85,3 +110,5 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.out").write_bytes(stdout)
             if data is not None:
                 (GOLDEN / f"{name}.csv").write_bytes(data)
+        for name, (argv, _) in DIGESTS.items():
+            print(name, hashlib.sha256(_run(name, argv, Path(tmp))[1]).hexdigest())
