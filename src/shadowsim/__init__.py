@@ -42,7 +42,6 @@ from .experiments import (
 )
 from .hilbert import CircuitEvolution, evolve_circuit, evolve_pair
 from .outcomes import (
-    ENGINE_CLOSED_FORM,
     ENGINE_HILBERT,
     ENGINE_STREAMS,
     OutcomeDistribution,
@@ -90,7 +89,6 @@ __all__ = [
     "CongruenceReport",
     "Element",
     "ElementType",
-    "ENGINE_CLOSED_FORM",
     "ENGINE_HILBERT",
     "ENGINE_STREAMS",
     "FREE",

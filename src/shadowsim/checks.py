@@ -9,7 +9,9 @@ machine means the install reproduces the reference numbers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -169,12 +171,17 @@ def check_wheeler() -> CheckResult:
     return _result("wheeler", worst < _TOL, f"max deviation = {worst:.3e}")
 
 
-def check_cross_engine(cases: int = 500) -> CheckResult:
+def _corpus(seeds: range) -> Iterable[tuple]:
+    for i in seeds:
+        circuit = random_circuit(i)
+        yield circuit, build_stream(circuit, seed=i)
+
+
+def check_cross_engine(corpus: Iterable[tuple]) -> CheckResult:
     """Streams vs hilbert on randomized circuits, pointwise < 1e-12."""
     worst = 0.0
-    for i in range(cases):
-        circuit = random_circuit(i)
-        stream = build_stream(circuit, seed=i)
+    cases = 0
+    for cases, (circuit, stream) in enumerate(corpus, 1):
         probs_s = {k: abs(v) ** 2 for k, v in stream_terminal_amplitudes(stream).items()}
         probs_h = hilbert.evolve_circuit(circuit).probabilities()
         for key in probs_h:
@@ -184,13 +191,12 @@ def check_cross_engine(cases: int = 500) -> CheckResult:
     )
 
 
-def check_unitarity(cases: int = 200) -> CheckResult:
+def check_unitarity(corpus: list[tuple]) -> CheckResult:
     worst = 0.0
-    for i in range(cases):
-        stream = build_stream(random_circuit(i), seed=i)
+    for _, stream in corpus:
         worst = max(worst, unitarity_defect(stream))
     return _result(
-        "unitarity", worst < _TOL, f"{cases} circuits, max defect = {worst:.3e}"
+        "unitarity", worst < _TOL, f"{len(corpus)} circuits, max defect = {worst:.3e}"
     )
 
 
@@ -369,6 +375,9 @@ def run_all(
     *, corpus_cases: int = 500, shots: int = 1_000_000, seed: int = 20260814
 ) -> list[CheckResult]:
     """Run every invariant check; heavyweight counts are adjustable."""
+    # Each corpus circuit and stream is built once; unitarity reads the first
+    # 200 of those the cross-engine check compares, and only they are held.
+    head = list(_corpus(range(min(200, corpus_cases))))
     return [
         check_mz_law(),
         check_mz_stream_amplitudes(),
@@ -378,8 +387,8 @@ def run_all(
         check_chsh_monte_carlo(shots=shots, seed=seed),
         check_ifm(),
         check_wheeler(),
-        check_cross_engine(cases=corpus_cases),
-        check_unitarity(cases=min(200, corpus_cases)),
+        check_cross_engine(chain(head, _corpus(range(len(head), corpus_cases)))),
+        check_unitarity(head),
         check_clock_invariance(),
         check_correlator_translation(),
         check_sampling(shots=shots, seed=seed),

@@ -43,17 +43,17 @@ from .outcomes import OutcomeDistribution
 from .rng import RNG_NAME, substream
 
 # Bounds on the sizes a run may ask for, checked where each value is read and
-# before any work.  sample() holds 16 bytes per shot (16.0 MB at 10**6 shots
-# under tracemalloc), so MAX_SHOTS shots fit in 2**30 bytes.
+# before any work.  sample() counts shots in chunks, so they bound its time, not
+# its memory: about 6.4 ms per 10**6 (hilbert MZ, min of 3x3, 2-core x86 VM).
 MAX_SHOTS = 2**26
 # A sweep's memory peaks at about 13 kB per grid point (tracemalloc: bghz on
 # both engines to JSON; mz to CSV takes 2.4 kB), so MAX_GRID_POINTS points
 # stay under 2**30 bytes.
 MAX_GRID_POINTS = 2**16
 # Time bound on a sweep's draws, summed over points, engines and settings:
-# sample() takes about 25.8 ms per 10**6 shots, so this is about 28 s.
+# about 7 s at that rate.
 MAX_SWEEP_DRAWS = 2**30
-# Time bound: the cross-engine and unitarity checks take about 0.57 ms per
+# Time bound: the cross-engine and unitarity checks take about 0.41 ms per
 # corpus case; the cap matches pathintegral.MAX_STEPS.
 MAX_CORPUS_CASES = 2**20
 
@@ -440,19 +440,22 @@ def _run_chsh(values: dict, engine: str):
     return chsh(*values["angles"], engine, shots=values["shots"], seed=values["seed"])
 
 
-def _run_circuit_file(values: dict, engine: str) -> OutcomeDistribution:
+def _read_circuit_file(values: dict) -> dict:
+    """The values with the circuit file parsed, once for every engine."""
     path = values["circuit-file"]
-    seed = values["seed"]
     if path is None:
         raise ConfigError("run circuit needs --circuit-file")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            circuit = parse_circuit(fh.read())
+            return {**values, "circuit": parse_circuit(fh.read())}
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read circuit file: {exc}") from exc
-    params = {"experiment": "circuit", "circuit_file": path, "engine": engine,
-              "seed": seed, "rng": RNG_NAME}
-    return run_circuit(circuit, engine, params, seed=seed)
+
+
+def _run_circuit_file(values: dict, engine: str) -> OutcomeDistribution:
+    params = {"experiment": "circuit", "circuit_file": values["circuit-file"],
+              "engine": engine, "seed": values["seed"], "rng": RNG_NAME}
+    return run_circuit(values["circuit"], engine, params, seed=values["seed"])
 
 
 class Experiment(NamedTuple):
@@ -462,7 +465,8 @@ class Experiment(NamedTuple):
     ``axis`` is the swept column's name and a map from a grid value to the
     keys it sets; an experiment without one cannot be swept.  ``report``
     prints and writes a run's results, one per engine, and ``cells`` gives
-    the sweep columns of one engine's result at one grid point.
+    the sweep columns of one engine's result at one grid point.  ``load``
+    maps a run's values to those its engines read, once per run.
     """
 
     keys: tuple[str, ...]
@@ -471,6 +475,7 @@ class Experiment(NamedTuple):
     report: Callable = _report_distributions
     cells: Callable = _distribution_cells
     settings: int = 1  # distributions a sweep point samples per engine, with shots
+    load: Callable = dict
 
     @property
     def sweep_keys(self) -> tuple[str, ...]:
@@ -516,7 +521,8 @@ REGISTRY = {
     ),
     # run pathintegral is the propagate command.
     "pathintegral": Experiment(PROPAGATE_KEYS, None),
-    "circuit": Experiment(BENCH_KEYS + ("circuit-file",), _run_circuit_file),
+    "circuit": Experiment(BENCH_KEYS + ("circuit-file",), _run_circuit_file,
+                          load=_read_circuit_file),
 }
 EXPERIMENTS = tuple(REGISTRY)
 SWEEPABLE = tuple(name for name, experiment in REGISTRY.items() if experiment.axis)
@@ -532,6 +538,7 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
         return _cmd_propagate(args, config)
     values = _values(args, config, experiment.keys, format="json")
     _bounded(values, "shots", 1, MAX_SHOTS)
+    values = experiment.load(values)
     results = [experiment.run(values, engine) for engine in _engines(values["engine"])]
     experiment.report(name, values, results)
     return 0

@@ -265,6 +265,9 @@ def run_bghz(
 
 # -- sampling -----------------------------------------------------------------
 
+SHOT_CHUNK = 2**16  # shots drawn and counted per step
+
+
 @dataclass(frozen=True)
 class SampleResult:
     counts: dict[Outcome, int]
@@ -275,15 +278,29 @@ class SampleResult:
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int | None = None) -> SampleResult:
-    """Draw i.i.d. shots from a distribution, reproducibly."""
+    """Draw i.i.d. shots from a distribution, reproducibly.
+
+    The counts are those of ``rng.choice(k, size=shots, p=p)``, which maps one
+    ``rng.random()`` u per shot to ``cdf.searchsorted(u, side="right")``, at
+    most j exactly when u < cdf[j].  The draws are counted SHOT_CHUNK at a
+    time and never stored, so memory does not grow with ``shots``.
+    """
     if shots <= 0:
         raise ValueError("shots must be positive")
-    rng = make_rng(seed)
     labels = list(dist.outcomes)
     probs = np.array([dist.outcomes[k] for k in labels])
     probs = probs / probs.sum()
-    drawn = rng.choice(len(labels), size=shots, p=probs)
-    counts = np.bincount(drawn, minlength=len(labels))
+    # choice's refusals, at its tolerance sqrt(eps): NaN fails the first test.
+    if not (np.all(probs >= 0.0) and abs(probs.sum() - 1.0) <= 1.5e-8):
+        raise ValueError(f"probabilities must be >= 0 and sum to 1, got {probs}")
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    rng = make_rng(seed)
+    below = np.zeros(len(labels), dtype=np.int64)  # shots with outcome <= j
+    for start in range(0, shots, SHOT_CHUNK):
+        u = rng.random(min(SHOT_CHUNK, shots - start))
+        below += [np.count_nonzero(u < c) for c in cdf]
+    counts = np.diff(below, prepend=0)
     count_map = {label: int(c) for label, c in zip(labels, counts)}
     freq_map = {label: c / shots for label, c in count_map.items()}
     return SampleResult(counts=count_map, frequencies=freq_map, shots=shots, seed=seed)

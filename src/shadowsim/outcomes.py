@@ -9,7 +9,6 @@ Outcome = Union[str, tuple[str, str]]
 
 ENGINE_STREAMS = "streams"
 ENGINE_HILBERT = "hilbert"
-ENGINE_CLOSED_FORM = "closed-form"
 
 _SUM_TOL = 1e-12
 
@@ -18,8 +17,7 @@ _SUM_TOL = 1e-12
 class OutcomeDistribution:
     """Normalized probabilities over detector (or joint detector) outcomes.
 
-    ``engine`` records which backend produced the numbers: streams,
-    hilbert, or closed-form.
+    ``engine`` records which backend produced the numbers: streams or hilbert.
     ``parameters`` carries everything needed to reproduce the run, seed
     included when one was used.  The probabilities are the whole result:
     no engine attaches per-path detail to them.
@@ -32,13 +30,10 @@ class OutcomeDistribution:
     def __post_init__(self) -> None:
         cleaned: dict[Outcome, float] = {}
         for key, p in self.outcomes.items():
-            if p < 0.0:
-                if p < -_SUM_TOL:
-                    raise ValueError(f"negative probability {p!r} for {key!r}")
-                p = 0.0
-            if p > 1.0 + _SUM_TOL:
-                raise ValueError(f"probability {p!r} for {key!r} exceeds 1")
-            cleaned[key] = min(p, 1.0)
+            # NaN fails this test too; rounding residue past 0 or 1 is clipped.
+            if not -_SUM_TOL <= p <= 1.0 + _SUM_TOL:
+                raise ValueError(f"probability {p!r} for {key!r} is outside [0, 1]")
+            cleaned[key] = min(max(p, 0.0), 1.0)
         total = sum(cleaned.values())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")

@@ -549,6 +549,17 @@ def test_run_circuit_file(tmp_path, capsys):
     assert "0.250000" in out
 
 
+def test_run_circuit_parses_the_file_once_for_both_engines(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "mz.circuit"
+    path.write_text(MZ_TEXT)
+    parse, parsed = cli.parse_circuit, []
+    monkeypatch.setattr(cli, "parse_circuit", lambda text: parsed.append(text) or parse(text))
+    argv = ["run", "circuit", "--circuit-file", str(path), "--engine", "both"]
+    assert cli.main(argv) == 0
+    assert len(parsed) == 1
+    assert "streams" in capsys.readouterr().out
+
+
 def test_run_circuit_with_two_arm_source(tmp_path, capsys):
     path = tmp_path / "two-arm.circuit"
     path.write_text(TWO_ARM_TEXT)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsim import experiments as ex
+from shadowsim.outcomes import OutcomeDistribution
+from shadowsim.rng import make_rng
 
 ENGINES = ("streams", "hilbert")
 S_MAX = 2 * math.sqrt(2.0)
@@ -157,6 +160,67 @@ def test_sample_rejects_empty_run():
     dist = ex.run_mach_zehnder(0.7, "streams")
     with pytest.raises(ValueError, match="shots"):
         ex.sample(dist, 0)
+
+
+CHUNK = ex.SHOT_CHUNK
+EDGE_SHOTS = [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7]
+
+
+def _weighted(weights):
+    total = sum(weights)
+    return OutcomeDistribution({f"o{j}": w / total for j, w in enumerate(weights)}, "hilbert")
+
+
+def _assert_counts_match_choice(dist, shots, seed):
+    """sample() counts exactly what Generator.choice would have drawn."""
+    probs = np.array(list(dist.outcomes.values()))
+    p = probs / probs.sum()
+    k = len(p)
+    want = np.bincount(make_rng(seed).choice(k, size=shots, p=p), minlength=k)
+    assert list(ex.sample(dist, shots, seed).counts.values()) == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 5), min_size=1, max_size=8).filter(any),
+    shots=st.one_of(st.sampled_from(EDGE_SHOTS), st.integers(1, 200_000)),
+    seed=st.integers(0, 2**32),
+)
+def test_sample_counts_equal_choice(weights, shots, seed):
+    _assert_counts_match_choice(_weighted(weights), shots, seed)
+
+
+@pytest.mark.parametrize("weights", [
+    [1], [0, 1], [1, 0], [0, 2, 1], [2, 0, 1], [2, 1, 0], [0, 1, 0, 3, 0, 0, 1, 0],
+])
+@pytest.mark.parametrize("shots", EDGE_SHOTS)
+def test_sample_counts_equal_choice_with_empty_outcomes(weights, shots):
+    _assert_counts_match_choice(_weighted(weights), shots, seed=5)
+
+
+def test_sample_memory_does_not_grow_with_shots():
+    dist = ex.run_mach_zehnder(0.9, "hilbert")
+    tracemalloc.start()
+    try:
+        ex.sample(dist, 2**22, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_distribution_refuses_non_finite_probability(bad):
+    with pytest.raises(ValueError, match="outside"):
+        OutcomeDistribution({"a": bad, "b": 1.0}, "hilbert")
+
+
+@pytest.mark.parametrize("outcomes", [{"a": float("nan"), "b": 1.0}, {"a": -0.5, "b": 1.5}])
+def test_sample_refuses_what_choice_refused(outcomes):
+    dist = ex.run_mach_zehnder(0.7, "hilbert")
+    object.__setattr__(dist, "outcomes", outcomes)  # past the constructor's checks
+    with pytest.raises(ValueError, match="probabilities"):
+        ex.sample(dist, 10, seed=1)
 
 
 # -- CHSH ---------------------------------------------------------------------

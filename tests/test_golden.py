@@ -4,7 +4,7 @@ stdout and CSV data files byte for byte.
 The files under ``tests/golden`` were written by this module's cases;
 ``python tests/test_golden.py`` writes them again from the installed package
 and prints the sha256 of each ``DIGESTS`` sweep, whose CSV files are too
-large to commit.
+large to commit, and of the check corpus.
 """
 
 import contextlib
@@ -16,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from shadowsim import cli
+from shadowsim.circuit import render_circuit
+from shadowsim.corpus import random_circuit
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -44,9 +46,15 @@ CASES = {
     "run-config": ["run"],
     "sweep-config": ["sweep"],
     "sweep-stdout": ["sweep", "bghz", "--grid", "0:pi:3", "--shots", "100", "--seed", "3"],
+    # Shots past one sampling chunk (experiments.SHOT_CHUNK = 2**16).
+    "run-chsh-many-shots": ["run", "chsh", "--angles", "0,pi/2,pi/4,3pi/4", "--shots",
+                            "200000", "--seed", "4"] + BOTH,
+    "sweep-mz-many-shots": ["sweep", "mz", "--grid", "0:2pi:9", "--shots", "100000",
+                            "--seed", "7"] + BOTH,
+    "check": ["check", "--seed", "5"],
 }
 # Cases that write no data file: their whole output is stdout.
-STDOUT_ONLY = {"sweep-stdout"}
+STDOUT_ONLY = {"sweep-stdout", "check"}
 CONFIGS = {
     "run-config": {"experiment": "bghz", "alpha": "pi/4", "beta": 0.5, "engine": "both",
                    "seed": 9, "format": "csv", "shots": 300},
@@ -68,6 +76,16 @@ DIGESTS = {
         "56c5b96492f53b8322bd5e92e01b267b227dd54999feb9aeff57ec2dc703f276",
     ),
 }
+# The check corpus: the sha256 over the text of random_circuit(i), i < CORPUS_SEEDS.
+CORPUS_SEEDS = 2000
+CORPUS_DIGEST = "8953749873b1d15737763a771311c97b7692f39fe4844d0d7f8c7869ae9b5615"
+
+
+def _corpus_digest():
+    digest = hashlib.sha256()
+    for i in range(CORPUS_SEEDS):
+        digest.update(render_circuit(random_circuit(i)).encode())
+    return digest.hexdigest()
 
 
 def _run(name, argv, tmp):
@@ -100,6 +118,10 @@ def test_sweep_digest_matches_golden(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def test_corpus_digest_matches_golden():
+    assert _corpus_digest() == CORPUS_DIGEST
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -112,3 +134,4 @@ if __name__ == "__main__":
                 (GOLDEN / f"{name}.csv").write_bytes(data)
         for name, (argv, _) in DIGESTS.items():
             print(name, hashlib.sha256(_run(name, argv, Path(tmp))[1]).hexdigest())
+    print("corpus", _corpus_digest())
