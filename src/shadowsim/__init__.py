@@ -6,33 +6,17 @@ link-mode state-vector engine, reading the same circuits, used as the
 reference.  A lattice
 propagator handles the continuum side, and the experiments module wires
 up the canonical interferometer benches.
+
+The names below are what a script needs to reproduce a command-line
+result; everything else is imported from its module.
 """
 
 from __future__ import annotations
 
-from .angles import canonical_angle, parse_angle
-from .circuit import (
-    Circuit,
-    CircuitError,
-    CircuitParseError,
-    CircuitValidationError,
-    Element,
-    ElementType,
-    Link,
-    Path,
-    enumerate_paths,
-    parse_circuit,
-    render_circuit,
-)
+from .angles import parse_angle
+from .circuit import CircuitError, parse_circuit
 from .experiments import (
-    ChshReport,
-    SampleResult,
-    bghz_left_circuit,
-    bghz_pair,
-    bghz_right_circuit,
     chsh,
-    ifm_circuit,
-    mach_zehnder_circuit,
     run_bghz,
     run_circuit,
     run_ifm,
@@ -40,106 +24,42 @@ from .experiments import (
     run_wheeler,
     sample,
 )
-from .hilbert import CircuitEvolution, evolve_circuit, evolve_pair
-from .outcomes import (
-    ENGINE_HILBERT,
-    ENGINE_STREAMS,
-    OutcomeDistribution,
-)
+from .outcomes import ENGINE_HILBERT, ENGINE_STREAMS
 from .pathintegral import (
     FREE,
     HarmonicPotential,
     LatticeWavefunction,
-    PropagationRun,
     PropagationUnstableError,
     TabulatedPotential,
-    crank_nicolson_propagate,
     gaussian_packet,
-    kernel_matrix,
     propagate,
     propagate_snapshots,
-    step,
     uniform_grid,
-)
-from .rng import RNG_NAME, make_rng, substream
-from .streams import (
-    CongruenceReport,
-    PathClock,
-    ShadowStream,
-    StreamPair,
-    build_stream,
-    build_stream_pair,
-    congruence_check,
-    joint_terminal_amplitudes,
-    path_amplitude,
-    stream_terminal_amplitudes,
-    terminal_probabilities,
-    unitarity_defect,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Circuit",
     "CircuitError",
-    "CircuitParseError",
-    "CircuitValidationError",
-    "ChshReport",
-    "CircuitEvolution",
-    "CongruenceReport",
-    "Element",
-    "ElementType",
     "ENGINE_HILBERT",
     "ENGINE_STREAMS",
     "FREE",
     "HarmonicPotential",
     "LatticeWavefunction",
-    "Link",
-    "OutcomeDistribution",
-    "Path",
-    "PathClock",
-    "PropagationRun",
     "PropagationUnstableError",
-    "RNG_NAME",
-    "SampleResult",
-    "ShadowStream",
-    "StreamPair",
     "TabulatedPotential",
-    "bghz_left_circuit",
-    "bghz_pair",
-    "bghz_right_circuit",
-    "build_stream",
-    "build_stream_pair",
-    "canonical_angle",
     "chsh",
-    "congruence_check",
-    "crank_nicolson_propagate",
-    "enumerate_paths",
-    "evolve_circuit",
-    "evolve_pair",
     "gaussian_packet",
-    "ifm_circuit",
-    "joint_terminal_amplitudes",
-    "kernel_matrix",
-    "mach_zehnder_circuit",
-    "make_rng",
     "parse_angle",
     "parse_circuit",
-    "path_amplitude",
     "propagate",
     "propagate_snapshots",
-    "render_circuit",
     "run_bghz",
     "run_circuit",
     "run_ifm",
     "run_mach_zehnder",
     "run_wheeler",
     "sample",
-    "step",
-    "stream_terminal_amplitudes",
-    "substream",
-    "terminal_probabilities",
     "uniform_grid",
-    "unitarity_defect",
     "__version__",
 ]

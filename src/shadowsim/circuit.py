@@ -33,17 +33,14 @@ __all__ = [
     "ElementType",
     "Element",
     "Link",
-    "Path",
     "PathTable",
     "Circuit",
     "CircuitError",
     "CircuitParseError",
     "CircuitValidationError",
     "parse_circuit",
-    "render_circuit",
     "compile_paths",
     "count_paths",
-    "enumerate_paths",
     "MAX_PATHS",
     "REFLECTION_TURN",
 ]
@@ -99,30 +96,6 @@ class Link:
     dst: str
     dst_port: int
     phase: float = 0.0
-
-
-# (element id, in-port, out-port) of one element on a route.
-Step = tuple[str, int | None, int | None]
-
-
-@dataclass(frozen=True)
-class Path:
-    """One complete route from a source to a terminal.
-
-    ``steps`` holds (element-id, in-port, out-port) triples for every element
-    traversed, the source entry carrying in-port None and the terminal exit
-    carrying out-port None.  ``geometric_phase`` is the sum of link phases
-    along the route.
-    """
-
-    source: str
-    steps: tuple[Step, ...]
-    terminal: str
-    geometric_phase: float
-
-    @property
-    def element_ids(self) -> tuple[str, ...]:
-        return tuple(step[0] for step in self.steps)
 
 
 class CircuitError(Exception):
@@ -235,14 +208,6 @@ class Circuit:
     def terminal_keys(self) -> tuple[str, ...]:
         return tuple(self.terminal_key(t) for t in self.terminals)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Circuit):
-            return NotImplemented
-        return (
-            list(self.elements.items()) == list(other.elements.items())
-            and self.links == other.links
-        )
-
     def __repr__(self) -> str:
         return f"Circuit({len(self.elements)} elements, {len(self.links)} links)"
 
@@ -329,6 +294,12 @@ class Circuit:
                         )
         if not any_source:
             raise CircuitValidationError("no source element in circuit")
+        # Every route's phase sum is bounded by this one, and the stream
+        # clock must hold it as a finite number.
+        if not math.isfinite(sum(abs(link.phase) for link in self.links)):
+            raise CircuitValidationError(
+                "link phases along a route can sum past the float range"
+            )
 
     def _toposort(self) -> tuple[str, ...]:
         indeg = {eid: 0 for eid in self.elements}
@@ -462,25 +433,6 @@ def _parse_kind(token: str, lineno: int, col: int) -> Element:
     return Element(kind)
 
 
-def render_circuit(circuit: Circuit) -> str:
-    """Render back to the text format; parse(render(c)) == c exactly."""
-    lines = []
-    for eid, el in circuit.elements.items():
-        if el.kind is ElementType.DETECTOR:
-            kind = f"detector:{el.label}"
-        elif el.kind is ElementType.PHASESHIFTER:
-            kind = f"phaseshifter:{el.shift!r}"
-        else:
-            kind = el.kind.value
-        lines.append(f"element {eid} {kind}")
-    for link in circuit.links:
-        stmt = f"link {link.src}:{link.src_port} {link.dst}:{link.dst_port}"
-        if link.phase != 0.0:
-            stmt += f" phase={link.phase!r}"
-        lines.append(stmt)
-    return "\n".join(lines) + "\n"
-
-
 # -- path tables -----------------------------------------------------------
 
 def _resolve_source(circuit: Circuit, source: str | None) -> str:
@@ -514,23 +466,19 @@ class PathTable:
     their element-id sequence, ties kept in the walk's order.
 
     Column entry i describes route i.  ``routes[i]`` names its elements,
-    one character each: character c is ``element_ids[ord(c)]``, the ids
-    being sorted, so comparing routes compares element-id sequences.
-    ``ports[i]`` holds two characters per element, in-port + 1 and
-    out-port + 1, with 0 for the source's missing in-port and the
-    terminal's missing out-port.  Then come the geometric phase, the link
-    phases added one by one from the source; the clock ``advances`` in
-    route order, each the id of the phase shifter passed or None for a
-    splitter reflection (a REFLECTION_TURN); the number of splitter
-    ``crossings``; the terminal the route ends at; and the source port it
-    leaves through.  No column holds a shift value, so one table serves
-    every circuit ``Circuit.with_shifts`` derives from the same structure.
+    one character each, the rank of the element's id among the sorted ids,
+    so comparing routes compares element-id sequences.  Then come the
+    geometric phase, the link phases added one by one from the source; the
+    clock ``advances`` in route order, each the id of the phase shifter
+    passed or None for a splitter reflection (a REFLECTION_TURN); the
+    number of splitter ``crossings``; the terminal the route ends at; and
+    the source port it leaves through.  No column holds a shift value, so
+    one table serves every circuit ``Circuit.with_shifts`` derives from the
+    same structure.
     """
 
     source: str
-    element_ids: tuple[str, ...]
     routes: tuple[str, ...]
-    ports: tuple[str, ...]
     geometric_phases: tuple[float, ...]
     advances: tuple[tuple[str | None, ...], ...]
     crossings: tuple[int, ...]
@@ -540,23 +488,9 @@ class PathTable:
     def __len__(self) -> int:
         return len(self.routes)
 
-    def steps(self, row: int) -> tuple[Step, ...]:
-        """Path.steps of route ``row``."""
-        ports = [None if c == "\0" else ord(c) - 1 for c in self.ports[row]]
-        return tuple(
-            (self.element_ids[ord(c)], ports[2 * j], ports[2 * j + 1])
-            for j, c in enumerate(self.routes[row])
-        )
-
-    def paths(self) -> list[Path]:
-        return [
-            Path(self.source, self.steps(row), self.terminals[row], self.geometric_phases[row])
-            for row in range(len(self))
-        ]
-
 
 def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
-    """Walk every route from ``source`` once and tabulate it, no Path built.
+    """Walk every route from ``source`` once and tabulate it.
 
     The walker branches at every beamsplitter (both output ports) and at the
     source (every emission port).  The circuit being a DAG with single-linked
@@ -578,20 +512,18 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     outs = circuit._successors
     splitters = {eid for eid, el in elements.items() if el.kind is ElementType.BEAMSPLITTER}
     shifters = {eid for eid, el in elements.items() if el.kind is ElementType.PHASESHIFTER}
-    element_ids = tuple(sorted(elements))
-    code = {eid: chr(rank) for rank, eid in enumerate(element_ids)}
+    code = {eid: chr(rank) for rank, eid in enumerate(sorted(elements))}
     rows: list[tuple] = []
     # Depth first, port 0 first: an element's successors are pushed in
     # reverse port order.  Each entry carries its route so far; the source
     # enters with in-port -1.
-    stack: list[tuple] = [(source, -1, "", "", 0.0, (), 0, 0)]
+    stack: list[tuple] = [(source, -1, "", 0.0, (), 0, 0)]
     while stack:
-        eid, in_port, route, ports, phase, advances, crossings, source_port = stack.pop()
+        eid, in_port, route, phase, advances, crossings, source_port = stack.pop()
         route += code[eid]
-        ports += chr(in_port + 1)
         links = outs[eid]
         if not links:  # only terminals have no outputs
-            rows.append((route, ports + "\0", phase, advances, crossings, eid, source_port))
+            rows.append((route, phase, advances, crossings, eid, source_port))
             continue
         splitter = eid in splitters
         if splitter:
@@ -604,16 +536,10 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                 link.dst,
                 link.dst_port,
                 route,
-                ports + chr(out_port + 1),
                 phase + link.phase,
                 advances + (None,) if splitter and in_port != out_port else advances,
                 crossings,
                 out_port if in_port < 0 else source_port,
             ))
     rows.sort(key=itemgetter(0))
-    return PathTable(source, element_ids, *zip(*rows))
-
-
-def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
-    """All source-to-terminal routes as Path objects, in PathTable order."""
-    return compile_paths(circuit, source).paths()
+    return PathTable(source, *zip(*rows))

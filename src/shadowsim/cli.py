@@ -628,6 +628,8 @@ def _build_potential(values: dict):
         raise ConfigError(f"cannot read potential file: {exc}") from exc
     if table.shape[1] != 2:
         raise ConfigError("potential file needs two columns: x, V")
+    if not np.isfinite(table).all():
+        raise ConfigError("potential file holds a non-finite number")
     return (
         pathintegral.TabulatedPotential(table[:, 0], table[:, 1]),
         {"potential": "file", "potential_file": path},
@@ -646,6 +648,8 @@ def _initial_wavefunction(values: dict):
             raise ConfigError("wavefunction file needs three columns: x, re, im")
         if table.shape[0] < 2:
             raise ConfigError("wavefunction file needs at least two rows")
+        if not np.isfinite(table).all():
+            raise ConfigError("wavefunction file holds a non-finite number")
         x = table[:, 0]
         amplitudes = table[:, 1] + 1j * table[:, 2]
         dx = x[1] - x[0]

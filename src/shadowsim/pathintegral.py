@@ -60,7 +60,6 @@ __all__ = [
     "uniform_grid",
     "gaussian_packet",
     "kernel_matrix",
-    "step",
     "propagate",
     "propagate_snapshots",
     "expectation_x",
@@ -292,7 +291,15 @@ def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float 
         curvature, diagonal = 0.5 * m / eps, None
     elif isinstance(potential, HarmonicPotential):
         # A (x-a)^2 - B (x+a)^2 = (A+B) (x-a)^2 - 2B (x^2 + a^2)
-        b = eps * m * potential.omega**2 / 8.0
+        try:
+            b = eps * m * potential.omega**2 / 8.0
+        except OverflowError:
+            b = math.inf
+        if not math.isfinite(b):
+            raise ValueError(
+                f"harmonic omega = {potential.omega!r} at eps = {eps!r} puts the "
+                "kernel phase past the float range; use a smaller omega or eps"
+            )
         curvature = 0.5 * m / eps + b
         diagonal = np.exp(-2j * b * wf.x**2 / hbar)
     else:
@@ -320,7 +327,7 @@ def _apply_step(
     values = apply(wf.values)
     norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * wf.dx))
     drift = abs(norm - 1.0)
-    if drift > NORM_DRIFT_LIMIT:
+    if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift fails too
         span = float(wf.x[-1] - wf.x[0])
         ghost = aliasing_ghost_shift(eps, wf.dx, wf.mass, wf.hbar)
         raise PropagationUnstableError(
@@ -368,17 +375,6 @@ def _advance(
             done += 1
         states.append(wf)
     return states, max_drift
-
-
-def step(
-    wf: LatticeWavefunction,
-    eps: float,
-    potential=FREE,
-    window: float | None = None,
-) -> LatticeWavefunction:
-    """One renormalized lattice step of size eps."""
-    (new_wf,), _ = _advance(wf, eps, [1], potential, window)
-    return new_wf
 
 
 def propagate(

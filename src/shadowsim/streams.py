@@ -17,59 +17,21 @@ never add, they only multiply when a joint event needs both: a pair pairs
 the rows of its two tables that leave the source through the same port.
 The clock is represented by its phase alone, so its modulus cannot drift.
 The initial clock value is uniform random per emission and drops out of
-every probability.  Every result is read from the table's columns;
-``path_amplitude`` evaluates one Path object step by step and is the
-reference the table evaluation must match bit for bit.
+every probability.  Every result is read from the table's columns.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 from .angles import canonical_angle
-from .circuit import REFLECTION_TURN, Circuit, ElementType, Path, PathTable, compile_paths
+from .circuit import REFLECTION_TURN, Circuit, PathTable, compile_paths
 from .rng import make_rng
 
 ENGINE_VERSION = "1.0"
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class PathClock:
-    """Unit phasor tracked by phase in [0, 2pi)."""
-
-    phase: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", canonical_angle(self.phase))
-
-    def advanced(self, delta: float) -> "PathClock":
-        return PathClock(self.phase + delta)
-
-    def amplitude(self) -> complex:
-        return cmath.exp(1j * self.phase)
-
-
-def path_amplitude(path: Path, circuit: Circuit, initial_clock: float = 0.0) -> complex:
-    """Amplitude contributed by one path, including the stream's clock factor.
-
-    The phase is accumulated on a PathClock and converted to a complex number
-    once at the end, keeping the modulus exactly (1/sqrt 2)**crossings.
-    """
-    clock = PathClock(initial_clock).advanced(path.geometric_phase)
-    crossings = 0
-    for eid, in_port, out_port in path.steps:
-        el = circuit.elements[eid]
-        if el.kind is ElementType.BEAMSPLITTER:
-            crossings += 1
-            if in_port != out_port:
-                clock = clock.advanced(REFLECTION_TURN)
-        elif el.kind is ElementType.PHASESHIFTER:
-            clock = clock.advanced(el.shift)
-    return clock.amplitude() * INV_SQRT2**crossings
 
 
 @dataclass(frozen=True)
@@ -95,8 +57,9 @@ class ShadowStream:
 
 
 def _table_amplitudes(circuit: Circuit, table: PathTable, initial_clock: float) -> tuple:
-    """path_amplitude for every row, in the same order of operations; the
-    turn of each advance is looked up in ``circuit``."""
+    """Every row's amplitude: the clock is reduced to [0, 2pi) after the
+    geometric phase and after each advance, whose turn is looked up in
+    ``circuit``, and converted to a complex number once at the end."""
     turns = {eid: el.shift for eid, el in circuit.elements.items()}
     turns[None] = REFLECTION_TURN
     start = canonical_angle(initial_clock)

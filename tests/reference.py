@@ -1,0 +1,121 @@
+"""Path-by-path reference the tests hold the program against.
+
+Nothing here runs in a command.  ``enumerate_paths`` walks a circuit's
+routes afresh into Path objects, and ``path_amplitude`` evaluates one of
+them step by step on a PathClock; the stream engine's path table must
+match both bit for bit.  ``render_circuit`` writes a circuit back to the
+text format and ``circuits_equal`` compares two circuits, for round trips.
+"""
+
+from __future__ import annotations
+
+import cmath
+from dataclasses import dataclass
+
+from shadowsim.angles import canonical_angle
+from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType
+from shadowsim.streams import INV_SQRT2
+
+# (element id, in-port, out-port) of one element on a route.
+Step = tuple[str, int | None, int | None]
+
+
+@dataclass(frozen=True)
+class Path:
+    """One complete route from a source to a terminal.
+
+    ``steps`` holds (element-id, in-port, out-port) triples for every element
+    traversed, the source entry carrying in-port None and the terminal exit
+    carrying out-port None.  ``geometric_phase`` is the sum of link phases
+    along the route, added one by one from the source.
+    """
+
+    source: str
+    steps: tuple[Step, ...]
+    terminal: str
+    geometric_phase: float
+
+    @property
+    def element_ids(self) -> tuple[str, ...]:
+        return tuple(step[0] for step in self.steps)
+
+
+def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
+    """Every route from ``source`` (the sole source when None), walked depth
+    first with port 0 first, then sorted by element-id sequence with ties in
+    walk order, as ``compile_paths`` sorts its rows."""
+    if source is None:
+        source = circuit.sole_source()
+    outs: dict[str, list] = {eid: [] for eid in circuit.elements}
+    for link in sorted(circuit.links, key=lambda link: link.src_port):
+        outs[link.src].append(link)
+    paths = []
+
+    def walk(eid: str, in_port: int | None, steps: tuple, phase: float) -> None:
+        if not outs[eid]:
+            paths.append(Path(source, steps + ((eid, in_port, None),), eid, phase))
+        for link in outs[eid]:
+            step = (eid, in_port, link.src_port)
+            walk(link.dst, link.dst_port, steps + (step,), phase + link.phase)
+
+    walk(source, None, (), 0.0)
+    return sorted(paths, key=lambda path: path.element_ids)
+
+
+@dataclass(frozen=True)
+class PathClock:
+    """Unit phasor tracked by phase in [0, 2pi)."""
+
+    phase: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phase", canonical_angle(self.phase))
+
+    def advanced(self, delta: float) -> "PathClock":
+        return PathClock(self.phase + delta)
+
+    def amplitude(self) -> complex:
+        return cmath.exp(1j * self.phase)
+
+
+def path_amplitude(path: Path, circuit: Circuit, initial_clock: float = 0.0) -> complex:
+    """Amplitude contributed by one path, including the stream's clock factor.
+
+    The phase is accumulated on a PathClock and converted to a complex number
+    once at the end, keeping the modulus exactly (1/sqrt 2)**crossings.
+    """
+    clock = PathClock(initial_clock).advanced(path.geometric_phase)
+    crossings = 0
+    for eid, in_port, out_port in path.steps:
+        el = circuit.elements[eid]
+        if el.kind is ElementType.BEAMSPLITTER:
+            crossings += 1
+            if in_port != out_port:
+                clock = clock.advanced(REFLECTION_TURN)
+        elif el.kind is ElementType.PHASESHIFTER:
+            clock = clock.advanced(el.shift)
+    return clock.amplitude() * INV_SQRT2**crossings
+
+
+def render_circuit(circuit: Circuit) -> str:
+    """Render back to the text format; parse(render(c)) equals c exactly."""
+    lines = []
+    for eid, el in circuit.elements.items():
+        if el.kind is ElementType.DETECTOR:
+            kind = f"detector:{el.label}"
+        elif el.kind is ElementType.PHASESHIFTER:
+            kind = f"phaseshifter:{el.shift!r}"
+        else:
+            kind = el.kind.value
+        lines.append(f"element {eid} {kind}")
+    for link in circuit.links:
+        stmt = f"link {link.src}:{link.src_port} {link.dst}:{link.dst_port}"
+        if link.phase != 0.0:
+            stmt += f" phase={link.phase!r}"
+        lines.append(stmt)
+    return "\n".join(lines) + "\n"
+
+
+def circuits_equal(a: Circuit, b: Circuit) -> bool:
+    """Same elements in the same order, and the same links."""
+    return list(a.elements.items()) == list(b.elements.items()) and a.links == b.links

@@ -16,12 +16,9 @@ from shadowsim.circuit import (
     ElementType,
     MAX_PATHS,
     Link,
-    Path,
     compile_paths,
     count_paths,
-    enumerate_paths,
     parse_circuit,
-    render_circuit,
 )
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
@@ -30,6 +27,7 @@ from shadowsim.experiments import (
     ifm_circuit,
     mach_zehnder_circuit,
 )
+from reference import Path, circuits_equal, enumerate_paths, render_circuit
 
 # -- angles -------------------------------------------------------------------
 
@@ -105,7 +103,7 @@ def test_valid_minimal_circuit():
         [Link("s", 0, "b", 0), Link("b", 0, "x", 0), Link("b", 1, "y", 0)],
     )
     assert circuit.terminal_keys() == ("x", "y")
-    assert len(enumerate_paths(circuit)) == 2
+    assert len(compile_paths(circuit)) == 2
 
 
 @pytest.mark.parametrize(
@@ -159,6 +157,27 @@ def test_cycle_rejected():
         Circuit(elements, links)
 
 
+def _mirror_line(phases) -> tuple[dict, list]:
+    elements = {
+        "s": Element(ElementType.SOURCE),
+        "m": Element(ElementType.MIRROR),
+        "x": Element(ElementType.DETECTOR, label="x"),
+    }
+    return elements, [Link("s", 0, "m", 0, phases[0]), Link("m", 0, "x", 0, phases[1])]
+
+
+@pytest.mark.parametrize(
+    "phases", [(math.nan, 0.0), (math.inf, 0.0), (1e308, 1e308), (-1e308, 1e308)]
+)
+def test_link_phases_that_can_sum_past_the_float_range_are_rejected(phases):
+    with pytest.raises(CircuitValidationError, match="float range"):
+        Circuit(*_mirror_line(phases))
+
+
+def test_one_huge_finite_link_phase_is_accepted():
+    assert compile_paths(Circuit(*_mirror_line((1e308, 0.0)))).geometric_phases == (1e308,)
+
+
 def test_source_required():
     with pytest.raises(CircuitValidationError, match="source"):
         Circuit({"x": Element(ElementType.DETECTOR, label="x")}, [])
@@ -188,18 +207,18 @@ def test_parse_circuit_text():
     circuit = parse_circuit(MZ_TEXT)
     assert circuit.elements["ps"].shift == pytest.approx(math.pi / 3)
     assert circuit.terminal_keys() == ("u", "d")
-    assert len(enumerate_paths(circuit)) == 4
+    assert len(compile_paths(circuit)) == 4
 
 
 def test_render_parse_round_trip():
     circuit = parse_circuit(MZ_TEXT)
-    assert parse_circuit(render_circuit(circuit)) == circuit
+    assert circuits_equal(parse_circuit(render_circuit(circuit)), circuit)
 
 
 def test_render_round_trips_programmatic_circuits():
     for builder in (lambda: mach_zehnder_circuit(0.7, 0.3), lambda: ifm_circuit("b")):
         circuit = builder()
-        assert parse_circuit(render_circuit(circuit)) == circuit
+        assert circuits_equal(parse_circuit(render_circuit(circuit)), circuit)
 
 
 @pytest.mark.parametrize(
@@ -313,28 +332,27 @@ def _blocker_only() -> Circuit:
 )
 def test_path_counts(build, count):
     circuit = build()
-    paths = enumerate_paths(circuit)
-    assert len(paths) == count
-    for path in paths:
-        assert path.steps[0][0] in circuit.sources
-        assert circuit.elements[path.terminal].kind.value in ("detector", "blocker")
+    table = compile_paths(circuit)
+    assert len(table) == count
+    assert table.source in circuit.sources
+    for terminal in table.terminals:
+        assert circuit.elements[terminal].kind.value in ("detector", "blocker")
 
 
 def test_paths_collect_link_phase():
     circuit = parse_circuit(MZ_TEXT)
-    for path in enumerate_paths(circuit):
-        assert path.geometric_phase == pytest.approx(0.25)
+    for phase in compile_paths(circuit).geometric_phases:
+        assert phase == pytest.approx(0.25)
 
 
 def test_paths_are_deterministically_ordered():
-    circuit = _double_mz()
-    assert [p.element_ids for p in enumerate_paths(circuit)] == sorted(
-        p.element_ids for p in enumerate_paths(circuit)
-    )
+    routes = compile_paths(_double_mz()).routes
+    assert list(routes) == sorted(routes)
 
 
-# Path tuples listed by the walker before the path-table compile; the table
-# must hand back the same routes, in the same order, with the same phases.
+# Path tuples listed by the walker before the path-table compile; the
+# reference walk must hand back the same routes, in the same order, with the
+# same phases, and the table's columns must agree with it row by row.
 FROZEN_PATHS = {
     "mz": [
         ("src", (("src", None, 0), ("bs1", 0, 0), ("m_a", 0, 0), ("shift_a", 0, 0), ("bs2", 0, 0), ("det_d", 0, None)), "det_d", 0.0),
@@ -375,18 +393,33 @@ FROZEN_PATHS = {
     ],
 )
 def test_enumerate_paths_matches_frozen_routes(name, build):
-    assert enumerate_paths(build()) == [Path(*fields) for fields in FROZEN_PATHS[name]]
+    circuit = build()
+    paths = [Path(*fields) for fields in FROZEN_PATHS[name]]
+    assert enumerate_paths(circuit) == paths
+    table = compile_paths(circuit)
+    assert list(table.terminals) == [path.terminal for path in paths]
+    assert list(table.geometric_phases) == [path.geometric_phase for path in paths]
+
+
+def _reference_circuits() -> list[Circuit]:
+    circuits = [random_circuit(seed) for seed in range(200)]
+    return circuits + [mach_zehnder_circuit(0.4, 0.1), bghz_left_circuit(1.0),
+                       bghz_right_circuit(2.0), ifm_circuit("a"), _double_mz()]
 
 
 def test_path_table_columns_agree_with_the_steps():
-    for circuit in (random_circuit(17), bghz_left_circuit(0.3)):
+    """Terminal, geometric phase, crossings and source port of every row
+    equal those of the reference walk's route in the same place."""
+    for circuit in _reference_circuits():
         table = compile_paths(circuit)
-        for row in range(len(table)):
-            steps = table.steps(row)
-            assert table.terminals[row] == steps[-1][0]
-            assert table.source_ports[row] == steps[0][2]
-            kinds = [circuit.elements[eid].kind for eid, _in, _out in steps]
+        paths = enumerate_paths(circuit)
+        assert len(table) == len(paths)
+        for row, path in enumerate(paths):
+            kinds = [circuit.elements[eid].kind for eid in path.element_ids]
+            assert table.terminals[row] == path.terminal
+            assert table.geometric_phases[row] == path.geometric_phase
             assert table.crossings[row] == kinds.count(ElementType.BEAMSPLITTER)
+            assert table.source_ports[row] == path.steps[0][2]
 
 
 def test_count_paths_on_ladders_is_two_to_the_k(ladder_text):
@@ -397,7 +430,7 @@ def test_count_paths_on_ladders_is_two_to_the_k(ladder_text):
 def test_count_paths_matches_enumeration():
     for seed in range(50):
         circuit = random_circuit(seed)
-        assert count_paths(circuit) == len(enumerate_paths(circuit))
+        assert count_paths(circuit) == len(enumerate_paths(circuit)) == len(compile_paths(circuit))
 
 
 def test_compile_refuses_circuits_past_the_path_limit(ladder_text):
@@ -417,9 +450,9 @@ def test_with_shifts_replaces_the_shifts_and_shares_the_structure():
     assert derived.links is base.links
     assert derived.topo_order is base.topo_order
     fresh = Circuit(dict(derived.elements), derived.links)
-    assert derived == fresh
-    assert derived != base
-    assert parse_circuit(render_circuit(derived)) == derived
+    assert circuits_equal(derived, fresh)
+    assert not circuits_equal(derived, base)
+    assert circuits_equal(parse_circuit(render_circuit(derived)), derived)
 
 
 @pytest.mark.parametrize("eid", ["src", "bs1", "m_a", "det_u", "nowhere"])
@@ -456,23 +489,19 @@ def test_compile_paths_walks_once_per_structure(monkeypatch):
 
 
 def test_every_advance_names_a_shifter_on_its_route_or_a_reflection():
-    circuits = [random_circuit(seed) for seed in range(200)]
-    circuits += [mach_zehnder_circuit(0.4, 0.1), bghz_left_circuit(1.0), bghz_right_circuit(2.0)]
     shifters_seen = 0
-    for circuit in circuits:
+    for circuit in _reference_circuits():
         table = compile_paths(circuit)
-        for row, advances in enumerate(table.advances):
-            route = [table.element_ids[ord(c)] for c in table.routes[row]]
-            kinds = [circuit.elements[eid].kind for eid in route]
-            shifters = [eid for eid, kind in zip(route, kinds) if kind is ElementType.PHASESHIFTER]
-            reflections = [
-                in_port != out_port
-                for (_eid, in_port, out_port), kind in zip(table.steps(row), kinds)
-                if kind is ElementType.BEAMSPLITTER
+        for path, advances in zip(enumerate_paths(circuit), table.advances, strict=True):
+            kinds = {eid: circuit.elements[eid].kind for eid in path.element_ids}
+            expected = [
+                None if kinds[eid] is ElementType.BEAMSPLITTER else eid
+                for eid, in_port, out_port in path.steps
+                if kinds[eid] is ElementType.PHASESHIFTER
+                or (kinds[eid] is ElementType.BEAMSPLITTER and in_port != out_port)
             ]
-            assert [advance for advance in advances if advance is not None] == shifters
-            assert advances.count(None) == sum(reflections)
-            shifters_seen += len(shifters)
+            assert list(advances) == expected
+            shifters_seen += len(expected) - expected.count(None)
     assert shifters_seen > 0
 
 
@@ -483,19 +512,19 @@ def test_every_advance_names_a_shifter_on_its_route_or_a_reflection():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_circuits_are_valid_dags(seed):
     circuit = random_circuit(seed)
-    paths = enumerate_paths(circuit)
-    assert paths, "every circuit must route the source somewhere"
+    routes = compile_paths(circuit).routes
+    assert routes, "every circuit must route the source somewhere"
     splitters = sum(
         1 for el in circuit.elements.values() if el.kind is ElementType.BEAMSPLITTER
     )
-    assert len(paths) <= 2 ** max(splitters, 1)
-    for path in paths:
-        # a DAG route never revisits an element
-        assert len(set(path.element_ids)) == len(path.element_ids)
+    assert len(routes) <= 2 ** max(splitters, 1)
+    for route in routes:
+        # a DAG route never revisits an element (one character per element)
+        assert len(set(route)) == len(route)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_circuits_round_trip_through_text(seed):
     circuit = random_circuit(seed)
-    assert parse_circuit(render_circuit(circuit)) == circuit
+    assert circuits_equal(parse_circuit(render_circuit(circuit)), circuit)

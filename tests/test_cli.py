@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shadowsim
@@ -77,6 +77,13 @@ def test_module_entry_point_runs():
         capture_output=True, text=True, check=True,
     )
     assert shadowsim.__version__ in proc.stdout
+
+
+def test_package_exports_resolve():
+    namespace = {}
+    exec("from shadowsim import *", namespace)
+    for name in shadowsim.__all__:
+        assert namespace[name] is getattr(shadowsim, name)
 
 
 def test_cli_and_check_import_no_scipy():
@@ -229,7 +236,9 @@ def _propagate_argv(draw):
     """propagate argument vectors, each flag as one --flag=value word so that
     values such as -inf reach the flag's parser.  Step counts stay below a
     few hundred so each run is short: |eps| >= 0.05 or eps <= 0, and each
-    time is k * eps with k <= 20 or lies in [-10, 10]."""
+    time is k * eps with k <= 20 or lies in [-10, 10].  One time in two the
+    potential is harmonic, its omega up to 1e308, past where omega**2 and
+    the kernel phase leave the float range."""
     eps = draw(_one_in(
         4,
         st.one_of(st.floats(50.0, 1e308), st.floats(-1e308, 0.0)),
@@ -238,6 +247,9 @@ def _propagate_argv(draw):
     argv = ["propagate"]
     if draw(_one_in(10, st.just(False), st.just(True))):
         argv.append(f"--eps={draw(_number_text(st.just(eps)))}")
+    if draw(st.booleans()):
+        omega = draw(_number_text(_one_in(2, st.floats(1e154, 1e308), st.floats(0.0, 1.0))))
+        argv += ["--potential=harmonic", f"--omega={omega}"]
     optional = {
         "--grid-n": _number_text(_one_in(4, st.floats(-4.0, 64.0), st.integers(-4, 64))),
         "--steps": _number_text(_one_in(
@@ -259,6 +271,8 @@ def _propagate_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_propagate_argv())
+@example(["propagate", "--eps=10", "--steps=2", "--grid-n=64", "--potential=harmonic",
+          "--omega=1e155"])
 def test_propagate_flags_exit_cleanly(argv):
     code, err = _exit_code(argv)
     assert code in (0, 2, 4), (argv, code, err)
@@ -421,6 +435,58 @@ def test_non_uniform_wavefunction_grid_is_a_config_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _refused(argv, out, code):
+    """stderr of a run that exits ``code`` with no traceback and without
+    writing its ``--out`` file."""
+    got, err = _exit_code(argv + ["--out", str(out)])
+    assert got == code, err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+def _table_file(path, rows):
+    path.write_text("".join(" ".join(repr(v) for v in row) + "\n" for row in rows))
+    return str(path)
+
+
+def test_harmonic_omega_past_the_float_range_is_a_config_error(tmp_path):
+    argv = ["propagate", "--potential", "harmonic", "--omega", "1e155", "--grid-n", "64",
+            "--eps", "10", "--steps", "2"]
+    assert "omega = 1e+155" in _refused(argv, tmp_path / "out.csv", 2)
+
+
+@pytest.mark.parametrize(("column", "value"), [(1, math.nan), (0, math.inf)])
+def test_non_finite_wavefunction_file_is_a_config_error(tmp_path, column, value):
+    rows = [[x, math.exp(-x * x), 0.0] for x in (-10.0 + 20.0 * i / 63 for i in range(64))]
+    rows[63 if column == 0 else 5][column] = value
+    psi = _table_file(tmp_path / "bad.psi", rows)
+    argv = ["propagate", "--eps", "0.5", "--steps", "2", "--psi-file", psi]
+    err = _refused(argv, tmp_path / "out.csv", 2)
+    assert "wavefunction file holds a non-finite number" in err
+
+
+POTENTIAL_ARGV = ["propagate", "--potential", "file", "--grid-n", "64", "--eps", "10",
+                  "--steps", "2", "--potential-file"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_potential_file_is_a_config_error(tmp_path, value):
+    rows = [[-30.0 + 6.0 * i, 0.0] for i in range(11)]
+    rows[5][1] = value
+    table = _table_file(tmp_path / "bad.pot", rows)
+    err = _refused(POTENTIAL_ARGV + [table], tmp_path / "out.csv", 2)
+    assert "potential file holds a non-finite number" in err
+
+
+def test_potential_whose_action_overflows_is_unstable(tmp_path):
+    rows = [[-30.0 + 6.0 * i, 0.0] for i in range(11)]
+    rows[5][1] = 1e308  # finite, but V * eps is not
+    table = _table_file(tmp_path / "steep.pot", rows)
+    err = _refused(POTENTIAL_ARGV + [table], tmp_path / "out.csv", 4)
+    assert "numerical instability" in err
+
+
 def test_non_finite_eps_is_rejected_where_flags_are_parsed(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["propagate", "--eps", "nan", "--steps", "2"])
@@ -547,6 +613,18 @@ def test_run_circuit_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "0.750000" in out  # cos^2(pi/6) at the u port
     assert "0.250000" in out
+
+
+@pytest.mark.parametrize("engine", ["streams", "hilbert", "both"])
+def test_link_phases_past_the_float_range_are_a_circuit_error(tmp_path, engine):
+    path = tmp_path / "huge.circuit"
+    path.write_text(
+        "element src source\nelement m1 mirror\nelement m2 mirror\n"
+        "element u detector:u\nlink src:0 m1:0 phase=1e308\n"
+        "link m1:0 m2:0 phase=1e308\nlink m2:0 u:0\n"
+    )
+    argv = ["run", "circuit", "--circuit-file", str(path), "--engine", engine]
+    assert "float range" in _refused(argv, tmp_path / "out.json", 3)
 
 
 def test_run_circuit_parses_the_file_once_for_both_engines(tmp_path, monkeypatch, capsys):

@@ -16,8 +16,8 @@ from pathlib import Path
 import pytest
 
 from shadowsim import cli
-from shadowsim.circuit import render_circuit
 from shadowsim.corpus import random_circuit
+from reference import render_circuit
 
 GOLDEN = Path(__file__).with_name("golden")
 

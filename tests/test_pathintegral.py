@@ -259,24 +259,24 @@ def test_ghost_shift_formula():
 def test_wide_window_agrees_with_dense_kernel():
     x = pi.uniform_grid(1024, -30.0, 30.0)
     wf = pi.gaussian_packet(x, 0.0, 1.5)
-    dense = pi.step(wf, 0.5)
-    wide = pi.step(wf, 0.5, window=45.0)
+    dense = pi.propagate(wf, 0.5, 1).wavefunction
+    wide = pi.propagate(wf, 0.5, 1, window=45.0).wavefunction
     assert np.sqrt(np.sum(np.abs(wide.values - dense.values) ** 2) * wf.dx) < 1e-10
 
 
 def test_window_error_grows_as_window_shrinks():
     x = pi.uniform_grid(1024, -30.0, 30.0)
     wf = pi.gaussian_packet(x, 0.0, 1.5)
-    dense = pi.step(wf, 0.5)
+    dense = pi.propagate(wf, 0.5, 1).wavefunction
 
     def window_error(w):
-        moved = pi.step(wf, 0.5, window=w)
+        moved = pi.propagate(wf, 0.5, 1, window=w).wavefunction
         return np.sqrt(np.sum(np.abs(moved.values - dense.values) ** 2) * wf.dx)
 
     assert window_error(40.0) < window_error(30.0)
     # an aggressive cut loses so much norm the drift guard fires
     with pytest.raises(pi.PropagationUnstableError):
-        pi.step(wf, 0.5, window=5.0)
+        pi.propagate(wf, 0.5, 1, window=5.0).wavefunction
 
 
 @pytest.mark.parametrize("window", [None, 45.0, 5.0])
