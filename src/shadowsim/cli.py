@@ -23,6 +23,7 @@ import json
 import locale  # noqa: F401
 import math
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -607,6 +608,24 @@ def _cmd_check(args: argparse.Namespace, config: dict) -> int:
 
 # -- propagate --------------------------------------------------------------------
 
+def _read_table(path: str, what: str, columns: tuple[str, ...]) -> np.ndarray:
+    """The rows of a whitespace-separated table file, refusing an empty
+    file, a wrong column count and a non-finite number."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy warns when a file has no rows
+            table = np.loadtxt(path, comments="#", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} file: {exc}") from exc
+    if table.size == 0:
+        raise ConfigError(f"{what} file holds no rows")
+    if table.shape[1] != len(columns):
+        raise ConfigError(f"{what} file needs {len(columns)} columns: {', '.join(columns)}")
+    if not np.isfinite(table).all():
+        raise ConfigError(f"{what} file holds a non-finite number")
+    return table
+
+
 def _build_potential(values: dict):
     kind = values["potential"]
     if kind == "free":
@@ -622,14 +641,9 @@ def _build_potential(values: dict):
     path = values["potential-file"]
     if path is None:
         raise ConfigError("potential file mode needs --potential-file")
-    try:
-        table = np.loadtxt(path, comments="#", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read potential file: {exc}") from exc
-    if table.shape[1] != 2:
-        raise ConfigError("potential file needs two columns: x, V")
-    if not np.isfinite(table).all():
-        raise ConfigError("potential file holds a non-finite number")
+    table = _read_table(path, "potential", ("x", "V"))
+    if not (np.diff(table[:, 0]) > 0).all():
+        raise ConfigError("potential file x column must be strictly increasing")
     return (
         pathintegral.TabulatedPotential(table[:, 0], table[:, 1]),
         {"potential": "file", "potential_file": path},
@@ -640,16 +654,9 @@ def _initial_wavefunction(values: dict):
     psi_file = values["psi-file"]
     units = {"mass": values["mass"], "hbar": values["hbar"]}
     if psi_file is not None:
-        try:
-            table = np.loadtxt(psi_file, comments="#", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read wavefunction file: {exc}") from exc
-        if table.shape[1] != 3:
-            raise ConfigError("wavefunction file needs three columns: x, re, im")
+        table = _read_table(psi_file, "wavefunction", ("x", "re", "im"))
         if table.shape[0] < 2:
             raise ConfigError("wavefunction file needs at least two rows")
-        if not np.isfinite(table).all():
-            raise ConfigError("wavefunction file holds a non-finite number")
         x = table[:, 0]
         amplitudes = table[:, 1] + 1j * table[:, 2]
         dx = x[1] - x[0]

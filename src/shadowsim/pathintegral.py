@@ -4,13 +4,13 @@ One time step of size eps advances the wavefunction by summing over all
 grid predecessors a:
 
     psi'(x) = A * sum_a exp(i*S(x, a)/hbar) * psi(a) * dx
-    S(x, a) = (m/2) * ((x - a)/eps)**2 * eps - V((a + x)/2) * eps
+    S(x, a) = (m/2) * ((x - a)/eps)**2 * eps - (V(x) + V(a))/2 * eps
     A       = sqrt(m / (2*pi*i*hbar*eps))
 
-with the midpoint potential rule and the free-kernel normalisation A,
-followed by an explicit renormalisation (the lattice kernel is unitary
-only up to quadrature error; the per-step drift is recorded and a drift
-beyond NORM_DRIFT_LIMIT aborts the run).
+with the endpoint (symmetric Trotter) potential rule and the free-kernel
+normalisation A, followed by an explicit renormalisation (the lattice
+kernel is unitary only up to quadrature error; the per-step drift is
+recorded and a drift beyond NORM_DRIFT_LIMIT aborts the run).
 
 Stability: the sampled kernel exp(i*m*(x-a)^2 / (2*hbar*eps)) aliases
 once its phase advances more than pi between neighbouring grid points,
@@ -25,16 +25,14 @@ optional window truncates the kernel at |x - a| > window; truncation adds an
 edge error per step, so windowed runs should be validated against the
 untruncated kernel (window=None, the default).
 
-Free and harmonic kernels are applied by FFT in O(N log N) per step: the
-free kernel depends on x - a alone (Toeplitz), and the harmonic midpoint
-kernel is diag . Toeplitz . diag, so each step is one circulant convolution
-on a 2N embedding with nothing of size N^2 built.  Tabulated potentials fall
-back to the dense N x N ``kernel_matrix``, which also serves as the
-reference the FFT apply is tested against; it refuses grids whose 16*N^2
-bytes would exceed DENSE_KERNEL_MAX_BYTES (N > 5792) before allocating.
-Two more budgets fail fast instead of exhausting memory or time:
-``uniform_grid`` refuses grids whose FFT-path arrays would exceed
-FFT_MAX_BYTES, and no run takes more than MAX_STEPS steps.
+Every step is applied by FFT in O(N log N): the endpoint rule makes the
+kernel diag . Toeplitz . diag for any potential, where the Toeplitz part is
+the free kernel, which depends on x - a alone and is one circulant
+convolution on a 2N embedding; nothing of size N^2 is built.  The rule is
+second order in eps (Trotter, Proc. AMS 10, 545 (1959); Feit, Fleck &
+Steiger, J. Comput. Phys. 47, 412 (1982)).  Two budgets fail fast instead
+of exhausting memory or time: ``uniform_grid`` refuses grids whose arrays
+would exceed FFT_MAX_BYTES, and no run takes more than MAX_STEPS steps.
 
 Boundaries are hard walls: no amplitude beyond the grid, so keep packets
 several widths away from the edges for the duration of a run.
@@ -59,7 +57,6 @@ __all__ = [
     "PropagationRun",
     "uniform_grid",
     "gaussian_packet",
-    "kernel_matrix",
     "propagate",
     "propagate_snapshots",
     "expectation_x",
@@ -67,26 +64,19 @@ __all__ = [
     "crank_nicolson_propagate",
     "aliasing_ghost_shift",
     "NORM_DRIFT_LIMIT",
-    "DENSE_KERNEL_MAX_BYTES",
     "FFT_MAX_BYTES",
     "MAX_STEPS",
 ]
 
 NORM_DRIFT_LIMIT = 1e-3
-# Largest dense kernel_matrix allowed: 16*N^2 bytes of complex128 (N = 5792).
-DENSE_KERNEL_MAX_BYTES = 2**29
-# Largest FFT-path working set.  A free or harmonic run holds about
-# _FFT_BYTES_PER_POINT bytes per grid point at its peak (the grid, the
-# 2N-point embedding, its spectrum and transforms; 136 free and 168
-# harmonic, measured with tracemalloc at N = 2^16 and 2^18), so the budget
-# admits N <= 6,391,320.
+# Largest working set, counted at _FFT_BYTES_PER_POINT bytes per grid point,
+# so the budget admits N <= 6,391,320.  A run peaks below that figure (the
+# grid, the state, the 2N-point spectrum and transforms; 136 free and 152
+# with a potential, measured with tracemalloc at N = 2^16 and 2^18).
 FFT_MAX_BYTES = 2**30
 _FFT_BYTES_PER_POINT = 168
 # Most steps one run may take.
 MAX_STEPS = 2**20
-# Elements per row block of kernel_matrix, which keeps its float temporaries
-# (difference, midpoint, potential, action) small beside the N x N result.
-_KERNEL_BLOCK_ELEMENTS = 2**14
 _NORM_TOL = 1e-9
 _GRID_TOL = 1e-9
 
@@ -113,7 +103,7 @@ class LatticeWavefunction:
             raise ValueError("grid must be uniform and increasing")
         if self.mass <= 0 or self.hbar <= 0:
             raise ValueError("mass and hbar must be positive")
-        if abs(self.norm() - 1.0) > _NORM_TOL:
+        if not abs(self.norm() - 1.0) <= _NORM_TOL:  # a NaN norm fails too
             raise ValueError(f"wavefunction norm {self.norm()!r} is not 1")
 
     @property
@@ -143,7 +133,8 @@ class HarmonicPotential:
     omega: float
 
     def values(self, x: np.ndarray, mass: float) -> np.ndarray:
-        return 0.5 * mass * self.omega**2 * x**2
+        # omega * omega turns to inf past the float range; omega**2 would raise
+        return 0.5 * mass * self.omega * self.omega * x**2
 
 
 @dataclass(frozen=True)
@@ -185,9 +176,12 @@ class PropagationRun:
 
 def uniform_grid(n: int, xmin: float, xmax: float) -> np.ndarray:
     """``n`` evenly spaced points; refuses, before allocating, a grid whose
-    FFT-path arrays would exceed FFT_MAX_BYTES."""
+    FFT-path arrays would exceed FFT_MAX_BYTES or whose squared span (the
+    scale of kernel phases and position variances) is past the float range."""
     if n < 8 or xmax <= xmin:
         raise ValueError("need n >= 8 and xmax > xmin")
+    if not math.isfinite((xmax - xmin) * (xmax - xmin)):
+        raise ValueError(f"grid span {xmax - xmin!r} squared is past the float range")
     needed = _FFT_BYTES_PER_POINT * n
     if needed > FFT_MAX_BYTES:
         raise ValueError(
@@ -210,20 +204,25 @@ def gaussian_packet(
 
     Enforces the hard-wall margin: the centre must sit at least six widths
     from both grid edges, which keeps the clipped density below 1e-8.
+    Refuses a packet whose samples underflow to zero or leave the float range.
     """
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
     if x0 - 6 * sigma0 < x[0] or x0 + 6 * sigma0 > x[-1]:
         raise ValueError("packet must start at least 6 sigma from the hard walls")
-    values = np.exp(-((x - x0) ** 2) / (4 * sigma0**2) + 1j * k0 * x)
-    dx = x[1] - x[0]
-    values = values / np.sqrt(np.sum(np.abs(values) ** 2) * dx)
+    with np.errstate(all="ignore"):
+        values = np.exp(-((x - x0) ** 2) / (4 * sigma0**2) + 1j * k0 * x)
+        norm = np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0]))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"the packet's samples (sigma0 = {sigma0!r}, k0 = {k0!r}) "
+                         "underflow to zero or leave the float range")
+    values = values / norm
     return LatticeWavefunction(x=x, values=values, t=0.0, mass=mass, hbar=hbar)
 
 
 def aliasing_ghost_shift(eps: float, dx: float, mass: float, hbar: float) -> float:
     """Displacement of the first aliasing ghost copy after one step."""
-    return 2.0 * math.pi * hbar * eps / (mass * dx)
+    return 2.0 * math.pi * hbar * eps / mass / dx  # mass * dx could underflow to 0
 
 
 def _check_step_args(eps: float, window: float | None) -> None:
@@ -239,83 +238,40 @@ def _prefactor(wf: LatticeWavefunction, eps: float) -> complex:
     return amplitude * wf.dx * np.exp(-1j * math.pi / 4.0)
 
 
-def kernel_matrix(
-    wf: LatticeWavefunction,
-    eps: float,
-    potential=FREE,
-    window: float | None = None,
-) -> np.ndarray:
-    """Dense one-step propagation matrix; optionally banded by ``window``.
-
-    Raises ValueError, before allocating, when the matrix would exceed
-    DENSE_KERNEL_MAX_BYTES.
-    """
-    _check_step_args(eps, window)
-    needed = 16 * wf.n * wf.n
-    if needed > DENSE_KERNEL_MAX_BYTES:
-        raise ValueError(
-            f"dense kernel for N = {wf.n} grid points needs {needed} bytes, over "
-            f"the {DENSE_KERNEL_MAX_BYTES}-byte budget; use fewer grid points"
-        )
-    x, m, hbar = wf.x, wf.mass, wf.hbar
-    prefactor = _prefactor(wf, eps)
-    matrix = np.empty((wf.n, wf.n), dtype=complex)
-    rows = max(1, _KERNEL_BLOCK_ELEMENTS // wf.n)
-    for start in range(0, wf.n, rows):
-        xr = x[start : start + rows, None]
-        diff = xr - x[None, :]
-        action = 0.5 * m * diff**2 / eps
-        v_mid = potential.values(0.5 * (xr + x[None, :]), m)
-        if np.ndim(v_mid) == 0:
-            v_mid = np.full_like(diff, float(v_mid))
-        action = action - v_mid * eps
-        block = matrix[start : start + rows]
-        block[...] = prefactor * np.exp(1j * action / hbar)
-        if window is not None:
-            block[np.abs(diff) > window] = 0.0
-    return matrix
-
-
 def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float | None):
     """The one-step kernel as a map from values to values.
 
-    Free and harmonic kernels are applied by FFT: their exponent is
-    c*(x - a)^2 plus, for the harmonic midpoint rule, -2B*(x^2 + a^2), so
-    the kernel is diag . Toeplitz . diag and the Toeplitz part is a
-    circulant convolution on a 2N embedding.  Other potentials fall back
-    to the dense ``kernel_matrix``.
+    The endpoint rule puts half of the step's potential phase on each end,
+    so the kernel is diag . Toeplitz . diag: the Toeplitz part is the free
+    kernel, applied as a circulant convolution on a 2N embedding, and a
+    free potential has no diagonal.  Raises ValueError, before any step,
+    when the kernel leaves the float range.
     """
     _check_step_args(eps, window)
-    m, hbar = wf.mass, wf.hbar
-    if isinstance(potential, FreePotential):
-        curvature, diagonal = 0.5 * m / eps, None
-    elif isinstance(potential, HarmonicPotential):
-        # A (x-a)^2 - B (x+a)^2 = (A+B) (x-a)^2 - 2B (x^2 + a^2)
-        try:
-            b = eps * m * potential.omega**2 / 8.0
-        except OverflowError:
-            b = math.inf
-        if not math.isfinite(b):
-            raise ValueError(
-                f"harmonic omega = {potential.omega!r} at eps = {eps!r} puts the "
-                "kernel phase past the float range; use a smaller omega or eps"
-            )
-        curvature = 0.5 * m / eps + b
-        diagonal = np.exp(-2j * b * wf.x**2 / hbar)
-    else:
-        matrix = kernel_matrix(wf, eps, potential, window)
-        return matrix.__matmul__
-    n = wf.n
+    m, hbar, n = wf.mass, wf.hbar, wf.n
     d = wf.x - wf.x[0]
-    column = _prefactor(wf, eps) * np.exp(1j * curvature * d**2 / hbar)
-    if window is not None:
-        column[d > window] = 0.0
-    spectrum = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
+    curvature = 0.5 * m / eps
+    with np.errstate(all="ignore"):
+        column = _prefactor(wf, eps) * np.exp(1j * curvature * d**2 / hbar)
+        if window is not None:
+            column[d > window] = 0.0
+        spectrum = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
+        diagonal = None if isinstance(potential, FreePotential) else np.exp(
+            -1j * eps * potential.values(wf.x, m) / (2 * hbar)
+        )
+    if not (np.isfinite(spectrum).all() and (diagonal is None or np.isfinite(diagonal).all())):
+        raise ValueError(
+            f"the one-step kernel at eps = {eps!r} is past the float range; use "
+            "a smaller potential, mass or grid span, or a larger hbar"
+        )
 
     def apply(values: np.ndarray) -> np.ndarray:
         if diagonal is not None:
             values = diagonal * values
-        values = np.fft.ifft(spectrum * np.fft.fft(values, 2 * n))[:n]
+        # two statements, so that the diagonal product is freed before the
+        # inverse transform allocates
+        values = spectrum * np.fft.fft(values, 2 * n)
+        values = np.fft.ifft(values)[:n]
         return values if diagonal is None else diagonal * values
 
     return apply
@@ -431,7 +387,8 @@ def mean_velocity(wf: LatticeWavefunction) -> float:
     """
     dpsi = (wf.values[2:] - wf.values[:-2]) / (2.0 * wf.dx)
     current = np.imag(np.conj(wf.values[1:-1]) * dpsi)
-    return float(wf.hbar / wf.mass * np.sum(current) * wf.dx)
+    # Python floats: hbar / mass may overflow to inf, which numpy would warn of
+    return wf.hbar / wf.mass * float(np.sum(current)) * wf.dx
 
 
 # -- independent finite-difference oracle ------------------------------------

@@ -1,16 +1,21 @@
-"""Path-by-path reference the tests hold the program against.
+"""Reference code the tests hold the program against.
 
 Nothing here runs in a command.  ``enumerate_paths`` walks a circuit's
 routes afresh into Path objects, and ``path_amplitude`` evaluates one of
 them step by step on a PathClock; the stream engine's path table must
 match both bit for bit.  ``render_circuit`` writes a circuit back to the
 text format and ``circuits_equal`` compares two circuits, for round trips.
+For the lattice propagator, ``dense_kernel`` is the one-step kernel as a
+matrix and ``split_operator_values`` an independent second-order oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from shadowsim.angles import canonical_angle
 from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType
@@ -119,3 +124,49 @@ def render_circuit(circuit: Circuit) -> str:
 def circuits_equal(a: Circuit, b: Circuit) -> bool:
     """Same elements in the same order, and the same links."""
     return list(a.elements.items()) == list(b.elements.items()) and a.links == b.links
+
+
+# -- lattice propagator --------------------------------------------------------
+
+
+def dense_kernel(wf, eps, potential, window=None):
+    """The endpoint-rule one-step kernel as a dense N x N matrix, built in one
+    shot from the formula
+
+        K[x, a] = A dx exp(i/hbar * ((m/2)(x - a)^2/eps - eps (V(x) + V(a))/2)),
+        A = sqrt(m / (2 pi i hbar eps)),
+
+    and cut to zero at |x - a| > window.
+    """
+    x, m, hbar = wf.x, wf.mass, wf.hbar
+    phase = np.subtract.outer(x, x)
+    outside = None if window is None else np.abs(phase) > window
+    phase **= 2
+    phase *= 0.5 * m / eps
+    v = potential.values(x, m)
+    phase -= 0.5 * eps * np.add.outer(v, v)
+    kernel = (1j / hbar) * phase
+    del phase
+    np.exp(kernel, out=kernel)
+    kernel *= cmath.sqrt(m / (2j * math.pi * hbar * eps)) * wf.dx
+    if outside is not None:
+        kernel[outside] = 0.0
+    return kernel
+
+
+def split_operator_values(wf, potential, t, dt):
+    """Strang split-operator evolution of ``wf`` to time ``t`` in steps of
+    ``dt``: half a potential step, a kinetic step that is exact in Fourier
+    space, half a potential step (Feit, Fleck & Steiger, J. Comput. Phys. 47,
+    412 (1982)).  The grid is embedded in a periodic one twice as long whose
+    added half starts empty, so a packet far from the walls never meets the
+    wrap.  Returns the values on the original grid."""
+    n, dx, m, hbar = wf.n, wf.dx, wf.mass, wf.hbar
+    x = wf.x[0] + dx * np.arange(2 * n)
+    k = 2.0 * math.pi * np.fft.fftfreq(2 * n, dx)
+    kinetic = np.exp(-1j * hbar * k**2 * dt / (2.0 * m))
+    half = np.exp(-0.5j * dt * potential.values(x, m) / hbar)
+    values = np.concatenate([wf.values, np.zeros(n)])
+    for _ in range(round(t / dt)):
+        values = half * np.fft.ifft(kinetic * np.fft.fft(half * values))
+    return values[:n]

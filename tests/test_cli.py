@@ -10,6 +10,8 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -208,13 +210,19 @@ def test_snapshot_time_past_float_range_is_a_config_error(capsys):
 
 
 def _exit_code(argv):
-    """Exit code and stderr of one in-process CLI call."""
+    """Exit code and stderr of one in-process CLI call.  Warnings are written
+    into stderr as a plain run would print them (the test runner otherwise
+    collects them out of sight)."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
     return code, err.getvalue()
 
 
@@ -231,14 +239,33 @@ def _number_text(finite):
     return _one_in(5, st.sampled_from(_NON_NUMBERS), finite.map(repr))
 
 
+# Tabulated potentials the propagate property test draws from: a finite
+# well, one whose V * eps overflows, and one whose x column runs backwards.
+_POTENTIAL_TABLES = {
+    "finite": [[-30.0 + 6.0 * i, 0.01 * (-30.0 + 6.0 * i) ** 2] for i in range(11)],
+    "steep": [[-30.0 + 6.0 * i, 1e308 if i == 5 else 0.0] for i in range(11)],
+    "descending": [[30.0 - 6.0 * i, 0.0] for i in range(11)],
+}
+
+
+def _extreme_or(common):
+    """A flag value that is 1e300, 1e-300, the least subnormal or their
+    negatives one time in three."""
+    extremes = [1e300, 1e-300, 5e-324, -1e300, -1e-300]
+    return _number_text(_one_in(3, st.sampled_from(extremes), common))
+
+
 @st.composite
 def _propagate_argv(draw):
     """propagate argument vectors, each flag as one --flag=value word so that
     values such as -inf reach the flag's parser.  Step counts stay below a
     few hundred so each run is short: |eps| >= 0.05 or eps <= 0, and each
-    time is k * eps with k <= 20 or lies in [-10, 10].  One time in two the
-    potential is harmonic, its omega up to 1e308, past where omega**2 and
-    the kernel phase leave the float range."""
+    time is k * eps with k <= 20 or lies in [-10, 10].  The potential is
+    free, harmonic with omega up to 1e308 (past where omega**2 and the
+    kernel phase leave the float range) or one of ``_POTENTIAL_TABLES``,
+    named by a ``--potential-file=<name>`` word the test replaces with a
+    path.  Packet width, mass, hbar and the grid's right edge reach
+    1e+-300 and the least subnormal."""
     eps = draw(_one_in(
         4,
         st.one_of(st.floats(50.0, 1e308), st.floats(-1e308, 0.0)),
@@ -247,9 +274,13 @@ def _propagate_argv(draw):
     argv = ["propagate"]
     if draw(_one_in(10, st.just(False), st.just(True))):
         argv.append(f"--eps={draw(_number_text(st.just(eps)))}")
-    if draw(st.booleans()):
+    potential = draw(st.sampled_from(["free", "harmonic", "file"]))
+    if potential == "harmonic":
         omega = draw(_number_text(_one_in(2, st.floats(1e154, 1e308), st.floats(0.0, 1.0))))
         argv += ["--potential=harmonic", f"--omega={omega}"]
+    elif potential == "file":
+        table = draw(st.sampled_from(sorted(_POTENTIAL_TABLES)))
+        argv += ["--potential=file", f"--potential-file={table}"]
     optional = {
         "--grid-n": _number_text(_one_in(4, st.floats(-4.0, 64.0), st.integers(-4, 64))),
         "--steps": _number_text(_one_in(
@@ -262,6 +293,10 @@ def _propagate_argv(draw):
             min_size=1, max_size=3,
         ).map(",".join),
         "--window": _number_text(st.floats(-5.0, 80.0)),
+        "--sigma0": _extreme_or(st.floats(0.2, 5.0)),
+        "--mass": _extreme_or(st.floats(0.1, 10.0)),
+        "--hbar": _extreme_or(st.floats(0.1, 10.0)),
+        "--xmax": _extreme_or(st.floats(-40.0, 100.0)),
     }
     for flag, values in optional.items():
         if draw(st.booleans()):
@@ -269,14 +304,31 @@ def _propagate_argv(draw):
     return argv
 
 
+@pytest.fixture(scope="module")
+def potential_words(tmp_path_factory):
+    """Each ``--potential-file=<name>`` word mapped to one naming a written file."""
+    root = tmp_path_factory.mktemp("potentials")
+    return {
+        f"--potential-file={name}": f"--potential-file={_table_file(root / name, rows)}"
+        for name, rows in _POTENTIAL_TABLES.items()
+    }
+
+
 @settings(max_examples=150, deadline=None)
 @given(_propagate_argv())
 @example(["propagate", "--eps=10", "--steps=2", "--grid-n=64", "--potential=harmonic",
           "--omega=1e155"])
-def test_propagate_flags_exit_cleanly(argv):
+@example(["propagate", "--grid-n=64", "--eps=10", "--steps=2", "--xmax=1e300"])
+@example(["propagate", "--sigma0=1e-300", "--eps=0.5", "--steps=2"])
+@example(["propagate", "--mass=5e-324", "--eps=0.5", "--steps=2"])
+@example(["propagate", "--eps=10", "--steps=2", "--grid-n=64", "--potential=file",
+          "--potential-file=steep"])
+def test_propagate_flags_exit_cleanly(potential_words, argv):
+    argv = [potential_words.get(word, word) for word in argv]
     code, err = _exit_code(argv)
     assert code in (0, 2, 4), (argv, code, err)
     assert "Traceback" not in err
+    assert "Warning" not in err, (argv, err)
 
 
 def _assert_clean_exit(argv, code, err):
@@ -441,6 +493,7 @@ def _refused(argv, out, code):
     got, err = _exit_code(argv + ["--out", str(out)])
     assert got == code, err
     assert "Traceback" not in err
+    assert "Warning" not in err
     assert not out.exists()
     return err
 
@@ -453,7 +506,19 @@ def _table_file(path, rows):
 def test_harmonic_omega_past_the_float_range_is_a_config_error(tmp_path):
     argv = ["propagate", "--potential", "harmonic", "--omega", "1e155", "--grid-n", "64",
             "--eps", "10", "--steps", "2"]
-    assert "omega = 1e+155" in _refused(argv, tmp_path / "out.csv", 2)
+    assert "one-step kernel at eps = 10.0 is past the float range" in _refused(
+        argv, tmp_path / "out.csv", 2
+    )
+
+
+def test_grid_whose_squared_span_overflows_is_a_config_error(tmp_path):
+    argv = ["propagate", "--grid-n", "64", "--eps", "10", "--steps", "2", "--xmax=1e300"]
+    assert "squared is past the float range" in _refused(argv, tmp_path / "out.csv", 2)
+
+
+def test_packet_that_underflows_to_zero_is_a_config_error(tmp_path):
+    argv = ["propagate", "--eps", "0.5", "--steps", "2", "--sigma0=1e-300"]
+    assert "underflow to zero" in _refused(argv, tmp_path / "out.csv", 2)
 
 
 @pytest.mark.parametrize(("column", "value"), [(1, math.nan), (0, math.inf)])
@@ -479,12 +544,33 @@ def test_non_finite_potential_file_is_a_config_error(tmp_path, value):
     assert "potential file holds a non-finite number" in err
 
 
-def test_potential_whose_action_overflows_is_unstable(tmp_path):
+def test_potential_whose_action_overflows_is_a_config_error(tmp_path):
     rows = [[-30.0 + 6.0 * i, 0.0] for i in range(11)]
     rows[5][1] = 1e308  # finite, but V * eps is not
     table = _table_file(tmp_path / "steep.pot", rows)
-    err = _refused(POTENTIAL_ARGV + [table], tmp_path / "out.csv", 4)
-    assert "numerical instability" in err
+    err = _refused(POTENTIAL_ARGV + [table], tmp_path / "out.csv", 2)
+    assert "one-step kernel at eps = 10.0 is past the float range" in err
+
+
+@pytest.mark.parametrize(
+    "rows", [[[30.0, 0.0], [0.0, 5.0], [-30.0, 0.0]], [[-30.0, 0.0], [0.0, 5.0], [0.0, 1.0]]]
+)
+def test_potential_file_whose_x_column_does_not_increase_is_a_config_error(tmp_path, rows):
+    table = _table_file(tmp_path / "backwards.pot", rows)
+    err = _refused(POTENTIAL_ARGV + [table], tmp_path / "out.csv", 2)
+    assert "potential file x column must be strictly increasing" in err
+
+
+@pytest.mark.parametrize("text", ["", "# x V\n# nothing else\n"])
+@pytest.mark.parametrize(("flag", "what"), [("--potential-file", "potential"),
+                                            ("--psi-file", "wavefunction")])
+def test_table_file_without_rows_is_a_config_error(tmp_path, text, flag, what):
+    table = tmp_path / "empty.txt"
+    table.write_text(text)
+    argv = ["propagate", "--eps", "0.5", "--steps", "2", f"{flag}={table}"]
+    if what == "potential":
+        argv.append("--potential=file")
+    assert f"{what} file holds no rows" in _refused(argv, tmp_path / "out.csv", 2)
 
 
 def test_non_finite_eps_is_rejected_where_flags_are_parsed(capsys):
@@ -533,22 +619,6 @@ def test_config_integer_past_the_float_range_is_a_config_error(tmp_path, argv, k
     assert "Traceback" not in err
 
 
-def test_dense_kernel_past_its_budget_exits_two_quickly(tmp_path, capsys):
-    table = tmp_path / "well.txt"
-    table.write_text("".join(f"{x} {0.01 * x * x}\n" for x in range(-30, 31)))
-    start = time.perf_counter()
-    code = cli.main([
-        "propagate", "--eps", "0.5", "--steps", "1", "--potential", "file",
-        "--potential-file", str(table), "--grid-n", "20000",
-    ])
-    elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "N = 20000" in err and f"{16 * 20000**2} bytes" in err
-    assert "Traceback" not in err
-    assert elapsed < 2.0
-
-
 def test_fft_grid_past_its_budget_exits_two_quickly(capsys):
     start = time.perf_counter()
     code = cli.main(["propagate", "--eps", "0.5", "--steps", "1", "--grid-n", "100000000000"])
@@ -580,14 +650,23 @@ def test_propagate_refuses_steps_past_the_budget():
         pathintegral.propagate(wf, 0.5, pathintegral.MAX_STEPS + 1)
 
 
-def test_free_propagation_never_builds_the_dense_kernel(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("free propagation built the dense kernel")
-
-    monkeypatch.setattr(pathintegral, "kernel_matrix", refuse)
-    code = cli.main(["propagate", "--grid-n", "16384", "--steps", "20", "--eps", "0.5"])
+def test_tabulated_propagation_stays_within_the_fft_budget(tmp_path, capsys):
+    """A tabulated run at N = 16384, far past where an N x N kernel would fit
+    the budget, peaks within the per-point figure FFT_MAX_BYTES is set from."""
+    n = 16384
+    table = tmp_path / "well.pot"
+    table.write_text("".join(f"{x} {0.01 * x * x + 0.05 * math.sin(x)}\n" for x in range(-30, 31)))
+    argv = ["propagate", "--grid-n", str(n), "--steps", "20", "--eps", "0.5",
+            "--potential", "file", "--potential-file", str(table)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
     assert "t = 10:" in capsys.readouterr().out
+    assert peak <= pathintegral._FFT_BYTES_PER_POINT * n
 
 
 # -- run ------------------------------------------------------------------------

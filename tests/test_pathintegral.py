@@ -1,7 +1,7 @@
 """Lattice propagator: spreading law, oracle agreement, stability, observables."""
 
 import math
-import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 
 from shadowsim import pathintegral as pi
+from reference import dense_kernel, split_operator_values
 
 
 def _variance(wf):
@@ -44,6 +45,24 @@ def test_wavefunction_must_be_normalized():
     x = pi.uniform_grid(16, -1.0, 1.0)
     with pytest.raises(ValueError, match="norm"):
         pi.LatticeWavefunction(x, np.ones(16, dtype=complex))
+
+
+def test_nan_wavefunction_is_refused():
+    x = pi.uniform_grid(16, -1.0, 1.0)
+    with pytest.raises(ValueError, match="norm nan"):
+        pi.LatticeWavefunction(x, np.full(16, complex(math.nan, 0.0)))
+
+
+@pytest.mark.parametrize(("sigma0", "k0"), [(1e-300, 0.0), (1e-160, 0.0), (1.5, 1e307)])
+def test_packet_whose_samples_vanish_or_overflow_is_refused(sigma0, k0):
+    x = pi.uniform_grid(64, -30.0, 30.0)
+    with pytest.raises(ValueError, match="underflow to zero or leave the float range"):
+        pi.gaussian_packet(x, 0.0, sigma0, k0)
+
+
+def test_grid_whose_squared_span_overflows_is_refused():
+    with pytest.raises(ValueError, match="squared is past the float range"):
+        pi.uniform_grid(64, -30.0, 1e300)
 
 
 def test_packet_needs_wall_margin():
@@ -214,6 +233,19 @@ def test_tabulated_potential_matches_its_analytic_twin():
     assert np.sqrt(np.sum(np.abs(got.values - want.values) ** 2) * got.dx) < 1e-5
 
 
+def test_tabulated_well_matches_split_operator_oracle():
+    """A non-quadratic well against a Strang split-operator run at dt = 0.01,
+    which agrees with its own dt = 0.005 run to 6e-6.  The endpoint rule
+    lands at 7.8e-4; a midpoint rule V((x + a)/2) lands at 1.1e-2."""
+    x = pi.uniform_grid(4096, -30.0, 30.0)
+    wf = pi.gaussian_packet(x, 0.0, 1.5)
+    table_x = np.linspace(-30.0, 30.0, 301)
+    well = pi.TabulatedPotential(table_x, 0.01 * table_x**2 + 0.05 * np.sin(table_x))
+    got = pi.propagate(wf, 0.5, 20, well).wavefunction
+    want = split_operator_values(wf, well, 10.0, 0.01)
+    assert _l2_up_to_phase(got.values, want, wf.dx) < 2e-3
+
+
 # -- velocity identities --------------------------------------------------------------
 
 
@@ -279,8 +311,12 @@ def test_window_error_grows_as_window_shrinks():
         pi.propagate(wf, 0.5, 1, window=5.0).wavefunction
 
 
+_TABLE_X = np.linspace(-40.0, 60.0, 301)
+_WELL = pi.TabulatedPotential(_TABLE_X, 0.01 * _TABLE_X**2 + 0.05 * np.sin(_TABLE_X))
+
+
 @pytest.mark.parametrize("window", [None, 45.0, 5.0])
-@pytest.mark.parametrize("potential", [pi.FREE, pi.HarmonicPotential(0.15)])
+@pytest.mark.parametrize("potential", [pi.FREE, pi.HarmonicPotential(0.15), _WELL])
 @pytest.mark.parametrize(
     ("n", "xmin", "xmax", "mass", "hbar", "eps"),
     [
@@ -292,9 +328,9 @@ def test_window_error_grows_as_window_shrinks():
     ],
 )
 def test_fft_apply_matches_dense_kernel(n, xmin, xmax, mass, hbar, eps, potential, window):
-    """The FFT kernel apply equals the dense matvec to rounding.
+    """The FFT kernel apply equals the dense endpoint-rule matvec to rounding.
 
-    The off-centre grid catches sign or offset errors in the harmonic
+    The off-centre grid catches sign or offset errors in the potential
     diagonal, which uses absolute x.  Both sides round kernel phases of up
     to c*span^2/hbar radians (at most about 3600 here), which sets the 1e-12 floor;
     every window edge falls between grid points.
@@ -305,21 +341,28 @@ def test_fft_apply_matches_dense_kernel(n, xmin, xmax, mass, hbar, eps, potentia
     wf = pi.LatticeWavefunction(
         x, values / np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0])), mass=mass, hbar=hbar
     )
-    want = pi.kernel_matrix(wf, eps, potential, window) @ wf.values
+    want = dense_kernel(wf, eps, potential, window) @ wf.values
     got = pi._kernel_apply(wf, eps, potential, window)(wf.values)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_dense_kernel_refuses_grids_past_its_budget():
-    n = math.isqrt(pi.DENSE_KERNEL_MAX_BYTES // 16) + 1
-    x = pi.uniform_grid(n, -30.0, 30.0)
-    wf = pi.gaussian_packet(x, 0.0, 1.5)
-    with pytest.raises(ValueError, match=f"N = {n} .* {16 * n * n} bytes"):
-        pi.kernel_matrix(wf, 0.5)
-    table = pi.TabulatedPotential(np.array([-30.0, 30.0]), np.zeros(2))
-    with pytest.raises(ValueError, match="budget"):
-        pi.propagate(wf, 0.5, 1, table)
-    assert pi.propagate(wf, 0.5, 1).steps == 1
+@pytest.mark.parametrize(
+    ("potential", "mass", "hbar", "xmax"),
+    [
+        (pi.FREE, 1e10, 1.0, 1e154),  # m (x - a)^2 overflows
+        (pi.FREE, 1e300, 1e-300, 30.0),  # m / hbar overflows
+        (pi.HarmonicPotential(1e155), 1.0, 1.0, 30.0),  # omega^2 overflows
+        (pi.TabulatedPotential(np.array([-30.0, 30.0]), np.array([0.0, 1e308])), 1.0, 1.0, 30.0),
+    ],
+)
+def test_kernel_past_the_float_range_is_refused(potential, mass, hbar, xmax):
+    x = pi.uniform_grid(64, -30.0, xmax)
+    wf = pi.LatticeWavefunction(x, np.full(64, 1.0 / math.sqrt(64 * (x[1] - x[0]))),
+                                mass=mass, hbar=hbar)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="past the float range"):
+            pi.propagate(wf, 10.0, 2, potential)
 
 
 def test_snapshot_times_must_be_whole_steps():
@@ -327,31 +370,3 @@ def test_snapshot_times_must_be_whole_steps():
     wf = pi.gaussian_packet(x, 0.0, 1.0)
     with pytest.raises(ValueError, match="whole number"):
         pi.propagate_snapshots(wf, 0.5, [0.7])
-
-
-def test_kernel_matrix_builds_in_row_blocks():
-    """A tabulated build peaks within 1.25x its matrix (the one-shot build held
-    N x N float and complex temporaries, about 3.5x), with identical bits."""
-    n, eps, window = 1024, 0.5, 9.0
-    x = pi.uniform_grid(n, -30.0, 30.0)
-    wf = pi.gaussian_packet(x, 0.0, 1.5, 0.2, mass=0.7, hbar=1.3)
-    table_x = np.linspace(-30.0, 30.0, 301)
-    potential = pi.TabulatedPotential(table_x, 0.02 * table_x**2 + np.sin(table_x))
-    for win in (None, window):
-        tracemalloc.start()
-        try:
-            got = pi.kernel_matrix(wf, eps, potential, win)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 16 * n * n
-
-        diff = x[:, None] - x[None, :]
-        action = 0.5 * wf.mass * diff**2 / eps
-        action = action - potential.values(0.5 * (x[:, None] + x[None, :]), wf.mass) * eps
-        amplitude = math.sqrt(wf.mass / (2.0 * math.pi * wf.hbar * eps))
-        prefactor = amplitude * wf.dx * np.exp(-1j * math.pi / 4.0)
-        want = prefactor * np.exp(1j * action / wf.hbar)
-        if win is not None:
-            want = np.where(np.abs(diff) <= win, want, 0.0)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
