@@ -24,6 +24,8 @@ import locale  # noqa: F401
 import math
 import sys
 import warnings
+from collections.abc import Iterable
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -322,24 +324,24 @@ def _run_config(name: str, values: dict) -> dict:
     return {"experiment": name, **{k: v for k, v in values.items() if k not in OUTPUT_KEYS}}
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    """Write each line as it comes, so no whole file is held in memory."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _write_csv(path: str, meta: dict, columns: list[str], rows: list[list]) -> None:
-    lines = [f"# {json.dumps(meta, sort_keys=True)}"]
-    lines.append(",".join(columns))
-    lines.extend(_csv_row(row) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+def _write_csv(path: str, meta: dict, columns: list[str], rows: Iterable) -> None:
+    header = [f"# {json.dumps(meta, sort_keys=True)}", ",".join(columns)]
+    _write_lines(path, chain(header, map(_csv_row, rows)))
 
 
 def _write_json(path: str, meta: dict, results) -> None:
     payload = {"meta": meta, "results": results}
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def _outcome_str(outcome) -> str:
@@ -660,9 +662,17 @@ def _initial_wavefunction(values: dict):
         x = table[:, 0]
         amplitudes = table[:, 1] + 1j * table[:, 2]
         dx = x[1] - x[0]
-        norm = float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * dx))
-        if norm == 0.0:
-            raise ConfigError("wavefunction file is identically zero")
+        if not dx > 0.0:
+            raise ConfigError("wavefunction file: grid must be uniform and increasing")
+        with np.errstate(over="ignore"):
+            norm = float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * dx))
+        if not 0.0 < norm < math.inf:
+            # The squares left the float range: scale by the largest component first.
+            peak = np.abs(table[:, 1:]).max()
+            if peak == 0.0:
+                raise ConfigError("wavefunction file is identically zero")
+            amplitudes = amplitudes / peak
+            norm = float(np.sqrt(np.sum(np.abs(amplitudes) ** 2) * dx))
         try:
             wf = pathintegral.LatticeWavefunction(x=x, values=amplitudes / norm, **units)
         except ValueError as exc:
@@ -736,12 +746,11 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
             ]
             _write_json(values["out"], meta, results)
         else:
-            rows = []
-            for t, snap in snapshots:
-                rows.extend(
-                    [float(t), float(x), float(d), float(v.real), float(v.imag)]
-                    for x, d, v in zip(snap.x, snap.probability_density(), snap.values)
-                )
+            rows = (
+                [float(t), float(x), float(d), float(v.real), float(v.imag)]
+                for t, snap in snapshots
+                for x, d, v in zip(snap.x, snap.probability_density(), snap.values)
+            )
             _write_csv(values["out"], meta, ["t", "x", "density", "re", "im"], rows)
     return 0
 

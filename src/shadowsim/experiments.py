@@ -20,6 +20,7 @@ Geometry conventions for the canonical benches:
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,13 +35,7 @@ from .outcomes import (
     OutcomeDistribution,
 )
 from .rng import RNG_NAME, make_rng, substream
-from .streams import (
-    StreamPair,
-    build_stream,
-    build_stream_pair,
-    joint_terminal_amplitudes,
-    terminal_probabilities,
-)
+from .streams import build_stream, stream_terminal_amplitudes, terminal_probabilities
 
 ENGINES = (ENGINE_STREAMS, ENGINE_HILBERT)
 
@@ -163,21 +158,6 @@ def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
     return _bghz_right_structure(arm_phase).with_shifts({"shift_b": beta})
 
 
-def bghz_pair(
-    alpha: float,
-    beta: float,
-    *,
-    seed: int | None = None,
-    right_arm_phase: float = 0.0,
-) -> StreamPair:
-    """Both daughters under one clock; left a travels with right b'."""
-    return build_stream_pair(
-        bghz_left_circuit(alpha),
-        bghz_right_circuit(beta, arm_phase=right_arm_phase),
-        seed=seed,
-    )
-
-
 # -- experiment runners -------------------------------------------------------
 
 def run_circuit(
@@ -245,6 +225,34 @@ def run_ifm(
     return run_circuit(ifm_circuit(blocked_arm), engine, params, seed=seed)
 
 
+def _arms(circuit: Circuit) -> range:
+    return range(circuit.source_fanout(circuit.sole_source()))
+
+
+def pair_amplitudes(
+    left_arms: Sequence[dict[str, complex]], right_arms: Sequence[dict[str, complex]]
+) -> dict[Outcome, complex]:
+    """Joint (left, right) terminal amplitudes of a correlated pair.
+
+    Each side gives one terminal-amplitude dict per source arm, evolved from
+    that arm alone.  The source sends both daughters out through matching
+    arm indices in an equal superposition over the arms, so arm k pairs with
+    arm k and the sum carries 1/sqrt(arms) (Bernstein, Greenberger, Horne &
+    Zeilinger, PRA 47, 78 (1993)).
+    """
+    if len(left_arms) != len(right_arms):
+        raise ValueError("both sides of a pair need the same number of source arms")
+    joint: dict[Outcome, complex] = {
+        (x, y): 0.0 + 0.0j for x in left_arms[0] for y in right_arms[0]
+    }
+    for side_l, side_r in zip(left_arms, right_arms):
+        for x, amp_l in side_l.items():
+            for y, amp_r in side_r.items():
+                joint[(x, y)] += amp_l * amp_r
+    weight = 1.0 / math.sqrt(len(left_arms))
+    return {key: weight * amp for key, amp in joint.items()}
+
+
 def run_bghz(
     alpha: float,
     beta: float,
@@ -255,12 +263,16 @@ def run_bghz(
     _require_engine(engine)
     params = {"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
+    sides = (bghz_left_circuit(alpha), bghz_right_circuit(beta))
     if engine == ENGINE_HILBERT:
-        evolution = hilbert.evolve_pair(bghz_left_circuit(alpha), bghz_right_circuit(beta))
-        return OutcomeDistribution(evolution.probabilities(), ENGINE_HILBERT, params)
-    joint = joint_terminal_amplitudes(bghz_pair(alpha, beta, seed=seed))
-    probs: dict[Outcome, float] = {key: abs(amp) ** 2 for key, amp in joint.items()}
-    return OutcomeDistribution(probs, ENGINE_STREAMS, params)
+        arms = [[hilbert.evolve_circuit(c, port=k).amplitudes for k in _arms(c)] for c in sides]
+    else:
+        left = build_stream(sides[0], seed=seed)
+        right = build_stream(sides[1], initial_clock=left.initial_clock)
+        arms = [[stream_terminal_amplitudes(s, port=k) for k in _arms(s.circuit)]
+                for s in (left, right)]
+    probs = {key: abs(amp) ** 2 for key, amp in pair_amplitudes(*arms).items()}
+    return OutcomeDistribution(probs, engine, params)
 
 
 # -- sampling -----------------------------------------------------------------

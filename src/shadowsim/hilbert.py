@@ -14,8 +14,9 @@ scatters as
 
 so two splitters wired port to matched port return the input times i.  A
 one-port element moves the amplitude onto its output link times
-exp(i(link phase + its shift)).  Pairs evolve each side per source arm and
-combine matching arms, the same decomposition the stream engine uses.
+exp(i(link phase + its shift)).  ``port=k`` evolves source arm k alone;
+experiments.pair_amplitudes pairs that per-arm view across the two
+daughters of a pair, on either engine.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _BS_BLOCK = ((1j * _INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, 1j * _INV_SQRT2))
 
 @dataclass(frozen=True)
 class CircuitEvolution:
-    """Terminal amplitudes of a particle (or pair) fed through a circuit."""
+    """Terminal amplitudes of a particle fed through a circuit."""
 
     amplitudes: dict[Outcome, complex]
     max_norm_drift: float
@@ -112,28 +113,3 @@ def evolve_circuit(
             state[out] = state.pop(ins) * factor
         max_drift = max(max_drift, _drift(state))
     return CircuitEvolution({key: state.get(link, 0j) for key, link in terminals}, max_drift)
-
-
-def evolve_pair(left: Circuit, right: Circuit) -> CircuitEvolution:
-    """Joint (left, right) terminal amplitudes of a correlated pair.
-
-    The source sends both daughters out through matching arm indices, in an
-    equal superposition over the arms: each side is evolved from arm k
-    alone, arm k pairs with arm k, and the sum carries 1/sqrt(arms).
-    """
-    arms = left.source_fanout(left.sole_source())
-    if right.source_fanout(right.sole_source()) != arms:
-        raise ValueError("both sides of a pair need the same number of source arms")
-    joint: dict[Outcome, complex] = {
-        (x, y): 0.0 + 0.0j for x in left.terminal_keys() for y in right.terminal_keys()
-    }
-    max_drift = 0.0
-    for arm in range(arms):
-        side_l = evolve_circuit(left, port=arm)
-        side_r = evolve_circuit(right, port=arm)
-        max_drift = max(max_drift, side_l.max_norm_drift, side_r.max_norm_drift)
-        for x, amp_l in side_l.amplitudes.items():
-            for y, amp_r in side_r.amplitudes.items():
-                joint[(x, y)] += amp_l * amp_r
-    weight = 1.0 / math.sqrt(arms)
-    return CircuitEvolution({key: weight * amp for key, amp in joint.items()}, max_drift)

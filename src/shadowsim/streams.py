@@ -13,8 +13,9 @@ clock, and a magnitude factor 1/sqrt(2) per beamsplitter crossing:
     shared initial clock value     -> factor exp(i*clock), once per path
 
 Amplitudes of paths within one stream add; amplitudes of distinct streams
-never add, they only multiply when a joint event needs both: a pair pairs
-the rows of its two tables that leave the source through the same port.
+never add, they only multiply when a joint event needs both.  ``port=k``
+sums the rows that leave the source through arm k, which is the view
+experiments.pair_amplitudes multiplies across the two daughters of a pair.
 The clock is represented by its phase alone, so its modulus cannot drift.
 The initial clock value is uniform random per emission and drops out of
 every probability.  Every result is read from the table's columns.
@@ -96,19 +97,24 @@ def build_stream(
     )
 
 
-def stream_terminal_amplitudes(stream: ShadowStream) -> dict[str, complex]:
+def stream_terminal_amplitudes(
+    stream: ShadowStream, *, port: int | None = None
+) -> dict[str, complex]:
     """Summed amplitude per terminal, blockers included, unreached ones 0.
 
-    A source with several arms emits an equal-weight superposition over
-    them, so the sums carry 1/sqrt(fanout).
+    With ``port=None`` a source with several arms emits an equal-weight
+    superposition over them, so the sums carry 1/sqrt(fanout); ``port=k``
+    sums arm k's rows alone with weight 1, as hilbert.evolve_circuit does.
     """
     circuit = stream.circuit
     keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
     sums: dict[str, complex] = {key: 0.0 + 0.0j for key in keys.values()}
-    for terminal, amp in zip(stream.table.terminals, stream.amplitudes):
-        sums[keys[terminal]] += amp
+    table = stream.table
+    for row_port, terminal, amp in zip(table.source_ports, table.terminals, stream.amplitudes):
+        if port is None or row_port == port:
+            sums[keys[terminal]] += amp
     fanout = circuit.source_fanout(stream.source)
-    if fanout > 1:
+    if port is None and fanout > 1:
         sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
     return sums
 
@@ -121,63 +127,6 @@ def unitarity_defect(stream: ShadowStream) -> float:
     """|total probability - 1| of one emission; a multi-arm source counts
     with its 1/sqrt(fanout) weight (see stream_terminal_amplitudes)."""
     return abs(sum(p for p in terminal_probabilities(stream).values()) - 1.0)
-
-
-@dataclass(frozen=True)
-class StreamPair:
-    """Two daughters of one emission.
-
-    The daughters share one emission event, hence one initial clock value.
-    Amplitudes are only ever multiplied across the two sides, never added
-    across them.
-    """
-
-    left: ShadowStream
-    right: ShadowStream
-
-    def __post_init__(self) -> None:
-        if self.left.initial_clock != self.right.initial_clock:
-            raise ValueError("daughters of one emission share one clock value")
-
-
-def build_stream_pair(
-    left_circuit: Circuit, right_circuit: Circuit, *, seed: int | None = None
-) -> StreamPair:
-    """Build both daughters under one sampled clock."""
-    clock = float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
-    return StreamPair(
-        left=build_stream(left_circuit, initial_clock=clock),
-        right=build_stream(right_circuit, initial_clock=clock),
-    )
-
-
-def joint_terminal_amplitudes(pair: StreamPair) -> dict[tuple[str, str], complex]:
-    """Joint amplitude per (left terminal, right terminal).
-
-    The source sends both daughters out through matching arm indices, in an
-    equal superposition over the arms: every left row pairs with every right
-    row of the same source port (left rows outer, right rows inner), each
-    product adds to its terminal pair, and the sum carries 1/sqrt(arms), as
-    in hilbert.evolve_pair.
-    """
-    left, right = pair.left, pair.right
-    arms = left.circuit.source_fanout(left.source)
-    if right.circuit.source_fanout(right.source) != arms:
-        raise ValueError("both sides of a pair need the same number of source arms")
-    joint: dict[tuple[str, str], complex] = {
-        (kl, kr): 0.0 + 0.0j
-        for kl in left.circuit.terminal_keys()
-        for kr in right.circuit.terminal_keys()
-    }
-    left_rows = zip(left.table.source_ports, left.table.terminals, left.amplitudes)
-    right_rows = list(zip(right.table.source_ports, right.table.terminals, right.amplitudes))
-    for port_l, term_l, amp_l in left_rows:
-        for port_r, term_r, amp_r in right_rows:
-            if port_l == port_r:
-                key = (left.circuit.terminal_key(term_l), right.circuit.terminal_key(term_r))
-                joint[key] += amp_l * amp_r
-    weight = 1.0 / math.sqrt(arms)
-    return {key: weight * amp for key, amp in joint.items()}
 
 
 @dataclass(frozen=True)
@@ -201,7 +150,7 @@ class CongruenceReport:
         return max(self.identity_deviation, self.refactoring_deviation)
 
 
-def congruence_check(pair: StreamPair) -> CongruenceReport:
+def congruence_check(left: ShadowStream, right: ShadowStream) -> CongruenceReport:
     """Verify the single-crossing congruence between the two sides.
 
     Source port 0 is the shifted arm a on the left and the plain arm a' on
@@ -217,17 +166,16 @@ def congruence_check(pair: StreamPair) -> CongruenceReport:
     """
 
     def arm_amplitudes(stream: ShadowStream) -> dict[tuple[int, str], complex]:
-        sums: dict[tuple[int, str], complex] = {}
-        table = stream.table
-        for port, terminal, amp in zip(table.source_ports, table.terminals, stream.amplitudes):
-            key = (port, stream.circuit.terminal_key(terminal))
-            sums[key] = sums.get(key, 0.0 + 0.0j) + amp
-        return sums
+        return {
+            (port, key): amp
+            for port in range(stream.circuit.source_fanout(stream.source))
+            for key, amp in stream_terminal_amplitudes(stream, port=port).items()
+        }
 
-    amp_l = arm_amplitudes(pair.left)
-    amp_r = arm_amplitudes(pair.right)
-    left_terms = pair.left.circuit.terminal_keys()
-    if sorted(t + "'" for t in left_terms) != sorted(pair.right.circuit.terminal_keys()):
+    amp_l = arm_amplitudes(left)
+    amp_r = arm_amplitudes(right)
+    left_terms = left.circuit.terminal_keys()
+    if sorted(t + "'" for t in left_terms) != sorted(right.circuit.terminal_keys()):
         raise ValueError("terminal correspondence does not match the right side")
 
     identity_dev = 0.0

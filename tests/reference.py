@@ -5,6 +5,8 @@ routes afresh into Path objects, and ``path_amplitude`` evaluates one of
 them step by step on a PathClock; the stream engine's path table must
 match both bit for bit.  ``render_circuit`` writes a circuit back to the
 text format and ``circuits_equal`` compares two circuits, for round trips.
+``bghz_streams``, ``stream_arms`` and ``hilbert_arms`` build the per-arm
+inputs that experiments.pair_amplitudes pairs, as run_bghz builds them.
 For the lattice propagator, ``dense_kernel`` is the one-step kernel as a
 matrix and ``split_operator_values`` an independent second-order oracle.
 """
@@ -17,9 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from shadowsim import hilbert
 from shadowsim.angles import canonical_angle
 from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType
-from shadowsim.streams import INV_SQRT2
+from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit
+from shadowsim.rng import make_rng
+from shadowsim.streams import INV_SQRT2, ShadowStream, build_stream, stream_terminal_amplitudes
 
 # (element id, in-port, out-port) of one element on a route.
 Step = tuple[str, int | None, int | None]
@@ -124,6 +129,30 @@ def render_circuit(circuit: Circuit) -> str:
 def circuits_equal(a: Circuit, b: Circuit) -> bool:
     """Same elements in the same order, and the same links."""
     return list(a.elements.items()) == list(b.elements.items()) and a.links == b.links
+
+
+# -- correlated pairs ----------------------------------------------------------
+
+
+def bghz_streams(alpha, beta, *, seed, arm_phase=0.0):
+    """Both bghz daughters under the one clock that run_bghz draws from
+    ``seed``; ``arm_phase`` desymmetrizes the right side's plain arm."""
+    clock = float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
+    left = build_stream(bghz_left_circuit(alpha), initial_clock=clock)
+    right = build_stream(bghz_right_circuit(beta, arm_phase=arm_phase), initial_clock=clock)
+    return left, right
+
+
+def stream_arms(stream: ShadowStream) -> list[dict]:
+    """The stream's terminal sums per source arm, arm 0 first."""
+    fanout = stream.circuit.source_fanout(stream.source)
+    return [stream_terminal_amplitudes(stream, port=k) for k in range(fanout)]
+
+
+def hilbert_arms(circuit: Circuit) -> list[dict]:
+    """Hilbert terminal amplitudes per source arm, arm 0 first."""
+    fanout = circuit.source_fanout(circuit.sole_source())
+    return [hilbert.evolve_circuit(circuit, port=k).amplitudes for k in range(fanout)]
 
 
 # -- lattice propagator --------------------------------------------------------

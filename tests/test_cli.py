@@ -531,6 +531,45 @@ def test_non_finite_wavefunction_file_is_a_config_error(tmp_path, column, value)
     assert "wavefunction file holds a non-finite number" in err
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_wavefunction_file_past_the_float_range_of_its_squares_runs(tmp_path, scale):
+    """Squares of 1e200 overflow and squares of 1e-170 underflow; the file
+    still normalises, to the packet of the same file at scale 1."""
+    argv = ["propagate", "--eps", "1.5", "--steps", "2", "--psi-file"]
+    printed = []
+    for factor in (scale, 1.0):
+        rows = [[x, factor * math.exp(-x * x / 4), factor * 0.5 * math.exp(-x * x / 4)]
+                for x in (-10.0 + 20.0 * i / 63 for i in range(64))]
+        psi = _table_file(tmp_path / f"{factor!r}.psi", rows)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv + [psi])
+        assert code == 0, err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        printed.append([line for line in out.getvalue().splitlines() if line.startswith("t =")])
+    assert printed[0] == printed[1] != []
+
+
+@pytest.mark.parametrize("order", ["repeated", "descending"])
+def test_wavefunction_grid_that_does_not_increase_is_a_config_error(tmp_path, order):
+    x = [-10.0 + 20.0 * i / 63 for i in range(64)]
+    if order == "repeated":
+        x[1] = x[0]
+    else:
+        x.reverse()
+    psi = _table_file(tmp_path / f"{order}.psi", [[v, math.exp(-v * v / 4), 0.0] for v in x])
+    argv = ["propagate", "--eps", "1.5", "--steps", "2", "--psi-file", psi]
+    assert "grid must be uniform and increasing" in _refused(argv, tmp_path / "out.csv", 2)
+
+
+def test_all_zero_wavefunction_file_is_a_config_error(tmp_path):
+    psi = _table_file(tmp_path / "zero.psi", [[-10.0 + 20.0 * i / 63, 0.0, 0.0] for i in range(64)])
+    argv = ["propagate", "--eps", "1.5", "--steps", "2", "--psi-file", psi]
+    assert "identically zero" in _refused(argv, tmp_path / "out.csv", 2)
+
+
 POTENTIAL_ARGV = ["propagate", "--potential", "file", "--grid-n", "64", "--eps", "10",
                   "--steps", "2", "--potential-file"]
 
@@ -666,6 +705,25 @@ def test_tabulated_propagation_stays_within_the_fft_budget(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 0
     assert "t = 10:" in capsys.readouterr().out
+    assert peak <= pathintegral._FFT_BYTES_PER_POINT * n
+
+
+def test_propagation_csv_is_written_within_the_fft_budget(tmp_path, capsys):
+    """The CSV rows are formatted and written one at a time, so writing them
+    stays within the per-point figure FFT_MAX_BYTES is set from."""
+    n = 16384
+    out = tmp_path / "free.csv"
+    argv = ["propagate", "--grid-n", str(n), "--steps", "20", "--eps", "0.5",
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "t = 10:" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == n + 2
     assert peak <= pathintegral._FFT_BYTES_PER_POINT * n
 
 

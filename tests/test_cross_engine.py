@@ -12,21 +12,28 @@ from shadowsim import hilbert
 from shadowsim.circuit import Circuit, parse_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
+    ENGINES,
     bghz_left_circuit,
-    bghz_pair,
     bghz_right_circuit,
     ifm_circuit,
     mach_zehnder_circuit,
+    pair_amplitudes,
     run_bghz,
     run_mach_zehnder,
 )
+from shadowsim.outcomes import ENGINE_HILBERT
 from shadowsim.streams import (
     build_stream,
-    joint_terminal_amplitudes,
     stream_terminal_amplitudes,
     unitarity_defect,
 )
-from reference import circuits_equal, render_circuit
+from reference import (
+    bghz_streams,
+    circuits_equal,
+    hilbert_arms,
+    render_circuit,
+    stream_arms,
+)
 
 CASES = 500
 
@@ -108,15 +115,80 @@ _ANGLES = st.floats(-10.0, 10.0)
 def test_pair_amplitudes_equal_hilbert_times_the_shared_clock(alpha, beta, arm_phase, seed):
     """Each daughter carries e^{i clock}, so the joint amplitude carries it
     twice; hilbert has no clock."""
-    pair = bghz_pair(alpha, beta, seed=seed, right_arm_phase=arm_phase)
-    joint = joint_terminal_amplitudes(pair)
-    reference = hilbert.evolve_pair(
-        bghz_left_circuit(alpha), bghz_right_circuit(beta, arm_phase=arm_phase)
-    ).amplitudes
-    rotation = cmath.exp(2j * pair.left.initial_clock)
+    left, right = bghz_streams(alpha, beta, seed=seed, arm_phase=arm_phase)
+    joint = pair_amplitudes(stream_arms(left), stream_arms(right))
+    reference = pair_amplitudes(
+        hilbert_arms(bghz_left_circuit(alpha)),
+        hilbert_arms(bghz_right_circuit(beta, arm_phase=arm_phase)),
+    )
+    rotation = cmath.exp(2j * left.initial_clock)
     assert set(joint) == set(reference)
     for key, amp in reference.items():
         assert abs(joint[key] - amp * rotation) < 1e-12
+
+
+# Three arms: arms 0 and 1 meet at bs1, and every arm reaches d and w by two
+# routes through bs2 and bs3, so one arm's terminal sum adds several rows.
+THREE_ARM = parse_circuit("""\
+element src source
+element bs1 beamsplitter
+element bs2 beamsplitter
+element bs3 beamsplitter
+element ps1 phaseshifter:0
+element ps2 phaseshifter:0
+element u detector:u
+element d detector:d
+element w detector:w
+link src:0 bs1:0 phase=0.3
+link src:1 ps1:0 phase=1.9
+link ps1:0 bs1:1
+link src:2 bs2:0 phase=0.8
+link bs1:0 bs2:1 phase=2.2
+link bs1:1 u:0
+link bs2:0 ps2:0
+link ps2:0 bs3:0
+link bs2:1 bs3:1 phase=0.4
+link bs3:0 d:0
+link bs3:1 w:0
+""")
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANGLES, _ANGLES, _ANGLES, _ANGLES)
+def test_per_arm_views_agree_across_engines(alpha, beta, arm_phase, clock):
+    """Arm k of a stream is hilbert's arm k times e^{i clock}, and the arms,
+    each weighted 1/sqrt(fanout), add up to the whole source's sums."""
+    circuits = [
+        bghz_left_circuit(alpha),
+        bghz_right_circuit(beta, arm_phase=arm_phase),
+        THREE_ARM.with_shifts({"ps1": alpha, "ps2": beta}),
+    ]
+    for circuit in circuits:
+        stream = build_stream(circuit, initial_clock=clock)
+        arms = stream_arms(stream)
+        assert len(arms) == circuit.source_fanout(stream.source) > 1
+        for arm, reference in zip(arms, hilbert_arms(circuit)):
+            assert set(arm) == set(reference)
+            for key, amp in reference.items():
+                assert abs(arm[key] - amp * cmath.exp(1j * clock)) < 1e-12
+        whole = stream_terminal_amplitudes(stream)
+        for key, amp in whole.items():
+            assert abs(sum(arm[key] / math.sqrt(len(arms)) for arm in arms) - amp) < 1e-15
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("two_arm_left", [True, False])
+def test_pair_amplitudes_refuses_unequal_arm_counts(engine, two_arm_left):
+    def arms(circuit):
+        if engine == ENGINE_HILBERT:
+            return hilbert_arms(circuit)
+        return stream_arms(build_stream(circuit, initial_clock=0.3))
+
+    sides = [arms(bghz_left_circuit(0.1)), arms(mach_zehnder_circuit(0.2))]
+    if not two_arm_left:
+        sides.reverse()
+    with pytest.raises(ValueError, match="same number of source arms"):
+        pair_amplitudes(*sides)
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,4 +269,6 @@ def test_shared_structure_gives_the_amplitudes_of_a_fresh_build(alpha, theta, ar
         assert _engine_results(derived) == _engine_results(fresh)
     pair = (bghz_left_circuit(alpha), bghz_right_circuit(theta, arm_phase=arm_phase))
     fresh_pair = [Circuit(dict(side.elements), side.links) for side in pair]
-    assert hilbert.evolve_pair(*pair) == hilbert.evolve_pair(*fresh_pair)
+    assert pair_amplitudes(*map(hilbert_arms, pair)) == pair_amplitudes(
+        *map(hilbert_arms, fresh_pair)
+    )

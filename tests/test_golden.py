@@ -3,7 +3,7 @@ stdout and CSV data files byte for byte.
 
 The files under ``tests/golden`` were written by this module's cases;
 ``python tests/test_golden.py`` writes them again from the installed package
-and prints the sha256 of each ``DIGESTS`` sweep, whose CSV files are too
+and prints the sha256 of each ``DIGESTS`` sweep, whose data files are too
 large to commit, and of the check corpus.
 """
 
@@ -61,7 +61,7 @@ CONFIGS = {
     "sweep-config": {"experiment": "wheeler", "grid": "0:pi:3", "peek": True, "seed": 3,
                      "shots": 200},
 }
-# Benchmark-sized seeded sweeps on both engines: the sha256 of the CSV file.
+# Benchmark-sized seeded sweeps on both engines: the sha256 of the data file.
 DIGESTS = {
     "sweep-mz-501": (
         ["sweep", "mz", "--grid", "0:2pi:501", "--engine", "both", "--seed", "7"],
@@ -74,6 +74,17 @@ DIGESTS = {
     "sweep-wheeler-peek-65": (
         ["sweep", "wheeler", "--peek", "--grid", "0:2pi:65", "--engine", "both", "--seed", "7"],
         "56c5b96492f53b8322bd5e92e01b267b227dd54999feb9aeff57ec2dc703f276",
+    ),
+    # JSON carries repr floats: these freeze the joint amplitudes bit for bit.
+    "sweep-bghz-181-json": (
+        ["sweep", "bghz", "--grid", "0:2pi:181", "--engine", "both", "--seed", "7",
+         "--format", "json"],
+        "c73bc72903e28b8f6be237ccbbec9532390811dd6a625f2a1ccb0be890c214c9",
+    ),
+    "sweep-chsh-61-json": (
+        ["sweep", "chsh", "--grid", "0:2pi:61", "--engine", "both", "--seed", "7",
+         "--format", "json"],
+        "4d080889671a8ab9dd65f0426e8553c9d2066861f5409e81e806561156958126",
     ),
 }
 # The check corpus: the sha256 over the text of random_circuit(i), i < CORPUS_SEEDS.

@@ -10,24 +10,25 @@ from hypothesis import strategies as st
 
 from shadowsim.circuit import parse_circuit
 from shadowsim.corpus import random_circuit
+from shadowsim import experiments
 from shadowsim.experiments import (
     bghz_left_circuit,
-    bghz_pair,
     bghz_right_circuit,
     ifm_circuit,
     mach_zehnder_circuit,
+    pair_amplitudes,
+    run_bghz,
 )
+from shadowsim.rng import make_rng
 from shadowsim.streams import (
     INV_SQRT2,
-    StreamPair,
     build_stream,
     congruence_check,
-    joint_terminal_amplitudes,
     stream_terminal_amplitudes,
     terminal_probabilities,
     unitarity_defect,
 )
-from reference import PathClock, enumerate_paths, path_amplitude
+from reference import PathClock, bghz_streams, enumerate_paths, path_amplitude, stream_arms
 
 # Frozen from the closed forms (1/2)e^{i theta} i (e^{i alpha} + 1) and
 # (1/2)e^{i theta}(e^{i alpha} - 1), evaluated independently of the engine.
@@ -187,26 +188,39 @@ def test_unitarity_on_random_circuits(seed):
 # -- stream pairs ---------------------------------------------------------------
 
 
-def test_pair_daughters_share_one_clock():
-    pair = bghz_pair(0.2, 1.0, seed=5)
-    assert pair.left.initial_clock == pair.right.initial_clock
+def test_pair_daughters_share_one_clock(monkeypatch):
+    """run_bghz builds both daughters under the one clock drawn from its seed."""
+    built = []
+
+    def recording_build(*args, **kwargs):
+        built.append(build_stream(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_stream", recording_build)
+    run_bghz(0.2, 1.0, "streams", seed=5)
+    clock = float(make_rng(5).uniform(0.0, 2.0 * math.pi))
+    assert [stream.initial_clock for stream in built] == [clock, clock]
+
+
+def _joint(left, right):
+    return pair_amplitudes(stream_arms(left), stream_arms(right))
 
 
 def test_joint_amplitudes_match_frozen_oracle():
-    pair = bghz_pair(0.4, 1.5, seed=11)
-    joint = joint_terminal_amplitudes(pair)
-    rotation = cmath.exp(2j * pair.left.initial_clock)
+    left, right = bghz_streams(0.4, 1.5, seed=11)
+    joint = _joint(left, right)
+    rotation = cmath.exp(2j * left.initial_clock)
     for key, want in BGHZ_JOINT_ORACLE.items():
         assert joint[key] == pytest.approx(want * rotation, abs=1e-12)
 
 
 def _joint_probabilities(pair):
-    return {key: abs(amp) ** 2 for key, amp in joint_terminal_amplitudes(pair).items()}
+    return {key: abs(amp) ** 2 for key, amp in _joint(*pair).items()}
 
 
 def test_joint_probabilities_normalized_and_correct():
     for alpha, beta in [(0.0, 0.0), (0.4, 1.5), (3.0, 0.7)]:
-        pair = bghz_pair(alpha, beta, seed=3)
+        pair = bghz_streams(alpha, beta, seed=3)
         probs = _joint_probabilities(pair)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         half = 0.5 * (beta - alpha)
@@ -215,31 +229,12 @@ def test_joint_probabilities_normalized_and_correct():
 
 
 def test_perfect_correlation_at_equal_shifts():
-    pair = bghz_pair(1.234, 1.234, seed=8)
+    pair = bghz_streams(1.234, 1.234, seed=8)
     probs = _joint_probabilities(pair)
     assert probs[("u", "u'")] == pytest.approx(0.5, abs=1e-12)
     assert probs[("d", "d'")] == pytest.approx(0.5, abs=1e-12)
     assert probs[("u", "d'")] == pytest.approx(0.0, abs=1e-12)
     assert probs[("d", "u'")] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_joint_rejects_unequal_source_fanouts():
-    two_arm = bghz_left_circuit(0.1)
-    one_arm = mach_zehnder_circuit(0.2)
-    for left, right in [(two_arm, one_arm), (one_arm, two_arm)]:
-        pair = StreamPair(
-            left=build_stream(left, initial_clock=0.3),
-            right=build_stream(right, initial_clock=0.3),
-        )
-        with pytest.raises(ValueError, match="same number of source arms"):
-            joint_terminal_amplitudes(pair)
-
-
-def test_pair_requires_shared_clock():
-    left = build_stream(mach_zehnder_circuit(0.1), initial_clock=0.5)
-    right = build_stream(ifm_circuit("a"), initial_clock=0.6)
-    with pytest.raises(ValueError, match="clock"):
-        StreamPair(left=left, right=right)
 
 
 # -- congruence ------------------------------------------------------------------
@@ -248,7 +243,7 @@ def test_pair_requires_shared_clock():
 def test_congruence_holds_on_symmetric_bench():
     for alpha in np.linspace(0, 2 * math.pi, 8):
         for beta in np.linspace(0, 2 * math.pi, 8):
-            report = congruence_check(bghz_pair(float(alpha), float(beta), seed=2))
+            report = congruence_check(*bghz_streams(float(alpha), float(beta), seed=2))
             assert report.identity_deviation < 1e-12
             assert report.refactoring_deviation < 1e-12
 
@@ -256,15 +251,15 @@ def test_congruence_holds_on_symmetric_bench():
 def test_congruence_cross_term_value_at_zero_shifts():
     """At alpha = beta = 0 the u-u' sum of products is exactly i (before
     the pairing weight), up to the shared clock rotation."""
-    pair = bghz_pair(0.0, 0.0, seed=4)
-    report = congruence_check(pair)
-    rotation = cmath.exp(2j * pair.left.initial_clock)
+    pair = bghz_streams(0.0, 0.0, seed=4)
+    report = congruence_check(*pair)
+    rotation = cmath.exp(2j * pair[0].initial_clock)
     assert report.cross_terms[("u", "u'")] / rotation == pytest.approx(1j, abs=1e-12)
 
 
 def test_congruence_detects_desymmetrized_geometry():
-    pair = bghz_pair(0.8, 2.1, seed=5, right_arm_phase=0.3)
-    report = congruence_check(pair)
+    pair = bghz_streams(0.8, 2.1, seed=5, arm_phase=0.3)
+    report = congruence_check(*pair)
     # the plain arms now differ by e^{0.3i}, so |1 - e^{0.3i}|/sqrt(2)
     expected = abs(1 - cmath.exp(0.3j)) / math.sqrt(2)
     assert report.identity_deviation == pytest.approx(expected, rel=1e-9)
@@ -274,8 +269,8 @@ def test_congruence_detects_desymmetrized_geometry():
 def test_refactored_terms_use_single_side_products():
     """The rewritten form must equal the cross form term by term, which is
     the numerical content of the locality rearrangement."""
-    pair = bghz_pair(1.1, 0.3, seed=9)
-    report = congruence_check(pair)
+    pair = bghz_streams(1.1, 0.3, seed=9)
+    report = congruence_check(*pair)
     assert set(report.cross_terms) == set(report.refactored_terms)
     for key, value in report.cross_terms.items():
         assert report.refactored_terms[key] == pytest.approx(value, abs=1e-12)
