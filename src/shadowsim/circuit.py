@@ -24,7 +24,8 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from itertools import cycle
+from operator import attrgetter
 from typing import Any, Callable, Hashable
 
 from .angles import canonical_angle, parse_angle
@@ -149,10 +150,10 @@ class Circuit:
             eid for eid, el in self.elements.items() if el.kind in TERMINAL_TYPES
         )
         self.topo_order: tuple[str, ...] = self._toposort()
-        # Links leaving each element, in output-port order.
-        self._successors: dict[str, list[Link]] = {eid: [] for eid in self.elements}
-        for link in sorted(self.links, key=attrgetter("src_port")):
-            self._successors[link.src].append(link)
+        # Links leaving each element by destination, in id order; each group in port order.
+        self._successors: dict[str, dict[str, list[Link]]] = {eid: {} for eid in self.elements}
+        for link in sorted(self.links, key=attrgetter("dst", "src_port")):
+            self._successors[link.src].setdefault(link.dst, []).append(link)
         self._compiled: dict = {}
 
     def with_shifts(self, shifts: dict[str, float]) -> Circuit:
@@ -186,7 +187,7 @@ class Circuit:
     def source_fanout(self, eid: str) -> int:
         if self.elements[eid].kind is not ElementType.SOURCE:
             raise CircuitValidationError(f"{eid} is not a source")
-        return len(self._successors[eid])
+        return sum(map(len, self._successors[eid].values()))
 
     def sole_source(self) -> str:
         """The source to use when the caller names none."""
@@ -455,15 +456,16 @@ def count_paths(circuit: Circuit, source: str | None = None) -> int:
     counts = dict.fromkeys(circuit.topo_order, 0)
     counts[source] = 1
     for eid in circuit.topo_order:
-        for link in circuit._successors[eid]:
-            counts[link.dst] += counts[eid]
+        for dst, links in circuit._successors[eid].items():
+            counts[dst] += counts[eid] * len(links)
     return sum(counts[eid] for eid in circuit.terminals)
 
 
 @dataclass(frozen=True)
 class PathTable:
-    """Every route of one source, one row per route.  Rows are sorted by
-    their element-id sequence, ties kept in the walk's order.
+    """Every route of one source, one row per route, in the order of their
+    element-id sequences; routes with one sequence keep the order of a
+    depth-first walk that takes output port 0 first.
 
     Column entry i describes route i.  ``routes[i]`` names its elements,
     one character each, the rank of the element's id among the sorted ids,
@@ -503,43 +505,49 @@ def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
 
 
 def _walk_paths(circuit: Circuit, source: str) -> PathTable:
+    """Depth first over element sequences, destinations in id order, so the
+    rows come out in table order.  A bundle holds the routes of one element
+    sequence: the in-ports its members cycle through, then per member a
+    phase, advances and source port (-1 for the source's lone member)."""
     total = count_paths(circuit, source)
     if total > MAX_PATHS:
         raise CircuitValidationError(
             f"source {source} has {total} paths, more than the limit of {MAX_PATHS}"
         )
-    elements = circuit.elements
-    outs = circuit._successors
-    splitters = {eid for eid, el in elements.items() if el.kind is ElementType.BEAMSPLITTER}
-    shifters = {eid for eid, el in elements.items() if el.kind is ElementType.PHASESHIFTER}
-    code = {eid: chr(rank) for rank, eid in enumerate(sorted(elements))}
-    rows: list[tuple] = []
-    # Depth first, port 0 first: an element's successors are pushed in
-    # reverse port order.  Each entry carries its route so far; the source
-    # enters with in-port -1.
-    stack: list[tuple] = [(source, -1, "", 0.0, (), 0, 0)]
+    kinds = {eid: el.kind for eid, el in circuit.elements.items()}
+    splitter_kind, shifter_kind = ElementType.BEAMSPLITTER, ElementType.PHASESHIFTER
+    code = {eid: chr(rank) for rank, eid in enumerate(sorted(kinds))}
+    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    stack: list[tuple] = [(source, "", 0, (-1,), [0.0], [()], [-1])]
     while stack:
-        eid, in_port, route, phase, advances, crossings, source_port = stack.pop()
+        eid, route, crossings, in_ports, phases, advances, ports = stack.pop()
         route += code[eid]
-        links = outs[eid]
-        if not links:  # only terminals have no outputs
-            rows.append((route, phase, advances, crossings, eid, source_port))
+        groups, n = circuit._successors[eid], len(phases)
+        if not groups:  # only terminals have no outputs
+            finished = ([route] * n, phases, advances, [crossings] * n, [eid] * n, ports)
+            for column, values in zip(columns, finished):
+                column += values
             continue
-        splitter = eid in splitters
+        splitter = kinds[eid] is splitter_kind
         if splitter:
             crossings += 1
-        elif eid in shifters:
-            advances += (eid,)
-        for link in reversed(links):
-            out_port = link.src_port
-            stack.append((
-                link.dst,
-                link.dst_port,
-                route,
-                phase + link.phase,
-                advances + (None,) if splitter and in_port != out_port else advances,
-                crossings,
-                out_port if in_port < 0 else source_port,
-            ))
-    rows.sort(key=itemgetter(0))
-    return PathTable(source, *zip(*rows))
+        elif kinds[eid] is shifter_kind:
+            advances = [a + (eid,) for a in advances]
+        for dst, links in reversed(groups.items()):
+            if len(links) == 1:
+                (link,) = links
+                out = link.src_port
+                stack.append((dst, route, crossings, (link.dst_port,),
+                    [p + link.phase for p in phases],
+                    advances if not splitter or in_ports == (out,) else
+                    [a + (None,) if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
+                    [out] if eid == source else ports))
+                continue
+            # Several links into one element: each member's children, in port order.
+            stack.append((dst, route, crossings, tuple(link.dst_port for link in links),
+                [p + link.phase for p in phases for link in links],
+                [a + (None,) if splitter and ip != link.src_port else a
+                 for a, ip in zip(advances, cycle(in_ports)) for link in links],
+                [link.src_port for link in links] if eid == source
+                else [port for port in ports for _ in links]))
+    return PathTable(source, *map(tuple, columns))

@@ -24,7 +24,7 @@ import locale  # noqa: F401
 import math
 import sys
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -339,9 +339,31 @@ def _write_csv(path: str, meta: dict, columns: list[str], rows: Iterable) -> Non
     _write_lines(path, chain(header, map(_csv_row, rows)))
 
 
+def _json_lines(value, head: str = "", tail: str = "", indent: str = "") -> Iterator[str]:
+    """The lines of ``json.dumps(value, indent=2, sort_keys=True)``, the first
+    led by ``head``, the last closed by ``tail`` and the rest indented by
+    ``indent``, made one at a time: a long list or numpy array is read
+    element by element and never held whole as Python floats or text."""
+    if isinstance(value, dict):
+        items: Iterable = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items = (("", item) for item in value)
+    else:
+        yield head + json.dumps(value) + tail
+        return
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    if len(value) == 0:
+        yield head + opening + closing + tail
+        return
+    yield head + opening
+    inner = indent + "  "
+    for i, (key, item) in enumerate(items, start=1):
+        yield from _json_lines(item, inner + key, "," if i < len(value) else "", inner)
+    yield indent + closing + tail
+
+
 def _write_json(path: str, meta: dict, results) -> None:
-    payload = {"meta": meta, "results": results}
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
+    _write_lines(path, _json_lines({"meta": meta, "results": results}))
 
 
 def _outcome_str(outcome) -> str:
@@ -736,12 +758,7 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
         meta = _meta_block(run_config, values["seed"])
         if values["format"] == "json":
             results = [
-                {
-                    "t": t,
-                    "x": [float(v) for v in snap.x],
-                    "re": [float(v) for v in snap.values.real],
-                    "im": [float(v) for v in snap.values.imag],
-                }
+                {"t": t, "x": snap.x, "re": snap.values.real, "im": snap.values.imag}
                 for t, snap in snapshots
             ]
             _write_json(values["out"], meta, results)

@@ -41,6 +41,7 @@ several widths away from the edges for the duration of a run.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -245,14 +246,22 @@ def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float 
     so the kernel is diag . Toeplitz . diag: the Toeplitz part is the free
     kernel, applied as a circulant convolution on a 2N embedding, and a
     free potential has no diagonal.  Raises ValueError, before any step,
-    when the kernel leaves the float range.
+    when the kernel leaves the float range, or when its prefactor is so
+    small that the squares a step's norm sums would underflow.
     """
     _check_step_args(eps, window)
     m, hbar, n = wf.mass, wf.hbar, wf.n
+    prefactor = _prefactor(wf, eps)
+    if abs(prefactor) < math.sqrt(sys.float_info.min):
+        raise ValueError(
+            f"the one-step kernel at eps = {eps!r} underflows: its prefactor "
+            f"{abs(prefactor):.3g} squares to below the float range; use a larger "
+            "mass or a smaller hbar or eps"
+        )
     d = wf.x - wf.x[0]
     curvature = 0.5 * m / eps
     with np.errstate(all="ignore"):
-        column = _prefactor(wf, eps) * np.exp(1j * curvature * d**2 / hbar)
+        column = prefactor * np.exp(1j * curvature * d**2 / hbar)
         if window is not None:
             column[d > window] = 0.0
         spectrum = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))

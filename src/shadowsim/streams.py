@@ -1,11 +1,11 @@
 """Shadow streams: per-path clock amplitudes and their composition rules.
 
 Every emission event creates one stream covering all paths of the circuit.
-The engine first compiles the circuit into a path table (circuit.PathTable),
-one row per path, and then evaluates each row.  The table holds no shift
-value, so circuits derived by ``Circuit.with_shifts`` share one table, walked
-once.  A path's amplitude is the product of a unit phase, tracked by a path
-clock, and a magnitude factor 1/sqrt(2) per beamsplitter crossing:
+The engine compiles the circuit into a path table (circuit.PathTable), one
+row per path, walked in bundles of rows with one element sequence, then
+evaluates each row; the table holds no shift value, so circuits derived by
+``Circuit.with_shifts`` share it.  A path's amplitude is the product of a
+unit phase, tracked by a path clock, and 1/sqrt(2) per splitter crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -59,17 +59,19 @@ class ShadowStream:
 
 def _table_amplitudes(circuit: Circuit, table: PathTable, initial_clock: float) -> tuple:
     """Every row's amplitude: the clock is reduced to [0, 2pi) after the
-    geometric phase and after each advance, whose turn is looked up in
-    ``circuit``, and converted to a complex number once at the end."""
+    geometric phase, by canonical_angle as the sum may be negative, and after
+    each advance, whose turn is looked up in ``circuit``, by a bare fmod, which
+    gives the same bits on [0, 4pi); then it becomes a complex number."""
     turns = {eid: el.shift for eid, el in circuit.elements.items()}
     turns[None] = REFLECTION_TURN
     start = canonical_angle(initial_clock)
+    fmod, cos, sin, tau = math.fmod, math.cos, math.sin, 2.0 * math.pi
     amplitudes = []
     for phase, advances, crossings in zip(table.geometric_phases, table.advances, table.crossings):
         clock = canonical_angle(start + phase)
         for advance in advances:
-            clock = canonical_angle(clock + turns[advance])
-        amplitudes.append(complex(math.cos(clock), math.sin(clock)) * INV_SQRT2**crossings)
+            clock = fmod(clock + turns[advance], tau)
+        amplitudes.append(complex(cos(clock), sin(clock)) * INV_SQRT2**crossings)
     return tuple(amplitudes)
 
 
@@ -100,8 +102,8 @@ def build_stream(
 def stream_terminal_amplitudes(
     stream: ShadowStream, *, port: int | None = None
 ) -> dict[str, complex]:
-    """Summed amplitude per terminal, blockers included, unreached ones 0.
-
+    """Amplitude per terminal, blockers included, unreached ones 0, added
+    row by row in table order (builtin sum compensates from Python 3.12).
     With ``port=None`` a source with several arms emits an equal-weight
     superposition over them, so the sums carry 1/sqrt(fanout); ``port=k``
     sums arm k's rows alone with weight 1, as hilbert.evolve_circuit does.

@@ -53,7 +53,8 @@ class Path:
 def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
     """Every route from ``source`` (the sole source when None), walked depth
     first with port 0 first, then sorted by element-id sequence with ties in
-    walk order, as ``compile_paths`` sorts its rows."""
+    walk order: the row order of ``compile_paths``, which walks its rows in
+    bundles and needs no sort."""
     if source is None:
         source = circuit.sole_source()
     outs: dict[str, list] = {eid: [] for eid in circuit.elements}

@@ -14,6 +14,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -521,6 +522,17 @@ def test_packet_that_underflows_to_zero_is_a_config_error(tmp_path):
     assert "underflow to zero" in _refused(argv, tmp_path / "out.csv", 2)
 
 
+@pytest.mark.parametrize("mass", ["1e-322", "1e-310", "5e-324"])
+def test_kernel_whose_prefactor_underflows_is_a_config_error(tmp_path, mass):
+    """A step would square amplitudes of about the prefactor, sqrt(m / (2 pi
+    hbar eps)) dx, below the float range: refused before any step, not
+    reported as aliasing."""
+    argv = ["propagate", "--eps", "0.5", "--steps", "2", f"--mass={mass}"]
+    err = _refused(argv, tmp_path / "out.csv", 2)
+    assert "one-step kernel at eps = 0.5 underflows" in err
+    assert "aliasing" not in err
+
+
 @pytest.mark.parametrize(("column", "value"), [(1, math.nan), (0, math.inf)])
 def test_non_finite_wavefunction_file_is_a_config_error(tmp_path, column, value):
     rows = [[x, math.exp(-x * x), 0.0] for x in (-10.0 + 20.0 * i / 63 for i in range(64))]
@@ -725,6 +737,58 @@ def test_propagation_csv_is_written_within_the_fft_budget(tmp_path, capsys):
     assert "t = 10:" in capsys.readouterr().out
     assert len(out.read_text().splitlines()) == n + 2
     assert peak <= pathintegral._FFT_BYTES_PER_POINT * n
+
+
+def test_propagation_json_is_written_within_the_fft_budget(tmp_path, capsys):
+    """The JSON arrays are read and written one element at a time, so the
+    JSON file stays within the same per-point figure as the CSV."""
+    n = 16384
+    out = tmp_path / "free.json"
+    argv = ["propagate", "--grid-n", str(n), "--steps", "20", "--eps", "0.5",
+            "--format", "json", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "t = 10:" in capsys.readouterr().out
+    (result,) = json.loads(out.read_text())["results"]
+    assert len(result["x"]) == len(result["re"]) == len(result["im"]) == n
+    assert peak <= pathintegral._FFT_BYTES_PER_POINT * n
+
+
+def test_propagation_json_equals_one_json_dumps(tmp_path, monkeypatch):
+    """The streamed file holds the bytes of one json.dumps of its payload with
+    every array written as a list of floats."""
+    written = []
+    write_json = cli._write_json
+
+    def recording(path, meta, results):
+        written.append((meta, results))
+        write_json(path, meta, results)
+
+    monkeypatch.setattr(cli, "_write_json", recording)
+    out = tmp_path / "small.json"
+    argv = ["propagate", "--grid-n", "64", "--xmin", "-10", "--xmax", "10", "--eps", "1.5",
+            "--times", "0,1.5,3", "--format", "json", "--out", str(out)]
+    assert cli.main(argv) == 0
+    ((meta, results),) = written
+    lists = [{key: np.asarray(v).tolist() for key, v in r.items()} for r in results]
+    text = json.dumps({"meta": meta, "results": lists}, indent=2, sort_keys=True) + "\n"
+    assert len(lists) == 3 and len(lists[2]["re"]) == 64
+    assert out.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[], {}, {"b": [], "a": {}, "c": [[]]}, [1, 2.5, -0.0, None, True, "\u03c0\"x"],
+     (3, [4, (5,)]), np.array([]), np.array([0.1, -2.0, 1e300])],
+)
+def test_json_lines_equal_json_dumps(value):
+    plain = value.tolist() if isinstance(value, np.ndarray) else value
+    assert "\n".join(cli._json_lines(value)) == json.dumps(plain, indent=2, sort_keys=True)
 
 
 # -- run ------------------------------------------------------------------------

@@ -2,15 +2,18 @@
 
 import cmath
 import math
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsim.circuit import parse_circuit
+from shadowsim import experiments, streams
+from shadowsim.angles import canonical_angle
+from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths, parse_circuit
 from shadowsim.corpus import random_circuit
-from shadowsim import experiments
 from shadowsim.experiments import (
     bghz_left_circuit,
     bghz_right_circuit,
@@ -120,7 +123,7 @@ def test_build_stream_reproducible_from_seed():
 
 # -- path table against the path-by-path reference ------------------------------
 
-CLOCKS = (0.0, 1.3, math.pi, 5.9, math.nextafter(2 * math.pi, 0.0))
+CLOCKS = (0.0, -0.0, 1.3, math.pi, 5.9, math.nextafter(2 * math.pi, 0.0), -3.0, 1e6)
 
 TWO_ARM_TEXT = """\
 element src source
@@ -135,47 +138,183 @@ link bs:0 d:0
 link bs:1 u:0
 """
 
+# Both arms of the source enter one splitter, whose outputs both enter the
+# next: two links into one element, twice.  Link phases are negative, -0.0,
+# 0.0 and -2pi.
+TWO_ARMS_INTO_ONE_SPLITTER_TEXT = """\
+element src source
+element a beamsplitter
+element b beamsplitter
+element ps phaseshifter:0.7
+element u detector:u
+element d detector:d
+link src:0 a:1 phase=-0.4
+link src:1 a:0 phase=-0.0
+link a:0 b:1 phase=-2pi
+link a:1 b:0 phase=0.0
+link b:0 ps:0 phase=0.3
+link ps:0 d:0
+link b:1 u:0 phase=-2.5
+"""
 
-def _assert_bitwise_reference(circuit, clock):
-    """The table evaluation equals path_amplitude exactly, path for path."""
-    reference = tuple(path_amplitude(p, circuit, clock) for p in enumerate_paths(circuit))
-    assert build_stream(circuit, initial_clock=clock).amplitudes == reference
+# Three arms: 0 and 2 enter one splitter, 1 reaches the other by a mirror.
+THREE_ARM_TEXT = """\
+element s source
+element m mirror
+element x beamsplitter
+element y beamsplitter
+element p phaseshifter:5.5
+element u detector:u
+element d detector:d
+element k blocker
+link s:0 x:0 phase=1.2
+link s:1 m:0 phase=-0.0
+link s:2 x:1 phase=-2pi
+link m:0 y:1 phase=0.0
+link x:0 y:0
+link x:1 p:0 phase=-3.1
+link p:0 k:0
+link y:0 d:0
+link y:1 u:0 phase=-1e-300
+"""
+
+
+def _mz_with_link_phases(phase: float) -> Circuit:
+    """A Mach-Zehnder interferometer whose every link carries ``phase``."""
+    mz = mach_zehnder_circuit(0.9)
+    return Circuit(mz.elements, [replace(link, phase=phase) for link in mz.links])
+
+
+def _bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+def _assert_reference_bits(circuit):
+    """Every column of every source's path table, and every amplitude under
+    each of CLOCKS, equals the reference walk's, compared under float.hex so
+    that signed zeros count."""
+    code = {eid: chr(rank) for rank, eid in enumerate(sorted(circuit.elements))}
+    kinds = {eid: el.kind for eid, el in circuit.elements.items()}
+    for source in circuit.sources:
+        table = compile_paths(circuit, source)
+        paths = enumerate_paths(circuit, source)
+        assert table.source == source
+        assert table.routes == tuple("".join(map(code.get, p.element_ids)) for p in paths)
+        assert [v.hex() for v in table.geometric_phases] == [
+            p.geometric_phase.hex() for p in paths
+        ]
+        assert table.advances == tuple(
+            tuple(
+                None if kinds[eid] is ElementType.BEAMSPLITTER else eid
+                for eid, in_port, out_port in p.steps
+                if kinds[eid] is ElementType.PHASESHIFTER
+                or (kinds[eid] is ElementType.BEAMSPLITTER and in_port != out_port)
+            )
+            for p in paths
+        )
+        assert table.crossings == tuple(
+            [kinds[eid] for eid in p.element_ids].count(ElementType.BEAMSPLITTER) for p in paths
+        )
+        assert table.terminals == tuple(p.terminal for p in paths)
+        assert table.source_ports == tuple(p.steps[0][2] for p in paths)
+        for clock in CLOCKS:
+            stream = build_stream(circuit, source, initial_clock=clock)
+            assert _bits(stream.amplitudes) == _bits(
+                path_amplitude(p, circuit, clock) for p in paths
+            )
 
 
 def test_table_amplitudes_equal_reference_on_the_corpus():
-    for seed in range(500):
-        circuit = random_circuit(seed)
-        for clock in CLOCKS:
-            _assert_bitwise_reference(circuit, clock)
+    for seed in range(2000):
+        _assert_reference_bits(random_circuit(seed))
 
 
 @pytest.mark.parametrize(
     "build",
     [
         lambda: parse_circuit(TWO_ARM_TEXT),
+        lambda: parse_circuit(TWO_ARMS_INTO_ONE_SPLITTER_TEXT),
+        lambda: parse_circuit(THREE_ARM_TEXT),
         lambda: bghz_left_circuit(0.4),
         lambda: bghz_right_circuit(1.5, arm_phase=0.3),
         lambda: mach_zehnder_circuit(2.0, 0.25),
-    ],
+    ]
+    + [lambda phase=phase: _mz_with_link_phases(phase) for phase in (-0.7, -0.0, 0.0, -2 * math.pi)],
+    ids=["two-arm", "two-arms-one-splitter", "three-arm", "bghz-left", "bghz-right", "mz",
+         "mz-links-negative", "mz-links-minus-zero", "mz-links-zero", "mz-links-minus-2pi"],
 )
-@pytest.mark.parametrize("clock", CLOCKS)
-def test_table_amplitudes_equal_reference(build, clock):
-    _assert_bitwise_reference(build(), clock)
+def test_table_amplitudes_equal_reference(build):
+    _assert_reference_bits(build())
 
 
 def test_table_amplitudes_equal_reference_on_a_ladder(ladder_text):
-    circuit = parse_circuit(ladder_text(10))
-    for clock in CLOCKS:
-        _assert_bitwise_reference(circuit, clock)
+    _assert_reference_bits(parse_circuit(ladder_text(10)))
+
+
+# Shifts at the edges of canonical_angle: each reduces to a turn in [0, 2pi).
+SHIFT_EDGES = (-0.0, -1e-300, math.nextafter(2 * math.pi, 0.0), 1e300)
+
+TWO_SHIFTER_TEXT = """\
+element s source
+element b1 beamsplitter
+element b2 beamsplitter
+element p phaseshifter:0
+element q phaseshifter:0
+element u detector:u
+element d detector:d
+link s:0 b1:0 phase=0.25
+link b1:0 p:0
+link p:0 b2:0 phase=1.5
+link b1:1 q:0 phase=6.0
+link q:0 b2:1
+link b2:0 d:0
+link b2:1 u:0 phase=0.0
+"""
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from(SHIFT_EDGES), st.floats(-1e300, 1e300)),
+             min_size=2, max_size=2),
+    st.one_of(st.sampled_from(CLOCKS), st.floats(-1e6, 1e6)),
+)
+def test_turns_lie_in_one_turn_and_no_row_starts_at_negative_zero(shifts, clock):
+    """What lets the table evaluation advance the clock with a bare fmod:
+    every turn it adds lies in [0, 2pi), and the reduction that starts a row
+    (canonical_angle of the clock plus non-negative link phases) never
+    returns -0.0.  _table_amplitudes calls canonical_angle once for the clock,
+    then once per row."""
+    circuit = parse_circuit(TWO_SHIFTER_TEXT).with_shifts({"p": shifts[0], "q": shifts[1]})
+    table = compile_paths(circuit)
+    for advances in table.advances:
+        for advance in advances:
+            turn = REFLECTION_TURN if advance is None else circuit.elements[advance].shift
+            assert 0.0 <= turn < 2 * math.pi
+    reductions = []
+
+    def recording(value):
+        reductions.append(canonical_angle(value))
+        return reductions[-1]
+
+    with mock.patch.object(streams, "canonical_angle", recording):
+        stream = build_stream(circuit, initial_clock=clock)
+    rows = reductions[1:]
+    assert len(rows) == len(table)
+    assert all(0.0 <= r < 2 * math.pi and math.copysign(1.0, r) == 1.0 for r in rows)
+    reference = (path_amplitude(p, circuit, clock) for p in enumerate_paths(circuit))
+    assert _bits(stream.amplitudes) == _bits(reference)
 
 
 def test_terminal_sums_follow_table_order(ladder_text):
-    circuit = parse_circuit(ladder_text(6))
+    """Each terminal sum adds its rows one by one in table order."""
+    circuit = parse_circuit(ladder_text(10))
     stream = build_stream(circuit, initial_clock=2.5)
     sums = {key: 0.0 + 0.0j for key in circuit.terminal_keys()}
     for path, amp in zip(enumerate_paths(circuit), stream.amplitudes, strict=True):
         sums[circuit.terminal_key(path.terminal)] += amp
-    assert stream_terminal_amplitudes(stream) == sums
+    got = stream_terminal_amplitudes(stream)
+    assert list(got) == list(sums)
+    assert _bits(got.values()) == _bits(sums.values())
 
 
 @settings(max_examples=60, deadline=None)
