@@ -19,14 +19,17 @@ from . import hilbert, pathintegral
 from .corpus import random_circuit
 from .experiments import (
     bghz_left_circuit,
+    bghz_points,
     bghz_right_circuit,
     chsh,
     mach_zehnder_circuit,
+    mach_zehnder_points,
     run_bghz,
     run_ifm,
     run_mach_zehnder,
     run_wheeler,
     sample,
+    wheeler_points,
 )
 from .rng import make_rng
 from .streams import (
@@ -61,16 +64,12 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 def check_mz_law() -> CheckResult:
     """P(u)=cos^2(alpha/2), P(d)=sin^2(alpha/2), both engines, 64 points."""
+    alphas = np.linspace(0.0, 2.0 * np.pi, 64).tolist()
     worst = 0.0
-    for alpha in np.linspace(0.0, 2.0 * np.pi, 64):
-        pu, pd = math.cos(alpha / 2) ** 2, math.sin(alpha / 2) ** 2
-        for engine in ("streams", "hilbert"):
-            dist = run_mach_zehnder(float(alpha), engine, seed=0)
-            worst = max(
-                worst,
-                abs(dist.probability("u") - pu),
-                abs(dist.probability("d") - pd),
-            )
+    for engine in ("streams", "hilbert"):
+        for alpha, dist in zip(alphas, mach_zehnder_points([(a, 0) for a in alphas], engine)):
+            pu, pd = math.cos(alpha / 2) ** 2, math.sin(alpha / 2) ** 2
+            worst = max(worst, abs(dist.probability("u") - pu), abs(dist.probability("d") - pd))
     return _result("mz-law", worst < _TOL, f"max |P - closed form| = {worst:.3e}")
 
 
@@ -91,9 +90,10 @@ def check_mz_stream_amplitudes() -> CheckResult:
 def check_bghz_law() -> CheckResult:
     """Joint law 1/2 cos^2, 1/2 sin^2 of beta-alpha on an 8x8 grid."""
     worst = 0.0
-    grid = np.linspace(0.0, 2.0 * np.pi, 8)
-    for alpha in grid:
-        for beta in grid:
+    grid = np.linspace(0.0, 2.0 * np.pi, 8).tolist()
+    points = [(alpha, beta, 0) for alpha in grid for beta in grid]
+    for engine in ("streams", "hilbert"):
+        for (alpha, beta, _), dist in zip(points, bghz_points(points, engine)):
             half = 0.5 * (beta - alpha)
             want = {
                 ("u", "u'"): 0.5 * math.cos(half) ** 2,
@@ -101,10 +101,8 @@ def check_bghz_law() -> CheckResult:
                 ("d", "u'"): 0.5 * math.sin(half) ** 2,
                 ("d", "d'"): 0.5 * math.cos(half) ** 2,
             }
-            for engine in ("streams", "hilbert"):
-                dist = run_bghz(float(alpha), float(beta), engine, seed=0)
-                for key, p in want.items():
-                    worst = max(worst, abs(dist.probability(key) - p))
+            for key, p in want.items():
+                worst = max(worst, abs(dist.probability(key) - p))
     return _result("bghz-law", worst < _TOL, f"max |P - closed form| = {worst:.3e}")
 
 
@@ -161,17 +159,14 @@ def check_ifm() -> CheckResult:
 
 
 def check_wheeler() -> CheckResult:
+    alphas = np.linspace(0.0, 2.0 * np.pi, 16).tolist()
     worst = 0.0
-    for alpha in np.linspace(0.0, 2.0 * np.pi, 16):
-        for engine in ("streams", "hilbert"):
-            peeked = run_wheeler(float(alpha), True, engine, seed=0)
-            worst = max(
-                worst,
-                abs(peeked.probability("u") - 0.5),
-                abs(peeked.probability("d") - 0.5),
-            )
-            plain = run_wheeler(float(alpha), False, engine, seed=0)
-            worst = max(worst, abs(plain.probability("u") - math.cos(alpha / 2) ** 2))
+    for engine in ("streams", "hilbert"):
+        peeked, plain = (wheeler_points([(a, 0) for a in alphas], peek, engine)
+                         for peek in (True, False))
+        for alpha, p, q in zip(alphas, peeked, plain):
+            worst = max(worst, abs(p.probability("u") - 0.5), abs(p.probability("d") - 0.5),
+                        abs(q.probability("u") - math.cos(alpha / 2) ** 2))
     return _result("wheeler", worst < _TOL, f"max deviation = {worst:.3e}")
 
 

@@ -161,13 +161,18 @@ class Circuit:
         Element is.  It shares the validated structure (links, port maps,
         topological order) and everything ``compiled`` built from it."""
         elements = dict(self.elements)
-        for eid, shift in shifts.items():
-            if eid not in elements or elements[eid].kind is not ElementType.PHASESHIFTER:
-                raise CircuitValidationError(f"{eid!r} is not a phase shifter")
+        for eid, shift in self.shift_values(shifts).items():
             elements[eid] = Element(ElementType.PHASESHIFTER, shift=shift)
         derived = object.__new__(Circuit)
         derived.__dict__.update(self.__dict__, elements=elements)
         return derived
+
+    def shift_values(self, shifts: dict[str, float]) -> dict[str, float]:
+        """``shifts`` as phase-shifter Elements hold them, reduced to [0, 2pi)."""
+        for eid in shifts:
+            if eid not in self.elements or self.elements[eid].kind is not ElementType.PHASESHIFTER:
+                raise CircuitValidationError(f"{eid!r} is not a phase shifter")
+        return {eid: canonical_angle(shift) for eid, shift in shifts.items()}
 
     def compiled(self, key: Hashable, build: Callable[[], Any]) -> Any:
         """``build()``, computed once per structure and shared by every

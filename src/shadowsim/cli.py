@@ -34,13 +34,13 @@ from . import __version__, checks, hilbert, pathintegral, streams
 from .angles import parse_angle
 from .circuit import CircuitError, parse_circuit
 from .experiments import (
-    chsh,
-    run_bghz,
+    bghz_points,
+    chsh_points,
+    mach_zehnder_points,
     run_circuit,
     run_ifm,
-    run_mach_zehnder,
-    run_wheeler,
     sample,
+    wheeler_points,
 )
 from .outcomes import OutcomeDistribution
 from .rng import RNG_NAME, substream
@@ -49,9 +49,9 @@ from .rng import RNG_NAME, substream
 # before any work.  sample() counts shots in chunks, so they bound its time, not
 # its memory: about 6.4 ms per 10**6 (hilbert MZ, min of 3x3, 2-core x86 VM).
 MAX_SHOTS = 2**26
-# A sweep's memory peaks at about 13 kB per grid point (tracemalloc: bghz on
-# both engines to JSON; mz to CSV takes 2.4 kB), so MAX_GRID_POINTS points
-# stay under 2**30 bytes.
+# A sweep's memory peaks at about 10 kB per grid point (tracemalloc: chsh, four
+# bghz settings a point, on both engines; mz to CSV takes 2.8 kB), so
+# MAX_GRID_POINTS points stay under 2**30 bytes.
 MAX_GRID_POINTS = 2**16
 # Time bound on a sweep's draws, summed over points, engines and settings:
 # about 7 s at that rate.
@@ -459,10 +459,10 @@ def _report_chsh(name: str, values: dict, reports: list) -> None:
 
 # -- experiment registry ----------------------------------------------------------
 
-def _run_chsh(values: dict, engine: str):
-    if values["angles"] is None:
+def _run_chsh(points: list[dict], engine: str) -> list:
+    if points[0]["angles"] is None:
         raise ConfigError("chsh needs --angles a,a',b,b'")
-    return chsh(*values["angles"], engine, shots=values["shots"], seed=values["seed"])
+    return chsh_points([(p["angles"], p["seed"]) for p in points], engine, shots=points[0]["shots"])
 
 
 def _read_circuit_file(values: dict) -> dict:
@@ -477,22 +477,22 @@ def _read_circuit_file(values: dict) -> dict:
         raise ConfigError(f"cannot read circuit file: {exc}") from exc
 
 
-def _run_circuit_file(values: dict, engine: str) -> OutcomeDistribution:
-    params = {"experiment": "circuit", "circuit_file": values["circuit-file"],
-              "engine": engine, "seed": values["seed"], "rng": RNG_NAME}
-    return run_circuit(values["circuit"], engine, params, seed=values["seed"])
+def _run_circuit_file(points: list[dict], engine: str) -> list[OutcomeDistribution]:
+    return [run_circuit(p["circuit"], engine, {"experiment": "circuit", "engine": engine,
+                        "circuit_file": p["circuit-file"], "seed": p["seed"], "rng": RNG_NAME},
+                        seed=p["seed"]) for p in points]
 
 
 class Experiment(NamedTuple):
     """One bench: the keys it reads, its runner and its sweep axis.
 
-    ``run`` maps the values read and one engine to that engine's result.
-    ``axis`` is the swept column's name and a map from a grid value to the
-    keys it sets; an experiment without one cannot be swept.  ``report``
-    prints and writes a run's results, one per engine, and ``cells`` gives
-    the sweep columns of one engine's result at one grid point.  ``load``
-    maps a run's values to those its engines read, once per run.
-    """
+    ``run`` maps a list of points (each the values read) and one engine to
+    its results, evaluating each circuit structure once for all.  ``axis`` is
+    the swept column's name and a map from a grid value to the keys it sets;
+    an experiment without one cannot be swept.  ``report`` prints and writes
+    a run's results, one per engine, and ``cells`` gives the sweep columns of
+    one engine's result at one grid point.  ``load`` maps a run's values to
+    those its engines read, once per run."""
 
     keys: tuple[str, ...]
     run: Callable | None
@@ -519,21 +519,24 @@ CHECK_KEYS = ("seed", "corpus-cases", "shots")
 REGISTRY = {
     "mz": Experiment(
         BENCH_KEYS + ("alpha", "theta"),
-        lambda v, engine: run_mach_zehnder(v["alpha"], engine, theta=v["theta"], seed=v["seed"]),
+        lambda points, engine: mach_zehnder_points(
+            [(p["alpha"], p["seed"]) for p in points], engine, theta=points[0]["theta"]),
         ("alpha", lambda x: {"alpha": x, "theta": 0.0}),
     ),
     "wheeler": Experiment(
         BENCH_KEYS + ("alpha", "peek"),
-        lambda v, engine: run_wheeler(v["alpha"], v["peek"], engine, seed=v["seed"]),
+        lambda points, engine: wheeler_points(
+            [(p["alpha"], p["seed"]) for p in points], points[0]["peek"], engine),
         ("alpha", lambda x: {"alpha": x}),
     ),
     "ifm": Experiment(
         BENCH_KEYS + ("blocked-arm",),
-        lambda v, engine: run_ifm(v["blocked-arm"], engine, seed=v["seed"]),
+        lambda points, engine: [run_ifm(p["blocked-arm"], engine, seed=p["seed"]) for p in points],
     ),
     "bghz": Experiment(
         BENCH_KEYS + ("alpha", "beta"),
-        lambda v, engine: run_bghz(v["alpha"], v["beta"], engine, seed=v["seed"]),
+        lambda points, engine: bghz_points(
+            [(p["alpha"], p["beta"], p["seed"]) for p in points], engine),
         ("delta", lambda x: {"alpha": 0.0, "beta": x}),
     ),
     "chsh": Experiment(
@@ -564,7 +567,7 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
     values = _values(args, config, experiment.keys, format="json")
     _bounded(values, "shots", 1, MAX_SHOTS)
     values = experiment.load(values)
-    results = [experiment.run(values, engine) for engine in _engines(values["engine"])]
+    results = [experiment.run([values], engine)[0] for engine in _engines(values["engine"])]
     experiment.report(name, values, results)
     return 0
 
@@ -572,6 +575,8 @@ def _cmd_run(args: argparse.Namespace, config: dict) -> int:
 # -- sweep ----------------------------------------------------------------------
 
 def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
+    """Run an experiment over a grid: one call per engine evaluates every
+    point, then the rows are laid out point by point, engines in turn."""
     name = _experiment(args, config, SWEEPABLE)
     experiment = REGISTRY[name]
     column, sets = experiment.axis
@@ -591,13 +596,14 @@ def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
                           f" x shots), more than {MAX_SWEEP_DRAWS}")
 
     master = values["seed"]
-    rows = []
-    for i, x in enumerate(np.linspace(start, stop, count).tolist()):
-        seed = None if master is None else int(substream(master, i).integers(2**63))
-        point = {**values, **sets(x), "seed": seed}
-        for engine in engines:
-            for cells in experiment.cells(point, experiment.run(point, engine)):
-                rows.append({column: x, **cells, "engine": engine, "seed": _seed_str(seed)})
+    grid = np.linspace(start, stop, count).tolist()
+    points = [{**values, **sets(x), "seed": None if master is None
+               else int(substream(master, i).integers(2**63))} for i, x in enumerate(grid)]
+    results = [experiment.run(points, engine) for engine in engines]
+    rows = [{column: x, **cells, "engine": engine, "seed": _seed_str(point["seed"])}
+            for x, point, *per_engine in zip(grid, points, *results)
+            for engine, result in zip(engines, per_engine)
+            for cells in experiment.cells(point, result)]
 
     columns = list(rows[0])
     meta = _meta_block(_run_config(name, values), master)
@@ -740,18 +746,16 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
         snapshots, max_drift = pathintegral.propagate_snapshots(
             wf, eps, times, potential, values["window"]
         )
+        velocities = [pathintegral.mean_velocity(snap) for _, snap in snapshots]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    for t, snap in snapshots:
+    for (t, snap), velocity in zip(snapshots, velocities):
         mean = pathintegral.expectation_x(snap)
         var = float(
             np.sum((snap.x - mean) ** 2 * snap.probability_density()) * snap.dx
         )
-        print(
-            f"t = {t:g}: <x> = {mean:.6f}, sigma = {math.sqrt(var):.6f}, "
-            f"<v> = {pathintegral.mean_velocity(snap):.6f}"
-        )
+        print(f"t = {t:g}: <x> = {mean:.6f}, sigma = {math.sqrt(var):.6f}, <v> = {velocity:.6f}")
     print(f"max one-step norm drift: {max_drift:.3e}")
 
     if values["out"] is not None:

@@ -35,7 +35,7 @@ from .outcomes import (
     OutcomeDistribution,
 )
 from .rng import RNG_NAME, make_rng, substream
-from .streams import build_stream, stream_terminal_amplitudes, terminal_probabilities
+from .streams import emission_clock, terminal_amplitudes
 
 ENGINES = (ENGINE_STREAMS, ENGINE_HILBERT)
 
@@ -159,57 +159,72 @@ def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
 
 
 # -- experiment runners -------------------------------------------------------
+# Each *_points runner evaluates each circuit structure once for all its points.
 
-def run_circuit(
-    circuit: Circuit, engine: str, params: dict, *, seed: int | None = None
-) -> OutcomeDistribution:
-    """One single-particle circuit on either engine."""
+def _clocks(engine: str, seeds: list) -> list:
+    """Each point's streams clock, drawn as build_stream(seed=...) draws it."""
+    return [emission_clock(seed) if engine == ENGINE_STREAMS else None for seed in seeds]
+
+
+def _amplitudes(circuit: Circuit, engine: str, shift_maps: list, clocks: list,
+                port: int | None = None) -> list[dict[str, complex]]:
+    """Terminal amplitudes of one circuit structure at each point's shifts."""
     _require_engine(engine)
     if engine == ENGINE_HILBERT:
-        probs = hilbert.evolve_circuit(circuit).probabilities()
-        return OutcomeDistribution(probs, ENGINE_HILBERT, params)
-    stream = build_stream(circuit, seed=seed)
-    return OutcomeDistribution(terminal_probabilities(stream), ENGINE_STREAMS, params)
+        return [e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps, port=port)]
+    return terminal_amplitudes(circuit, zip(shift_maps, clocks), port=port)
 
 
-def run_mach_zehnder(
-    alpha: float,
-    engine: str = ENGINE_STREAMS,
-    *,
-    theta: float = 0.0,
-    seed: int | None = None,
-) -> OutcomeDistribution:
-    params = {"experiment": "mz", "alpha": alpha, "theta": theta, "engine": engine,
-              "seed": seed, "rng": RNG_NAME}
-    return run_circuit(mach_zehnder_circuit(alpha, theta), engine, params, seed=seed)
+def _distributions(engine: str, amplitude_maps, params: list[dict]) -> list[OutcomeDistribution]:
+    return [OutcomeDistribution({key: abs(amp) ** 2 for key, amp in amps.items()}, engine, p)
+            for amps, p in zip(amplitude_maps, params)]
 
 
-def run_wheeler(
-    alpha: float,
-    peek: bool,
-    engine: str = ENGINE_STREAMS,
-    *,
-    seed: int | None = None,
-) -> OutcomeDistribution:
-    """Delayed-choice bench; ``peek`` inserts which-path marking after the
-    first splitter, which kills the alpha dependence."""
-    _require_engine(engine)
+def run_circuit(circuit: Circuit, engine: str, params: dict, *,
+                seed: int | None = None) -> OutcomeDistribution:
+    """One single-particle circuit on either engine."""
+    amps = _amplitudes(circuit, engine, [{}], _clocks(engine, [seed]))
+    return _distributions(engine, amps, [params])[0]
+
+
+def mach_zehnder_points(points: Sequence[tuple[float, int | None]], engine: str = ENGINE_STREAMS,
+                        *, theta: float = 0.0) -> list[OutcomeDistribution]:
+    """The Mach-Zehnder at each (alpha, seed) point."""
+    params = [{"experiment": "mz", "alpha": alpha, "theta": theta, "engine": engine,
+               "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
+    amps = _amplitudes(_mach_zehnder_structure(theta), engine, [{"shift_a": a} for a, _ in points],
+                       _clocks(engine, [seed for _, seed in points]))
+    return _distributions(engine, amps, params)
+
+
+def run_mach_zehnder(alpha: float, engine: str = ENGINE_STREAMS, *, theta: float = 0.0,
+                     seed: int | None = None) -> OutcomeDistribution:
+    return mach_zehnder_points([(alpha, seed)], engine, theta=theta)[0]
+
+
+def wheeler_points(points: Sequence[tuple[float, int | None]], peek: bool,
+                   engine: str = ENGINE_STREAMS) -> list[OutcomeDistribution]:
+    """The delayed-choice bench at each (alpha, seed) point; ``peek`` marks
+    the arm right after the first splitter, which kills the alpha dependence:
+    each arm's contribution stands alone, so the two arm-blocked benches add
+    as probabilities and a phase on a lone arm drops out of |amplitude|^2."""
     if not peek:
-        dist = run_mach_zehnder(alpha, engine, seed=seed)
-        params = dict(dist.parameters)
-        params.update({"experiment": "wheeler", "peek": False})
-        return OutcomeDistribution(dist.outcomes, dist.engine, params)
-    params = {"experiment": "wheeler", "alpha": alpha, "peek": True,
-              "engine": engine, "seed": seed, "rng": RNG_NAME}
-    # Marking the arm after bs1 leaves each arm's contribution on its own:
-    # the two arm-blocked benches add as probabilities, and a phase on a
-    # lone arm drops out of |amplitude|^2.
-    outcomes = {"u": 0.0, "d": 0.0}
-    for blocked in ("a", "b"):
-        probs = run_circuit(ifm_circuit(blocked), engine, params, seed=seed).outcomes
-        for out in outcomes:
-            outcomes[out] += probs[out]
-    return OutcomeDistribution(outcomes, engine, params)
+        return [OutcomeDistribution(d.outcomes, d.engine,
+                                    {**d.parameters, "experiment": "wheeler", "peek": False})
+                for d in mach_zehnder_points(points, engine)]
+    params = [{"experiment": "wheeler", "alpha": alpha, "peek": True, "engine": engine,
+               "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
+    clocks = _clocks(engine, [seed for _, seed in points])
+    arms = [_distributions(engine, _amplitudes(_blocked_structure(arm), engine,
+                                               [{}] * len(points), clocks), params)
+            for arm in ("a", "b")]
+    return [OutcomeDistribution({out: a.outcomes[out] + b.outcomes[out] for out in ("u", "d")},
+                                engine, p) for p, a, b in zip(params, *arms)]
+
+
+def run_wheeler(alpha: float, peek: bool, engine: str = ENGINE_STREAMS, *,
+                seed: int | None = None) -> OutcomeDistribution:
+    return wheeler_points([(alpha, seed)], peek, engine)[0]
 
 
 def run_ifm(
@@ -223,10 +238,6 @@ def run_ifm(
     params = {"experiment": "ifm", "blocked_arm": blocked_arm, "engine": engine,
               "seed": seed, "rng": RNG_NAME}
     return run_circuit(ifm_circuit(blocked_arm), engine, params, seed=seed)
-
-
-def _arms(circuit: Circuit) -> range:
-    return range(circuit.source_fanout(circuit.sole_source()))
 
 
 def pair_amplitudes(
@@ -253,26 +264,25 @@ def pair_amplitudes(
     return {key: weight * amp for key, amp in joint.items()}
 
 
-def run_bghz(
-    alpha: float,
-    beta: float,
-    engine: str = ENGINE_STREAMS,
-    *,
-    seed: int | None = None,
-) -> OutcomeDistribution:
-    _require_engine(engine)
-    params = {"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
-              "seed": seed, "rng": RNG_NAME}
-    sides = (bghz_left_circuit(alpha), bghz_right_circuit(beta))
-    if engine == ENGINE_HILBERT:
-        arms = [[hilbert.evolve_circuit(c, port=k).amplitudes for k in _arms(c)] for c in sides]
-    else:
-        left = build_stream(sides[0], seed=seed)
-        right = build_stream(sides[1], initial_clock=left.initial_clock)
-        arms = [[stream_terminal_amplitudes(s, port=k) for k in _arms(s.circuit)]
-                for s in (left, right)]
-    probs = {key: abs(amp) ** 2 for key, amp in pair_amplitudes(*arms).items()}
-    return OutcomeDistribution(probs, engine, params)
+def bghz_points(points: Sequence[tuple[float, float, int | None]],
+                engine: str = ENGINE_STREAMS) -> list[OutcomeDistribution]:
+    """The pair bench at each (alpha, beta, seed) point: both sides run
+    under the point's one clock and are paired arm by arm."""
+    clocks = _clocks(engine, [seed for _, _, seed in points])
+    sides = [[_amplitudes(structure, engine, [{shifter: point[i]} for point in points], clocks,
+                          port=k) for k in range(structure.source_fanout(structure.sole_source()))]
+             for structure, shifter, i in ((_bghz_left_structure(), "shift_a", 0),
+                                           (_bghz_right_structure(0.0), "shift_b", 1))]
+    params = [{"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
+               "seed": seed, "rng": RNG_NAME} for alpha, beta, seed in points]
+    joint = (pair_amplitudes(*[[arm[n] for arm in side] for side in sides])
+             for n in range(len(points)))
+    return _distributions(engine, joint, params)
+
+
+def run_bghz(alpha: float, beta: float, engine: str = ENGINE_STREAMS, *,
+             seed: int | None = None) -> OutcomeDistribution:
+    return bghz_points([(alpha, beta, seed)], engine)[0]
 
 
 # -- sampling -----------------------------------------------------------------
@@ -358,43 +368,35 @@ def _correlator(probs: dict[Outcome, float]) -> float:
     return same - diff
 
 
-def chsh(
-    a: float,
-    a_prime: float,
-    b: float,
-    b_prime: float,
-    engine: str = ENGINE_STREAMS,
-    *,
-    shots: int | None = None,
-    seed: int | None = None,
-    signs: tuple[int, int, int, int] = (1, -1, 1, 1),
-) -> ChshReport:
-    """CHSH combination over the four settings, exact or Monte Carlo.
-
-    With ``shots`` each setting is sampled on its own RNG substream of
-    ``seed`` and the correlators are empirical frequencies.
-    """
+def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
+                engine: str = ENGINE_STREAMS, *, shots: int | None = None,
+                signs: tuple[int, int, int, int] = (1, -1, 1, 1)) -> list[ChshReport]:
+    """The CHSH combination at each ((a, a', b, b'), seed) point, exact or
+    Monte Carlo, from one bghz_points call over every point's four settings.
+    With ``shots`` setting i is sampled on RNG substream i of the point's
+    seed and the correlators are empirical frequencies."""
     _require_engine(engine)
     if sorted(abs(s) for s in signs) != [1, 1, 1, 1]:
         raise ValueError("signs must be four values of +-1")
-    settings = [(a, b), (a, b_prime), (a_prime, b), (a_prime, b_prime)]
-    correlations: dict[tuple[float, float], float] = {}
-    for i, (x, y) in enumerate(settings):
-        dist = run_bghz(x, y, engine, seed=seed)
-        if shots is None:
-            correlations[(x, y)] = _correlator(dist.outcomes)
-        else:
-            shot_seed = int(substream(seed, i).integers(2**63))
-            result = sample(dist, shots, shot_seed)
-            correlations[(x, y)] = _correlator(result.frequencies)
-    s_value = sum(s * correlations[setting] for s, setting in zip(signs, settings))
-    return ChshReport(
-        angles=(a, a_prime, b, b_prime),
-        correlations=correlations,
-        s_value=s_value,
-        violation=abs(s_value) > 2.0,
-        engine=engine,
-        signs=signs,
-        shots=shots,
-        seed=seed,
-    )
+    rows = [[(a, b), (a, b2), (a2, b), (a2, b2)] for (a, a2, b, b2), _ in points]
+    dists = iter(bghz_points([(x, y, seed) for row, (_, seed) in zip(rows, points)
+                              for x, y in row], engine))
+    reports = []
+    for settings, (angles, seed) in zip(rows, points):
+        correlations: dict[tuple[float, float], float] = {}
+        for i, ((x, y), dist) in enumerate(zip(settings, dists)):
+            if shots is None:
+                correlations[(x, y)] = _correlator(dist.outcomes)
+            else:
+                shot_seed = int(substream(seed, i).integers(2**63))
+                correlations[(x, y)] = _correlator(sample(dist, shots, shot_seed).frequencies)
+        s_value = sum(s * correlations[setting] for s, setting in zip(signs, settings))
+        reports.append(ChshReport(tuple(angles), correlations, s_value, abs(s_value) > 2.0,
+                                  engine, signs, shots, seed))
+    return reports
+
+
+def chsh(a: float, a_prime: float, b: float, b_prime: float, engine: str = ENGINE_STREAMS, *,
+         shots: int | None = None, seed: int | None = None,
+         signs: tuple[int, int, int, int] = (1, -1, 1, 1)) -> ChshReport:
+    return chsh_points([((a, a_prime, b, b_prime), seed)], engine, shots=shots, signs=signs)[0]

@@ -14,9 +14,9 @@ scatters as
 
 so two splitters wired port to matched port return the input times i.  A
 one-port element moves the amplitude onto its output link times
-exp(i(link phase + its shift)).  ``port=k`` evolves source arm k alone;
-experiments.pair_amplitudes pairs that per-arm view across the two
-daughters of a pair, on either engine.
+exp(i(link phase + its shift)).  evolve_settings evolves one structure at
+a sequence of shift maps; ``port=k`` evolves source arm k alone, the view
+experiments.pair_amplitudes pairs across the two daughters of a pair.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, ElementType, Link, TERMINAL_TYPES
+from .circuit import Circuit, ElementType, TERMINAL_TYPES
 from .outcomes import Outcome
 
 ENGINE_VERSION = "1.0"
@@ -48,7 +48,7 @@ class CircuitEvolution:
         return {key: abs(amp) ** 2 for key, amp in self.amplitudes.items()}
 
 
-def _drift(state: dict[Link, complex]) -> float:
+def _drift(state: dict[int, complex]) -> float:
     """Distance of the state norm from 1; refuses a non-unitary step."""
     drift = abs(math.sqrt(sum(abs(amp) ** 2 for amp in state.values())) - 1.0)
     if drift > _NORM_TOL:
@@ -56,32 +56,34 @@ def _drift(state: dict[Link, complex]) -> float:
     return drift
 
 
-def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple]:
-    """The structure evolve_circuit reads: non-terminal elements in
-    topological order with their links and out-link factors (None for a
-    phase shifter, whose shift is no structure), then each terminal's key
-    and in-link."""
+def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
+    """The structure evolve_settings reads, links by index in ``circuit.links``
+    (None unfed): non-terminal elements in topological order with their links
+    and out-link factors (None for a phase shifter, whose shift is no
+    structure), each terminal's key and in-link, and the index."""
+    index = {link: i for i, link in enumerate(circuit.links)}
+    into = {(link.dst, link.dst_port): i for link, i in index.items()}
     steps = []
     for eid in circuit.topo_order:
         kind = circuit.elements[eid].kind
         if kind is ElementType.BEAMSPLITTER:
             # Reflection-first rows: output port 1 is the cross port of input 0.
             outs = [circuit.out_link(eid, port) for port in (1, 0)]
-            ins = (circuit.in_link(eid, 0), circuit.in_link(eid, 1))
-            steps.append((eid, True, ins, [(out, cmath.exp(1j * out.phase)) for out in outs]))
+            factors = [(index[out], cmath.exp(1j * out.phase)) for out in outs]
+            steps.append((eid, True, (into.get((eid, 0)), into.get((eid, 1))), factors))
         elif kind not in TERMINAL_TYPES and kind is not ElementType.SOURCE:
             out = circuit.out_link(eid, 0)
             # + 0.0 turns a -0.0 link phase into 0.0, as adding a shift would.
             factor = None if kind is ElementType.PHASESHIFTER else cmath.exp(1j * (out.phase + 0.0))
-            steps.append((eid, False, circuit.in_link(eid, 0), (out, factor)))
-    terminals = tuple((circuit.terminal_key(t), circuit.in_link(t, 0)) for t in circuit.terminals)
-    return steps, terminals
+            steps.append((eid, False, into.get((eid, 0)), (index[out], out.phase, factor)))
+    terminals = tuple((circuit.terminal_key(t), into.get((t, 0))) for t in circuit.terminals)
+    return steps, terminals, index
 
 
-def evolve_circuit(
-    circuit: Circuit, source: str | None = None, *, port: int | None = None
-) -> CircuitEvolution:
-    """Propagate one particle through the circuit by per-element unitaries.
+def evolve_settings(circuit: Circuit, shift_maps, source: str | None = None, *,
+                    port: int | None = None) -> list[CircuitEvolution]:
+    """Propagate one particle through the circuit by per-element unitaries,
+    once per shift map, laid over the circuit's own by Circuit.shift_values.
 
     With ``port=None`` a multi-port source emits an equal-weight
     superposition over its arms; ``port=k`` starts from arm k alone with
@@ -89,27 +91,36 @@ def evolve_circuit(
     """
     if source is None:
         source = circuit.sole_source()
-
+    steps, terminals, index = circuit.compiled("hilbert", lambda: _schedule(circuit))
     fanout = circuit.source_fanout(source)
-    state: dict[Link, complex] = {}
+    initial: dict[int, complex] = {}
     for arm in range(fanout) if port is None else [port]:
         link = circuit.out_link(source, arm)
         if link is None:
             raise ValueError(f"source {source} has no arm {arm}")
         amp = cmath.exp(1j * link.phase)
-        state[link] = amp / math.sqrt(fanout) if port is None else amp
+        initial[index[link]] = amp / math.sqrt(fanout) if port is None else amp
+    initial_drift = _drift(initial)
+    evolutions = []
+    for shifts in shift_maps:
+        shift = circuit.shift_values(shifts)
+        state, max_drift = dict(initial), initial_drift
+        for eid, splitter, ins, outs in steps:
+            if splitter:
+                m1, m2 = (state.pop(link, 0.0 + 0.0j) for link in ins)
+                for (b1, b2), (out, factor) in zip(_BS_BLOCK, outs):
+                    state[out] = (b1 * m1 + b2 * m2) * factor
+            elif ins in state:  # else a dead element: nothing arrives
+                out, phase, factor = outs
+                if factor is None:
+                    factor = cmath.exp(1j * (phase + shift.get(eid, circuit.elements[eid].shift)))
+                state[out] = state.pop(ins) * factor
+            max_drift = max(max_drift, _drift(state))
+        evolutions.append(CircuitEvolution({k: state.get(i, 0j) for k, i in terminals}, max_drift))
+    return evolutions
 
-    steps, terminals = circuit.compiled("hilbert", lambda: _schedule(circuit))
-    max_drift = _drift(state)
-    for eid, splitter, ins, outs in steps:
-        if splitter:
-            m1, m2 = (state.pop(link, 0.0 + 0.0j) for link in ins)
-            for (b1, b2), (out, factor) in zip(_BS_BLOCK, outs):
-                state[out] = (b1 * m1 + b2 * m2) * factor
-        elif ins in state:  # else a dead element: nothing arrives
-            out, factor = outs
-            if factor is None:
-                factor = cmath.exp(1j * (out.phase + circuit.elements[eid].shift))
-            state[out] = state.pop(ins) * factor
-        max_drift = max(max_drift, _drift(state))
-    return CircuitEvolution({key: state.get(link, 0j) for key, link in terminals}, max_drift)
+
+def evolve_circuit(circuit: Circuit, source: str | None = None, *,
+                   port: int | None = None) -> CircuitEvolution:
+    """evolve_settings at the circuit's own shifts."""
+    return evolve_settings(circuit, [{}], source, port=port)[0]

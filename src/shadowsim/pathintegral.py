@@ -295,12 +295,14 @@ def _apply_step(
     if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift fails too
         span = float(wf.x[-1] - wf.x[0])
         ghost = aliasing_ghost_shift(eps, wf.dx, wf.mass, wf.hbar)
+        bound = wf.mass * wf.dx * span / (2 * math.pi * wf.hbar)
+        cause = (f"kernel aliasing puts ghost copies every {ghost:.3g} units on a grid spanning "
+                 f"{span:.3g} (stable when the shift exceeds the span, i.e. eps >= {bound:.3g}); "
+                 "increase eps or shrink the grid" if ghost < span else f"eps = {eps:.3g} meets "
+                 f"the aliasing bound eps >= {bound:.3g}, but the kernel spreads the packet past "
+                 "the grid in one step; use a larger mass, a smaller eps or a wider grid")
         raise PropagationUnstableError(
-            f"one-step norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; "
-            f"kernel aliasing puts ghost copies every {ghost:.3g} units on a "
-            f"grid spanning {span:.3g} (stable when the shift exceeds the "
-            f"span, i.e. eps >= {wf.mass * wf.dx * span / (2 * math.pi * wf.hbar):.3g}); "
-            "increase eps or shrink the grid",
+            f"one-step norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; {cause}",
             drift=drift,
             eps=eps,
             dx=wf.dx,
@@ -322,14 +324,14 @@ def _advance(
 ) -> tuple[list[LatticeWavefunction], float]:
     """States after each of the ascending step ``counts``, and the worst drift.
 
-    Refuses, before building the kernel, a run of more than MAX_STEPS steps.
-    """
+    Refuses, before building the kernel (none when no step is taken), a run
+    of more than MAX_STEPS steps."""
     if counts and counts[-1] > MAX_STEPS:
         raise ValueError(
             f"{counts[-1]} steps exceed the {MAX_STEPS}-step budget; "
             "use a larger eps or an earlier time"
         )
-    apply = _kernel_apply(wf, eps, potential, window)
+    apply = _kernel_apply(wf, eps, potential, window) if any(counts) else None
     states: list[LatticeWavefunction] = []
     max_drift = 0.0
     done = 0
@@ -392,12 +394,16 @@ def mean_velocity(wf: LatticeWavefunction) -> float:
 
     The spatial derivative is the central difference on interior points;
     with packets far from the walls the dropped edge terms are nil.  Real
-    wavefunctions give exactly zero.
+    wavefunctions give exactly zero.  A non-finite result is refused.
     """
     dpsi = (wf.values[2:] - wf.values[:-2]) / (2.0 * wf.dx)
     current = np.imag(np.conj(wf.values[1:-1]) * dpsi)
     # Python floats: hbar / mass may overflow to inf, which numpy would warn of
-    return wf.hbar / wf.mass * float(np.sum(current)) * wf.dx
+    velocity = wf.hbar / wf.mass * float(np.sum(current)) * wf.dx
+    if not math.isfinite(velocity):
+        raise ValueError(f"the mean velocity is {velocity!r}: its factor hbar/mass = "
+                         f"{wf.hbar / wf.mass:.3g} is too large; use a larger mass or smaller hbar")
+    return velocity
 
 
 # -- independent finite-difference oracle ------------------------------------

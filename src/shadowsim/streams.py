@@ -2,10 +2,10 @@
 
 Every emission event creates one stream covering all paths of the circuit.
 The engine compiles the circuit into a path table (circuit.PathTable), one
-row per path, walked in bundles of rows with one element sequence, then
-evaluates each row; the table holds no shift value, so circuits derived by
-``Circuit.with_shifts`` share it.  A path's amplitude is the product of a
-unit phase, tracked by a path clock, and 1/sqrt(2) per splitter crossing:
+row per path, walked in bundles of rows with one element sequence.  The table
+holds no shift value, so terminal_amplitudes evaluates its rows at a whole
+sequence of settings, each a shift map and a clock.  A path's amplitude is the
+product of a unit phase, tracked by a path clock, and 1/sqrt(2) per crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -57,22 +57,59 @@ class ShadowStream:
         return self.table.source
 
 
-def _table_amplitudes(circuit: Circuit, table: PathTable, initial_clock: float) -> tuple:
-    """Every row's amplitude: the clock is reduced to [0, 2pi) after the
-    geometric phase, by canonical_angle as the sum may be negative, and after
-    each advance, whose turn is looked up in ``circuit``, by a bare fmod, which
-    gives the same bits on [0, 4pi); then it becomes a complex number."""
-    turns = {eid: el.shift for eid, el in circuit.elements.items()}
-    turns[None] = REFLECTION_TURN
-    start = canonical_angle(initial_clock)
+def emission_clock(seed: int | None) -> float:
+    """An emission's initial clock, uniform on [0, 2pi), drawn from ``seed``."""
+    return float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
+
+
+def _table_amplitudes(circuit: Circuit, table: PathTable, port: int | None, settings):
+    """Arm ``port``'s row amplitudes (every row's for None) at each setting,
+    a shift map over the circuit's own and an initial clock.  The clock is
+    reduced to [0, 2pi) after the geometric phase by canonical_angle, as the
+    sum may be negative, and after each advance by a bare fmod: same bits."""
+    own = {eid: el.shift for eid, el in circuit.elements.items()}
+    own[None] = REFLECTION_TURN
+    columns = (table.geometric_phases, table.advances, table.crossings, table.source_ports)
     fmod, cos, sin, tau = math.fmod, math.cos, math.sin, 2.0 * math.pi
-    amplitudes = []
-    for phase, advances, crossings in zip(table.geometric_phases, table.advances, table.crossings):
-        clock = canonical_angle(start + phase)
-        for advance in advances:
-            clock = fmod(clock + turns[advance], tau)
-        amplitudes.append(complex(cos(clock), sin(clock)) * INV_SQRT2**crossings)
-    return tuple(amplitudes)
+    for shifts, initial_clock in settings:
+        turns = {**own, **circuit.shift_values(shifts)}
+        start = canonical_angle(initial_clock)
+        amplitudes = []
+        for phase, advances, crossings, row_port in zip(*columns):
+            if port is None or row_port == port:
+                clock = canonical_angle(start + phase)
+                for advance in advances:
+                    clock = fmod(clock + turns[advance], tau)
+                amplitudes.append(complex(cos(clock), sin(clock)) * INV_SQRT2**crossings)
+        yield amplitudes
+
+
+def _terminal_sums(circuit: Circuit, table: PathTable, port: int | None, amplitude_sets):
+    """Per list of arm ``port``'s row amplitudes, the terminal amplitudes."""
+    keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
+    rows = zip(table.terminals, table.source_ports)
+    targets = [keys[terminal] for terminal, p in rows if port is None or p == port]
+    fanout = circuit.source_fanout(table.source)
+    for amplitudes in amplitude_sets:
+        sums: dict[str, complex] = dict.fromkeys(keys.values(), 0.0 + 0.0j)
+        for key, amp in zip(targets, amplitudes):
+            sums[key] += amp
+        if port is None and fanout > 1:
+            sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
+        yield sums
+
+
+def terminal_amplitudes(circuit: Circuit, settings, source: str | None = None, *,
+                        port: int | None = None) -> list[dict[str, complex]]:
+    """Amplitude per terminal, blockers included, unreached ones 0, at each
+    of ``settings`` (shift map, initial clock), rows added one by one in
+    table order (builtin sum compensates from Python 3.12).  With
+    ``port=None`` a source with several arms emits an equal-weight
+    superposition over them, so the sums carry 1/sqrt(fanout); ``port=k``
+    sums arm k's rows alone with weight 1, as hilbert.evolve_settings does."""
+    table = compile_paths(circuit, source)
+    amplitude_sets = _table_amplitudes(circuit, table, port, settings)
+    return list(_terminal_sums(circuit, table, port, amplitude_sets))
 
 
 def build_stream(
@@ -83,42 +120,20 @@ def build_stream(
     initial_clock: float | None = None,
 ) -> ShadowStream:
     """Compile the path table and evaluate its amplitudes under one shared
-    clock.
-
-    The clock value is drawn uniformly from [0, 2pi) unless given explicitly
-    (pair experiments reuse one draw across both daughters).
-    """
+    clock, drawn by emission_clock(seed) unless given explicitly."""
     table = compile_paths(circuit, source)
     if initial_clock is None:
-        initial_clock = float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
-    return ShadowStream(
-        circuit=circuit,
-        table=table,
-        amplitudes=_table_amplitudes(circuit, table, initial_clock),
-        initial_clock=initial_clock,
-    )
+        initial_clock = emission_clock(seed)
+    (amplitudes,) = _table_amplitudes(circuit, table, None, [({}, initial_clock)])
+    return ShadowStream(circuit, table, tuple(amplitudes), initial_clock)
 
 
-def stream_terminal_amplitudes(
-    stream: ShadowStream, *, port: int | None = None
-) -> dict[str, complex]:
-    """Amplitude per terminal, blockers included, unreached ones 0, added
-    row by row in table order (builtin sum compensates from Python 3.12).
-    With ``port=None`` a source with several arms emits an equal-weight
-    superposition over them, so the sums carry 1/sqrt(fanout); ``port=k``
-    sums arm k's rows alone with weight 1, as hilbert.evolve_circuit does.
-    """
-    circuit = stream.circuit
-    keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
-    sums: dict[str, complex] = {key: 0.0 + 0.0j for key in keys.values()}
-    table = stream.table
-    for row_port, terminal, amp in zip(table.source_ports, table.terminals, stream.amplitudes):
-        if port is None or row_port == port:
-            sums[keys[terminal]] += amp
-    fanout = circuit.source_fanout(stream.source)
-    if port is None and fanout > 1:
-        sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
-    return sums
+def stream_terminal_amplitudes(stream: ShadowStream, *,
+                               port: int | None = None) -> dict[str, complex]:
+    """terminal_amplitudes, summed from one stream's row amplitudes."""
+    rows = zip(stream.amplitudes, stream.table.source_ports)
+    return next(_terminal_sums(stream.circuit, stream.table, port,
+                               [[amp for amp, p in rows if port is None or p == port]]))
 
 
 def terminal_probabilities(stream: ShadowStream) -> dict[str, float]:

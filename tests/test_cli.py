@@ -533,6 +533,41 @@ def test_kernel_whose_prefactor_underflows_is_a_config_error(tmp_path, mass):
     assert "aliasing" not in err
 
 
+@pytest.mark.parametrize("when", [["--times", "0"], ["--steps", "0"]])
+def test_a_run_of_no_step_builds_no_kernel(when, capsys):
+    """The kernel at omega = 1e155 is past the float range, but a run of no
+    step never applies it."""
+    argv = ["propagate", "--eps", "0.5", "--potential", "harmonic", "--omega", "1e155", *when]
+    assert cli.main(argv) == 0
+    assert "t = 0: <x> = 0.000000, sigma = 1.500000, <v> = 0.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("when", [["--times", "0"], ["--steps", "0"]])
+def test_mean_velocity_past_the_float_range_is_a_config_error(when, tmp_path):
+    """hbar/m = 1/1e-322 overflows, so <v> would print as nan."""
+    argv = ["propagate", "--eps", "0.5", "--mass=1e-322", *when]
+    err = _refused(argv, tmp_path / "out.csv", 2)
+    assert "the mean velocity is nan: its factor hbar/mass = inf is too large" in err
+    assert "kernel" not in err
+
+
+def test_a_kernel_that_spreads_the_packet_off_the_grid_is_not_called_aliasing(tmp_path):
+    """At m = 1e-5 one step of eps = 0.5 spreads the packet far past the
+    60-unit grid, although eps meets the aliasing bound: still exit 4."""
+    err = _refused(["propagate", "--eps", "0.5", "--steps", "2", "--mass=1e-5"],
+                   tmp_path / "out.csv", 4)
+    assert "eps = 0.5 meets the aliasing bound eps >= 5.6e-06, but the kernel spreads the " \
+        "packet past the grid in one step; use a larger mass, a smaller eps or a wider grid" in err
+    assert "ghost" not in err
+
+
+def test_an_aliased_kernel_is_called_aliasing(tmp_path):
+    err = _refused(["propagate", "--eps", "0.05", "--steps", "1"], tmp_path / "out.csv", 4)
+    assert "kernel aliasing puts ghost copies every 5.36 units on a grid spanning 60 " \
+        "(stable when the shift exceeds the span, i.e. eps >= 0.56)" in err
+    assert "spreads" not in err
+
+
 @pytest.mark.parametrize(("column", "value"), [(1, math.nan), (0, math.inf)])
 def test_non_finite_wavefunction_file_is_a_config_error(tmp_path, column, value):
     rows = [[x, math.exp(-x * x), 0.0] for x in (-10.0 + 20.0 * i / 63 for i in range(64))]
@@ -1021,7 +1056,7 @@ def _refuse_work(*args, **kwargs):
     ],
 )
 def test_size_past_its_cap_exits_two_before_any_work(argv, config, bound, tmp_path, monkeypatch):
-    for name in ("run_mach_zehnder", "sample", "substream"):
+    for name in ("mach_zehnder_points", "sample", "substream"):
         monkeypatch.setattr(cli, name, _refuse_work)
     monkeypatch.setattr(cli.checks, "run_all", _refuse_work)
     cfg = tmp_path / "cfg.json"
@@ -1051,7 +1086,7 @@ def _start(*args, **kwargs):
 )
 def test_sweep_past_the_draw_cap_exits_two_before_any_work(argv, draws, monkeypatch):
     assert cli.MAX_SWEEP_DRAWS + 1 == 13325 * 80581
-    for name in ("run_mach_zehnder", "chsh", "sample", "substream"):
+    for name in ("mach_zehnder_points", "chsh_points", "sample", "substream"):
         monkeypatch.setattr(cli, name, _refuse_work)
     code, err = _exit_code(argv + ["--seed", "3"])
     assert code == 2, err
@@ -1068,7 +1103,7 @@ def test_sweep_past_the_draw_cap_exits_two_before_any_work(argv, draws, monkeypa
     ],
 )
 def test_sweep_at_the_draw_cap_starts(argv, monkeypatch):
-    for name in ("run_mach_zehnder", "chsh"):
+    for name in ("mach_zehnder_points", "chsh_points"):
         monkeypatch.setattr(cli, name, _start)
     with pytest.raises(_Started):
         cli.main(argv)
@@ -1175,6 +1210,46 @@ def test_sweep_json_output(tmp_path):
     assert blob["meta"]["config"]["peek"] is True
     for entry in blob["results"]:
         assert entry["probability"] == pytest.approx(0.5, abs=1e-12)
+
+
+def _run_flags(name, x):
+    """The run flags that set what sweep ``name`` sets at grid value ``x``."""
+    sets = cli.REGISTRY[name].axis[1](x)
+    if name == "chsh":
+        return ["--angles", ",".join(repr(angle) for angle in sets["angles"])]
+    return [f"--{key}={value!r}" for key, value in sets.items()]
+
+
+@pytest.mark.parametrize(
+    ("name", "extra"),
+    [("mz", []), ("wheeler", []), ("wheeler", ["--peek"]), ("bghz", []), ("chsh", []),
+     ("chsh", ["--shots", "2000"])],
+)
+def test_every_sweep_row_equals_run_at_its_point(name, extra, tmp_path):
+    """A sweep evaluates the grid once per engine; each row still holds what
+    run gives at that grid point under the row's seed, bit for bit."""
+    swept = tmp_path / "sweep.json"
+    argv = ["sweep", name, "--grid", "0:2pi:5", "--engine", "both", "--seed", "7", *extra]
+    assert cli.main(argv + ["--format", "json", "--out", str(swept)]) == 0
+    column = cli.REGISTRY[name].axis[0]
+    rows: dict = {}
+    for row in json.loads(swept.read_text())["results"]:
+        rows.setdefault((row[column], row["seed"]), {}).setdefault(row["engine"], []).append(row)
+    assert len(rows) == 5
+    for i, ((x, seed), by_engine) in enumerate(rows.items()):
+        ran = tmp_path / f"run{i}.json"
+        run_argv = ["run", name, *_run_flags(name, x), "--engine", "both", "--seed", seed, *extra]
+        assert cli.main(run_argv + ["--out", str(ran)]) == 0
+        for result in json.loads(ran.read_text())["results"]:
+            got = by_engine[result["engine"]]
+            if name == "chsh":
+                assert got == [{column: x, "quantity": "S", "value": result["S"],
+                                "engine": result["engine"], "seed": seed}]
+            else:
+                want = [{column: x, "outcome": "|".join(o["outcome"]) if isinstance(
+                    o["outcome"], list) else o["outcome"], "probability": o["probability"],
+                    "engine": result["engine"], "seed": seed} for o in result["outcomes"]]
+                assert got == want
 
 
 # -- propagate outputs ------------------------------------------------------------

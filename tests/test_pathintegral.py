@@ -282,6 +282,23 @@ def test_unstable_step_aborts_with_diagnostics():
     assert "eps" in str(err.value)
 
 
+def test_snapshots_at_no_step_build_no_kernel():
+    x = pi.uniform_grid(256, -30.0, 30.0)
+    wf = pi.gaussian_packet(x, 0.0, 1.5)
+    with pytest.raises(ValueError, match="past the float range"):
+        pi.propagate_snapshots(wf, 0.5, [0.5], pi.HarmonicPotential(1e155))
+    snaps, drift = pi.propagate_snapshots(wf, 0.5, [0.0], pi.HarmonicPotential(1e155))
+    assert [t for t, _ in snaps] == [0.0] and snaps[0][1] is wf and drift == 0.0
+
+
+def test_mean_velocity_refuses_a_result_past_the_float_range():
+    x = pi.uniform_grid(256, -30.0, 30.0)
+    with pytest.raises(ValueError, match="hbar/mass = inf"):
+        pi.mean_velocity(pi.gaussian_packet(x, 0.0, 1.5, mass=1e-322))
+    with pytest.raises(ValueError, match="the mean velocity is inf"):
+        pi.mean_velocity(pi.gaussian_packet(x, 0.0, 1.5, 1.0, mass=1e-308))
+
+
 def test_ghost_shift_formula():
     assert pi.aliasing_ghost_shift(0.5, 0.1, 2.0, 1.0) == pytest.approx(
         2 * math.pi * 0.5 / (2.0 * 0.1)

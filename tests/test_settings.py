@@ -1,0 +1,108 @@
+"""One structure at many settings: each engine's evaluator over a sequence of
+settings gives, setting by setting, the bits of its one-setting call."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shadowsim import hilbert
+from shadowsim.circuit import CircuitValidationError, ElementType, parse_circuit
+from shadowsim.corpus import random_circuit
+from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit, mach_zehnder_circuit
+from shadowsim.streams import build_stream, stream_terminal_amplitudes, terminal_amplitudes
+
+TWO_PI = 2.0 * math.pi
+SHIFTS = (-0.0, 0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), -1.0, -3 * math.pi, 1e300, -1e300)
+CLOCKS = (0.0, -0.0, -3.0, 1e6)
+
+# Two shifters on the arms of a three-arm source, with negative link phases.
+THREE_ARM_TEXT = """\
+element s source
+element p phaseshifter:1.0
+element q phaseshifter:-0.5
+element b beamsplitter
+element u detector:u
+element d detector:d
+element x detector:x
+link s:0 p:0 phase=-2.0
+link p:0 b:0
+link s:1 b:1 phase=-0.0
+link s:2 q:0 phase=0.3
+link q:0 x:0
+link b:0 d:0
+link b:1 u:0 phase=-6.283185307179586
+"""
+
+STRUCTURES = (
+    mach_zehnder_circuit(0.0, 0.7),
+    bghz_left_circuit(0.0),
+    bghz_right_circuit(0.0, arm_phase=-1.1),
+    parse_circuit(THREE_ARM_TEXT),
+)
+
+
+def _bits(amplitudes: dict) -> list:
+    return [(key, complex(v).real.hex(), complex(v).imag.hex()) for key, v in amplitudes.items()]
+
+
+@st.composite
+def _structure_and_settings(draw):
+    """A circuit, and up to 8 settings of some of its shifters, each with a clock."""
+    circuit = draw(st.one_of(st.integers(0, 1999).map(random_circuit), st.sampled_from(STRUCTURES)))
+    shifters = sorted(eid for eid, el in circuit.elements.items()
+                      if el.kind is ElementType.PHASESHIFTER)
+    shift = st.one_of(st.sampled_from(SHIFTS), st.floats(-1e300, 1e300))
+    shift_maps = draw(st.lists(
+        st.lists(st.sampled_from(shifters), unique=True).flatmap(
+            lambda ids: st.fixed_dictionaries({eid: shift for eid in ids})
+        ) if shifters else st.just({}),
+        min_size=1, max_size=8,
+    ))
+    clock = st.one_of(st.sampled_from(CLOCKS), st.floats(-1e6, 1e6))
+    clocks = draw(st.lists(clock, min_size=len(shift_maps), max_size=len(shift_maps)))
+    return circuit, shift_maps, clocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structure_and_settings())
+def test_each_setting_equals_its_one_setting_call(case):
+    """Per setting, and per view (port=None and every port=k), the G-wide
+    amplitudes equal under float.hex both the one-setting call and the
+    circuit that ``with_shifts`` derives, evaluated at its own shifts."""
+    circuit, shift_maps, clocks = case
+    source = circuit.sole_source()
+    for port in [None, *range(circuit.source_fanout(source))]:
+        streams = terminal_amplitudes(circuit, list(zip(shift_maps, clocks)), port=port)
+        states = hilbert.evolve_settings(circuit, shift_maps, port=port)
+        assert len(streams) == len(states) == len(shift_maps)
+        for shifts, clock, got, state in zip(shift_maps, clocks, streams, states):
+            derived = circuit.with_shifts(shifts)
+            (one,) = terminal_amplitudes(circuit, [(shifts, clock)], port=port)
+            built = build_stream(derived, initial_clock=clock)
+            assert _bits(got) == _bits(one) == _bits(stream_terminal_amplitudes(built, port=port))
+            (alone,) = hilbert.evolve_settings(circuit, [shifts], port=port)
+            whole = hilbert.evolve_circuit(derived, port=port)
+            assert _bits(state.amplitudes) == _bits(alone.amplitudes) == _bits(whole.amplitudes)
+            assert state.max_norm_drift == whole.max_norm_drift
+
+
+def test_a_shift_of_two_pi_is_zero_on_both_engines():
+    """A setting's shift is reduced as an Element reduces it: 2pi is 0."""
+    circuit = mach_zehnder_circuit(0.0)
+    at_zero, at_two_pi = terminal_amplitudes(
+        circuit, [({"shift_a": 0.0}, 1.0), ({"shift_a": TWO_PI}, 1.0)]
+    )
+    assert _bits(at_zero) == _bits(at_two_pi)
+    zero, two_pi = hilbert.evolve_settings(circuit, [{"shift_a": 0.0}, {"shift_a": TWO_PI}])
+    assert _bits(zero.amplitudes) == _bits(two_pi.amplitudes)
+
+
+@pytest.mark.parametrize("bad", [{"bs1": 1.0}, {"nowhere": 1.0}])
+def test_a_setting_that_names_no_phase_shifter_is_refused(bad):
+    circuit = mach_zehnder_circuit(0.0)
+    with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
+        terminal_amplitudes(circuit, [(bad, 0.0)])
+    with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
+        hilbert.evolve_settings(circuit, [bad])

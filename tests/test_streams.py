@@ -28,6 +28,7 @@ from shadowsim.streams import (
     build_stream,
     congruence_check,
     stream_terminal_amplitudes,
+    terminal_amplitudes,
     terminal_probabilities,
     unitarity_defect,
 )
@@ -328,17 +329,25 @@ def test_unitarity_on_random_circuits(seed):
 
 
 def test_pair_daughters_share_one_clock(monkeypatch):
-    """run_bghz builds both daughters under the one clock drawn from its seed."""
-    built = []
+    """bghz_points evaluates both daughters, arm by arm, under the one clock
+    each point's seed draws; run_bghz is its one-point case."""
+    clocks = []
 
-    def recording_build(*args, **kwargs):
-        built.append(build_stream(*args, **kwargs))
-        return built[-1]
+    def recording(circuit, pairs, *args, **kwargs):
+        pairs = list(pairs)
+        clocks.append([clock for _, clock in pairs])
+        return terminal_amplitudes(circuit, pairs, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "build_stream", recording_build)
+    monkeypatch.setattr(experiments, "terminal_amplitudes", recording)
     run_bghz(0.2, 1.0, "streams", seed=5)
-    clock = float(make_rng(5).uniform(0.0, 2.0 * math.pi))
-    assert [stream.initial_clock for stream in built] == [clock, clock]
+    drawn = [float(make_rng(seed).uniform(0.0, 2.0 * math.pi)) for seed in (5, 6)]
+    assert clocks == [drawn[:1]] * 4  # two sides, two arms each
+    clocks.clear()
+    experiments.bghz_points([(0.2, 1.0, 5), (0.4, 0.3, 6)], "streams")
+    assert clocks == [drawn] * 4
+    clocks.clear()
+    experiments.bghz_points([(0.2, 1.0, None)], "streams")  # one fresh draw, shared
+    assert len(clocks) == 4 and all(c == clocks[0] for c in clocks)
 
 
 def _joint(left, right):
