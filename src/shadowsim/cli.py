@@ -298,8 +298,15 @@ def _load_config(path: str | None) -> dict:
 
 # -- output writers -----------------------------------------------------------
 
+# The one float format of every data file: 12 significant digits.
+_FLOAT = ".12g"
+# Grid points per written block of a snapshot's arrays, CSV or JSON: a block's
+# floats and text (~0.1 MB) stay small beside _FFT_BYTES_PER_POINT a point.
+_WRITE_BLOCK = 2**8
+
+
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    return format(value, _FLOAT)
 
 
 def _csv_row(row: list) -> str:
@@ -324,8 +331,19 @@ def _run_config(name: str, values: dict) -> dict:
     return {"experiment": name, **{k: v for k, v in values.items() if k not in OUTPUT_KEYS}}
 
 
+def _snapshot_lines(t: float, columns: list[np.ndarray]) -> Iterator[str]:
+    """``_csv_row([t, *row])`` for each row of the float ``columns``, joined a
+    block of _WRITE_BLOCK rows at a time: t is formatted once, and each row
+    from Python floats by one ``%``, which gives ``_fmt``'s text."""
+    form = ",".join([_fmt(t)] + ["%" + _FLOAT] * len(columns))
+    for start in range(0, len(columns[0]), _WRITE_BLOCK):
+        block = zip(*(column[start:start + _WRITE_BLOCK].tolist() for column in columns))
+        yield "\n".join([form % row for row in block])
+
+
 def _write_lines(path: str, lines: Iterable[str]) -> None:
-    """Write each line as it comes, so no whole file is held in memory."""
+    """Write each line, or block of lines, as it comes, so no whole file is
+    held in memory: the output is the same bytes however it is blocked."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
             for line in lines:
@@ -334,16 +352,19 @@ def _write_lines(path: str, lines: Iterable[str]) -> None:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _write_csv(path: str, meta: dict, columns: list[str], rows: Iterable) -> None:
+def _write_csv(path: str, meta: dict, columns: list[str], lines: Iterable[str]) -> None:
+    """The ``# meta`` line, the column names, then ``lines``: rows from
+    ``_csv_row``, or snapshot rows from ``_snapshot_lines`` a block at a time."""
     header = [f"# {json.dumps(meta, sort_keys=True)}", ",".join(columns)]
-    _write_lines(path, chain(header, map(_csv_row, rows)))
+    _write_lines(path, chain(header, lines))
 
 
 def _json_lines(value, head: str = "", tail: str = "", indent: str = "") -> Iterator[str]:
     """The lines of ``json.dumps(value, indent=2, sort_keys=True)``, the first
     led by ``head``, the last closed by ``tail`` and the rest indented by
-    ``indent``, made one at a time: a long list or numpy array is read
-    element by element and never held whole as Python floats or text."""
+    ``indent``, made one at a time: a long list is read element by element
+    and a 1-D float array a block of _WRITE_BLOCK lines at a time, neither
+    held whole as Python floats or text."""
     if isinstance(value, dict):
         items: Iterable = [(json.dumps(key) + ": ", value[key]) for key in sorted(value)]
     elif isinstance(value, (list, tuple, np.ndarray)):
@@ -357,8 +378,16 @@ def _json_lines(value, head: str = "", tail: str = "", indent: str = "") -> Iter
         return
     yield head + opening
     inner = indent + "  "
-    for i, (key, item) in enumerate(items, start=1):
-        yield from _json_lines(item, inner + key, "," if i < len(value) else "", inner)
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind == "f":
+        # One block's lines at a time; json.dumps spells each float (NaN and
+        # Infinity too) in a list as it does alone, and no float holds ", ".
+        for start in range(0, len(value), _WRITE_BLOCK):
+            cells = json.dumps(value[start:start + _WRITE_BLOCK].tolist())[1:-1]
+            comma = "," if start + _WRITE_BLOCK < len(value) else ""
+            yield inner + cells.replace(", ", ",\n" + inner) + comma
+    else:
+        for i, (key, item) in enumerate(items, start=1):
+            yield from _json_lines(item, inner + key, "," if i < len(value) else "", inner)
     yield indent + closing + tail
 
 
@@ -413,7 +442,8 @@ def _report_distributions(name: str, values: dict, dists: list[OutcomeDistributi
     for dist in dists:
         for outcome, p in dist.outcomes.items():
             rows.append([_outcome_str(outcome), float(p), dist.engine, _seed_str(seed)])
-    _write_csv(values["out"], meta, ["outcome", "probability", "engine", "seed"], rows)
+    _write_csv(values["out"], meta, ["outcome", "probability", "engine", "seed"],
+               map(_csv_row, rows))
 
 
 def _distribution_cells(values: dict, dist: OutcomeDistribution) -> list[dict]:
@@ -454,7 +484,7 @@ def _report_chsh(name: str, values: dict, reports: list) -> None:
         for (x, y), e in r.correlations.items():
             rows.append(["E", float(x), float(y), float(e), r.engine])
         rows.append(["S", "", "", float(r.s_value), r.engine])
-    _write_csv(values["out"], meta, ["quantity", "x", "y", "value", "engine"], rows)
+    _write_csv(values["out"], meta, ["quantity", "x", "y", "value", "engine"], map(_csv_row, rows))
 
 
 # -- experiment registry ----------------------------------------------------------
@@ -614,7 +644,7 @@ def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     elif values["format"] == "json":
         _write_json(values["out"], meta, rows)
     else:
-        _write_csv(values["out"], meta, columns, [row.values() for row in rows])
+        _write_csv(values["out"], meta, columns, (_csv_row(row.values()) for row in rows))
     return 0
 
 
@@ -767,12 +797,9 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
             ]
             _write_json(values["out"], meta, results)
         else:
-            rows = (
-                [float(t), float(x), float(d), float(v.real), float(v.imag)]
-                for t, snap in snapshots
-                for x, d, v in zip(snap.x, snap.probability_density(), snap.values)
-            )
-            _write_csv(values["out"], meta, ["t", "x", "density", "re", "im"], rows)
+            lines = (line for t, snap in snapshots for line in _snapshot_lines(
+                t, [snap.x, snap.probability_density(), snap.values.real, snap.values.imag]))
+            _write_csv(values["out"], meta, ["t", "x", "density", "re", "im"], lines)
     return 0
 
 

@@ -375,7 +375,10 @@ def propagate_snapshots(
         if not math.isfinite(k):
             raise ValueError(f"snapshot time {t} is not a finite number of steps")
         k = round(k)
-        if k < 0 or abs(wf.t + k * eps - t) > 1e-9 * max(1.0, abs(t)):
+        off_grid = abs(wf.t + k * eps - t) > 1e-9 * max(1.0, abs(t))
+        if k < 0 or (off_grid and t < wf.t):
+            raise ValueError(f"snapshot time {t} is before the start at t = {wf.t:g}")
+        if off_grid:
             raise ValueError(f"snapshot time {t} is not a whole number of steps")
         steps_at.append((int(k), t))
     states, max_drift = _advance(wf, eps, [k for k, _ in steps_at], potential, window)

@@ -172,6 +172,16 @@ def test_fractional_snapshot_time_is_a_config_error(capsys):
     assert "whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("time", ["-0.5", "-1", "-0.2"])
+def test_snapshot_time_before_the_start_is_a_config_error(time, capsys):
+    """-0.5 is a whole number of steps of 0.5, but before the packet's start;
+    -0.2, though off the grid, is named as before the start too."""
+    assert cli.main(["propagate", "--eps", "0.5", f"--times={time}"]) == 2
+    err = capsys.readouterr().err
+    assert f"snapshot time {float(time)} is before the start at t = 0" in err
+    assert "whole number" not in err and "Traceback" not in err
+
+
 def test_zero_eps_is_a_config_error(capsys):
     assert cli.main(["propagate", "--eps", "0", "--steps", "2"]) == 2
     err = capsys.readouterr().err
@@ -819,11 +829,64 @@ def test_propagation_json_equals_one_json_dumps(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "value",
     [[], {}, {"b": [], "a": {}, "c": [[]]}, [1, 2.5, -0.0, None, True, "\u03c0\"x"],
-     (3, [4, (5,)]), np.array([]), np.array([0.1, -2.0, 1e300])],
+     (3, [4, (5,)]), np.array([]), np.array([0.1, -2.0, 1e300]),
+     np.array([-0.0, 5e-324, 1e-300, -1e300, math.nan, -math.inf] * 400)],
 )
 def test_json_lines_equal_json_dumps(value):
     plain = value.tolist() if isinstance(value, np.ndarray) else value
     assert "\n".join(cli._json_lines(value)) == json.dumps(plain, indent=2, sort_keys=True)
+
+
+def test_propagation_csv_at_a_partial_block_is_written_within_the_fft_budget(tmp_path, capsys):
+    """A table whose last block is short streams within the same figure."""
+    n = 2**14 + 7
+    assert n % cli._WRITE_BLOCK
+    out = tmp_path / "free.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["propagate", "--grid-n", str(n), "--steps", "20", "--eps", "0.5",
+                         "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "t = 10:" in capsys.readouterr().out
+    assert len(out.read_text().splitlines()) == n + 2
+    assert peak <= pathintegral._FFT_BYTES_PER_POINT * n
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(t=_FLOATS, rows=st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS), min_size=1,
+                                max_size=3 * cli._WRITE_BLOCK))
+@example(t=0.0, rows=[(-0.0, 5e-324, 1e300, -1e300), (1e-300, -1e-300, 0.0, -5e-324)])
+def test_snapshot_lines_equal_csv_rows(t, rows):
+    """Block formatting from Python floats gives _csv_row's text, row by row."""
+    columns = [np.array(column) for column in zip(*rows)]
+    lines = "\n".join(cli._snapshot_lines(t, columns)).split("\n")
+    assert lines == [cli._csv_row([t, *row]) for row in rows]
+
+
+@pytest.mark.parametrize("blocks, extra", [(1, -1), (1, 0), (1, 1), (2, 3)])
+def test_propagation_csv_rows_equal_csv_row_of_each_snapshot(tmp_path, blocks, extra, capsys):
+    """At N around one and two blocks, every row of the file is _csv_row of
+    the snapshot arrays, in order."""
+    n = blocks * cli._WRITE_BLOCK + extra
+    out = tmp_path / "snap.csv"
+    packet = ["--grid-n", str(n), "--xmin", "-10", "--xmax", "10", "--x0", "-1", "--k0", "0.4"]
+    assert cli.main(["propagate", *packet, "--eps", "1.5", "--times", "0,1.5,3",
+                     "--out", str(out)]) == 0
+    x = pathintegral.uniform_grid(n, -10.0, 10.0)
+    wf = pathintegral.gaussian_packet(x, -1.0, 1.5, 0.4)
+    snapshots, _ = pathintegral.propagate_snapshots(wf, 1.5, [0.0, 1.5, 3.0])
+    want = ["t,x,density,re,im"] + [
+        cli._csv_row([t, *map(float, row)]) for t, snap in snapshots
+        for row in zip(snap.x, snap.probability_density(), snap.values.real, snap.values.imag)
+    ]
+    assert out.read_text().splitlines()[1:] == want
+    assert len(want) == 3 * n + 1
 
 
 # -- run ------------------------------------------------------------------------
