@@ -9,9 +9,9 @@ machine means the install reproduces the reference numbers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -31,10 +31,10 @@ from .experiments import (
     sample,
     wheeler_points,
 )
-from .rng import make_rng
 from .streams import (
     build_stream,
     congruence_check,
+    initial_clocks,
     stream_terminal_amplitudes,
     unitarity_defect,
 )
@@ -109,7 +109,7 @@ def check_bghz_law() -> CheckResult:
 def check_congruence() -> CheckResult:
     """Plain-arm congruence and the locality refactoring on the same grid,
     both daughters under one clock."""
-    clock = float(make_rng(7).uniform(0.0, 2.0 * math.pi))
+    (clock,) = initial_clocks([7])
     worst = 0.0
     grid = np.linspace(0.0, 2.0 * np.pi, 8)
     for alpha in grid:
@@ -170,10 +170,12 @@ def check_wheeler() -> CheckResult:
     return _result("wheeler", worst < _TOL, f"max deviation = {worst:.3e}")
 
 
-def _corpus(seeds: range) -> Iterable[tuple]:
-    for i in seeds:
+def _corpus(cases: int) -> Iterator[tuple]:
+    """Corpus circuit i with its stream, as build_stream(seed=i) builds it;
+    the clocks are derived in one batch up front."""
+    for i, clock in enumerate(initial_clocks(range(cases))):
         circuit = random_circuit(i)
-        yield circuit, build_stream(circuit, seed=i)
+        yield circuit, build_stream(circuit, initial_clock=clock)
 
 
 def check_cross_engine(corpus: Iterable[tuple]) -> CheckResult:
@@ -376,7 +378,8 @@ def run_all(
     """Run every invariant check; heavyweight counts are adjustable."""
     # Each corpus circuit and stream is built once; unitarity reads the first
     # 200 of those the cross-engine check compares, and only they are held.
-    head = list(_corpus(range(min(200, corpus_cases))))
+    corpus = _corpus(corpus_cases)
+    head = list(islice(corpus, 200))
     return [
         check_mz_law(),
         check_mz_stream_amplitudes(),
@@ -386,7 +389,7 @@ def run_all(
         check_chsh_monte_carlo(shots=shots, seed=seed),
         check_ifm(),
         check_wheeler(),
-        check_cross_engine(chain(head, _corpus(range(len(head), corpus_cases)))),
+        check_cross_engine(chain(head, corpus)),
         check_unitarity(head),
         check_clock_invariance(),
         check_correlator_translation(),

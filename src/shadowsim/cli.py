@@ -43,7 +43,7 @@ from .experiments import (
     wheeler_points,
 )
 from .outcomes import OutcomeDistribution
-from .rng import RNG_NAME, substream
+from .rng import RNG_NAME, child_seeds
 
 # Bounds on the sizes a run may ask for, checked where each value is read and
 # before any work.  sample() counts shots in chunks, so they bound its time, not
@@ -627,8 +627,8 @@ def _cmd_sweep(args: argparse.Namespace, config: dict) -> int:
 
     master = values["seed"]
     grid = np.linspace(start, stop, count).tolist()
-    points = [{**values, **sets(x), "seed": None if master is None
-               else int(substream(master, i).integers(2**63))} for i, x in enumerate(grid)]
+    seeds = [None] * count if master is None else child_seeds([(master, i) for i in range(count)])
+    points = [{**values, **sets(x), "seed": seed} for x, seed in zip(grid, seeds)]
     results = [experiment.run(points, engine) for engine in engines]
     rows = [{column: x, **cells, "engine": engine, "seed": _seed_str(point["seed"])}
             for x, point, *per_engine in zip(grid, points, *results)
@@ -780,11 +780,10 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    for (t, snap), velocity in zip(snapshots, velocities):
-        mean = pathintegral.expectation_x(snap)
-        var = float(
-            np.sum((snap.x - mean) ** 2 * snap.probability_density()) * snap.dx
-        )
+    densities = [snap.probability_density() for _, snap in snapshots]
+    for (t, snap), density, velocity in zip(snapshots, densities, velocities):
+        mean = pathintegral.expectation_x(snap, density)
+        var = float(np.sum((snap.x - mean) ** 2 * density) * snap.dx)
         print(f"t = {t:g}: <x> = {mean:.6f}, sigma = {math.sqrt(var):.6f}, <v> = {velocity:.6f}")
     print(f"max one-step norm drift: {max_drift:.3e}")
 
@@ -797,8 +796,9 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
             ]
             _write_json(values["out"], meta, results)
         else:
-            lines = (line for t, snap in snapshots for line in _snapshot_lines(
-                t, [snap.x, snap.probability_density(), snap.values.real, snap.values.imag]))
+            lines = (line for (t, snap), density in zip(snapshots, densities)
+                     for line in _snapshot_lines(
+                         t, [snap.x, density, snap.values.real, snap.values.imag]))
             _write_csv(values["out"], meta, ["t", "x", "density", "re", "im"], lines)
     return 0
 

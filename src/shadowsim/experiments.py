@@ -34,8 +34,8 @@ from .outcomes import (
     Outcome,
     OutcomeDistribution,
 )
-from .rng import RNG_NAME, make_rng, substream
-from .streams import emission_clock, terminal_amplitudes
+from .rng import RNG_NAME, child_seeds, make_rng
+from .streams import initial_clocks, terminal_amplitudes
 
 ENGINES = (ENGINE_STREAMS, ENGINE_HILBERT)
 
@@ -163,7 +163,7 @@ def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
 
 def _clocks(engine: str, seeds: list) -> list:
     """Each point's streams clock, drawn as build_stream(seed=...) draws it."""
-    return [emission_clock(seed) if engine == ENGINE_STREAMS else None for seed in seeds]
+    return initial_clocks(seeds) if engine == ENGINE_STREAMS else [None] * len(seeds)
 
 
 def _amplitudes(circuit: Circuit, engine: str, shift_maps: list, clocks: list,
@@ -373,7 +373,7 @@ def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
                 signs: tuple[int, int, int, int] = (1, -1, 1, 1)) -> list[ChshReport]:
     """The CHSH combination at each ((a, a', b, b'), seed) point, exact or
     Monte Carlo, from one bghz_points call over every point's four settings.
-    With ``shots`` setting i is sampled on RNG substream i of the point's
+    With ``shots`` setting i is sampled from child seed i of the point's
     seed and the correlators are empirical frequencies."""
     _require_engine(engine)
     if sorted(abs(s) for s in signs) != [1, 1, 1, 1]:
@@ -381,15 +381,15 @@ def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
     rows = [[(a, b), (a, b2), (a2, b), (a2, b2)] for (a, a2, b, b2), _ in points]
     dists = iter(bghz_points([(x, y, seed) for row, (_, seed) in zip(rows, points)
                               for x, y in row], engine))
+    shot_seeds = iter(child_seeds([(seed, i) for _, seed in points for i in range(4)])
+                      if shots is not None else ())
     reports = []
     for settings, (angles, seed) in zip(rows, points):
         correlations: dict[tuple[float, float], float] = {}
-        for i, ((x, y), dist) in enumerate(zip(settings, dists)):
-            if shots is None:
-                correlations[(x, y)] = _correlator(dist.outcomes)
-            else:
-                shot_seed = int(substream(seed, i).integers(2**63))
-                correlations[(x, y)] = _correlator(sample(dist, shots, shot_seed).frequencies)
+        for (x, y), dist in zip(settings, dists):
+            probs = (dist.outcomes if shots is None
+                     else sample(dist, shots, next(shot_seeds)).frequencies)
+            correlations[(x, y)] = _correlator(probs)
         s_value = sum(s * correlations[setting] for s, setting in zip(signs, settings))
         reports.append(ChshReport(tuple(angles), correlations, s_value, abs(s_value) > 2.0,
                                   engine, signs, shots, seed))

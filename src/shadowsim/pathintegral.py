@@ -387,9 +387,12 @@ def propagate_snapshots(
 
 # -- observables -------------------------------------------------------------
 
-def expectation_x(wf: LatticeWavefunction) -> float:
-    """Riemann-sum position expectation."""
-    return float(np.sum(wf.x * wf.probability_density()) * wf.dx)
+def expectation_x(wf: LatticeWavefunction, density: np.ndarray | None = None) -> float:
+    """Riemann-sum position expectation, over ``density`` if the caller
+    already holds wf.probability_density()."""
+    if density is None:
+        density = wf.probability_density()
+    return float(np.sum(wf.x * density) * wf.dx)
 
 
 def mean_velocity(wf: LatticeWavefunction) -> float:

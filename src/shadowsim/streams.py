@@ -24,11 +24,12 @@ every probability.  Every result is read from the table's columns.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .angles import canonical_angle
 from .circuit import REFLECTION_TURN, Circuit, PathTable, compile_paths
-from .rng import make_rng
+from .rng import uniform_draws
 
 ENGINE_VERSION = "1.0"
 
@@ -57,9 +58,10 @@ class ShadowStream:
         return self.table.source
 
 
-def emission_clock(seed: int | None) -> float:
-    """An emission's initial clock, uniform on [0, 2pi), drawn from ``seed``."""
-    return float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
+def initial_clocks(seeds: Iterable[int | None]) -> list[float]:
+    """Each emission's initial clock, uniform on [0, 2pi), drawn from its seed
+    as ``default_rng(seed).uniform(0.0, 2pi)`` draws it."""
+    return uniform_draws(seeds, 2.0 * math.pi)
 
 
 def _table_amplitudes(circuit: Circuit, table: PathTable, port: int | None, settings):
@@ -120,10 +122,10 @@ def build_stream(
     initial_clock: float | None = None,
 ) -> ShadowStream:
     """Compile the path table and evaluate its amplitudes under one shared
-    clock, drawn by emission_clock(seed) unless given explicitly."""
+    clock, drawn by initial_clocks([seed]) unless given explicitly."""
     table = compile_paths(circuit, source)
     if initial_clock is None:
-        initial_clock = emission_clock(seed)
+        (initial_clock,) = initial_clocks([seed])
     (amplitudes,) = _table_amplitudes(circuit, table, None, [({}, initial_clock)])
     return ShadowStream(circuit, table, tuple(amplitudes), initial_clock)
 

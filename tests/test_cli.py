@@ -1119,7 +1119,7 @@ def _refuse_work(*args, **kwargs):
     ],
 )
 def test_size_past_its_cap_exits_two_before_any_work(argv, config, bound, tmp_path, monkeypatch):
-    for name in ("mach_zehnder_points", "sample", "substream"):
+    for name in ("mach_zehnder_points", "sample", "child_seeds"):
         monkeypatch.setattr(cli, name, _refuse_work)
     monkeypatch.setattr(cli.checks, "run_all", _refuse_work)
     cfg = tmp_path / "cfg.json"
@@ -1149,7 +1149,7 @@ def _start(*args, **kwargs):
 )
 def test_sweep_past_the_draw_cap_exits_two_before_any_work(argv, draws, monkeypatch):
     assert cli.MAX_SWEEP_DRAWS + 1 == 13325 * 80581
-    for name in ("mach_zehnder_points", "chsh_points", "sample", "substream"):
+    for name in ("mach_zehnder_points", "chsh_points", "sample", "child_seeds"):
         monkeypatch.setattr(cli, name, _refuse_work)
     code, err = _exit_code(argv + ["--seed", "3"])
     assert code == 2, err
