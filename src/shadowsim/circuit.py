@@ -473,21 +473,23 @@ class PathTable:
     depth-first walk that takes output port 0 first.
 
     Column entry i describes route i.  ``routes[i]`` names its elements,
-    one character each, the rank of the element's id among the sorted ids,
-    so comparing routes compares element-id sequences.  Then come the
-    geometric phase, the link phases added one by one from the source; the
-    clock ``advances`` in route order, each the id of the phase shifter
-    passed or None for a splitter reflection (a REFLECTION_TURN); the
-    number of splitter ``crossings``; the terminal the route ends at; and
-    the source port it leaves through.  No column holds a shift value, so
-    one table serves every circuit ``Circuit.with_shifts`` derives from the
-    same structure.
+    one character each, the rank of the element's id among the sorted
+    ``element_ids`` (``element_ids[ord(c)]``), so comparing routes compares
+    element-id sequences.  Then come the geometric phase, the link phases
+    added one by one from the source; the clock ``advances`` in route order,
+    a string with one character per advance: a phase shifter's own code, or
+    ``chr(len(element_ids))`` for a splitter reflection (a REFLECTION_TURN);
+    the number of splitter ``crossings``; the terminal the route ends at;
+    and the source port it leaves through.  No column holds a shift value,
+    so one table serves every circuit ``Circuit.with_shifts`` derives from
+    the same structure.
     """
 
     source: str
+    element_ids: tuple[str, ...]
     routes: tuple[str, ...]
     geometric_phases: tuple[float, ...]
-    advances: tuple[tuple[str | None, ...], ...]
+    advances: tuple[str, ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
     source_ports: tuple[int, ...]
@@ -521,12 +523,15 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
         )
     kinds = {eid: el.kind for eid, el in circuit.elements.items()}
     splitter_kind, shifter_kind = ElementType.BEAMSPLITTER, ElementType.PHASESHIFTER
-    code = {eid: chr(rank) for rank, eid in enumerate(sorted(kinds))}
+    element_ids = tuple(sorted(kinds))
+    code = {eid: chr(rank) for rank, eid in enumerate(element_ids)}
+    reflection = chr(len(element_ids))
     columns: tuple[list, ...] = ([], [], [], [], [], [])
-    stack: list[tuple] = [(source, "", 0, (-1,), [0.0], [()], [-1])]
+    stack: list[tuple] = [(source, "", 0, (-1,), [0.0], [""], [-1])]
     while stack:
         eid, route, crossings, in_ports, phases, advances, ports = stack.pop()
-        route += code[eid]
+        here = code[eid]
+        route += here
         groups, n = circuit._successors[eid], len(phases)
         if not groups:  # only terminals have no outputs
             finished = ([route] * n, phases, advances, [crossings] * n, [eid] * n, ports)
@@ -537,7 +542,7 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
         if splitter:
             crossings += 1
         elif kinds[eid] is shifter_kind:
-            advances = [a + (eid,) for a in advances]
+            advances = [a + here for a in advances]
         for dst, links in reversed(groups.items()):
             if len(links) == 1:
                 (link,) = links
@@ -545,14 +550,14 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                 stack.append((dst, route, crossings, (link.dst_port,),
                     [p + link.phase for p in phases],
                     advances if not splitter or in_ports == (out,) else
-                    [a + (None,) if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
+                    [a + reflection if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
                     [out] if eid == source else ports))
                 continue
             # Several links into one element: each member's children, in port order.
             stack.append((dst, route, crossings, tuple(link.dst_port for link in links),
                 [p + link.phase for p in phases for link in links],
-                [a + (None,) if splitter and ip != link.src_port else a
+                [a + reflection if splitter and ip != link.src_port else a
                  for a, ip in zip(advances, cycle(in_ports)) for link in links],
                 [link.src_port for link in links] if eid == source
                 else [port for port in ports for _ in links]))
-    return PathTable(source, *map(tuple, columns))
+    return PathTable(source, element_ids, *map(tuple, columns))

@@ -49,9 +49,9 @@ from .rng import RNG_NAME, child_seeds
 # before any work.  sample() counts shots in chunks, so they bound its time, not
 # its memory: about 6.4 ms per 10**6 (hilbert MZ, min of 3x3, 2-core x86 VM).
 MAX_SHOTS = 2**26
-# A sweep's memory peaks at about 10 kB per grid point (tracemalloc: chsh, four
-# bghz settings a point, on both engines; mz to CSV takes 2.8 kB), so
-# MAX_GRID_POINTS points stay under 2**30 bytes.
+# A sweep's memory peaks at about 4.8 kB per grid point (tracemalloc: bghz on
+# both engines, four joint rows a point; chsh takes 2.6 kB and mz to CSV
+# 2.7 kB), so MAX_GRID_POINTS points stay under 2**30 bytes.
 MAX_GRID_POINTS = 2**16
 # Time bound on a sweep's draws, summed over points, engines and settings:
 # about 7 s at that rate.
@@ -216,8 +216,6 @@ KEYS = {
     "omega": _key(_NUMBER, type=_finite_float, help="harmonic angular frequency"),
     "potential-file": _key(_TEXT, help="two-column x, V table"),
     "psi-file": _key(_TEXT, help="three-column x, re, im initial wavefunction"),
-    "window": _key(_NUMBER, type=_finite_float,
-                   help="kernel truncation radius (default: untruncated kernel)"),
 }
 # Keys a data file's config block leaves out: the meta block records the
 # seed, and out and format only say where and how the results are written.
@@ -542,7 +540,7 @@ class Experiment(NamedTuple):
 BENCH_KEYS = OUTPUT_KEYS + ("engine", "shots")
 PROPAGATE_KEYS = OUTPUT_KEYS + (
     "grid-n", "xmin", "xmax", "x0", "sigma0", "k0", "mass", "hbar", "eps", "steps",
-    "times", "potential", "omega", "potential-file", "psi-file", "window",
+    "times", "potential", "omega", "potential-file", "psi-file",
 )
 CHECK_KEYS = ("seed", "corpus-cases", "shots")
 
@@ -763,8 +761,6 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
     wf, packet_config = _initial_wavefunction(values)
     potential, pot_config = _build_potential(values)
     run_config = {"experiment": "pathintegral", "eps": eps, **packet_config, **pot_config}
-    if values["window"] is not None:
-        run_config["window"] = values["window"]
 
     if times is None:
         try:
@@ -773,9 +769,7 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
             raise ConfigError(f"steps = {steps} is past the float range") from None
     run_config["times"] = times
     try:
-        snapshots, max_drift = pathintegral.propagate_snapshots(
-            wf, eps, times, potential, values["window"]
-        )
+        snapshots, max_drift = pathintegral.propagate_snapshots(wf, eps, times, potential)
         velocities = [pathintegral.mean_velocity(snap) for _, snap in snapshots]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

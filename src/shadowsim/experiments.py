@@ -20,9 +20,10 @@ Geometry conventions for the canonical benches:
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -166,25 +167,27 @@ def _clocks(engine: str, seeds: list) -> list:
     return initial_clocks(seeds) if engine == ENGINE_STREAMS else [None] * len(seeds)
 
 
-def _amplitudes(circuit: Circuit, engine: str, shift_maps: list, clocks: list,
-                port: int | None = None) -> list[dict[str, complex]]:
-    """Terminal amplitudes of one circuit structure at each point's shifts."""
+def _amplitudes(circuit: Circuit, engine: str, shift_maps: Iterable[dict], clocks: list,
+                port: int | None = None) -> Iterator[dict[str, complex]]:
+    """Terminal amplitudes of one circuit structure at each point's shifts,
+    each made as it is read."""
     _require_engine(engine)
     if engine == ENGINE_HILBERT:
-        return [e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps, port=port)]
+        return (e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps, port=port))
     return terminal_amplitudes(circuit, zip(shift_maps, clocks), port=port)
 
 
-def _distributions(engine: str, amplitude_maps, params: list[dict]) -> list[OutcomeDistribution]:
-    return [OutcomeDistribution({key: abs(amp) ** 2 for key, amp in amps.items()}, engine, p)
-            for amps, p in zip(amplitude_maps, params)]
+def _distributions(engine: str, amplitude_maps, params: Iterable[dict]
+                   ) -> Iterator[OutcomeDistribution]:
+    return (OutcomeDistribution({key: abs(amp) ** 2 for key, amp in amps.items()}, engine, p)
+            for amps, p in zip(amplitude_maps, params))
 
 
 def run_circuit(circuit: Circuit, engine: str, params: dict, *,
                 seed: int | None = None) -> OutcomeDistribution:
     """One single-particle circuit on either engine."""
     amps = _amplitudes(circuit, engine, [{}], _clocks(engine, [seed]))
-    return _distributions(engine, amps, [params])[0]
+    return next(_distributions(engine, amps, [params]))
 
 
 def mach_zehnder_points(points: Sequence[tuple[float, int | None]], engine: str = ENGINE_STREAMS,
@@ -194,7 +197,7 @@ def mach_zehnder_points(points: Sequence[tuple[float, int | None]], engine: str 
                "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
     amps = _amplitudes(_mach_zehnder_structure(theta), engine, [{"shift_a": a} for a, _ in points],
                        _clocks(engine, [seed for _, seed in points]))
-    return _distributions(engine, amps, params)
+    return list(_distributions(engine, amps, params))
 
 
 def run_mach_zehnder(alpha: float, engine: str = ENGINE_STREAMS, *, theta: float = 0.0,
@@ -264,20 +267,30 @@ def pair_amplitudes(
     return {key: weight * amp for key, amp in joint.items()}
 
 
+def _bghz_joints(settings: Sequence[tuple], clocks: list, engine: str
+                 ) -> Iterator[dict[Outcome, complex]]:
+    """The pair bench's joint amplitudes at each setting, whose first two
+    items are (alpha, beta), under its clock: both sides are paired arm by
+    arm as each setting is read."""
+
+    def side(structure: Circuit, shifter: str, i: int) -> Iterator[tuple]:
+        """One daughter's amplitudes per setting, one dict per source arm."""
+        arms = range(structure.source_fanout(structure.sole_source()))
+        return zip(*[_amplitudes(structure, engine, ({shifter: s[i]} for s in settings), clocks,
+                                 port=k) for k in arms])
+
+    return map(pair_amplitudes, side(_bghz_left_structure(), "shift_a", 0),
+               side(_bghz_right_structure(0.0), "shift_b", 1))
+
+
 def bghz_points(points: Sequence[tuple[float, float, int | None]],
                 engine: str = ENGINE_STREAMS) -> list[OutcomeDistribution]:
     """The pair bench at each (alpha, beta, seed) point: both sides run
     under the point's one clock and are paired arm by arm."""
     clocks = _clocks(engine, [seed for _, _, seed in points])
-    sides = [[_amplitudes(structure, engine, [{shifter: point[i]} for point in points], clocks,
-                          port=k) for k in range(structure.source_fanout(structure.sole_source()))]
-             for structure, shifter, i in ((_bghz_left_structure(), "shift_a", 0),
-                                           (_bghz_right_structure(0.0), "shift_b", 1))]
     params = [{"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
                "seed": seed, "rng": RNG_NAME} for alpha, beta, seed in points]
-    joint = (pair_amplitudes(*[[arm[n] for arm in side] for side in sides])
-             for n in range(len(points)))
-    return _distributions(engine, joint, params)
+    return list(_distributions(engine, _bghz_joints(points, clocks, engine), params))
 
 
 def run_bghz(alpha: float, beta: float, engine: str = ENGINE_STREAMS, *,
@@ -335,18 +348,14 @@ _S_BOUND = 2.0 * math.sqrt(2.0) + 1e-9
 
 @dataclass(frozen=True)
 class ChshReport:
-    """Correlators and the CHSH combination for four angle settings.
-
-    ``signs`` are applied to E(a,b), E(a,b'), E(a',b), E(a',b') in that
-    order; the default is the usual one-minus layout.
-    """
+    """Correlators and the CHSH combination
+    S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for four angle settings."""
 
     angles: tuple[float, float, float, float]
     correlations: dict[tuple[float, float], float]
     s_value: float
     violation: bool
     engine: str
-    signs: tuple[int, int, int, int]
     shots: int | None = None
     seed: int | None = None
 
@@ -368,19 +377,22 @@ def _correlator(probs: dict[Outcome, float]) -> float:
     return same - diff
 
 
+_SIGNS = (1, -1, 1, 1)  # of E(a,b), E(a,b'), E(a',b), E(a',b')
+
+
 def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
-                engine: str = ENGINE_STREAMS, *, shots: int | None = None,
-                signs: tuple[int, int, int, int] = (1, -1, 1, 1)) -> list[ChshReport]:
+                engine: str = ENGINE_STREAMS, *, shots: int | None = None) -> list[ChshReport]:
     """The CHSH combination at each ((a, a', b, b'), seed) point, exact or
-    Monte Carlo, from one bghz_points call over every point's four settings.
-    With ``shots`` setting i is sampled from child seed i of the point's
-    seed and the correlators are empirical frequencies."""
+    Monte Carlo, from one pair-bench evaluation over every point's four
+    settings, all four under the point's one clock; each point is reduced
+    to its report as its settings arrive.  With ``shots`` setting i is
+    sampled from child seed i of the point's seed and the correlators are
+    empirical frequencies."""
     _require_engine(engine)
-    if sorted(abs(s) for s in signs) != [1, 1, 1, 1]:
-        raise ValueError("signs must be four values of +-1")
     rows = [[(a, b), (a, b2), (a2, b), (a2, b2)] for (a, a2, b, b2), _ in points]
-    dists = iter(bghz_points([(x, y, seed) for row, (_, seed) in zip(rows, points)
-                              for x, y in row], engine))
+    clocks = [clock for clock in _clocks(engine, [seed for _, seed in points]) for _ in range(4)]
+    joints = _bghz_joints(list(chain.from_iterable(rows)), clocks, engine)
+    dists = _distributions(engine, joints, repeat({}))
     shot_seeds = iter(child_seeds([(seed, i) for _, seed in points for i in range(4)])
                       if shots is not None else ())
     reports = []
@@ -390,13 +402,12 @@ def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
             probs = (dist.outcomes if shots is None
                      else sample(dist, shots, next(shot_seeds)).frequencies)
             correlations[(x, y)] = _correlator(probs)
-        s_value = sum(s * correlations[setting] for s, setting in zip(signs, settings))
+        s_value = sum(s * correlations[setting] for s, setting in zip(_SIGNS, settings))
         reports.append(ChshReport(tuple(angles), correlations, s_value, abs(s_value) > 2.0,
-                                  engine, signs, shots, seed))
+                                  engine, shots, seed))
     return reports
 
 
 def chsh(a: float, a_prime: float, b: float, b_prime: float, engine: str = ENGINE_STREAMS, *,
-         shots: int | None = None, seed: int | None = None,
-         signs: tuple[int, int, int, int] = (1, -1, 1, 1)) -> ChshReport:
-    return chsh_points([((a, a_prime, b, b_prime), seed)], engine, shots=shots, signs=signs)[0]
+         shots: int | None = None, seed: int | None = None) -> ChshReport:
+    return chsh_points([((a, a_prime, b, b_prime), seed)], engine, shots=shots)[0]

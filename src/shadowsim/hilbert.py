@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .circuit import Circuit, ElementType, TERMINAL_TYPES
@@ -81,9 +82,10 @@ def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
 
 
 def evolve_settings(circuit: Circuit, shift_maps, source: str | None = None, *,
-                    port: int | None = None) -> list[CircuitEvolution]:
+                    port: int | None = None) -> Iterator[CircuitEvolution]:
     """Propagate one particle through the circuit by per-element unitaries,
-    once per shift map, laid over the circuit's own by Circuit.shift_values.
+    once per shift map, laid over the circuit's own by Circuit.shift_values;
+    each evolution is made as it is read.
 
     With ``port=None`` a multi-port source emits an equal-weight
     superposition over its arms; ``port=k`` starts from arm k alone with
@@ -101,7 +103,6 @@ def evolve_settings(circuit: Circuit, shift_maps, source: str | None = None, *,
         amp = cmath.exp(1j * link.phase)
         initial[index[link]] = amp / math.sqrt(fanout) if port is None else amp
     initial_drift = _drift(initial)
-    evolutions = []
     for shifts in shift_maps:
         shift = circuit.shift_values(shifts)
         state, max_drift = dict(initial), initial_drift
@@ -116,11 +117,10 @@ def evolve_settings(circuit: Circuit, shift_maps, source: str | None = None, *,
                     factor = cmath.exp(1j * (phase + shift.get(eid, circuit.elements[eid].shift)))
                 state[out] = state.pop(ins) * factor
             max_drift = max(max_drift, _drift(state))
-        evolutions.append(CircuitEvolution({k: state.get(i, 0j) for k, i in terminals}, max_drift))
-    return evolutions
+        yield CircuitEvolution({k: state.get(i, 0j) for k, i in terminals}, max_drift)
 
 
 def evolve_circuit(circuit: Circuit, source: str | None = None, *,
                    port: int | None = None) -> CircuitEvolution:
     """evolve_settings at the circuit's own shifts."""
-    return evolve_settings(circuit, [{}], source, port=port)[0]
+    return next(evolve_settings(circuit, [{}], source, port=port))

@@ -20,10 +20,7 @@ that shift exceeds the grid span, i.e.
 
     eps >= m * dx * span / (2*pi*hbar)
 
-so for a fixed grid the step must be coarse enough, not fine enough.  The
-optional window truncates the kernel at |x - a| > window; truncation adds an
-edge error per step, so windowed runs should be validated against the
-untruncated kernel (window=None, the default).
+so for a fixed grid the step must be coarse enough, not fine enough.
 
 Every step is applied by FFT in O(N log N): the endpoint rule makes the
 kernel diag . Toeplitz . diag for any potential, where the Toeplitz part is
@@ -226,11 +223,9 @@ def aliasing_ghost_shift(eps: float, dx: float, mass: float, hbar: float) -> flo
     return 2.0 * math.pi * hbar * eps / mass / dx  # mass * dx could underflow to 0
 
 
-def _check_step_args(eps: float, window: float | None) -> None:
+def _check_eps(eps: float) -> None:
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if window is not None and window <= 0:
-        raise ValueError("window must be positive")
 
 
 def _prefactor(wf: LatticeWavefunction, eps: float) -> complex:
@@ -239,7 +234,7 @@ def _prefactor(wf: LatticeWavefunction, eps: float) -> complex:
     return amplitude * wf.dx * np.exp(-1j * math.pi / 4.0)
 
 
-def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float | None):
+def _kernel_apply(wf: LatticeWavefunction, eps: float, potential):
     """The one-step kernel as a map from values to values.
 
     The endpoint rule puts half of the step's potential phase on each end,
@@ -249,7 +244,7 @@ def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float 
     when the kernel leaves the float range, or when its prefactor is so
     small that the squares a step's norm sums would underflow.
     """
-    _check_step_args(eps, window)
+    _check_eps(eps)
     m, hbar, n = wf.mass, wf.hbar, wf.n
     prefactor = _prefactor(wf, eps)
     if abs(prefactor) < math.sqrt(sys.float_info.min):
@@ -262,8 +257,6 @@ def _kernel_apply(wf: LatticeWavefunction, eps: float, potential, window: float 
     curvature = 0.5 * m / eps
     with np.errstate(all="ignore"):
         column = prefactor * np.exp(1j * curvature * d**2 / hbar)
-        if window is not None:
-            column[d > window] = 0.0
         spectrum = np.fft.fft(np.concatenate([column, [0.0], column[:0:-1]]))
         diagonal = None if isinstance(potential, FreePotential) else np.exp(
             -1j * eps * potential.values(wf.x, m) / (2 * hbar)
@@ -320,7 +313,6 @@ def _advance(
     eps: float,
     counts: list[int],
     potential,
-    window: float | None,
 ) -> tuple[list[LatticeWavefunction], float]:
     """States after each of the ascending step ``counts``, and the worst drift.
 
@@ -331,7 +323,7 @@ def _advance(
             f"{counts[-1]} steps exceed the {MAX_STEPS}-step budget; "
             "use a larger eps or an earlier time"
         )
-    apply = _kernel_apply(wf, eps, potential, window) if any(counts) else None
+    apply = _kernel_apply(wf, eps, potential) if any(counts) else None
     states: list[LatticeWavefunction] = []
     max_drift = 0.0
     done = 0
@@ -349,14 +341,13 @@ def propagate(
     eps: float,
     steps: int,
     potential=FREE,
-    window: float | None = None,
 ) -> PropagationRun:
     """Advance by ``steps`` equal steps, reusing one kernel."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps == 0:
         return PropagationRun(wf, 0, eps, 0.0)
-    (new_wf,), max_drift = _advance(wf, eps, [steps], potential, window)
+    (new_wf,), max_drift = _advance(wf, eps, [steps], potential)
     return PropagationRun(new_wf, steps, eps, max_drift)
 
 
@@ -365,10 +356,9 @@ def propagate_snapshots(
     eps: float,
     times: list[float],
     potential=FREE,
-    window: float | None = None,
 ) -> tuple[list[tuple[float, LatticeWavefunction]], float]:
     """States at the requested times, each of which must be a multiple of eps."""
-    _check_step_args(eps, window)
+    _check_eps(eps)
     steps_at = []
     for t in sorted(times):
         k = (t - wf.t) / eps
@@ -381,7 +371,7 @@ def propagate_snapshots(
         if off_grid:
             raise ValueError(f"snapshot time {t} is not a whole number of steps")
         steps_at.append((int(k), t))
-    states, max_drift = _advance(wf, eps, [k for k, _ in steps_at], potential, window)
+    states, max_drift = _advance(wf, eps, [k for k, _ in steps_at], potential)
     return [(t, state) for (_, t), state in zip(steps_at, states)], max_drift
 
 

@@ -2,10 +2,13 @@
 
 Every emission event creates one stream covering all paths of the circuit.
 The engine compiles the circuit into a path table (circuit.PathTable), one
-row per path, walked in bundles of rows with one element sequence.  The table
-holds no shift value, so terminal_amplitudes evaluates its rows at a whole
-sequence of settings, each a shift map and a clock.  A path's amplitude is the
-product of a unit phase, tracked by a path clock, and 1/sqrt(2) per crossing:
+row per path, walked in bundles of rows with one element sequence.  A row's
+clock advances are a string of one-character codes, each naming a phase
+shifter or a splitter reflection.  The table holds no shift value, so
+terminal_amplitudes evaluates its rows at a whole sequence of settings, each
+a shift map and a clock, one setting at a time as they are read.  A path's
+amplitude is the product of a unit phase, tracked by a path clock, and
+1/sqrt(2) per crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -23,12 +26,16 @@ every probability.  Every result is read from the table's columns.
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, groupby
+from operator import add
 
 from .angles import canonical_angle
-from .circuit import REFLECTION_TURN, Circuit, PathTable, compile_paths
+from .circuit import REFLECTION_TURN, Circuit, ElementType, PathTable, compile_paths
 from .rng import uniform_draws
 
 ENGINE_VERSION = "1.0"
@@ -68,50 +75,73 @@ def _table_amplitudes(circuit: Circuit, table: PathTable, port: int | None, sett
     """Arm ``port``'s row amplitudes (every row's for None) at each setting,
     a shift map over the circuit's own and an initial clock.  The clock is
     reduced to [0, 2pi) after the geometric phase by canonical_angle, as the
-    sum may be negative, and after each advance by a bare fmod: same bits."""
-    own = {eid: el.shift for eid, el in circuit.elements.items()}
-    own[None] = REFLECTION_TURN
+    sum may be negative.  After each advance 2pi is subtracted once if the sum
+    reaches it: clock and turn lie in [0, 2pi), so such a sum lies in
+    [2pi, 4pi) and, by Sterbenz's lemma, the subtraction is exact, which is
+    fmod's remainder bit for bit.  cmath.rect gives the bits of
+    complex(cos, sin) * magnitude."""
+    elements = circuit.elements
+    shifters = [(chr(rank), eid) for rank, eid in enumerate(table.element_ids)
+                if elements[eid].kind is ElementType.PHASESHIFTER]
+    reflection = chr(len(table.element_ids))
+    own = {eid: elements[eid].shift for _, eid in shifters}
+    magnitudes = [INV_SQRT2**k for k in range(max(table.crossings, default=0) + 1)]
     columns = (table.geometric_phases, table.advances, table.crossings, table.source_ports)
-    fmod, cos, sin, tau = math.fmod, math.cos, math.sin, 2.0 * math.pi
+    rect, tau = cmath.rect, 2.0 * math.pi
     for shifts, initial_clock in settings:
-        turns = {**own, **circuit.shift_values(shifts)}
+        values = {**own, **circuit.shift_values(shifts)}
+        turns = {code: values[eid] for code, eid in shifters}
+        turns[reflection] = REFLECTION_TURN
         start = canonical_angle(initial_clock)
         amplitudes = []
         for phase, advances, crossings, row_port in zip(*columns):
             if port is None or row_port == port:
                 clock = canonical_angle(start + phase)
-                for advance in advances:
-                    clock = fmod(clock + turns[advance], tau)
-                amplitudes.append(complex(cos(clock), sin(clock)) * INV_SQRT2**crossings)
+                for code in advances:
+                    clock += turns[code]
+                    if clock >= tau:
+                        clock -= tau
+                amplitudes.append(rect(magnitudes[crossings], clock))
         yield amplitudes
 
 
 def _terminal_sums(circuit: Circuit, table: PathTable, port: int | None, amplitude_sets):
-    """Per list of arm ``port``'s row amplitudes, the terminal amplitudes."""
+    """Per list of arm ``port``'s row amplitudes, the terminal amplitudes,
+    each folded left to right from 0j over its rows in table order.  The
+    rows of one bundle share a terminal, so the rows are split once per call
+    into runs of consecutive rows with one terminal, and each run is folded
+    onto its terminal's sum in turn."""
     keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
-    rows = zip(table.terminals, table.source_ports)
-    targets = [keys[terminal] for terminal, p in rows if port is None or p == port]
+    terminals = (table.terminals if port is None
+                 else compress(table.terminals, map(port.__eq__, table.source_ports)))
+    runs = []
+    start = 0
+    for terminal, run in groupby(terminals):
+        stop = start + len(list(run))
+        runs.append((keys[terminal], start, stop))
+        start = stop
     fanout = circuit.source_fanout(table.source)
     for amplitudes in amplitude_sets:
-        sums: dict[str, complex] = dict.fromkeys(keys.values(), 0.0 + 0.0j)
-        for key, amp in zip(targets, amplitudes):
-            sums[key] += amp
+        sums = dict.fromkeys(keys.values(), 0j)
+        for key, start, stop in runs:
+            sums[key] = reduce(add, amplitudes[start:stop], sums[key])
         if port is None and fanout > 1:
             sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
         yield sums
 
 
 def terminal_amplitudes(circuit: Circuit, settings, source: str | None = None, *,
-                        port: int | None = None) -> list[dict[str, complex]]:
+                        port: int | None = None) -> Iterator[dict[str, complex]]:
     """Amplitude per terminal, blockers included, unreached ones 0, at each
-    of ``settings`` (shift map, initial clock), rows added one by one in
-    table order (builtin sum compensates from Python 3.12).  With
-    ``port=None`` a source with several arms emits an equal-weight
-    superposition over them, so the sums carry 1/sqrt(fanout); ``port=k``
-    sums arm k's rows alone with weight 1, as hilbert.evolve_settings does."""
+    of ``settings`` (shift map, initial clock), each made as it is read, rows
+    added one by one in table order (builtin sum compensates from Python
+    3.12).  With ``port=None`` a source with several arms emits an
+    equal-weight superposition over them, so the sums carry 1/sqrt(fanout);
+    ``port=k`` sums arm k's rows alone with weight 1, as
+    hilbert.evolve_settings does."""
     table = compile_paths(circuit, source)
     amplitude_sets = _table_amplitudes(circuit, table, port, settings)
-    return list(_terminal_sums(circuit, table, port, amplitude_sets))
+    return _terminal_sums(circuit, table, port, amplitude_sets)
 
 
 def build_stream(

@@ -159,18 +159,15 @@ def hilbert_arms(circuit: Circuit) -> list[dict]:
 # -- lattice propagator --------------------------------------------------------
 
 
-def dense_kernel(wf, eps, potential, window=None):
+def dense_kernel(wf, eps, potential):
     """The endpoint-rule one-step kernel as a dense N x N matrix, built in one
     shot from the formula
 
         K[x, a] = A dx exp(i/hbar * ((m/2)(x - a)^2/eps - eps (V(x) + V(a))/2)),
-        A = sqrt(m / (2 pi i hbar eps)),
-
-    and cut to zero at |x - a| > window.
+        A = sqrt(m / (2 pi i hbar eps)).
     """
     x, m, hbar = wf.x, wf.mass, wf.hbar
     phase = np.subtract.outer(x, x)
-    outside = None if window is None else np.abs(phase) > window
     phase **= 2
     phase *= 0.5 * m / eps
     v = potential.values(x, m)
@@ -179,8 +176,6 @@ def dense_kernel(wf, eps, potential, window=None):
     del phase
     np.exp(kernel, out=kernel)
     kernel *= cmath.sqrt(m / (2j * math.pi * hbar * eps)) * wf.dx
-    if outside is not None:
-        kernel[outside] = 0.0
     return kernel
 
 

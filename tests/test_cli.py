@@ -303,7 +303,6 @@ def _propagate_argv(draw):
             )),
             min_size=1, max_size=3,
         ).map(",".join),
-        "--window": _number_text(st.floats(-5.0, 80.0)),
         "--sigma0": _extreme_or(st.floats(0.2, 5.0)),
         "--mass": _extreme_or(st.floats(0.1, 10.0)),
         "--hbar": _extreme_or(st.floats(0.1, 10.0)),
@@ -1199,6 +1198,25 @@ def test_run_pathintegral_is_propagate(capsys):
     assert "t = 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", [["propagate"], ["run", "pathintegral"]])
+def test_window_flag_is_a_usage_error(command, capsys):
+    """The kernel truncation radius is gone: --window is an unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--eps", "0.5", "--steps", "2", "--window", "40"])
+    assert exc.value.code == 2
+    assert "--window" in capsys.readouterr().err
+
+
+def test_config_window_key_is_ignored_like_any_unread_key(tmp_path, capsys):
+    argv = ["propagate", "--eps", "0.5", "--steps", "2"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    cfg = tmp_path / "window.json"
+    cfg.write_text(json.dumps({"window": 5.0}))
+    assert cli.main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_config_file_supplies_values_and_flags_override(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"alpha": 0.9}))
@@ -1254,6 +1272,27 @@ def test_sweep_chsh_traces_the_standard_curve(tmp_path):
         want = 3 * math.cos(phi) - math.cos(3 * phi)
         assert float(row["value"]) == pytest.approx(want, abs=1e-9)
         assert row["quantity"] == "S"
+
+
+def test_sweep_chsh_pairs_each_point_as_its_settings_arrive(tmp_path):
+    """Each point's four settings are paired and reduced to its report as
+    they are evaluated, so a chsh sweep on both engines peaks at under 3 kB
+    a grid point: what it keeps (points, reports, rows), not every
+    setting's per-arm amplitudes."""
+    g = 1024
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "chsh", "--grid", f"0:pi:{g}", "--engine", "both", "--seed", "7",
+            "--out", str(out)]
+    assert cli.main(argv[:3] + ["0:pi:3"] + argv[4:]) == 0  # fills the per-process caches
+    tracemalloc.start()
+    try:
+        code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(_rows(out)[1]) == 2 * g
+    assert peak <= 3000 * g
 
 
 def test_sweep_without_grid_is_a_config_error(capsys):

@@ -251,12 +251,6 @@ def test_chsh_is_translation_invariant():
     assert shifted.s_value == pytest.approx(base.s_value, abs=1e-12)
 
 
-def test_chsh_sign_layout_is_configurable():
-    report = ex.chsh(*CANONICAL, "hilbert", signs=(1, 1, 1, -1))
-    assert report.s_value == pytest.approx(0.0, abs=1e-12)
-    assert not report.violation
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4))
 def test_chsh_never_exceeds_tsirelson(angles):
@@ -282,5 +276,4 @@ def test_chsh_report_rejects_impossible_correlator():
             s_value=2.0,
             violation=False,
             engine="hilbert",
-            signs=(1, -1, 1, 1),
         )

@@ -269,7 +269,7 @@ def test_mean_velocity_matches_position_rate(potential, k0):
     assert pi.mean_velocity(middle) == pytest.approx(rate, abs=1e-4)
 
 
-# -- stability and windows ---------------------------------------------------------------
+# -- stability ------------------------------------------------------------------------
 
 
 def test_unstable_step_aborts_with_diagnostics():
@@ -305,34 +305,10 @@ def test_ghost_shift_formula():
     )
 
 
-def test_wide_window_agrees_with_dense_kernel():
-    x = pi.uniform_grid(1024, -30.0, 30.0)
-    wf = pi.gaussian_packet(x, 0.0, 1.5)
-    dense = pi.propagate(wf, 0.5, 1).wavefunction
-    wide = pi.propagate(wf, 0.5, 1, window=45.0).wavefunction
-    assert np.sqrt(np.sum(np.abs(wide.values - dense.values) ** 2) * wf.dx) < 1e-10
-
-
-def test_window_error_grows_as_window_shrinks():
-    x = pi.uniform_grid(1024, -30.0, 30.0)
-    wf = pi.gaussian_packet(x, 0.0, 1.5)
-    dense = pi.propagate(wf, 0.5, 1).wavefunction
-
-    def window_error(w):
-        moved = pi.propagate(wf, 0.5, 1, window=w).wavefunction
-        return np.sqrt(np.sum(np.abs(moved.values - dense.values) ** 2) * wf.dx)
-
-    assert window_error(40.0) < window_error(30.0)
-    # an aggressive cut loses so much norm the drift guard fires
-    with pytest.raises(pi.PropagationUnstableError):
-        pi.propagate(wf, 0.5, 1, window=5.0).wavefunction
-
-
 _TABLE_X = np.linspace(-40.0, 60.0, 301)
 _WELL = pi.TabulatedPotential(_TABLE_X, 0.01 * _TABLE_X**2 + 0.05 * np.sin(_TABLE_X))
 
 
-@pytest.mark.parametrize("window", [None, 45.0, 5.0])
 @pytest.mark.parametrize("potential", [pi.FREE, pi.HarmonicPotential(0.15), _WELL])
 @pytest.mark.parametrize(
     ("n", "xmin", "xmax", "mass", "hbar", "eps"),
@@ -344,13 +320,12 @@ _WELL = pi.TabulatedPotential(_TABLE_X, 0.01 * _TABLE_X**2 + 0.05 * np.sin(_TABL
         (1024, -30.0, 30.0, 1.0, 1.0, 0.5),
     ],
 )
-def test_fft_apply_matches_dense_kernel(n, xmin, xmax, mass, hbar, eps, potential, window):
+def test_fft_apply_matches_dense_kernel(n, xmin, xmax, mass, hbar, eps, potential):
     """The FFT kernel apply equals the dense endpoint-rule matvec to rounding.
 
     The off-centre grid catches sign or offset errors in the potential
     diagonal, which uses absolute x.  Both sides round kernel phases of up
-    to c*span^2/hbar radians (at most about 3600 here), which sets the 1e-12 floor;
-    every window edge falls between grid points.
+    to c*span^2/hbar radians (at most about 3600 here), which sets the 1e-12 floor.
     """
     rng = np.random.default_rng(n)
     x = pi.uniform_grid(n, xmin, xmax)
@@ -358,8 +333,8 @@ def test_fft_apply_matches_dense_kernel(n, xmin, xmax, mass, hbar, eps, potentia
     wf = pi.LatticeWavefunction(
         x, values / np.sqrt(np.sum(np.abs(values) ** 2) * (x[1] - x[0])), mass=mass, hbar=hbar
     )
-    want = dense_kernel(wf, eps, potential, window) @ wf.values
-    got = pi._kernel_apply(wf, eps, potential, window)(wf.values)
+    want = dense_kernel(wf, eps, potential) @ wf.values
+    got = pi._kernel_apply(wf, eps, potential)(wf.values)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

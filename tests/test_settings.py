@@ -74,8 +74,8 @@ def test_each_setting_equals_its_one_setting_call(case):
     circuit, shift_maps, clocks = case
     source = circuit.sole_source()
     for port in [None, *range(circuit.source_fanout(source))]:
-        streams = terminal_amplitudes(circuit, list(zip(shift_maps, clocks)), port=port)
-        states = hilbert.evolve_settings(circuit, shift_maps, port=port)
+        streams = list(terminal_amplitudes(circuit, list(zip(shift_maps, clocks)), port=port))
+        states = list(hilbert.evolve_settings(circuit, shift_maps, port=port))
         assert len(streams) == len(states) == len(shift_maps)
         for shifts, clock, got, state in zip(shift_maps, clocks, streams, states):
             derived = circuit.with_shifts(shifts)
@@ -103,6 +103,6 @@ def test_a_shift_of_two_pi_is_zero_on_both_engines():
 def test_a_setting_that_names_no_phase_shifter_is_refused(bad):
     circuit = mach_zehnder_circuit(0.0)
     with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
-        terminal_amplitudes(circuit, [(bad, 0.0)])
+        list(terminal_amplitudes(circuit, [(bad, 0.0)]))
     with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
-        hilbert.evolve_settings(circuit, [bad])
+        list(hilbert.evolve_settings(circuit, [bad]))

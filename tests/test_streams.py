@@ -190,6 +190,12 @@ def _bits(values):
     return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
 
 
+def _decoded_advances(table):
+    """Each row's advances as element ids, None for a splitter reflection."""
+    ids = table.element_ids + (None,)
+    return ([ids[ord(code)] for code in advances] for advances in table.advances)
+
+
 def _assert_reference_bits(circuit):
     """Every column of every source's path table, and every amplitude under
     each of CLOCKS, equals the reference walk's, compared under float.hex so
@@ -200,12 +206,14 @@ def _assert_reference_bits(circuit):
         table = compile_paths(circuit, source)
         paths = enumerate_paths(circuit, source)
         assert table.source == source
+        assert table.element_ids == tuple(sorted(circuit.elements))
         assert table.routes == tuple("".join(map(code.get, p.element_ids)) for p in paths)
         assert [v.hex() for v in table.geometric_phases] == [
             p.geometric_phase.hex() for p in paths
         ]
-        assert table.advances == tuple(
-            tuple(
+        assert all(type(advances) is str for advances in table.advances)
+        assert list(_decoded_advances(table)) == list(
+            list(
                 None if kinds[eid] is ElementType.BEAMSPLITTER else eid
                 for eid, in_port, out_port in p.steps
                 if kinds[eid] is ElementType.PHASESHIFTER
@@ -248,8 +256,49 @@ def test_table_amplitudes_equal_reference(build):
     _assert_reference_bits(build())
 
 
-def test_table_amplitudes_equal_reference_on_a_ladder(ladder_text):
-    _assert_reference_bits(parse_circuit(ladder_text(10)))
+@pytest.mark.parametrize("k", range(1, 13))
+def test_table_amplitudes_equal_reference_on_a_ladder(ladder_text, k):
+    _assert_reference_bits(parse_circuit(ladder_text(k)))
+
+
+def _advance(clock, turn):
+    """The table evaluation's reduction after one advance."""
+    clock += turn
+    if clock >= 2 * math.pi:
+        clock -= 2 * math.pi
+    return clock
+
+
+CLOCK_EDGES = (0.0, 5e-324, math.pi / 2, math.nextafter(2 * math.pi, 0.0))
+
+
+@pytest.mark.parametrize("clock", CLOCK_EDGES)
+@pytest.mark.parametrize("turn", CLOCK_EDGES)
+def test_one_subtraction_reduces_an_advance_as_fmod_does(clock, turn):
+    assert _advance(clock, turn).hex() == math.fmod(clock + turn, 2 * math.pi).hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 2 * math.pi, exclude_max=True), st.floats(0.0, 2 * math.pi, exclude_max=True))
+def test_one_subtraction_reduces_any_advance_as_fmod_does(clock, turn):
+    reduced = _advance(clock, turn)
+    assert reduced.hex() == math.fmod(clock + turn, 2 * math.pi).hex()
+    assert 0.0 <= reduced < 2 * math.pi
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.sampled_from(CLOCK_EDGES), st.floats(0.0, 2 * math.pi, exclude_max=True)),
+       st.sampled_from([INV_SQRT2**k for k in range(21)]))
+def test_rect_equals_cos_sin_times_magnitude(clock, magnitude):
+    assert _bits([cmath.rect(magnitude, clock)]) == _bits(
+        [complex(math.cos(clock), math.sin(clock)) * magnitude]
+    )
+
+
+def test_rect_at_a_zero_clock_has_a_positive_zero_imaginary_part():
+    for magnitude in (1.0, INV_SQRT2, INV_SQRT2**20):
+        assert _bits([cmath.rect(magnitude, 0.0)]) == _bits([complex(magnitude, 0.0)])
+        assert _bits([cmath.rect(magnitude, 0.0)]) == _bits([complex(1.0, 0.0) * magnitude])
 
 
 # Shifts at the edges of canonical_angle: each reduces to a turn in [0, 2pi).
@@ -280,14 +329,14 @@ link b2:1 u:0 phase=0.0
     st.one_of(st.sampled_from(CLOCKS), st.floats(-1e6, 1e6)),
 )
 def test_turns_lie_in_one_turn_and_no_row_starts_at_negative_zero(shifts, clock):
-    """What lets the table evaluation advance the clock with a bare fmod:
-    every turn it adds lies in [0, 2pi), and the reduction that starts a row
-    (canonical_angle of the clock plus non-negative link phases) never
-    returns -0.0.  _table_amplitudes calls canonical_angle once for the clock,
+    """What lets the table evaluation reduce the clock after an advance by
+    one subtraction of 2pi: every turn it adds lies in [0, 2pi), and the
+    reduction that starts a row (canonical_angle of the clock plus
+    non-negative link phases) never returns -0.0.  _table_amplitudes calls canonical_angle once for the clock,
     then once per row."""
     circuit = parse_circuit(TWO_SHIFTER_TEXT).with_shifts({"p": shifts[0], "q": shifts[1]})
     table = compile_paths(circuit)
-    for advances in table.advances:
+    for advances in _decoded_advances(table):
         for advance in advances:
             turn = REFLECTION_TURN if advance is None else circuit.elements[advance].shift
             assert 0.0 <= turn < 2 * math.pi
