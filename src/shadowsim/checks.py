@@ -31,13 +31,7 @@ from .experiments import (
     sample,
     wheeler_points,
 )
-from .streams import (
-    build_stream,
-    congruence_check,
-    initial_clocks,
-    stream_terminal_amplitudes,
-    unitarity_defect,
-)
+from .streams import initial_clocks, terminal_amplitudes, unitarity_defect
 
 _TOL = 1e-12
 _S_TARGET = 2.0 * math.sqrt(2.0)
@@ -78,9 +72,7 @@ def check_mz_stream_amplitudes() -> CheckResult:
     worst = 0.0
     for alpha in np.linspace(0.0, 2.0 * np.pi, 9):
         for theta in (0.0, 0.7, 2.0):
-            circuit = mach_zehnder_circuit(float(alpha), theta)
-            stream = build_stream(circuit, initial_clock=0.0)
-            amps = stream_terminal_amplitudes(stream)
+            (amps,) = terminal_amplitudes(mach_zehnder_circuit(float(alpha), theta), [({}, 0.0)])
             want_u = 0.5j * np.exp(1j * theta) * (np.exp(1j * alpha) + 1.0)
             want_d = 0.5 * np.exp(1j * theta) * (np.exp(1j * alpha) - 1.0)
             worst = max(worst, abs(amps["u"] - want_u), abs(amps["d"] - want_d))
@@ -106,17 +98,37 @@ def check_bghz_law() -> CheckResult:
     return _result("bghz-law", worst < _TOL, f"max |P - closed form| = {worst:.3e}")
 
 
+def _congruence_deviations(left_arms: list[dict], right_arms: list[dict]) -> tuple[float, float]:
+    """The plain-arm congruence and the locality refactoring of Bernstein,
+    Greenberger, Horne & Zeilinger (PRA 47, 78 (1993)), from the pair bench's
+    terminal amplitudes per source arm, as experiments.pair_amplitudes takes
+    them.  Arm 0 is the shifted arm a on the left and the plain arm a' on the
+    right, arm 1 the plain arm b on the left and the shifted arm b' on the
+    right; left terminal x's counterpart is x'.  Returns the largest
+    |<x|b> - <x'|a'>|, which a symmetric geometry makes 0, and the largest
+    difference between the cross-side sum <x|a><y'|a'> + <x|b><y'|b'> and its
+    refactored form <x|a><y|b> + <x'|a'><y'|b'>, all left plus all right,
+    which coincide when the congruence holds."""
+    (a, b), (a_r, b_r) = left_arms, right_arms
+    identity = max(abs(b[x] - a_r[x + "'"]) for x in a)
+    refactoring = max(abs(a[x] * a_r[y + "'"] + b[x] * b_r[y + "'"]
+                          - (a[x] * b[y] + a_r[x + "'"] * b_r[y + "'"]))
+                      for x in a for y in a)
+    return identity, refactoring
+
+
 def check_congruence() -> CheckResult:
     """Plain-arm congruence and the locality refactoring on the same grid,
     both daughters under one clock."""
     (clock,) = initial_clocks([7])
-    worst = 0.0
-    grid = np.linspace(0.0, 2.0 * np.pi, 8)
-    for alpha in grid:
-        for beta in grid:
-            left = build_stream(bghz_left_circuit(float(alpha)), initial_clock=clock)
-            right = build_stream(bghz_right_circuit(float(beta)), initial_clock=clock)
-            worst = max(worst, congruence_check(left, right).max_deviation)
+    grid = np.linspace(0.0, 2.0 * np.pi, 8).tolist()
+
+    def arms(circuit):
+        return [next(terminal_amplitudes(circuit, [({}, clock)], port=k)) for k in (0, 1)]
+
+    lefts = [arms(bghz_left_circuit(alpha)) for alpha in grid]
+    rights = [arms(bghz_right_circuit(beta)) for beta in grid]
+    worst = max(max(_congruence_deviations(left, right)) for left in lefts for right in rights)
     return _result("congruence", worst < _TOL, f"max deviation = {worst:.3e}")
 
 
@@ -171,19 +183,20 @@ def check_wheeler() -> CheckResult:
 
 
 def _corpus(cases: int) -> Iterator[tuple]:
-    """Corpus circuit i with its stream, as build_stream(seed=i) builds it;
-    the clocks are derived in one batch up front."""
+    """Corpus circuit i with its streams terminal amplitudes under the clock
+    that seed i draws; the clocks are derived in one batch up front."""
     for i, clock in enumerate(initial_clocks(range(cases))):
         circuit = random_circuit(i)
-        yield circuit, build_stream(circuit, initial_clock=clock)
+        (amplitudes,) = terminal_amplitudes(circuit, [({}, clock)])
+        yield circuit, amplitudes
 
 
 def check_cross_engine(corpus: Iterable[tuple]) -> CheckResult:
     """Streams vs hilbert on randomized circuits, pointwise < 1e-12."""
     worst = 0.0
     cases = 0
-    for cases, (circuit, stream) in enumerate(corpus, 1):
-        probs_s = {k: abs(v) ** 2 for k, v in stream_terminal_amplitudes(stream).items()}
+    for cases, (circuit, amplitudes) in enumerate(corpus, 1):
+        probs_s = {k: abs(v) ** 2 for k, v in amplitudes.items()}
         probs_h = hilbert.evolve_circuit(circuit).probabilities()
         for key in probs_h:
             worst = max(worst, abs(probs_s[key] - probs_h[key]))
@@ -194,8 +207,8 @@ def check_cross_engine(corpus: Iterable[tuple]) -> CheckResult:
 
 def check_unitarity(corpus: list[tuple]) -> CheckResult:
     worst = 0.0
-    for _, stream in corpus:
-        worst = max(worst, unitarity_defect(stream))
+    for _, amplitudes in corpus:
+        worst = max(worst, unitarity_defect(amplitudes))
     return _result(
         "unitarity", worst < _TOL, f"{len(corpus)} circuits, max defect = {worst:.3e}"
     )
@@ -203,16 +216,12 @@ def check_unitarity(corpus: list[tuple]) -> CheckResult:
 
 def check_clock_invariance() -> CheckResult:
     """Outcome probabilities identical for 100 different clock values."""
-    circuit = mach_zehnder_circuit(0.9, 0.4)
-    base = None
-    worst = 0.0
-    for clock in np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False):
-        stream = build_stream(circuit, initial_clock=float(clock))
-        probs = {k: abs(v) ** 2 for k, v in stream_terminal_amplitudes(stream).items()}
-        if base is None:
-            base = probs
-        else:
-            worst = max(worst, max(abs(probs[k] - base[k]) for k in base))
+    clocks = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False).tolist()
+    base, *rest = (
+        {k: abs(v) ** 2 for k, v in amps.items()}
+        for amps in terminal_amplitudes(mach_zehnder_circuit(0.9, 0.4), [({}, c) for c in clocks])
+    )
+    worst = max(abs(probs[k] - base[k]) for probs in rest for k in base)
     return _result("clock-invariance", worst < 1e-14, f"max spread = {worst:.3e}")
 
 
@@ -376,8 +385,9 @@ def run_all(
     *, corpus_cases: int = 500, shots: int = 1_000_000, seed: int = 20260814
 ) -> list[CheckResult]:
     """Run every invariant check; heavyweight counts are adjustable."""
-    # Each corpus circuit and stream is built once; unitarity reads the first
-    # 200 of those the cross-engine check compares, and only they are held.
+    # Each corpus circuit and its amplitudes are built once; unitarity reads
+    # the first 200 of those the cross-engine check compares, and only they
+    # are held.
     corpus = _corpus(corpus_cases)
     head = list(islice(corpus, 200))
     return [

@@ -198,7 +198,8 @@ class Circuit:
         """The source to use when the caller names none."""
         if len(self.sources) != 1:
             raise CircuitValidationError(
-                f"circuit has {len(self.sources)} sources, pass one explicitly"
+                f"circuit has {len(self.sources)} sources ({', '.join(self.sources)}); "
+                "only a circuit with exactly one source can run, so remove all but one"
             )
         return self.sources[0]
 

@@ -163,7 +163,8 @@ def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
 # Each *_points runner evaluates each circuit structure once for all its points.
 
 def _clocks(engine: str, seeds: list) -> list:
-    """Each point's streams clock, drawn as build_stream(seed=...) draws it."""
+    """Each point's streams clock, drawn from its seed by initial_clocks;
+    hilbert has no clock, so None per point."""
     return initial_clocks(seeds) if engine == ENGINE_STREAMS else [None] * len(seeds)
 
 

@@ -1,14 +1,16 @@
 """Shadow streams: per-path clock amplitudes and their composition rules.
 
 Every emission event creates one stream covering all paths of the circuit.
-The engine compiles the circuit into a path table (circuit.PathTable), one
-row per path, walked in bundles of rows with one element sequence.  A row's
-clock advances are a string of one-character codes, each naming a phase
-shifter or a splitter reflection.  The table holds no shift value, so
-terminal_amplitudes evaluates its rows at a whole sequence of settings, each
-a shift map and a clock, one setting at a time as they are read.  A path's
-amplitude is the product of a unit phase, tracked by a path clock, and
-1/sqrt(2) per crossing:
+The module has one entry point, terminal_amplitudes, which gives a stream's
+terminal sums at each of a sequence of settings; every caller, one setting
+or many, goes through it.  The engine compiles the circuit into a path
+table (circuit.PathTable), one row per path, walked in bundles of rows with
+one element sequence.  A row's clock advances are a string of one-character
+codes, each naming a phase shifter or a splitter reflection.  The table
+holds no shift value, so terminal_amplitudes evaluates its rows at a whole
+sequence of settings, each a shift map and a clock, one setting at a time
+as they are read.  A path's amplitude is the product of a unit phase,
+tracked by a path clock, and 1/sqrt(2) per crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -29,7 +31,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, groupby
 from operator import add
@@ -41,28 +42,6 @@ from .rng import uniform_draws
 ENGINE_VERSION = "1.0"
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class ShadowStream:
-    """All paths of one emission with their amplitudes.
-
-    ``amplitudes[i]`` belongs to row i of ``table``; every row shares the
-    emission's ``initial_clock``.
-    """
-
-    circuit: Circuit
-    table: PathTable
-    amplitudes: tuple[complex, ...]
-    initial_clock: float
-
-    def __post_init__(self) -> None:
-        if len(self.table) != len(self.amplitudes):
-            raise ValueError("one amplitude per path required")
-
-    @property
-    def source(self) -> str:
-        return self.table.source
 
 
 def initial_clocks(seeds: Iterable[int | None]) -> list[float]:
@@ -144,112 +123,7 @@ def terminal_amplitudes(circuit: Circuit, settings, source: str | None = None, *
     return _terminal_sums(circuit, table, port, amplitude_sets)
 
 
-def build_stream(
-    circuit: Circuit,
-    source: str | None = None,
-    *,
-    seed: int | None = None,
-    initial_clock: float | None = None,
-) -> ShadowStream:
-    """Compile the path table and evaluate its amplitudes under one shared
-    clock, drawn by initial_clocks([seed]) unless given explicitly."""
-    table = compile_paths(circuit, source)
-    if initial_clock is None:
-        (initial_clock,) = initial_clocks([seed])
-    (amplitudes,) = _table_amplitudes(circuit, table, None, [({}, initial_clock)])
-    return ShadowStream(circuit, table, tuple(amplitudes), initial_clock)
-
-
-def stream_terminal_amplitudes(stream: ShadowStream, *,
-                               port: int | None = None) -> dict[str, complex]:
-    """terminal_amplitudes, summed from one stream's row amplitudes."""
-    rows = zip(stream.amplitudes, stream.table.source_ports)
-    return next(_terminal_sums(stream.circuit, stream.table, port,
-                               [[amp for amp, p in rows if port is None or p == port]]))
-
-
-def terminal_probabilities(stream: ShadowStream) -> dict[str, float]:
-    return {key: abs(amp) ** 2 for key, amp in stream_terminal_amplitudes(stream).items()}
-
-
-def unitarity_defect(stream: ShadowStream) -> float:
-    """|total probability - 1| of one emission; a multi-arm source counts
-    with its 1/sqrt(fanout) weight (see stream_terminal_amplitudes)."""
-    return abs(sum(p for p in terminal_probabilities(stream).values()) - 1.0)
-
-
-@dataclass(frozen=True)
-class CongruenceReport:
-    """Outcome of the congruence and locality-refactoring comparison.
-
-    ``identity_deviation`` is the largest mismatch between the plain (not
-    phase-shifted) left-arm amplitudes and their right-side counterparts.
-    ``refactoring_deviation`` compares, per joint terminal, the cross-side
-    product sum against its refactored all-left-plus-all-right form, which
-    only coincide when the congruence identity holds.
-    """
-
-    identity_deviation: float
-    refactoring_deviation: float
-    cross_terms: dict[tuple[str, str], complex]
-    refactored_terms: dict[tuple[str, str], complex]
-
-    @property
-    def max_deviation(self) -> float:
-        return max(self.identity_deviation, self.refactoring_deviation)
-
-
-def congruence_check(left: ShadowStream, right: ShadowStream) -> CongruenceReport:
-    """Verify the single-crossing congruence between the two sides.
-
-    Source port 0 is the shifted arm a on the left and the plain arm a' on
-    the right; port 1 is the plain arm b on the left and the shifted arm b'
-    on the right.  Each left terminal's counterpart is its label plus a
-    prime.
-
-    In a symmetric geometry the plain left arm reaches each terminal with
-    the same amplitude as the plain right arm reaches the counterpart
-    terminal.  That identity lets the sum of cross-side products be
-    rewritten as one all-left product plus one all-right product; the
-    report carries both forms and their worst-case difference.
-    """
-
-    def arm_amplitudes(stream: ShadowStream) -> dict[tuple[int, str], complex]:
-        return {
-            (port, key): amp
-            for port in range(stream.circuit.source_fanout(stream.source))
-            for key, amp in stream_terminal_amplitudes(stream, port=port).items()
-        }
-
-    amp_l = arm_amplitudes(left)
-    amp_r = arm_amplitudes(right)
-    left_terms = left.circuit.terminal_keys()
-    if sorted(t + "'" for t in left_terms) != sorted(right.circuit.terminal_keys()):
-        raise ValueError("terminal correspondence does not match the right side")
-
-    identity_dev = 0.0
-    for t in left_terms:
-        identity_dev = max(identity_dev, abs(amp_l.get((1, t), 0j) - amp_r.get((0, t + "'"), 0j)))
-
-    cross: dict[tuple[str, str], complex] = {}
-    refactored: dict[tuple[str, str], complex] = {}
-    refactor_dev = 0.0
-    for x in left_terms:
-        for y in left_terms:
-            xp, yp = x + "'", y + "'"
-            cross_val = amp_l.get((0, x), 0j) * amp_r.get((0, yp), 0j) + amp_l.get(
-                (1, x), 0j
-            ) * amp_r.get((1, yp), 0j)
-            local_val = amp_l.get((0, x), 0j) * amp_l.get((1, y), 0j) + amp_r.get(
-                (0, xp), 0j
-            ) * amp_r.get((1, yp), 0j)
-            cross[(x, yp)] = cross_val
-            refactored[(x, yp)] = local_val
-            refactor_dev = max(refactor_dev, abs(cross_val - local_val))
-
-    return CongruenceReport(
-        identity_deviation=identity_dev,
-        refactoring_deviation=refactor_dev,
-        cross_terms=cross,
-        refactored_terms=refactored,
-    )
+def unitarity_defect(amplitudes: dict[str, complex]) -> float:
+    """|total probability - 1| of one emission's terminal amplitudes, as
+    terminal_amplitudes gives them with ``port=None``."""
+    return abs(sum(abs(amp) ** 2 for amp in amplitudes.values()) - 1.0)

@@ -5,8 +5,10 @@ routes afresh into Path objects, and ``path_amplitude`` evaluates one of
 them step by step on a PathClock; the stream engine's path table must
 match both bit for bit.  ``render_circuit`` writes a circuit back to the
 text format and ``circuits_equal`` compares two circuits, for round trips.
+``row_amplitudes`` reads the stream engine's amplitude of each table row.
 ``bghz_streams``, ``stream_arms`` and ``hilbert_arms`` build the per-arm
-inputs that experiments.pair_amplitudes pairs, as run_bghz builds them.
+inputs that experiments.pair_amplitudes pairs, as run_bghz builds them, and
+``pair_clock`` is the clock that run_bghz draws from a seed.
 For the lattice propagator, ``dense_kernel`` is the one-step kernel as a
 matrix and ``split_operator_values`` an independent second-order oracle.
 """
@@ -21,10 +23,10 @@ import numpy as np
 
 from shadowsim import hilbert
 from shadowsim.angles import canonical_angle
-from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType
+from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths
 from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit
 from shadowsim.rng import make_rng
-from shadowsim.streams import INV_SQRT2, ShadowStream, build_stream, stream_terminal_amplitudes
+from shadowsim.streams import INV_SQRT2, _table_amplitudes, terminal_amplitudes
 
 # (element id, in-port, out-port) of one element on a route.
 Step = tuple[str, int | None, int | None]
@@ -132,22 +134,35 @@ def circuits_equal(a: Circuit, b: Circuit) -> bool:
     return list(a.elements.items()) == list(b.elements.items()) and a.links == b.links
 
 
+def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) -> list[complex]:
+    """The stream engine's amplitude of each row of ``source``'s path table,
+    in table order, under ``clock`` at the circuit's own shifts."""
+    table = compile_paths(circuit, source)
+    (amplitudes,) = _table_amplitudes(circuit, table, None, [({}, clock)])
+    return amplitudes
+
+
 # -- correlated pairs ----------------------------------------------------------
 
 
+def pair_clock(seed: int) -> float:
+    """The one clock that run_bghz draws from ``seed`` for both daughters."""
+    return float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
+
+
 def bghz_streams(alpha, beta, *, seed, arm_phase=0.0):
-    """Both bghz daughters under the one clock that run_bghz draws from
-    ``seed``; ``arm_phase`` desymmetrizes the right side's plain arm."""
-    clock = float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
-    left = build_stream(bghz_left_circuit(alpha), initial_clock=clock)
-    right = build_stream(bghz_right_circuit(beta, arm_phase=arm_phase), initial_clock=clock)
-    return left, right
+    """Both bghz daughters' terminal sums per source arm, under the one clock
+    that run_bghz draws from ``seed``; ``arm_phase`` desymmetrizes the right
+    side's plain arm."""
+    clock = pair_clock(seed)
+    return (stream_arms(bghz_left_circuit(alpha), clock),
+            stream_arms(bghz_right_circuit(beta, arm_phase=arm_phase), clock))
 
 
-def stream_arms(stream: ShadowStream) -> list[dict]:
-    """The stream's terminal sums per source arm, arm 0 first."""
-    fanout = stream.circuit.source_fanout(stream.source)
-    return [stream_terminal_amplitudes(stream, port=k) for k in range(fanout)]
+def stream_arms(circuit: Circuit, clock: float) -> list[dict]:
+    """Streams terminal sums per source arm under ``clock``, arm 0 first."""
+    fanout = circuit.source_fanout(circuit.sole_source())
+    return [next(terminal_amplitudes(circuit, [({}, clock)], port=k)) for k in range(fanout)]
 
 
 def hilbert_arms(circuit: Circuit) -> list[dict]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from shadowsim import hilbert, pathintegral
+from shadowsim.checks import _congruence_deviations
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
     chsh,
@@ -19,7 +20,7 @@ from shadowsim.experiments import (
     run_mach_zehnder,
     run_wheeler,
 )
-from shadowsim.streams import build_stream, congruence_check, stream_terminal_amplitudes
+from shadowsim.streams import initial_clocks, terminal_amplitudes
 from reference import bghz_streams
 
 S_MAX = 2 * math.sqrt(2.0)
@@ -51,11 +52,10 @@ def test_criterion_01_interferometer_law():
 
 def test_criterion_02_stream_amplitude_forms():
     worst = 0.0
-    for seed, alpha in enumerate(np.linspace(0.0, 2 * math.pi, 16)):
+    alphas = np.linspace(0.0, 2 * math.pi, 16)
+    for clock, alpha in zip(initial_clocks(range(len(alphas))), alphas):
         for theta in (0.0, 0.7, 2.0):
-            amps = stream_terminal_amplitudes(
-                build_stream(mach_zehnder_circuit(float(alpha), theta), seed=seed)
-            )
+            (amps,) = terminal_amplitudes(mach_zehnder_circuit(float(alpha), theta), [({}, clock)])
             want = {
                 "u": 0.5j * np.exp(1j * theta) * (np.exp(1j * alpha) + 1.0),
                 "d": 0.5 * np.exp(1j * theta) * (np.exp(1j * alpha) - 1.0),
@@ -105,8 +105,8 @@ def test_criterion_04_locality_refactoring():
     grid = np.linspace(0.0, 2 * math.pi, 8)
     for alpha in grid:
         for beta in grid:
-            report = congruence_check(*bghz_streams(float(alpha), float(beta), seed=7))
-            worst = max(worst, report.max_deviation)
+            deviations = _congruence_deviations(*bghz_streams(float(alpha), float(beta), seed=7))
+            worst = max(worst, *deviations)
     _report(
         4, "locality refactoring", worst < 1e-12,
         f"max congruence/refactoring deviation = {worst:.3e}",
@@ -172,9 +172,9 @@ def test_criterion_07_delayed_choice():
 def test_criterion_08_engine_cross_validation():
     cases = 500
     worst = 0.0
-    for i in range(cases):
+    for i, clock in enumerate(initial_clocks(range(cases))):
         circuit = random_circuit(i)
-        amps = stream_terminal_amplitudes(build_stream(circuit, seed=i))
+        (amps,) = terminal_amplitudes(circuit, [({}, clock)])
         probs_h = hilbert.evolve_circuit(circuit).probabilities()
         for key, p in probs_h.items():
             worst = max(worst, abs(abs(amps[key]) ** 2 - p))

@@ -129,16 +129,31 @@ def test_broken_circuit_exits_three(tmp_path, capsys):
     assert "line 2" in err
 
 
+TWO_SOURCES_TEXT = (
+    "element s1 source\nelement s2 source\nelement a detector:a\n"
+    "element b detector:b\nlink s1:0 a:0\nlink s2:0 b:0\n"
+)
+
+
 def test_several_sources_is_a_circuit_error_on_either_engine(tmp_path, capsys):
     path = tmp_path / "two-sources.circuit"
-    path.write_text(
-        "element s1 source\nelement s2 source\nelement a detector:a\n"
-        "element b detector:b\nlink s1:0 a:0\nlink s2:0 b:0\n"
-    )
+    path.write_text(TWO_SOURCES_TEXT)
     for engine in ("streams", "hilbert"):
         argv = ["run", "circuit", "--circuit-file", str(path), "--engine", engine]
         assert cli.main(argv) == 3
         assert "2 sources" in capsys.readouterr().err
+
+
+def test_several_sources_message_says_what_to_change_in_the_file(tmp_path, capsys):
+    """No flag names a source, so the message names the sources and asks for
+    one to be kept."""
+    path = tmp_path / "two-sources.circuit"
+    path.write_text(TWO_SOURCES_TEXT)
+    assert cli.main(["run", "circuit", "--circuit-file", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "circuit error: circuit has 2 sources (s1, s2); only a circuit with exactly"
+        " one source can run, so remove all but one\n"
+    )
 
 
 def test_circuit_past_the_path_limit_exits_three_without_walking(tmp_path, ladder_text, capsys):

@@ -22,32 +22,34 @@ from shadowsim.experiments import (
     run_mach_zehnder,
 )
 from shadowsim.outcomes import ENGINE_HILBERT
-from shadowsim.streams import (
-    build_stream,
-    stream_terminal_amplitudes,
-    unitarity_defect,
-)
+from shadowsim.streams import initial_clocks, terminal_amplitudes, unitarity_defect
 from reference import (
     bghz_streams,
     circuits_equal,
     hilbert_arms,
+    pair_clock,
     render_circuit,
+    row_amplitudes,
     stream_arms,
 )
 
 CASES = 500
 
 
-def _stream_probabilities(circuit, **kwargs):
-    amps = stream_terminal_amplitudes(build_stream(circuit, **kwargs))
-    return {key: abs(value) ** 2 for key, value in amps.items()}
+def _stream_amplitudes(circuit, clock):
+    (amps,) = terminal_amplitudes(circuit, [({}, clock)])
+    return amps
+
+
+def _stream_probabilities(circuit, clock):
+    return {key: abs(value) ** 2 for key, value in _stream_amplitudes(circuit, clock).items()}
 
 
 def test_corpus_probabilities_agree_pointwise():
     worst = 0.0
-    for i in range(CASES):
+    for i, clock in enumerate(initial_clocks(range(CASES))):
         circuit = random_circuit(i)
-        probs_s = _stream_probabilities(circuit, seed=i)
+        probs_s = _stream_probabilities(circuit, clock)
         probs_h = hilbert.evolve_circuit(circuit).probabilities()
         assert set(probs_s) == set(probs_h)
         for key, p in probs_h.items():
@@ -58,7 +60,7 @@ def test_corpus_probabilities_agree_pointwise():
 def test_corpus_amplitudes_agree_once_clock_is_pinned():
     for i in range(0, CASES, 7):
         circuit = random_circuit(i)
-        stream_amps = stream_terminal_amplitudes(build_stream(circuit, initial_clock=0.0))
+        stream_amps = _stream_amplitudes(circuit, 0.0)
         matrix_amps = hilbert.evolve_circuit(circuit).amplitudes
         for key, amp in matrix_amps.items():
             assert stream_amps[key] == pytest.approx(amp, abs=1e-12)
@@ -66,18 +68,18 @@ def test_corpus_amplitudes_agree_once_clock_is_pinned():
 
 def test_clock_rotates_every_terminal_amplitude_together():
     circuit = random_circuit(3)
-    base = stream_terminal_amplitudes(build_stream(circuit, initial_clock=0.0))
-    turned = stream_terminal_amplitudes(build_stream(circuit, initial_clock=0.7))
+    base, turned = terminal_amplitudes(circuit, [({}, 0.0), ({}, 0.7)])
     phase = np.exp(1j * 0.7)
     for key, amp in base.items():
         assert turned[key] == pytest.approx(amp * phase, abs=1e-12)
 
 
 def test_random_clock_never_moves_probabilities():
+    first, second = initial_clocks([101, 2002])
     for i in range(0, 60, 3):
         circuit = random_circuit(i)
-        one = _stream_probabilities(circuit, seed=101)
-        two = _stream_probabilities(circuit, seed=2002)
+        one = _stream_probabilities(circuit, first)
+        two = _stream_probabilities(circuit, second)
         for key, p in one.items():
             assert two[key] == pytest.approx(p, abs=1e-12)
 
@@ -115,13 +117,12 @@ _ANGLES = st.floats(-10.0, 10.0)
 def test_pair_amplitudes_equal_hilbert_times_the_shared_clock(alpha, beta, arm_phase, seed):
     """Each daughter carries e^{i clock}, so the joint amplitude carries it
     twice; hilbert has no clock."""
-    left, right = bghz_streams(alpha, beta, seed=seed, arm_phase=arm_phase)
-    joint = pair_amplitudes(stream_arms(left), stream_arms(right))
+    joint = pair_amplitudes(*bghz_streams(alpha, beta, seed=seed, arm_phase=arm_phase))
     reference = pair_amplitudes(
         hilbert_arms(bghz_left_circuit(alpha)),
         hilbert_arms(bghz_right_circuit(beta, arm_phase=arm_phase)),
     )
-    rotation = cmath.exp(2j * left.initial_clock)
+    rotation = cmath.exp(2j * pair_clock(seed))
     assert set(joint) == set(reference)
     for key, amp in reference.items():
         assert abs(joint[key] - amp * rotation) < 1e-12
@@ -164,14 +165,13 @@ def test_per_arm_views_agree_across_engines(alpha, beta, arm_phase, clock):
         THREE_ARM.with_shifts({"ps1": alpha, "ps2": beta}),
     ]
     for circuit in circuits:
-        stream = build_stream(circuit, initial_clock=clock)
-        arms = stream_arms(stream)
-        assert len(arms) == circuit.source_fanout(stream.source) > 1
+        arms = stream_arms(circuit, clock)
+        assert len(arms) == circuit.source_fanout(circuit.sole_source()) > 1
         for arm, reference in zip(arms, hilbert_arms(circuit)):
             assert set(arm) == set(reference)
             for key, amp in reference.items():
                 assert abs(arm[key] - amp * cmath.exp(1j * clock)) < 1e-12
-        whole = stream_terminal_amplitudes(stream)
+        whole = _stream_amplitudes(circuit, clock)
         for key, amp in whole.items():
             assert abs(sum(arm[key] / math.sqrt(len(arms)) for arm in arms) - amp) < 1e-15
 
@@ -182,7 +182,7 @@ def test_pair_amplitudes_refuses_unequal_arm_counts(engine, two_arm_left):
     def arms(circuit):
         if engine == ENGINE_HILBERT:
             return hilbert_arms(circuit)
-        return stream_arms(build_stream(circuit, initial_clock=0.3))
+        return stream_arms(circuit, 0.3)
 
     sides = [arms(bghz_left_circuit(0.1)), arms(mach_zehnder_circuit(0.2))]
     if not two_arm_left:
@@ -195,10 +195,10 @@ def test_pair_amplitudes_refuses_unequal_arm_counts(engine, two_arm_left):
 @given(seed=st.integers(0, 10_000), clock_seed=st.integers(0, 2**32 - 1))
 def test_any_corpus_circuit_agrees_and_conserves(seed, clock_seed):
     circuit = random_circuit(seed)
-    stream = build_stream(circuit, seed=clock_seed)
-    assert unitarity_defect(stream) < 1e-12
+    (clock,) = initial_clocks([clock_seed])
+    amps = _stream_amplitudes(circuit, clock)
+    assert unitarity_defect(amps) < 1e-12
     probs_h = hilbert.evolve_circuit(circuit).probabilities()
-    amps = stream_terminal_amplitudes(stream)
     for key, p in probs_h.items():
         assert abs(amps[key]) ** 2 == pytest.approx(p, abs=1e-12)
 
@@ -222,10 +222,9 @@ link bs:1 u:0
 def test_multi_arm_source_engines_agree_and_conserve():
     circuit = parse_circuit(TWO_ARM_TEXT)
     probs_h = hilbert.evolve_circuit(circuit).probabilities()
-    for clock_seed in range(5):
-        stream = build_stream(circuit, seed=clock_seed)
-        assert unitarity_defect(stream) < 1e-12
-        probs_s = _stream_probabilities(circuit, seed=clock_seed)
+    for clock in initial_clocks(range(5)):
+        assert unitarity_defect(_stream_amplitudes(circuit, clock)) < 1e-12
+        probs_s = _stream_probabilities(circuit, clock)
         assert sum(probs_s.values()) == pytest.approx(1.0, abs=1e-12)
         for key, p in probs_h.items():
             assert probs_s[key] == pytest.approx(p, abs=1e-12)
@@ -238,7 +237,7 @@ ANGLES = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
 def _engine_results(circuit):
     return (
-        build_stream(circuit, initial_clock=1.3).amplitudes,
+        row_amplitudes(circuit, 1.3),
         hilbert.evolve_circuit(circuit).amplitudes,
     )
 

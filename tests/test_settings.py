@@ -11,7 +11,7 @@ from shadowsim import hilbert
 from shadowsim.circuit import CircuitValidationError, ElementType, parse_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit, mach_zehnder_circuit
-from shadowsim.streams import build_stream, stream_terminal_amplitudes, terminal_amplitudes
+from shadowsim.streams import terminal_amplitudes
 
 TWO_PI = 2.0 * math.pi
 SHIFTS = (-0.0, 0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), -1.0, -3 * math.pi, 1e300, -1e300)
@@ -80,8 +80,8 @@ def test_each_setting_equals_its_one_setting_call(case):
         for shifts, clock, got, state in zip(shift_maps, clocks, streams, states):
             derived = circuit.with_shifts(shifts)
             (one,) = terminal_amplitudes(circuit, [(shifts, clock)], port=port)
-            built = build_stream(derived, initial_clock=clock)
-            assert _bits(got) == _bits(one) == _bits(stream_terminal_amplitudes(built, port=port))
+            (built,) = terminal_amplitudes(derived, [({}, clock)], port=port)
+            assert _bits(got) == _bits(one) == _bits(built)
             (alone,) = hilbert.evolve_settings(circuit, [shifts], port=port)
             whole = hilbert.evolve_circuit(derived, port=port)
             assert _bits(state.amplitudes) == _bits(alone.amplitudes) == _bits(whole.amplitudes)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsim import experiments, streams
+from shadowsim import experiments, hilbert, streams
 from shadowsim.angles import canonical_angle
 from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths, parse_circuit
 from shadowsim.corpus import random_circuit
@@ -22,17 +22,17 @@ from shadowsim.experiments import (
     pair_amplitudes,
     run_bghz,
 )
+from shadowsim.checks import _congruence_deviations
 from shadowsim.rng import make_rng
-from shadowsim.streams import (
-    INV_SQRT2,
-    build_stream,
-    congruence_check,
-    stream_terminal_amplitudes,
-    terminal_amplitudes,
-    terminal_probabilities,
-    unitarity_defect,
+from shadowsim.streams import INV_SQRT2, initial_clocks, terminal_amplitudes, unitarity_defect
+from reference import (
+    PathClock,
+    bghz_streams,
+    enumerate_paths,
+    pair_clock,
+    path_amplitude,
+    row_amplitudes,
 )
-from reference import PathClock, bghz_streams, enumerate_paths, path_amplitude, stream_arms
 
 # Frozen from the closed forms (1/2)e^{i theta} i (e^{i alpha} + 1) and
 # (1/2)e^{i theta}(e^{i alpha} - 1), evaluated independently of the engine.
@@ -62,6 +62,10 @@ BGHZ_JOINT_ORACLE = {
 }
 
 
+def _probabilities(amplitudes):
+    return {key: abs(amp) ** 2 for key, amp in amplitudes.items()}
+
+
 def test_path_clock_stays_unit():
     clock = PathClock(0.3).advanced(5.0).advanced(-11.2).advanced(123.0)
     assert abs(abs(clock.amplitude()) - 1.0) == 0.0
@@ -70,19 +74,17 @@ def test_path_clock_stays_unit():
 
 @pytest.mark.parametrize(("alpha", "theta", "amp_u", "amp_d"), MZ_AMP_ORACLE)
 def test_mz_amplitudes_match_frozen_oracle(alpha, theta, amp_u, amp_d):
-    circuit = mach_zehnder_circuit(alpha, theta)
-    stream = build_stream(circuit, initial_clock=0.0)
-    amps = stream_terminal_amplitudes(stream)
+    (amps,) = terminal_amplitudes(mach_zehnder_circuit(alpha, theta), [({}, 0.0)])
     assert amps["u"] == pytest.approx(amp_u, abs=1e-12)
     assert amps["d"] == pytest.approx(amp_d, abs=1e-12)
 
 
 def test_mz_amplitudes_up_to_global_phase():
     """A nonzero clock multiplies every amplitude by the same unit phase."""
-    circuit = mach_zehnder_circuit(0.9, 0.1)
-    plain = stream_terminal_amplitudes(build_stream(circuit, initial_clock=0.0))
-    for clock in (0.4, 2.2, 5.9):
-        rotated = stream_terminal_amplitudes(build_stream(circuit, initial_clock=clock))
+    clocks = (0.4, 2.2, 5.9)
+    plain, *turned = terminal_amplitudes(mach_zehnder_circuit(0.9, 0.1),
+                                         [({}, clock) for clock in (0.0, *clocks)])
+    for clock, rotated in zip(clocks, turned, strict=True):
         factor = cmath.exp(1j * clock)
         for key in plain:
             assert rotated[key] == pytest.approx(plain[key] * factor, abs=1e-12)
@@ -90,36 +92,36 @@ def test_mz_amplitudes_up_to_global_phase():
 
 def test_path_amplitude_magnitude_counts_crossings():
     circuit = mach_zehnder_circuit(1.1)
-    stream = build_stream(circuit, seed=0)
-    for path, amp in zip(enumerate_paths(circuit), stream.amplitudes, strict=True):
+    (clock,) = initial_clocks([0])
+    for path, amp in zip(enumerate_paths(circuit), row_amplitudes(circuit, clock), strict=True):
         crossings = sum(1 for eid, _i, _o in path.steps if eid.startswith("bs"))
         assert abs(amp) == pytest.approx(INV_SQRT2**crossings, abs=1e-15)
 
 
 def test_blocked_arm_splits_half_quarter_quarter():
-    stream = build_stream(ifm_circuit("a"), seed=1)
-    probs = terminal_probabilities(stream)
+    (clock,) = initial_clocks([1])
+    (amps,) = terminal_amplitudes(ifm_circuit("a"), [({}, clock)])
+    probs = _probabilities(amps)
     assert probs["absorbed"] == pytest.approx(0.5, abs=1e-12)
     assert probs["u"] == pytest.approx(0.25, abs=1e-12)
     assert probs["d"] == pytest.approx(0.25, abs=1e-12)
-    assert unitarity_defect(stream) < 1e-12
+    assert unitarity_defect(amps) < 1e-12
 
 
 def test_probabilities_independent_of_clock():
-    circuit = mach_zehnder_circuit(0.77, 0.3)
-    reference = terminal_probabilities(build_stream(circuit, initial_clock=0.0))
-    for clock in np.linspace(0.0, 2 * math.pi, 100, endpoint=False):
-        probs = terminal_probabilities(build_stream(circuit, initial_clock=float(clock)))
+    clocks = [0.0, *np.linspace(0.0, 2 * math.pi, 100, endpoint=False).tolist()]
+    reference, *rest = map(_probabilities, terminal_amplitudes(
+        mach_zehnder_circuit(0.77, 0.3), [({}, clock) for clock in clocks]))
+    for probs in rest:
         for key, value in reference.items():
             assert abs(probs[key] - value) < 1e-14
 
 
-def test_build_stream_reproducible_from_seed():
+def test_stream_reproducible_from_seed():
     circuit = mach_zehnder_circuit(2.0)
-    one = build_stream(circuit, seed=99)
-    two = build_stream(circuit, seed=99)
-    assert one.initial_clock == two.initial_clock
-    assert one.amplitudes == two.amplitudes
+    one, two = initial_clocks([99, 99])
+    assert one == two
+    assert row_amplitudes(circuit, one) == row_amplitudes(circuit, two)
 
 
 # -- path table against the path-by-path reference ------------------------------
@@ -227,8 +229,7 @@ def _assert_reference_bits(circuit):
         assert table.terminals == tuple(p.terminal for p in paths)
         assert table.source_ports == tuple(p.steps[0][2] for p in paths)
         for clock in CLOCKS:
-            stream = build_stream(circuit, source, initial_clock=clock)
-            assert _bits(stream.amplitudes) == _bits(
+            assert _bits(row_amplitudes(circuit, clock, source)) == _bits(
                 path_amplitude(p, circuit, clock) for p in paths
             )
 
@@ -259,6 +260,18 @@ def test_table_amplitudes_equal_reference(build):
 @pytest.mark.parametrize("k", range(1, 13))
 def test_table_amplitudes_equal_reference_on_a_ladder(ladder_text, k):
     _assert_reference_bits(parse_circuit(ladder_text(k)))
+
+
+@pytest.mark.parametrize("steps", range(1, 13))
+def test_table_amplitudes_equal_reference_on_a_walk(walk_text, steps):
+    """Every walk route has its own element sequence, so the table is built
+    from bundles of one row; both engines agree on every terminal."""
+    circuit = parse_circuit(walk_text(steps))
+    _assert_reference_bits(circuit)
+    (amps,) = terminal_amplitudes(circuit, [({}, 0.0)])
+    matrix_amps = hilbert.evolve_circuit(circuit).amplitudes
+    assert set(amps) == set(matrix_amps)
+    assert max(abs(amps[key] - amp) for key, amp in matrix_amps.items()) < 1e-13
 
 
 def _advance(clock, turn):
@@ -347,22 +360,21 @@ def test_turns_lie_in_one_turn_and_no_row_starts_at_negative_zero(shifts, clock)
         return reductions[-1]
 
     with mock.patch.object(streams, "canonical_angle", recording):
-        stream = build_stream(circuit, initial_clock=clock)
+        amplitudes = row_amplitudes(circuit, clock)
     rows = reductions[1:]
     assert len(rows) == len(table)
     assert all(0.0 <= r < 2 * math.pi and math.copysign(1.0, r) == 1.0 for r in rows)
     reference = (path_amplitude(p, circuit, clock) for p in enumerate_paths(circuit))
-    assert _bits(stream.amplitudes) == _bits(reference)
+    assert _bits(amplitudes) == _bits(reference)
 
 
 def test_terminal_sums_follow_table_order(ladder_text):
     """Each terminal sum adds its rows one by one in table order."""
     circuit = parse_circuit(ladder_text(10))
-    stream = build_stream(circuit, initial_clock=2.5)
     sums = {key: 0.0 + 0.0j for key in circuit.terminal_keys()}
-    for path, amp in zip(enumerate_paths(circuit), stream.amplitudes, strict=True):
+    for path, amp in zip(enumerate_paths(circuit), row_amplitudes(circuit, 2.5), strict=True):
         sums[circuit.terminal_key(path.terminal)] += amp
-    got = stream_terminal_amplitudes(stream)
+    (got,) = terminal_amplitudes(circuit, [({}, 2.5)])
     assert list(got) == list(sums)
     assert _bits(got.values()) == _bits(sums.values())
 
@@ -370,8 +382,9 @@ def test_terminal_sums_follow_table_order(ladder_text):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=5_000))
 def test_unitarity_on_random_circuits(seed):
-    stream = build_stream(random_circuit(seed), seed=seed)
-    assert unitarity_defect(stream) < 1e-12
+    (clock,) = initial_clocks([seed])
+    (amps,) = terminal_amplitudes(random_circuit(seed), [({}, clock)])
+    assert unitarity_defect(amps) < 1e-12
 
 
 # -- stream pairs ---------------------------------------------------------------
@@ -399,20 +412,15 @@ def test_pair_daughters_share_one_clock(monkeypatch):
     assert len(clocks) == 4 and all(c == clocks[0] for c in clocks)
 
 
-def _joint(left, right):
-    return pair_amplitudes(stream_arms(left), stream_arms(right))
-
-
 def test_joint_amplitudes_match_frozen_oracle():
-    left, right = bghz_streams(0.4, 1.5, seed=11)
-    joint = _joint(left, right)
-    rotation = cmath.exp(2j * left.initial_clock)
+    joint = pair_amplitudes(*bghz_streams(0.4, 1.5, seed=11))
+    rotation = cmath.exp(2j * pair_clock(11))
     for key, want in BGHZ_JOINT_ORACLE.items():
         assert joint[key] == pytest.approx(want * rotation, abs=1e-12)
 
 
 def _joint_probabilities(pair):
-    return {key: abs(amp) ** 2 for key, amp in _joint(*pair).items()}
+    return _probabilities(pair_amplitudes(*pair))
 
 
 def test_joint_probabilities_normalized_and_correct():
@@ -440,34 +448,31 @@ def test_perfect_correlation_at_equal_shifts():
 def test_congruence_holds_on_symmetric_bench():
     for alpha in np.linspace(0, 2 * math.pi, 8):
         for beta in np.linspace(0, 2 * math.pi, 8):
-            report = congruence_check(*bghz_streams(float(alpha), float(beta), seed=2))
-            assert report.identity_deviation < 1e-12
-            assert report.refactoring_deviation < 1e-12
+            identity, refactoring = _congruence_deviations(
+                *bghz_streams(float(alpha), float(beta), seed=2))
+            assert identity < 1e-12
+            assert refactoring < 1e-12
 
 
 def test_congruence_cross_term_value_at_zero_shifts():
     """At alpha = beta = 0 the u-u' sum of products is exactly i (before
-    the pairing weight), up to the shared clock rotation."""
-    pair = bghz_streams(0.0, 0.0, seed=4)
-    report = congruence_check(*pair)
-    rotation = cmath.exp(2j * pair[0].initial_clock)
-    assert report.cross_terms[("u", "u'")] / rotation == pytest.approx(1j, abs=1e-12)
+    the pairing weight 1/sqrt 2), up to the shared clock rotation."""
+    joint = pair_amplitudes(*bghz_streams(0.0, 0.0, seed=4))
+    rotation = cmath.exp(2j * pair_clock(4))
+    assert joint[("u", "u'")] * math.sqrt(2) / rotation == pytest.approx(1j, abs=1e-12)
 
 
 def test_congruence_detects_desymmetrized_geometry():
-    pair = bghz_streams(0.8, 2.1, seed=5, arm_phase=0.3)
-    report = congruence_check(*pair)
+    identity, refactoring = _congruence_deviations(*bghz_streams(0.8, 2.1, seed=5, arm_phase=0.3))
     # the plain arms now differ by e^{0.3i}, so |1 - e^{0.3i}|/sqrt(2)
     expected = abs(1 - cmath.exp(0.3j)) / math.sqrt(2)
-    assert report.identity_deviation == pytest.approx(expected, rel=1e-9)
-    assert report.refactoring_deviation > 0.01
+    assert identity == pytest.approx(expected, rel=1e-9)
+    assert refactoring > 0.01
 
 
 def test_refactored_terms_use_single_side_products():
     """The rewritten form must equal the cross form term by term, which is
-    the numerical content of the locality rearrangement."""
-    pair = bghz_streams(1.1, 0.3, seed=9)
-    report = congruence_check(*pair)
-    assert set(report.cross_terms) == set(report.refactored_terms)
-    for key, value in report.cross_terms.items():
-        assert report.refactored_terms[key] == pytest.approx(value, abs=1e-12)
+    the numerical content of the locality rearrangement: the refactoring
+    deviation is the largest of the per-term differences."""
+    _, refactoring = _congruence_deviations(*bghz_streams(1.1, 0.3, seed=9))
+    assert refactoring < 1e-12

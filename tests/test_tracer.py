@@ -1,0 +1,28 @@
+"""The benchmark's tracer still runs the CLI and finds the names it reads."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run", "mz", "--alpha", "1"], ["check", "--corpus-cases", "1", "--shots", "1000"]],
+    ids=["run-mz", "check"],
+)
+def test_traced_cli_run_exits_zero_with_its_health_values(tmp_path, argv):
+    record, stdout = tmp_path / "record.json", tmp_path / "stdout.txt"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--src", str(ROOT / "src"),
+         "--record", str(record), "--stdout", str(stdout), "--trace", "--", *argv],
+        check=True, timeout=120,
+    )
+    result = json.loads(record.read_text())
+    assert result["rc"] == 0
+    if argv[0] == "check":
+        assert "streams.unitarity_defect.max" in result["metrics"]
