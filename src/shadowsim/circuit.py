@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from itertools import cycle
 from operator import attrgetter
@@ -477,9 +478,10 @@ class PathTable:
     one character each, the rank of the element's id among the sorted
     ``element_ids`` (``element_ids[ord(c)]``), so comparing routes compares
     element-id sequences.  Then come the geometric phase, the link phases
-    added one by one from the source; the clock ``advances`` in route order,
-    a string with one character per advance: a phase shifter's own code, or
-    ``chr(len(element_ids))`` for a splitter reflection (a REFLECTION_TURN);
+    added one by one from the source, held unboxed in an ``array('d')``;
+    the clock ``advances`` in route order, a string with one character per
+    advance: a phase shifter's own code, or ``chr(len(element_ids))`` for a
+    splitter reflection (a REFLECTION_TURN), equal strings being one object;
     the number of splitter ``crossings``; the terminal the route ends at;
     and the source port it leaves through.  No column holds a shift value,
     so one table serves every circuit ``Circuit.with_shifts`` derives from
@@ -489,7 +491,7 @@ class PathTable:
     source: str
     element_ids: tuple[str, ...]
     routes: tuple[str, ...]
-    geometric_phases: tuple[float, ...]
+    geometric_phases: array
     advances: tuple[str, ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
@@ -516,7 +518,11 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     """Depth first over element sequences, destinations in id order, so the
     rows come out in table order.  A bundle holds the routes of one element
     sequence: the in-ports its members cycle through, then per member a
-    phase, advances and source port (-1 for the source's lone member)."""
+    phase, advances and source port (-1 for the source's lone member).  Each
+    advance string is extended by a code once per walk, through a memo per
+    code, so equal strings are one object.  The geometric phases go straight
+    into an array; the other columns become tuples one at a time, each list
+    emptied once it is copied, so the table is never held twice."""
     total = count_paths(circuit, source)
     if total > MAX_PATHS:
         raise CircuitValidationError(
@@ -527,7 +533,10 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     element_ids = tuple(sorted(kinds))
     code = {eid: chr(rank) for rank, eid in enumerate(element_ids)}
     reflection = chr(len(element_ids))
-    columns: tuple[list, ...] = ([], [], [], [], [], [])
+    extended = {c: _Extensions(c) for eid, c in code.items() if kinds[eid] is shifter_kind}
+    reflected = _Extensions(reflection)
+    geometric_phases = array("d")
+    columns: tuple[list, ...] = ([], [], [], [], [])
     stack: list[tuple] = [(source, "", 0, (-1,), [0.0], [""], [-1])]
     while stack:
         eid, route, crossings, in_ports, phases, advances, ports = stack.pop()
@@ -535,7 +544,8 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
         route += here
         groups, n = circuit._successors[eid], len(phases)
         if not groups:  # only terminals have no outputs
-            finished = ([route] * n, phases, advances, [crossings] * n, [eid] * n, ports)
+            geometric_phases.extend(phases)
+            finished = ([route] * n, advances, [crossings] * n, [eid] * n, ports)
             for column, values in zip(columns, finished):
                 column += values
             continue
@@ -543,7 +553,7 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
         if splitter:
             crossings += 1
         elif kinds[eid] is shifter_kind:
-            advances = [a + here for a in advances]
+            advances = list(map(extended[here].__getitem__, advances))
         for dst, links in reversed(groups.items()):
             if len(links) == 1:
                 (link,) = links
@@ -551,14 +561,34 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                 stack.append((dst, route, crossings, (link.dst_port,),
                     [p + link.phase for p in phases],
                     advances if not splitter or in_ports == (out,) else
-                    [a + reflection if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
+                    [reflected[a] if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
                     [out] if eid == source else ports))
                 continue
             # Several links into one element: each member's children, in port order.
             stack.append((dst, route, crossings, tuple(link.dst_port for link in links),
                 [p + link.phase for p in phases for link in links],
-                [a + reflection if splitter and ip != link.src_port else a
+                [reflected[a] if splitter and ip != link.src_port else a
                  for a, ip in zip(advances, cycle(in_ports)) for link in links],
                 [link.src_port for link in links] if eid == source
                 else [port for port in ports for _ in links]))
-    return PathTable(source, element_ids, *map(tuple, columns))
+    del phases, advances, ports  # the last bundle's, already in the columns
+    routes, *rest = _frozen(columns)
+    return PathTable(source, element_ids, routes, geometric_phases, *rest)
+
+
+def _frozen(columns):
+    """Each column as a tuple, the list emptied once it is copied."""
+    for column in columns:
+        yield tuple(column)
+        column.clear()
+
+
+class _Extensions(dict):
+    """Memo from an advance string to that string extended by ``code``."""
+
+    def __init__(self, code: str):
+        self.code = code
+
+    def __missing__(self, advances: str) -> str:
+        self[advances] = extended = advances + self.code
+        return extended

@@ -32,8 +32,8 @@ import cmath
 import math
 from collections.abc import Iterable, Iterator
 from functools import reduce
-from itertools import compress, groupby
-from operator import add
+from itertools import compress, groupby, islice
+from operator import add, countOf
 
 from .angles import canonical_angle
 from .circuit import REFLECTION_TURN, Circuit, ElementType, PathTable, compile_paths
@@ -51,59 +51,64 @@ def initial_clocks(seeds: Iterable[int | None]) -> list[float]:
 
 
 def _table_amplitudes(circuit: Circuit, table: PathTable, port: int | None, settings):
-    """Arm ``port``'s row amplitudes (every row's for None) at each setting,
-    a shift map over the circuit's own and an initial clock.  The clock is
-    reduced to [0, 2pi) after the geometric phase by canonical_angle, as the
-    sum may be negative.  After each advance 2pi is subtracted once if the sum
-    reaches it: clock and turn lie in [0, 2pi), so such a sum lies in
-    [2pi, 4pi) and, by Sterbenz's lemma, the subtraction is exact, which is
-    fmod's remainder bit for bit.  cmath.rect gives the bits of
-    complex(cos, sin) * magnitude."""
+    """Per setting, a shift map over the circuit's own and an initial clock,
+    an iterator over arm ``port``'s row amplitudes (every row's for None),
+    each made as it is read, so no list of them is held."""
     elements = circuit.elements
     shifters = [(chr(rank), eid) for rank, eid in enumerate(table.element_ids)
                 if elements[eid].kind is ElementType.PHASESHIFTER]
     reflection = chr(len(table.element_ids))
     own = {eid: elements[eid].shift for _, eid in shifters}
     magnitudes = [INV_SQRT2**k for k in range(max(table.crossings, default=0) + 1)]
-    columns = (table.geometric_phases, table.advances, table.crossings, table.source_ports)
-    rect, tau = cmath.rect, 2.0 * math.pi
     for shifts, initial_clock in settings:
         values = {**own, **circuit.shift_values(shifts)}
         turns = {code: values[eid] for code, eid in shifters}
         turns[reflection] = REFLECTION_TURN
-        start = canonical_angle(initial_clock)
-        amplitudes = []
-        for phase, advances, crossings, row_port in zip(*columns):
-            if port is None or row_port == port:
-                clock = canonical_angle(start + phase)
-                for code in advances:
-                    clock += turns[code]
-                    if clock >= tau:
-                        clock -= tau
-                amplitudes.append(rect(magnitudes[crossings], clock))
-        yield amplitudes
+        yield _row_amplitudes(table, port, canonical_angle(initial_clock), turns, magnitudes)
 
 
-def _terminal_sums(circuit: Circuit, table: PathTable, port: int | None, amplitude_sets):
-    """Per list of arm ``port``'s row amplitudes, the terminal amplitudes,
-    each folded left to right from 0j over its rows in table order.  The
-    rows of one bundle share a terminal, so the rows are split once per call
-    into runs of consecutive rows with one terminal, and each run is folded
-    onto its terminal's sum in turn."""
+def _row_amplitudes(table: PathTable, port: int | None, start: float, turns, magnitudes):
+    """Arm ``port``'s row amplitudes from the clock ``start`` in [0, 2pi).
+    A row's clock starts at start plus its geometric phase, reduced to
+    [0, 2pi) by canonical_angle's own steps; Circuit._validate keeps the sum
+    finite, so its test is not repeated per row.  After each advance 2pi is
+    subtracted once if the sum reaches it: clock and turn lie in [0, 2pi), so
+    such a sum lies in [2pi, 4pi) and, by Sterbenz's lemma, the subtraction
+    is exact, which is fmod's remainder bit for bit.  cmath.rect gives the
+    bits of complex(cos, sin) * magnitude."""
+    rect, fmod, tau = cmath.rect, math.fmod, 2.0 * math.pi
+    rows = zip(table.geometric_phases, table.advances, table.crossings)
+    if port is not None:
+        rows = compress(rows, map(port.__eq__, table.source_ports))
+    for phase, advances, crossings in rows:
+        clock = fmod(start + phase, tau)
+        if clock < 0.0:
+            clock += tau
+        if clock >= tau:
+            clock -= tau
+        for code in advances:
+            clock += turns[code]
+            if clock >= tau:
+                clock -= tau
+        yield rect(magnitudes[crossings], clock)
+
+
+def _terminal_sums(circuit: Circuit, table: PathTable, port: int | None, row_sets):
+    """Per iterator over arm ``port``'s row amplitudes, the terminal
+    amplitudes, each folded left to right from 0j over its rows in table
+    order.  The rows of one bundle share a terminal, so the rows are split
+    once per call into runs of consecutive rows with one terminal, counted
+    without being copied, and each run is folded onto its terminal's sum in
+    turn as its rows are read."""
     keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
     terminals = (table.terminals if port is None
                  else compress(table.terminals, map(port.__eq__, table.source_ports)))
-    runs = []
-    start = 0
-    for terminal, run in groupby(terminals):
-        stop = start + len(list(run))
-        runs.append((keys[terminal], start, stop))
-        start = stop
+    runs = [(keys[terminal], countOf(run, terminal)) for terminal, run in groupby(terminals)]
     fanout = circuit.source_fanout(table.source)
-    for amplitudes in amplitude_sets:
+    for rows in row_sets:
         sums = dict.fromkeys(keys.values(), 0j)
-        for key, start, stop in runs:
-            sums[key] = reduce(add, amplitudes[start:stop], sums[key])
+        for key, n in runs:
+            sums[key] = reduce(add, islice(rows, n), sums[key])
         if port is None and fanout > 1:
             sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
         yield sums
@@ -119,8 +124,8 @@ def terminal_amplitudes(circuit: Circuit, settings, source: str | None = None, *
     ``port=k`` sums arm k's rows alone with weight 1, as
     hilbert.evolve_settings does."""
     table = compile_paths(circuit, source)
-    amplitude_sets = _table_amplitudes(circuit, table, port, settings)
-    return _terminal_sums(circuit, table, port, amplitude_sets)
+    row_sets = _table_amplitudes(circuit, table, port, settings)
+    return _terminal_sums(circuit, table, port, row_sets)
 
 
 def unitarity_defect(amplitudes: dict[str, complex]) -> float:

@@ -139,7 +139,7 @@ def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) ->
     in table order, under ``clock`` at the circuit's own shifts."""
     table = compile_paths(circuit, source)
     (amplitudes,) = _table_amplitudes(circuit, table, None, [({}, clock)])
-    return amplitudes
+    return list(amplitudes)
 
 
 # -- correlated pairs ----------------------------------------------------------

@@ -3,8 +3,8 @@ stdout and CSV data files byte for byte.
 
 The files under ``tests/golden`` were written by this module's cases;
 ``python tests/test_golden.py`` writes them again from the installed package
-and prints the sha256 of each ``DIGESTS`` sweep, whose data files are too
-large to commit, and of the check corpus.
+and prints the sha256 of each ``DIGESTS`` sweep and ``CIRCUIT_DIGESTS`` run,
+whose data files are too large to commit, and of the check corpus.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import pytest
 
 from shadowsim import cli
 from shadowsim.corpus import random_circuit
+from conftest import _ladder_text, _walk_text
 from reference import render_circuit
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -87,6 +88,20 @@ DIGESTS = {
         "4d080889671a8ab9dd65f0426e8553c9d2066861f5409e81e806561156958126",
     ),
 }
+# Circuits with tens of thousands of table rows, each run from a file on both
+# engines: the sha256 of the JSON results, their parameters without the file's
+# path, which the results and the meta block name.
+CIRCUIT_DIGESTS = {
+    "run-circuit-ladder-14": (
+        _ladder_text(14),
+        "a5eaf6f3a59abccc6580972035e744fbf04480c358f489b52eae0a68a8ce1880",
+    ),
+    "run-circuit-walk-12": (
+        _walk_text(12),
+        "4ff37e2eb352ab6ce95d59cd86de529cdf1596acbf1f7ba91ad2429bb8e0fd02",
+    ),
+}
+CIRCUIT_ARGV = ["run", "circuit", "--engine", "both", "--format", "json", "--seed", "7"]
 # The check corpus: the sha256 over the text of random_circuit(i), i < CORPUS_SEEDS.
 CORPUS_SEEDS = 2000
 CORPUS_DIGEST = "8953749873b1d15737763a771311c97b7692f39fe4844d0d7f8c7869ae9b5615"
@@ -129,6 +144,22 @@ def test_sweep_digest_matches_golden(name, tmp_path):
     assert hashlib.sha256(data).hexdigest() == digest
 
 
+def _circuit_digest(name, text, tmp):
+    circuit_file = tmp / f"{name}.txt"
+    circuit_file.write_text(text)
+    _, data = _run(name, CIRCUIT_ARGV + ["--circuit-file", str(circuit_file)], tmp)
+    results = json.loads(data)["results"]
+    for result in results:
+        del result["parameters"]["circuit_file"]
+    return hashlib.sha256(json.dumps(results).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CIRCUIT_DIGESTS))
+def test_circuit_digest_matches_golden(name, tmp_path):
+    text, digest = CIRCUIT_DIGESTS[name]
+    assert _circuit_digest(name, text, tmp_path) == digest
+
+
 def test_corpus_digest_matches_golden():
     assert _corpus_digest() == CORPUS_DIGEST
 
@@ -145,4 +176,6 @@ if __name__ == "__main__":
                 (GOLDEN / f"{name}.csv").write_bytes(data)
         for name, (argv, _) in DIGESTS.items():
             print(name, hashlib.sha256(_run(name, argv, Path(tmp))[1]).hexdigest())
+        for name, (text, _) in CIRCUIT_DIGESTS.items():
+            print(name, _circuit_digest(name, text, Path(tmp)))
     print("corpus", _corpus_digest())

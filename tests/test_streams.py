@@ -2,15 +2,15 @@
 
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsim import experiments, hilbert, streams
+from shadowsim import experiments, hilbert
 from shadowsim.angles import canonical_angle
 from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths, parse_circuit
 from shadowsim.corpus import random_circuit
@@ -214,6 +214,7 @@ def _assert_reference_bits(circuit):
             p.geometric_phase.hex() for p in paths
         ]
         assert all(type(advances) is str for advances in table.advances)
+        assert len({id(a) for a in table.advances}) == len(set(table.advances))
         assert list(_decoded_advances(table)) == list(
             list(
                 None if kinds[eid] is ElementType.BEAMSPLITTER else eid
@@ -344,28 +345,19 @@ link b2:1 u:0 phase=0.0
 def test_turns_lie_in_one_turn_and_no_row_starts_at_negative_zero(shifts, clock):
     """What lets the table evaluation reduce the clock after an advance by
     one subtraction of 2pi: every turn it adds lies in [0, 2pi), and the
-    reduction that starts a row (canonical_angle of the clock plus
-    non-negative link phases) never returns -0.0.  _table_amplitudes calls canonical_angle once for the clock,
-    then once per row."""
+    reduction that starts a row (canonical_angle's steps on the reduced
+    clock plus non-negative link phases) never returns -0.0."""
     circuit = parse_circuit(TWO_SHIFTER_TEXT).with_shifts({"p": shifts[0], "q": shifts[1]})
     table = compile_paths(circuit)
     for advances in _decoded_advances(table):
         for advance in advances:
             turn = REFLECTION_TURN if advance is None else circuit.elements[advance].shift
             assert 0.0 <= turn < 2 * math.pi
-    reductions = []
-
-    def recording(value):
-        reductions.append(canonical_angle(value))
-        return reductions[-1]
-
-    with mock.patch.object(streams, "canonical_angle", recording):
-        amplitudes = row_amplitudes(circuit, clock)
-    rows = reductions[1:]
+    rows = [canonical_angle(canonical_angle(clock) + phase) for phase in table.geometric_phases]
     assert len(rows) == len(table)
     assert all(0.0 <= r < 2 * math.pi and math.copysign(1.0, r) == 1.0 for r in rows)
     reference = (path_amplitude(p, circuit, clock) for p in enumerate_paths(circuit))
-    assert _bits(amplitudes) == _bits(reference)
+    assert _bits(row_amplitudes(circuit, clock)) == _bits(reference)
 
 
 def test_terminal_sums_follow_table_order(ladder_text):
@@ -377,6 +369,23 @@ def test_terminal_sums_follow_table_order(ladder_text):
     (got,) = terminal_amplitudes(circuit, [({}, 2.5)])
     assert list(got) == list(sums)
     assert _bits(got.values()) == _bits(sums.values())
+
+
+@pytest.mark.parametrize("port", [None, 0])
+def test_one_setting_holds_no_list_of_row_amplitudes(ladder_text, port):
+    """Each row's amplitude is folded into its terminal's sum as it is made:
+    past the compiled table, one setting peaks below 8 bytes a row, where a
+    list of the row amplitudes alone takes 40."""
+    circuit = parse_circuit(ladder_text(14))
+    compile_paths(circuit)
+    tracemalloc.start()
+    try:
+        (sums,) = terminal_amplitudes(circuit, [({}, 2.5)], port=port)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert unitarity_defect(sums) < 1e-12
+    assert peak < 8 * 2**14
 
 
 @settings(max_examples=60, deadline=None)
