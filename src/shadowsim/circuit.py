@@ -474,23 +474,20 @@ class PathTable:
     element-id sequences; routes with one sequence keep the order of a
     depth-first walk that takes output port 0 first.
 
-    Column entry i describes route i.  ``routes[i]`` names its elements,
-    one character each, the rank of the element's id among the sorted
-    ``element_ids`` (``element_ids[ord(c)]``), so comparing routes compares
-    element-id sequences.  Then come the geometric phase, the link phases
+    Column entry i describes route i: its geometric phase, the link phases
     added one by one from the source, held unboxed in an ``array('d')``;
     the clock ``advances`` in route order, a string with one character per
-    advance: a phase shifter's own code, or ``chr(len(element_ids))`` for a
-    splitter reflection (a REFLECTION_TURN), equal strings being one object;
-    the number of splitter ``crossings``; the terminal the route ends at;
-    and the source port it leaves through.  No column holds a shift value,
-    so one table serves every circuit ``Circuit.with_shifts`` derives from
-    the same structure.
+    advance: a phase shifter's code, the rank of its id among the sorted
+    ``element_ids`` (``element_ids[ord(c)]``), or ``chr(len(element_ids))``
+    for a splitter reflection (a REFLECTION_TURN), equal strings being one
+    object; the number of splitter ``crossings``; the terminal the route
+    ends at; and the source port it leaves through.  No column holds a shift
+    value, so one table serves every circuit ``Circuit.with_shifts`` derives
+    from the same structure.
     """
 
     source: str
     element_ids: tuple[str, ...]
-    routes: tuple[str, ...]
     geometric_phases: array
     advances: tuple[str, ...]
     crossings: tuple[int, ...]
@@ -498,7 +495,7 @@ class PathTable:
     source_ports: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.routes)
+        return len(self.terminals)
 
 
 def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
@@ -531,21 +528,18 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     kinds = {eid: el.kind for eid, el in circuit.elements.items()}
     splitter_kind, shifter_kind = ElementType.BEAMSPLITTER, ElementType.PHASESHIFTER
     element_ids = tuple(sorted(kinds))
-    code = {eid: chr(rank) for rank, eid in enumerate(element_ids)}
-    reflection = chr(len(element_ids))
-    extended = {c: _Extensions(c) for eid, c in code.items() if kinds[eid] is shifter_kind}
-    reflected = _Extensions(reflection)
+    extended = {eid: _Extensions(chr(rank)) for rank, eid in enumerate(element_ids)
+                if kinds[eid] is shifter_kind}
+    reflected = _Extensions(chr(len(element_ids)))
     geometric_phases = array("d")
-    columns: tuple[list, ...] = ([], [], [], [], [])
-    stack: list[tuple] = [(source, "", 0, (-1,), [0.0], [""], [-1])]
+    columns: tuple[list, ...] = ([], [], [], [])
+    stack: list[tuple] = [(source, 0, (-1,), [0.0], [""], [-1])]
     while stack:
-        eid, route, crossings, in_ports, phases, advances, ports = stack.pop()
-        here = code[eid]
-        route += here
+        eid, crossings, in_ports, phases, advances, ports = stack.pop()
         groups, n = circuit._successors[eid], len(phases)
         if not groups:  # only terminals have no outputs
             geometric_phases.extend(phases)
-            finished = ([route] * n, advances, [crossings] * n, [eid] * n, ports)
+            finished = (advances, [crossings] * n, [eid] * n, ports)
             for column, values in zip(columns, finished):
                 column += values
             continue
@@ -553,27 +547,26 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
         if splitter:
             crossings += 1
         elif kinds[eid] is shifter_kind:
-            advances = list(map(extended[here].__getitem__, advances))
+            advances = list(map(extended[eid].__getitem__, advances))
         for dst, links in reversed(groups.items()):
             if len(links) == 1:
                 (link,) = links
                 out = link.src_port
-                stack.append((dst, route, crossings, (link.dst_port,),
+                stack.append((dst, crossings, (link.dst_port,),
                     [p + link.phase for p in phases],
                     advances if not splitter or in_ports == (out,) else
                     [reflected[a] if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
                     [out] if eid == source else ports))
                 continue
             # Several links into one element: each member's children, in port order.
-            stack.append((dst, route, crossings, tuple(link.dst_port for link in links),
+            stack.append((dst, crossings, tuple(link.dst_port for link in links),
                 [p + link.phase for p in phases for link in links],
                 [reflected[a] if splitter and ip != link.src_port else a
                  for a, ip in zip(advances, cycle(in_ports)) for link in links],
                 [link.src_port for link in links] if eid == source
                 else [port for port in ports for _ in links]))
     del phases, advances, ports  # the last bundle's, already in the columns
-    routes, *rest = _frozen(columns)
-    return PathTable(source, element_ids, routes, geometric_phases, *rest)
+    return PathTable(source, element_ids, geometric_phases, *_frozen(columns))
 
 
 def _frozen(columns):

@@ -36,6 +36,7 @@ from .circuit import CircuitError, parse_circuit
 from .experiments import (
     bghz_points,
     chsh_points,
+    mach_zehnder_circuit,
     mach_zehnder_points,
     run_circuit,
     run_ifm,
@@ -505,6 +506,15 @@ def _read_circuit_file(values: dict) -> dict:
         raise ConfigError(f"cannot read circuit file: {exc}") from exc
 
 
+def _check_theta(values: dict) -> dict:
+    """The values, once the Mach-Zehnder built at their ``theta`` is valid."""
+    try:
+        mach_zehnder_circuit(0.0, values["theta"])
+    except CircuitError as exc:
+        raise ConfigError(f"theta = {values['theta']!r}: {exc}") from None
+    return values
+
+
 def _run_circuit_file(points: list[dict], engine: str) -> list[OutcomeDistribution]:
     return [run_circuit(p["circuit"], engine, {"experiment": "circuit", "engine": engine,
                         "circuit_file": p["circuit-file"], "seed": p["seed"], "rng": RNG_NAME},
@@ -550,6 +560,7 @@ REGISTRY = {
         lambda points, engine: mach_zehnder_points(
             [(p["alpha"], p["seed"]) for p in points], engine, theta=points[0]["theta"]),
         ("alpha", lambda x: {"alpha": x, "theta": 0.0}),
+        load=_check_theta,
     ),
     "wheeler": Experiment(
         BENCH_KEYS + ("alpha", "peek"),

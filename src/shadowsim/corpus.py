@@ -21,27 +21,24 @@ _TWO_PI = 2.0 * np.pi
 # (exactly these floats), into which each growth step bisects one rng.random().
 _KINDS = ("bs", "mirror", "shift", "close")
 _KIND_CDF = (0.45, 0.6, 0.8, 1.0)
+MAX_BEAMSPLITTERS = 5  # the splitter budget is drawn from 1 to this
+RECOMBINE_BIAS = 0.65  # chance a new splitter also takes a second open output
+PHASE_CHANCE = 0.5  # chance a link carries a random pathlength phase
+BLOCKER_CHANCE = 0.1  # chance an output is closed by a blocker, not a detector
 
 
-def random_circuit(
-    seed: int,
-    *,
-    max_beamsplitters: int = 5,
-    recombine_bias: float = 0.65,
-    phase_chance: float = 0.5,
-    blocker_chance: float = 0.1,
-) -> Circuit:
+def random_circuit(seed: int) -> Circuit:
     """Grow one valid single-source circuit from ``seed``.
 
-    The splitter count is drawn up to ``max_beamsplitters``; unresolved
-    outputs are closed with detectors (occasionally blockers) once the
-    budget runs out.
+    The splitter count is drawn up to MAX_BEAMSPLITTERS; unresolved outputs
+    are closed with detectors (occasionally blockers) once the budget runs
+    out.
     """
     rng = make_rng(seed)
     elements: dict[str, Element] = {"src": Element(ElementType.SOURCE)}
     links: list[Link] = []
     frontier: list[tuple[str, int]] = [("src", 0)]
-    bs_budget = int(rng.integers(1, max_beamsplitters + 1))
+    bs_budget = int(rng.integers(1, MAX_BEAMSPLITTERS + 1))
     counters = {"bs": 0, "m": 0, "ps": 0, "det": 0, "blk": 0}
 
     def fresh(prefix: str) -> str:
@@ -50,7 +47,7 @@ def random_circuit(
         return name
 
     def link_phase() -> float:
-        if rng.random() < phase_chance:
+        if rng.random() < PHASE_CHANCE:
             return float(rng.uniform(0.0, _TWO_PI))
         return 0.0
 
@@ -68,7 +65,7 @@ def random_circuit(
             eid = fresh("bs")
             elements[eid] = Element(ElementType.BEAMSPLITTER)
             feeds = [(src_id, src_port)]
-            if frontier and rng.random() < recombine_bias:
+            if frontier and rng.random() < RECOMBINE_BIAS:
                 other = int(rng.integers(len(frontier)))
                 feeds.append(frontier.pop(other))
             in_ports = [0, 1] if rng.random() < 0.5 else [1, 0]
@@ -87,7 +84,7 @@ def random_circuit(
             links.append(Link(src_id, src_port, eid, 0, link_phase()))
             frontier.append((eid, 0))
         else:
-            if rng.random() < blocker_chance:
+            if rng.random() < BLOCKER_CHANCE:
                 eid = fresh("blk")
                 elements[eid] = Element(ElementType.BLOCKER)
             else:

@@ -28,7 +28,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import hilbert
-from .circuit import Circuit, Element, ElementType, Link
+from .circuit import Circuit, parse_circuit
 from .outcomes import (
     ENGINE_HILBERT,
     ENGINE_STREAMS,
@@ -47,116 +47,100 @@ def _require_engine(engine: str) -> None:
 
 
 # -- canonical circuits ------------------------------------------------------
-# Each structure is built once per structural argument (a bounded memo), then
-# re-phased per call by Circuit.with_shifts, so a sweep compiles it once.
+# Each bench is circuit text, parsed once per text by one memo.  A structural
+# value (``theta``, ``arm_phase``) is written as repr(float(x)), which
+# parse_angle reads back bit for bit; Circuit.with_shifts sets the shifters.
+# Statement order is the element and link order, on which the topological
+# order and the order of the outcomes rest.
 
-@lru_cache(maxsize=32)
-def _mach_zehnder_structure(theta: float) -> Circuit:
-    elements = {
-        "src": Element(ElementType.SOURCE),
-        "bs1": Element(ElementType.BEAMSPLITTER),
-        "m_a": Element(ElementType.MIRROR),
-        "shift_a": Element(ElementType.PHASESHIFTER),
-        "m_b": Element(ElementType.MIRROR),
-        "bs2": Element(ElementType.BEAMSPLITTER),
-        "det_u": Element(ElementType.DETECTOR, label="u"),
-        "det_d": Element(ElementType.DETECTOR, label="d"),
-    }
-    links = [
-        Link("src", 0, "bs1", 0),
-        Link("bs1", 0, "m_a", 0, theta),
-        Link("m_a", 0, "shift_a", 0),
-        Link("shift_a", 0, "bs2", 0),
-        Link("bs1", 1, "m_b", 0, theta),
-        Link("m_b", 0, "bs2", 1),
-        Link("bs2", 1, "det_u", 0),
-        Link("bs2", 0, "det_d", 0),
-    ]
-    return Circuit(elements, links)
+_parsed = lru_cache(maxsize=64)(parse_circuit)
+
+_MACH_ZEHNDER = """\
+element src source
+element bs1 beamsplitter
+element m_a mirror
+element shift_a phaseshifter:0
+element m_b mirror
+element bs2 beamsplitter
+element det_u detector:u
+element det_d detector:d
+link src:0 bs1:0
+link bs1:0 m_a:0 phase={theta}
+link m_a:0 shift_a:0
+link shift_a:0 bs2:0
+link bs1:1 m_b:0 phase={theta}
+link m_b:0 bs2:1
+link bs2:1 det_u:0
+link bs2:0 det_d:0
+"""
+
+# Arm a leaves bs1 through port 0, arm b through port 1; the kept arm's mirror is last.
+_BLOCKED = """\
+element src source
+element bs1 beamsplitter
+element absorbed blocker
+element bs2 beamsplitter
+element det_u detector:u
+element det_d detector:d
+element {mirror} mirror
+link src:0 bs1:0
+link bs1:{blocked} absorbed:0
+link bs1:{kept} {mirror}:0
+link {mirror}:0 bs2:{kept}
+link bs2:1 det_u:0
+link bs2:0 det_d:0
+"""
+_BLOCKED_ARMS = {"a": dict(blocked=0, kept=1, mirror="m_b"),
+                 "b": dict(blocked=1, kept=0, mirror="m_a")}
+
+_BGHZ_LEFT = """\
+element srcL source
+element shift_a phaseshifter:0
+element bsL beamsplitter
+element det_u detector:u
+element det_d detector:d
+link srcL:0 shift_a:0
+link shift_a:0 bsL:0
+link srcL:1 bsL:1
+link bsL:1 det_u:0
+link bsL:0 det_d:0
+"""
+
+_BGHZ_RIGHT = """\
+element srcR source
+element shift_b phaseshifter:0
+element bsR beamsplitter
+element det_up detector:u'
+element det_dp detector:d'
+link srcR:0 bsR:0 phase={arm_phase}
+link srcR:1 shift_b:0
+link shift_b:0 bsR:1
+link bsR:0 det_up:0
+link bsR:1 det_dp:0
+"""
 
 
 def mach_zehnder_circuit(alpha: float, theta: float = 0.0) -> Circuit:
-    return _mach_zehnder_structure(theta).with_shifts({"shift_a": alpha})
-
-
-@lru_cache(maxsize=2)
-def _blocked_structure(blocked_arm: str) -> Circuit:
-    if blocked_arm not in ("a", "b"):
-        raise ValueError("blocked_arm must be 'a', 'b', or None")
-    elements = {
-        "src": Element(ElementType.SOURCE),
-        "bs1": Element(ElementType.BEAMSPLITTER),
-        "absorbed": Element(ElementType.BLOCKER),
-        "bs2": Element(ElementType.BEAMSPLITTER),
-        "det_u": Element(ElementType.DETECTOR, label="u"),
-        "det_d": Element(ElementType.DETECTOR, label="d"),
-    }
-    # Arm a leaves bs1 through port 0, arm b through port 1.
-    blocked, kept, mirror = (0, 1, "m_b") if blocked_arm == "a" else (1, 0, "m_a")
-    elements[mirror] = Element(ElementType.MIRROR)
-    links = [
-        Link("src", 0, "bs1", 0),
-        Link("bs1", blocked, "absorbed", 0),
-        Link("bs1", kept, mirror, 0),
-        Link(mirror, 0, "bs2", kept),
-        Link("bs2", 1, "det_u", 0),
-        Link("bs2", 0, "det_d", 0),
-    ]
-    return Circuit(elements, links)
+    return _parsed(_MACH_ZEHNDER.format(theta=repr(float(theta)))).with_shifts({"shift_a": alpha})
 
 
 def ifm_circuit(blocked_arm: str | None) -> Circuit:
     """Alpha = 0 bench, optionally with a blocker swallowing one arm."""
     if blocked_arm is None:
         return mach_zehnder_circuit(0.0)
-    return _blocked_structure(blocked_arm).with_shifts({})
-
-
-@lru_cache(maxsize=1)
-def _bghz_left_structure() -> Circuit:
-    elements = {
-        "srcL": Element(ElementType.SOURCE),
-        "shift_a": Element(ElementType.PHASESHIFTER),
-        "bsL": Element(ElementType.BEAMSPLITTER),
-        "det_u": Element(ElementType.DETECTOR, label="u"),
-        "det_d": Element(ElementType.DETECTOR, label="d"),
-    }
-    links = [
-        Link("srcL", 0, "shift_a", 0),
-        Link("shift_a", 0, "bsL", 0),
-        Link("srcL", 1, "bsL", 1),
-        Link("bsL", 1, "det_u", 0),
-        Link("bsL", 0, "det_d", 0),
-    ]
-    return Circuit(elements, links)
+    if blocked_arm not in _BLOCKED_ARMS:
+        raise ValueError("blocked_arm must be 'a', 'b', or None")
+    return _parsed(_BLOCKED.format(**_BLOCKED_ARMS[blocked_arm])).with_shifts({})
 
 
 def bghz_left_circuit(alpha: float) -> Circuit:
-    return _bghz_left_structure().with_shifts({"shift_a": alpha})
-
-
-@lru_cache(maxsize=32)
-def _bghz_right_structure(arm_phase: float) -> Circuit:
-    elements = {
-        "srcR": Element(ElementType.SOURCE),
-        "shift_b": Element(ElementType.PHASESHIFTER),
-        "bsR": Element(ElementType.BEAMSPLITTER),
-        "det_up": Element(ElementType.DETECTOR, label="u'"),
-        "det_dp": Element(ElementType.DETECTOR, label="d'"),
-    }
-    links = [
-        Link("srcR", 0, "bsR", 0, arm_phase),
-        Link("srcR", 1, "shift_b", 0),
-        Link("shift_b", 0, "bsR", 1),
-        Link("bsR", 0, "det_up", 0),
-        Link("bsR", 1, "det_dp", 0),
-    ]
-    return Circuit(elements, links)
+    return _parsed(_BGHZ_LEFT).with_shifts({"shift_a": alpha})
 
 
 def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
     """Right half; ``arm_phase`` desymmetrizes the plain arm when nonzero."""
-    return _bghz_right_structure(arm_phase).with_shifts({"shift_b": beta})
+    structure = _parsed(_BGHZ_RIGHT.format(arm_phase=repr(float(arm_phase))))
+    return structure.with_shifts({"shift_b": beta})
 
 
 # -- experiment runners -------------------------------------------------------
@@ -196,7 +180,8 @@ def mach_zehnder_points(points: Sequence[tuple[float, int | None]], engine: str 
     """The Mach-Zehnder at each (alpha, seed) point."""
     params = [{"experiment": "mz", "alpha": alpha, "theta": theta, "engine": engine,
                "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
-    amps = _amplitudes(_mach_zehnder_structure(theta), engine, [{"shift_a": a} for a, _ in points],
+    amps = _amplitudes(mach_zehnder_circuit(0.0, theta), engine,
+                       [{"shift_a": a} for a, _ in points],
                        _clocks(engine, [seed for _, seed in points]))
     return list(_distributions(engine, amps, params))
 
@@ -219,7 +204,7 @@ def wheeler_points(points: Sequence[tuple[float, int | None]], peek: bool,
     params = [{"experiment": "wheeler", "alpha": alpha, "peek": True, "engine": engine,
                "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
     clocks = _clocks(engine, [seed for _, seed in points])
-    arms = [_distributions(engine, _amplitudes(_blocked_structure(arm), engine,
+    arms = [_distributions(engine, _amplitudes(ifm_circuit(arm), engine,
                                                [{}] * len(points), clocks), params)
             for arm in ("a", "b")]
     return [OutcomeDistribution({out: a.outcomes[out] + b.outcomes[out] for out in ("u", "d")},
@@ -280,8 +265,8 @@ def _bghz_joints(settings: Sequence[tuple], clocks: list, engine: str
         return zip(*[_amplitudes(structure, engine, ({shifter: s[i]} for s in settings), clocks,
                                  port=k) for k in arms])
 
-    return map(pair_amplitudes, side(_bghz_left_structure(), "shift_a", 0),
-               side(_bghz_right_structure(0.0), "shift_b", 1))
+    return map(pair_amplitudes, side(bghz_left_circuit(0.0), "shift_a", 0),
+               side(bghz_right_circuit(0.0), "shift_b", 1))
 
 
 def bghz_points(points: Sequence[tuple[float, float, int | None]],

@@ -63,7 +63,10 @@ def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
     and out-link factors (None for a phase shifter, whose shift is no
     structure), each terminal's key and in-link, and the index."""
     index = {link: i for i, link in enumerate(circuit.links)}
-    into = {(link.dst, link.dst_port): i for link, i in index.items()}
+
+    def fed(eid: str, port: int) -> int | None:
+        return index.get(circuit.in_link(eid, port))
+
     steps = []
     for eid in circuit.topo_order:
         kind = circuit.elements[eid].kind
@@ -71,13 +74,13 @@ def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
             # Reflection-first rows: output port 1 is the cross port of input 0.
             outs = [circuit.out_link(eid, port) for port in (1, 0)]
             factors = [(index[out], cmath.exp(1j * out.phase)) for out in outs]
-            steps.append((eid, True, (into.get((eid, 0)), into.get((eid, 1))), factors))
+            steps.append((eid, True, (fed(eid, 0), fed(eid, 1)), factors))
         elif kind not in TERMINAL_TYPES and kind is not ElementType.SOURCE:
             out = circuit.out_link(eid, 0)
             # + 0.0 turns a -0.0 link phase into 0.0, as adding a shift would.
             factor = None if kind is ElementType.PHASESHIFTER else cmath.exp(1j * (out.phase + 0.0))
-            steps.append((eid, False, into.get((eid, 0)), (index[out], out.phase, factor)))
-    terminals = tuple((circuit.terminal_key(t), into.get((t, 0))) for t in circuit.terminals)
+            steps.append((eid, False, fed(eid, 0), (index[out], out.phase, factor)))
+    terminals = tuple((circuit.terminal_key(t), fed(t, 0)) for t in circuit.terminals)
     return steps, terminals, index
 
 

@@ -319,8 +319,9 @@ def _advance(
     Refuses, before building the kernel (none when no step is taken), a run
     of more than MAX_STEPS steps."""
     if counts and counts[-1] > MAX_STEPS:
+        from decimal import Decimal  # formats a count past the float range too
         raise ValueError(
-            f"{counts[-1]} steps exceed the {MAX_STEPS}-step budget; "
+            f"{Decimal(counts[-1]):.3g} steps exceed the {MAX_STEPS}-step budget; "
             "use a larger eps or an earlier time"
         )
     apply = _kernel_apply(wf, eps, potential) if any(counts) else None

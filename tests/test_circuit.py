@@ -1,6 +1,7 @@
 """Circuit model: validation rules, text format, path enumeration."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -346,8 +347,35 @@ def test_paths_collect_link_phase():
 
 
 def test_paths_are_deterministically_ordered():
-    routes = compile_paths(_double_mz()).routes
-    assert list(routes) == sorted(routes)
+    """The rows run in the order of their element-id sequences: that of the
+    reference walk, which the table's columns follow row by row."""
+    circuit = _double_mz()
+    paths = enumerate_paths(circuit)
+    sequences = [path.element_ids for path in paths]
+    assert sequences == sorted(sequences)
+    table = compile_paths(circuit)
+    assert table.terminals == tuple(path.terminal for path in paths)
+    assert list(table.geometric_phases) == [path.geometric_phase for path in paths]
+    assert table.crossings == tuple(
+        sum(circuit.elements[eid].kind is ElementType.BEAMSPLITTER for eid in sequence)
+        for sequence in sequences
+    )
+
+
+def test_a_walk_table_holds_less_than_64_bytes_a_row(walk_text):
+    """A 14-step walk's 16,384 routes each have their own element sequence,
+    so a column of per-row strings would cost about a hundred bytes a row;
+    the table holds 8 B a row of phases and shared advance strings, the
+    rest being tuple slots and small ints."""
+    circuit = parse_circuit(walk_text(14))
+    tracemalloc.start()
+    try:
+        table = compile_paths(circuit)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 2**14
+    assert held < 64 * len(table)
 
 
 # Path tuples listed by the walker before the path-table compile; the
@@ -513,15 +541,16 @@ def test_every_advance_names_a_shifter_on_its_route_or_a_reflection():
 @given(st.integers(min_value=0, max_value=10_000))
 def test_random_circuits_are_valid_dags(seed):
     circuit = random_circuit(seed)
-    routes = compile_paths(circuit).routes
-    assert routes, "every circuit must route the source somewhere"
+    paths = enumerate_paths(circuit)
+    assert paths, "every circuit must route the source somewhere"
+    assert len(compile_paths(circuit)) == len(paths)
     splitters = sum(
         1 for el in circuit.elements.values() if el.kind is ElementType.BEAMSPLITTER
     )
-    assert len(routes) <= 2 ** max(splitters, 1)
-    for route in routes:
-        # a DAG route never revisits an element (one character per element)
-        assert len(set(route)) == len(route)
+    assert len(paths) <= 2 ** max(splitters, 1)
+    for path in paths:
+        # a DAG route never revisits an element
+        assert len(set(path.element_ids)) == len(path.element_ids)
 
 
 @settings(max_examples=40, deadline=None)

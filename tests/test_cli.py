@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 import shadowsim
 from shadowsim import checks, cli, pathintegral
+from shadowsim.experiments import ifm_circuit, mach_zehnder_circuit
+from reference import render_circuit
 
 MZ_TEXT = """\
 # balanced interferometer, one shifter in the upper arm
@@ -754,6 +756,16 @@ def test_step_count_past_its_budget_exits_two_quickly(capsys):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize(("flag", "value", "count"), [
+    ("--times", "1e308", "1.00e+308"), ("--steps", "100000000000000000000000", "1.00e+23"),
+])
+def test_a_step_count_past_the_budget_is_reported_short(capsys, flag, value, count):
+    assert cli.main(["propagate", "--eps", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert f"{count} steps exceed the {pathintegral.MAX_STEPS}-step budget" in err
+    assert len(err) < 120
+
+
 def test_propagate_refuses_steps_past_the_budget():
     wf = pathintegral.gaussian_packet(pathintegral.uniform_grid(64, -30.0, 30.0), 0.0, 1.5)
     with pytest.raises(ValueError, match="step budget"):
@@ -940,6 +952,19 @@ def test_link_phases_past_the_float_range_are_a_circuit_error(tmp_path, engine):
     assert "float range" in _refused(argv, tmp_path / "out.json", 3)
 
 
+@pytest.mark.parametrize("in_config", [False, True])
+def test_theta_past_the_float_range_is_a_config_error(tmp_path, in_config):
+    """run mz reads no circuit file, so a theta whose two arm phases sum past
+    the float range is a configuration error naming theta, not exit 3."""
+    argv = ["run", "mz", "--theta", "1e308"]
+    if in_config:
+        cfg = tmp_path / "mz.json"
+        cfg.write_text(json.dumps({"theta": 1e308}))
+        argv = ["run", "mz", "--config", str(cfg)]
+    err = _refused(argv, tmp_path / "out.json", 2)
+    assert "theta = 1e+308" in err and "float range" in err
+
+
 def test_run_circuit_parses_the_file_once_for_both_engines(tmp_path, monkeypatch, capsys):
     path = tmp_path / "mz.circuit"
     path.write_text(MZ_TEXT)
@@ -982,6 +1007,28 @@ def test_run_circuit_records_each_engines_parameters(tmp_path):
     assert [r["parameters"] for r in blob["results"]] == [
         {**common, "engine": engine, "rng": "numpy-pcg64"} for engine in ("streams", "hilbert")
     ]
+
+
+def _probabilities(argv, out):
+    assert cli.main(argv + ["--engine", "both", "--format", "json", "--seed", "4",
+                            "--out", str(out)]) == 0
+    return [(r["engine"], row["outcome"], row["probability"].hex())
+            for r in json.loads(out.read_text())["results"] for row in r["outcomes"]]
+
+
+@pytest.mark.parametrize(("circuit", "argv"), [
+    (lambda: mach_zehnder_circuit(0.7, 0.3), ["run", "mz", "--alpha", "0.7", "--theta", "0.3"]),
+    (lambda: ifm_circuit("a"), ["run", "ifm", "--blocked-arm", "a"]),
+    (lambda: ifm_circuit("b"), ["run", "ifm", "--blocked-arm", "b"]),
+])
+def test_a_canned_bench_is_a_circuit_file(tmp_path, capsys, circuit, argv):
+    """A canned bench written out as circuit text and run as a file gives
+    both engines' probabilities bit for bit as the bench itself does."""
+    path = tmp_path / "bench.circuit"
+    path.write_text(render_circuit(circuit()))
+    from_file = _probabilities(["run", "circuit", "--circuit-file", str(path)],
+                               tmp_path / "file.json")
+    assert from_file == _probabilities(argv, tmp_path / "bench.json")
 
 
 # Captured from the path-by-path engine before the path-table compile: the
