@@ -227,23 +227,19 @@ def check_clock_invariance() -> CheckResult:
 
 def check_correlator_translation() -> CheckResult:
     """E(alpha, beta) depends only on beta - alpha."""
-
-    def correlator(alpha: float, beta: float) -> float:
-        dist = run_bghz(alpha, beta, "hilbert")
-        return (
-            dist.probability(("u", "u'"))
-            + dist.probability(("d", "d'"))
-            - dist.probability(("u", "d'"))
-            - dist.probability(("d", "u'"))
-        )
-
-    worst = 0.0
-    for alpha in np.linspace(0.0, 2.0 * np.pi, 6):
-        for beta in np.linspace(0.0, 2.0 * np.pi, 6):
-            worst = max(
-                worst,
-                abs(correlator(float(alpha), float(beta)) - correlator(0.0, float(beta - alpha))),
-            )
+    grid = np.linspace(0.0, 2.0 * np.pi, 6).tolist()
+    pairs = [(alpha, beta) for alpha in grid for beta in grid]
+    points = [(alpha, beta, None) for alpha, beta in pairs]
+    points += [(0.0, beta - alpha, None) for alpha, beta in pairs]
+    correlators = [
+        dist.probability(("u", "u'"))
+        + dist.probability(("d", "d'"))
+        - dist.probability(("u", "d'"))
+        - dist.probability(("d", "u'"))
+        for dist in bghz_points(points, "hilbert")
+    ]
+    n = len(pairs)
+    worst = max(abs(e - shifted) for e, shifted in zip(correlators[:n], correlators[n:]))
     return _result("correlator-translation", worst < _TOL, f"max |dE| = {worst:.3e}")
 
 

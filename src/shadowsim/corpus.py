@@ -9,14 +9,13 @@ interference, which is what the agreement tests are really exercising.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-
-import numpy as np
 
 from .circuit import Circuit, Element, ElementType, Link
 from .rng import make_rng
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * math.pi
 # The kinds' weights 0.45, 0.15, 0.2, 0.2 as Generator.choice's normalised cdf
 # (exactly these floats), into which each growth step bisects one rng.random().
 _KINDS = ("bs", "mirror", "shift", "close")

@@ -13,17 +13,19 @@ uint64 words; it runs as uint32 array operations, one column per word, over
 all rows of one length.  PCG64 (O'Neill, HMC-CS-2014-0905) then takes those
 words as its 128-bit state and increment, and its first output, the XSL-RR
 permutation of the stepped state, is computed from Python ints per row.
+
+Only ``make_rng`` touches ``numpy.random``, which numpy 2 loads on that first
+access, so only the corpus and shot sampling load it.  A seed of None takes
+128 fresh bits from ``os.urandom``, the source ``secrets`` reads, so that it
+loads neither ``secrets`` nor ``hashlib``.
 """
 
 from __future__ import annotations
 
-import secrets
+import os
 from collections.abc import Iterable
 
 import numpy as np
-# numpy 2 imports numpy.random on first attribute access; import it here so that
-# its cost falls in start-up, not in the first draw.
-import numpy.random
 
 RNG_NAME = "numpy-pcg64"
 
@@ -87,7 +89,8 @@ def _entropy(seed: int | None) -> list[int]:
     """The run entropy of SeedSequence(seed), fresh OS entropy for None,
     zero-padded to the pool size: numpy pads so before a spawn key, and
     without one the hash mixes a missing word as a zero word."""
-    words = _words(secrets.randbits(32 * _POOL) if seed is None else seed)
+    fresh = int.from_bytes(os.urandom(4 * _POOL), "little") if seed is None else seed
+    words = _words(fresh)
     return words + [0] * (_POOL - len(words))
 
 

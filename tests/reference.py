@@ -123,15 +123,19 @@ def render_circuit(circuit: Circuit) -> str:
         lines.append(f"element {eid} {kind}")
     for link in circuit.links:
         stmt = f"link {link.src}:{link.src_port} {link.dst}:{link.dst_port}"
-        if link.phase != 0.0:
+        if link.phase != 0.0 or math.copysign(1.0, link.phase) < 0:
             stmt += f" phase={link.phase!r}"
         lines.append(stmt)
     return "\n".join(lines) + "\n"
 
 
 def circuits_equal(a: Circuit, b: Circuit) -> bool:
-    """Same elements in the same order, and the same links."""
-    return list(a.elements.items()) == list(b.elements.items()) and a.links == b.links
+    """Same elements in the same order, and the same links, with link phases
+    compared bit for bit so that -0.0 and 0.0 differ."""
+    def key(links):
+        return [(link, float.hex(link.phase)) for link in links]
+
+    return list(a.elements.items()) == list(b.elements.items()) and key(a.links) == key(b.links)
 
 
 def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) -> list[complex]:

@@ -222,6 +222,18 @@ def test_render_round_trips_programmatic_circuits():
         assert circuits_equal(parse_circuit(render_circuit(circuit)), circuit)
 
 
+def test_render_keeps_a_negative_zero_link_phase():
+    circuit = parse_circuit(
+        "element src source\nelement m mirror\nelement u detector:u\n"
+        "link src:0 m:0 phase=-0.0\nlink m:0 u:0\n"
+    )
+    assert math.copysign(1.0, circuit.links[0].phase) < 0
+    again = parse_circuit(render_circuit(circuit))
+    assert math.copysign(1.0, again.links[0].phase) < 0
+    assert circuits_equal(again, circuit)
+    assert not circuits_equal(again, parse_circuit(render_circuit(circuit).replace("-0.0", "0.0")))
+
+
 @pytest.mark.parametrize(
     ("text", "line", "fragment"),
     [

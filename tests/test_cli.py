@@ -110,6 +110,40 @@ def test_cli_and_check_import_no_scipy():
     assert lines[-1] == "check 0 []"
 
 
+def test_only_generator_draws_load_numpy_random_or_hashlib(tmp_path, ladder_text):
+    ladder = tmp_path / "ladder4.circuit"
+    ladder.write_text(ladder_text(4))
+    runs = [
+        ["run", "mz", "--alpha", "1"],  # unseeded: fresh OS entropy
+        ["sweep", "mz", "--grid", "0:2pi:5", "--engine", "both", "--seed", "7"],
+        ["run", "circuit", "--circuit-file", str(ladder), "--seed", "3"],
+        ["propagate", "--grid-n", "1024", "--steps", "2", "--eps", "0.5"],
+        ["run", "mz", "--alpha", "1", "--shots", "1000", "--seed", "7"],
+    ]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return [m for m in ('numpy.random', 'secrets', 'hashlib', '_hashlib')"
+        " if m in sys.modules]\n"
+        "import shadowsim.cli\n"
+        "report = [['import', 0, loaded()]]\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = shadowsim.cli.main(argv)\n"
+        "    report.append([argv[0], code, loaded()])\n"
+        "print(json.dumps(report))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(shadowsim.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    *quiet, shots = json.loads(proc.stdout.splitlines()[-1])
+    assert quiet == [["import", 0, []], ["run", 0, []], ["sweep", 0, []], ["run", 0, []],
+                     ["propagate", 0, []]]
+    # the guard is not vacuous: sampling shots draws from a numpy Generator
+    assert shots[:2] == ["run", 0] and "numpy.random" in shots[2]
+
+
 def test_bad_angle_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run", "mz", "--alpha", "banana"])

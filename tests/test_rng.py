@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shadowsim import checks, cli, streams
-from shadowsim.rng import RNG_NAME, child_seeds, make_rng, uniform_draws
+from shadowsim.rng import RNG_NAME, _entropy, child_seeds, make_rng, uniform_draws
 
 TWO_PI = 2.0 * math.pi
 # Word-count edges of SeedSequence's entropy: one, two, three, five and seven words.
@@ -94,6 +94,13 @@ def test_unseeded_draws_are_fresh_and_in_range():
     children = child_seeds([(None, 0), (None, 0)]) + child_seeds([(None, 0)])
     assert all(0 <= seed < 2**63 for seed in children)
     assert len(set(children)) == 3
+
+
+def test_fresh_entropy_is_four_words_and_differs_per_call():
+    first, second = _entropy(None), _entropy(None)
+    assert len(first) == len(second) == 4
+    assert all(0 <= word < 2**32 for word in first + second)
+    assert first != second
 
 
 def test_child_seeds_are_deterministic_and_differ_across_indices():
