@@ -4,6 +4,10 @@ Every check is deterministic given its seed and returns a pass/fail plus a
 one-line detail (worst deviation, measured order, p-value).  The suite
 mirrors the package's acceptance gates so a green ``check`` run on a user
 machine means the install reproduces the reference numbers.
+
+One reducer, ``_worst``, turns a check's deviations into its verdict: a NaN
+or an empty sequence counts as an infinite deviation, so neither can pass.
+Its mirror reduces p-values, where a NaN or an empty sequence counts as 0.
 """
 
 from __future__ import annotations
@@ -11,13 +15,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, product, starmap
 
 import numpy as np
 
 from . import hilbert, pathintegral
 from .corpus import random_circuit
 from .experiments import (
+    ENGINES,
     bghz_left_circuit,
     bghz_points,
     bghz_right_circuit,
@@ -56,46 +61,57 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name=name, passed=bool(passed), detail=detail)
 
 
+def _worst(deviations: Iterable[float]) -> float:
+    """The largest deviation, a NaN counted as inf; inf when there is none."""
+    return max((d if d == d else math.inf for d in deviations), default=math.inf)
+
+
+def _below(name: str, label: str, deviations: Iterable[float], tol: float = _TOL) -> CheckResult:
+    worst = _worst(deviations)
+    return _result(name, worst < tol, f"{label} = {worst:.3e}")
+
+
 def check_mz_law() -> CheckResult:
     """P(u)=cos^2(alpha/2), P(d)=sin^2(alpha/2), both engines, 64 points."""
     alphas = np.linspace(0.0, 2.0 * np.pi, 64).tolist()
-    worst = 0.0
-    for engine in ("streams", "hilbert"):
-        for alpha, dist in zip(alphas, mach_zehnder_points([(a, 0) for a in alphas], engine)):
-            pu, pd = math.cos(alpha / 2) ** 2, math.sin(alpha / 2) ** 2
-            worst = max(worst, abs(dist.probability("u") - pu), abs(dist.probability("d") - pd))
-    return _result("mz-law", worst < _TOL, f"max |P - closed form| = {worst:.3e}")
+    deviations = (
+        abs(dist.probability(key) - p)
+        for engine in ENGINES
+        for alpha, dist in zip(alphas, mach_zehnder_points([(a, 0) for a in alphas], engine))
+        for key, p in (("u", math.cos(alpha / 2) ** 2), ("d", math.sin(alpha / 2) ** 2))
+    )
+    return _below("mz-law", "max |P - closed form|", deviations)
 
 
 def check_mz_stream_amplitudes() -> CheckResult:
     """Stream amplitudes match the two-arm closed forms up to the clock."""
-    worst = 0.0
-    for alpha in np.linspace(0.0, 2.0 * np.pi, 9):
+    alphas = np.linspace(0.0, 2.0 * np.pi, 9)
+    settings = [({"shift_a": float(alpha)}, 0.0) for alpha in alphas]
+
+    def deviations():
         for theta in (0.0, 0.7, 2.0):
-            (amps,) = terminal_amplitudes(mach_zehnder_circuit(float(alpha), theta), [({}, 0.0)])
-            want_u = 0.5j * np.exp(1j * theta) * (np.exp(1j * alpha) + 1.0)
-            want_d = 0.5 * np.exp(1j * theta) * (np.exp(1j * alpha) - 1.0)
-            worst = max(worst, abs(amps["u"] - want_u), abs(amps["d"] - want_d))
-    return _result("mz-amplitudes", worst < _TOL, f"max amplitude error = {worst:.3e}")
+            amplitudes = terminal_amplitudes(mach_zehnder_circuit(0.0, theta), settings)
+            for alpha, amps in zip(alphas, amplitudes):
+                yield abs(amps["u"] - 0.5j * np.exp(1j * theta) * (np.exp(1j * alpha) + 1.0))
+                yield abs(amps["d"] - 0.5 * np.exp(1j * theta) * (np.exp(1j * alpha) - 1.0))
+
+    return _below("mz-amplitudes", "max amplitude error", deviations())
 
 
 def check_bghz_law() -> CheckResult:
     """Joint law 1/2 cos^2, 1/2 sin^2 of beta-alpha on an 8x8 grid."""
-    worst = 0.0
     grid = np.linspace(0.0, 2.0 * np.pi, 8).tolist()
     points = [(alpha, beta, 0) for alpha in grid for beta in grid]
-    for engine in ("streams", "hilbert"):
-        for (alpha, beta, _), dist in zip(points, bghz_points(points, engine)):
-            half = 0.5 * (beta - alpha)
-            want = {
-                ("u", "u'"): 0.5 * math.cos(half) ** 2,
-                ("u", "d'"): 0.5 * math.sin(half) ** 2,
-                ("d", "u'"): 0.5 * math.sin(half) ** 2,
-                ("d", "d'"): 0.5 * math.cos(half) ** 2,
-            }
-            for key, p in want.items():
-                worst = max(worst, abs(dist.probability(key) - p))
-    return _result("bghz-law", worst < _TOL, f"max |P - closed form| = {worst:.3e}")
+
+    def deviations():
+        for engine in ENGINES:
+            for (alpha, beta, _), dist in zip(points, bghz_points(points, engine)):
+                half = 0.5 * (beta - alpha)
+                same, flip = 0.5 * math.cos(half) ** 2, 0.5 * math.sin(half) ** 2
+                want = {("u", "u'"): same, ("u", "d'"): flip, ("d", "u'"): flip, ("d", "d'"): same}
+                yield from (abs(dist.probability(key) - p) for key, p in want.items())
+
+    return _below("bghz-law", "max |P - closed form|", deviations())
 
 
 def _congruence_deviations(left_arms: list[dict], right_arms: list[dict]) -> tuple[float, float]:
@@ -110,10 +126,10 @@ def _congruence_deviations(left_arms: list[dict], right_arms: list[dict]) -> tup
     refactored form <x|a><y|b> + <x'|a'><y'|b'>, all left plus all right,
     which coincide when the congruence holds."""
     (a, b), (a_r, b_r) = left_arms, right_arms
-    identity = max(abs(b[x] - a_r[x + "'"]) for x in a)
-    refactoring = max(abs(a[x] * a_r[y + "'"] + b[x] * b_r[y + "'"]
-                          - (a[x] * b[y] + a_r[x + "'"] * b_r[y + "'"]))
-                      for x in a for y in a)
+    identity = _worst(abs(b[x] - a_r[x + "'"]) for x in a)
+    refactoring = _worst(abs(a[x] * a_r[y + "'"] + b[x] * b_r[y + "'"]
+                             - (a[x] * b[y] + a_r[x + "'"] * b_r[y + "'"]))
+                         for x in a for y in a)
     return identity, refactoring
 
 
@@ -128,8 +144,8 @@ def check_congruence() -> CheckResult:
 
     lefts = [arms(bghz_left_circuit(alpha)) for alpha in grid]
     rights = [arms(bghz_right_circuit(beta)) for beta in grid]
-    worst = max(max(_congruence_deviations(left, right)) for left in lefts for right in rights)
-    return _result("congruence", worst < _TOL, f"max deviation = {worst:.3e}")
+    deviations = chain.from_iterable(starmap(_congruence_deviations, product(lefts, rights)))
+    return _below("congruence", "max deviation", deviations)
 
 
 def check_chsh_exact(seed: int = 20260814) -> CheckResult:
@@ -155,31 +171,31 @@ def check_chsh_monte_carlo(shots: int = 1_000_000, seed: int = 20260814) -> Chec
 
 
 def check_ifm() -> CheckResult:
-    worst = 0.0
-    for engine in ("streams", "hilbert"):
-        free = run_ifm(None, engine, seed=0)
-        worst = max(worst, abs(free.probability("u") - 1.0), free.probability("d"))
-        for arm in ("a", "b"):
-            dist = run_ifm(arm, engine, seed=0)
-            worst = max(
-                worst,
-                abs(dist.probability("absorbed") - 0.5),
-                abs(dist.probability("u") - 0.25),
-                abs(dist.probability("d") - 0.25),
-            )
-    return _result("ifm", worst < _TOL, f"max |P - target| = {worst:.3e}")
+    split = {"absorbed": 0.5, "u": 0.25, "d": 0.25}
+    targets = {None: {"u": 1.0, "d": 0.0}, "a": split, "b": split}
+
+    def deviations():
+        for engine in ENGINES:
+            for arm, want in targets.items():
+                dist = run_ifm(arm, engine, seed=0)
+                yield from (abs(dist.probability(key) - p) for key, p in want.items())
+
+    return _below("ifm", "max |P - target|", deviations())
 
 
 def check_wheeler() -> CheckResult:
     alphas = np.linspace(0.0, 2.0 * np.pi, 16).tolist()
-    worst = 0.0
-    for engine in ("streams", "hilbert"):
-        peeked, plain = (wheeler_points([(a, 0) for a in alphas], peek, engine)
-                         for peek in (True, False))
-        for alpha, p, q in zip(alphas, peeked, plain):
-            worst = max(worst, abs(p.probability("u") - 0.5), abs(p.probability("d") - 0.5),
-                        abs(q.probability("u") - math.cos(alpha / 2) ** 2))
-    return _result("wheeler", worst < _TOL, f"max deviation = {worst:.3e}")
+
+    def deviations():
+        for engine in ENGINES:
+            peeked, plain = (wheeler_points([(a, 0) for a in alphas], peek, engine)
+                             for peek in (True, False))
+            for alpha, p, q in zip(alphas, peeked, plain):
+                yield abs(p.probability("u") - 0.5)
+                yield abs(p.probability("d") - 0.5)
+                yield abs(q.probability("u") - math.cos(alpha / 2) ** 2)
+
+    return _below("wheeler", "max deviation", deviations())
 
 
 def _corpus(cases: int) -> Iterator[tuple]:
@@ -193,25 +209,17 @@ def _corpus(cases: int) -> Iterator[tuple]:
 
 def check_cross_engine(corpus: Iterable[tuple]) -> CheckResult:
     """Streams vs hilbert on randomized circuits, pointwise < 1e-12."""
-    worst = 0.0
-    cases = 0
-    for cases, (circuit, amplitudes) in enumerate(corpus, 1):
-        probs_s = {k: abs(v) ** 2 for k, v in amplitudes.items()}
-        probs_h = hilbert.evolve_circuit(circuit).probabilities()
-        for key in probs_h:
-            worst = max(worst, abs(probs_s[key] - probs_h[key]))
-    return _result(
-        "cross-engine", worst < _TOL, f"{cases} circuits, max |dP| = {worst:.3e}"
-    )
+    per_circuit = [
+        _worst(abs(abs(amplitudes[key]) ** 2 - p)
+               for key, p in hilbert.evolve_circuit(circuit).probabilities().items())
+        for circuit, amplitudes in corpus
+    ]
+    return _below("cross-engine", f"{len(per_circuit)} circuits, max |dP|", per_circuit)
 
 
 def check_unitarity(corpus: list[tuple]) -> CheckResult:
-    worst = 0.0
-    for _, amplitudes in corpus:
-        worst = max(worst, unitarity_defect(amplitudes))
-    return _result(
-        "unitarity", worst < _TOL, f"{len(corpus)} circuits, max defect = {worst:.3e}"
-    )
+    defects = (unitarity_defect(amplitudes) for _, amplitudes in corpus)
+    return _below("unitarity", f"{len(corpus)} circuits, max defect", defects)
 
 
 def check_clock_invariance() -> CheckResult:
@@ -221,8 +229,8 @@ def check_clock_invariance() -> CheckResult:
         {k: abs(v) ** 2 for k, v in amps.items()}
         for amps in terminal_amplitudes(mach_zehnder_circuit(0.9, 0.4), [({}, c) for c in clocks])
     )
-    worst = max(abs(probs[k] - base[k]) for probs in rest for k in base)
-    return _result("clock-invariance", worst < 1e-14, f"max spread = {worst:.3e}")
+    spreads = (abs(probs[k] - base[k]) for probs in rest for k in base)
+    return _below("clock-invariance", "max spread", spreads, tol=1e-14)
 
 
 def check_correlator_translation() -> CheckResult:
@@ -239,8 +247,8 @@ def check_correlator_translation() -> CheckResult:
         for dist in bghz_points(points, "hilbert")
     ]
     n = len(pairs)
-    worst = max(abs(e - shifted) for e, shifted in zip(correlators[:n], correlators[n:]))
-    return _result("correlator-translation", worst < _TOL, f"max |dE| = {worst:.3e}")
+    gaps = (abs(e - shifted) for e, shifted in zip(correlators[:n], correlators[n:]))
+    return _below("correlator-translation", "max |dE|", gaps)
 
 
 def _chi2_sf(x: float, df: int) -> float:
@@ -275,7 +283,7 @@ def check_sampling(shots: int = 1_000_000, seed: int = 4242) -> CheckResult:
         run_ifm("a", "streams"),
         run_bghz(0.3, 1.1, "streams"),
     ]
-    worst_p = 1.0
+    p_values = []
     for k, dist in enumerate(dists):
         result = sample(dist, shots, seed + k)
         support = [key for key, p in dist.outcomes.items() if p > 0.0]
@@ -286,7 +294,8 @@ def check_sampling(shots: int = 1_000_000, seed: int = 4242) -> CheckResult:
         expected = np.array([dist.outcomes[key] * shots for key in support])
         expected *= observed.sum() / expected.sum()
         statistic = float(np.sum((observed - expected) ** 2 / expected))
-        worst_p = min(worst_p, _chi2_sf(statistic, len(support) - 1))
+        p_values.append(_chi2_sf(statistic, len(support) - 1))
+    worst_p = min((p if p == p else 0.0 for p in p_values), default=0.0)
     return _result("sampling-chi2", worst_p > 1e-4, f"min p-value = {worst_p:.4g}")
 
 
@@ -296,9 +305,8 @@ def check_width_law() -> CheckResult:
     wf = pathintegral.gaussian_packet(x, 0.0, 1.5)
     run = pathintegral.propagate(wf, 0.5, 10)
     density = run.wavefunction.probability_density()
-    dx = run.wavefunction.dx
-    mean = float(np.sum(x * density) * dx)
-    var = float(np.sum((x - mean) ** 2 * density) * dx)
+    mean = pathintegral.expectation_x(run.wavefunction, density)
+    var = float(np.sum((x - mean) ** 2 * density) * run.wavefunction.dx)
     t = run.wavefunction.t
     want = 1.5**2 * (1.0 + (t / (2 * 1.5**2)) ** 2)
     rel = abs(var - want) / want
@@ -311,12 +319,15 @@ def check_cn_agreement() -> CheckResult:
     wf = pathintegral.gaussian_packet(x, 0.0, 1.5)
     lattice = pathintegral.propagate(wf, 0.5, 10).wavefunction
     oracle = pathintegral.crank_nicolson_propagate(wf, 0.005, 1000)
-    overlap = np.sum(np.conj(oracle.values) * lattice.values) * lattice.dx
-    aligned = lattice.values * np.exp(-1j * np.angle(overlap))
-    err = float(
-        np.sqrt(np.sum(np.abs(aligned - oracle.values) ** 2) * lattice.dx)
-    )
+    err = _aligned_distance(lattice.values, oracle.values, lattice.dx)
     return _result("crank-nicolson", err < 1e-3, f"L2 deviation = {err:.3e}")
+
+
+def _aligned_distance(got: np.ndarray, want: np.ndarray, dx: float) -> float:
+    """L2 distance to ``want`` from ``got`` turned to the phase of their overlap."""
+    overlap = np.sum(np.conj(want) * got) * dx
+    aligned = got * np.exp(-1j * np.angle(overlap))
+    return float(np.sqrt(np.sum(np.abs(aligned - want) ** 2) * dx))
 
 
 def _coherent_state(x: np.ndarray, omega: float, x0: float, t: float) -> np.ndarray:
@@ -331,21 +342,14 @@ def _coherent_state(x: np.ndarray, omega: float, x0: float, t: float) -> np.ndar
 def check_convergence_order() -> CheckResult:
     """Measured order of the step error in eps for a harmonic oscillation."""
     omega, x0, t_final = 0.15, 2.0, 8.0
+    well = pathintegral.HarmonicPotential(omega)
     x = pathintegral.uniform_grid(1024, -16.0, 16.0)
     wf = pathintegral.gaussian_packet(x, x0, math.sqrt(1.0 / (2.0 * omega)))
     target = _coherent_state(x, omega, x0, t_final)
-    errors = []
     eps_values = [0.5, 1.0 / 3.0, 0.25]
-    for eps in eps_values:
-        run = pathintegral.propagate(
-            wf, eps, round(t_final / eps), pathintegral.HarmonicPotential(omega)
-        )
-        got = run.wavefunction.values
-        overlap = np.sum(np.conj(target) * got) * run.wavefunction.dx
-        aligned = got * np.exp(-1j * np.angle(overlap))
-        errors.append(
-            float(np.sqrt(np.sum(np.abs(aligned - target) ** 2) * run.wavefunction.dx))
-        )
+    finals = (pathintegral.propagate(wf, eps, round(t_final / eps), well).wavefunction
+              for eps in eps_values)
+    errors = [_aligned_distance(final.values, target, final.dx) for final in finals]
     slope = np.polyfit(np.log(eps_values), np.log(errors), 1)[0]
     return _result(
         "convergence-order", slope >= 1.8, f"measured order = {slope:.2f}"
@@ -354,27 +358,22 @@ def check_convergence_order() -> CheckResult:
 
 def check_velocity_identity() -> CheckResult:
     """mean_velocity vs central-difference d<x>/dt, free and harmonic."""
-    worst = 0.0
     # k0 stays modest: the spatial central difference in mean_velocity
     # biases v by about k0^3 dx^2 / 6, which must sit well under 1e-4.
-    cases = [
-        (pathintegral.FREE, 0.4),
-        (pathintegral.HarmonicPotential(0.15), 0.0),
-    ]
-    for potential, k0 in cases:
-        x = pathintegral.uniform_grid(1024, -16.0, 16.0)
-        wf = pathintegral.gaussian_packet(x, 2.0, 1.3, k0)
-        eps = 0.25
-        snaps, _ = pathintegral.propagate_snapshots(
-            wf, eps, [3 * eps, 4 * eps, 5 * eps], potential
-        )
-        (_, before), (_, middle), (_, after) = snaps
-        rate = (pathintegral.expectation_x(after) - pathintegral.expectation_x(before)) / (
-            2 * eps
-        )
-        v = pathintegral.mean_velocity(middle)
-        worst = max(worst, abs(v - rate))
-    return _result("velocity-identity", worst < 1e-4, f"max |v - dx/dt| = {worst:.3e}")
+    cases = [(pathintegral.FREE, 0.4), (pathintegral.HarmonicPotential(0.15), 0.0)]
+    x = pathintegral.uniform_grid(1024, -16.0, 16.0)
+    eps = 0.25
+    times = [3 * eps, 4 * eps, 5 * eps]
+
+    def deviations():
+        for potential, k0 in cases:
+            wf = pathintegral.gaussian_packet(x, 2.0, 1.3, k0)
+            snaps, _ = pathintegral.propagate_snapshots(wf, eps, times, potential)
+            (_, before), (_, middle), (_, after) = snaps
+            moved = pathintegral.expectation_x(after) - pathintegral.expectation_x(before)
+            yield abs(pathintegral.mean_velocity(middle) - moved / (2 * eps))
+
+    return _below("velocity-identity", "max |v - dx/dt|", deviations(), tol=1e-4)
 
 
 def run_all(

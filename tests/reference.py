@@ -131,11 +131,14 @@ def render_circuit(circuit: Circuit) -> str:
 
 def circuits_equal(a: Circuit, b: Circuit) -> bool:
     """Same elements in the same order, and the same links, with link phases
-    compared bit for bit so that -0.0 and 0.0 differ."""
-    def key(links):
-        return [(link, float.hex(link.phase)) for link in links]
+    and phase-shifter shifts compared bit for bit so that -0.0 and 0.0 differ."""
+    def elements(circuit):
+        return [(eid, el, float.hex(el.shift)) for eid, el in circuit.elements.items()]
 
-    return list(a.elements.items()) == list(b.elements.items()) and key(a.links) == key(b.links)
+    def links(circuit):
+        return [(link, float.hex(link.phase)) for link in circuit.links]
+
+    return elements(a) == elements(b) and links(a) == links(b)
 
 
 def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) -> list[complex]:

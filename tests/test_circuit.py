@@ -234,6 +234,15 @@ def test_render_keeps_a_negative_zero_link_phase():
     assert not circuits_equal(again, parse_circuit(render_circuit(circuit).replace("-0.0", "0.0")))
 
 
+def test_circuits_equal_tells_a_negative_zero_shift_apart():
+    text = ("element src source\nelement ps phaseshifter:{}\nelement u detector:u\n"
+            "link src:0 ps:0\nlink ps:0 u:0\n")
+    negative, positive = (parse_circuit(text.format(shift)) for shift in ("-0.0", "0.0"))
+    assert math.copysign(1.0, negative.elements["ps"].shift) < 0
+    assert circuits_equal(parse_circuit(render_circuit(negative)), negative)
+    assert not circuits_equal(negative, positive)
+
+
 @pytest.mark.parametrize(
     ("text", "line", "fragment"),
     [
