@@ -3,12 +3,13 @@
 Two engines compute the same detector statistics: a stream engine that
 propagates one emission per run as a bundle of phase-clocked paths, and a
 link-mode state-vector engine, reading the same circuits, used as the
-reference.  A lattice
-propagator handles the continuum side, and the experiments module wires
-up the canonical interferometer benches.
+reference.  A lattice propagator handles the continuum side, and the
+experiments module wires up the canonical interferometer benches.
 
 The names below are what a script needs to reproduce a command-line
-result; everything else is imported from its module.
+result; everything else is imported from its module.  A canned bench runs
+through its ``*_points`` runner, one structure evaluated at each point's
+settings: ``mach_zehnder_points([(alpha, seed)])[0]`` is one point.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ from __future__ import annotations
 from .angles import parse_angle
 from .circuit import CircuitError, parse_circuit
 from .experiments import (
-    chsh,
-    run_bghz,
+    bghz_points,
+    chsh_points,
+    mach_zehnder_points,
     run_circuit,
     run_ifm,
-    run_mach_zehnder,
-    run_wheeler,
     sample,
+    wheeler_points,
 )
 from .outcomes import ENGINE_HILBERT, ENGINE_STREAMS
 from .pathintegral import (
@@ -48,18 +49,18 @@ __all__ = [
     "LatticeWavefunction",
     "PropagationUnstableError",
     "TabulatedPotential",
-    "chsh",
+    "bghz_points",
+    "chsh_points",
     "gaussian_packet",
+    "mach_zehnder_points",
     "parse_angle",
     "parse_circuit",
     "propagate",
     "propagate_snapshots",
-    "run_bghz",
     "run_circuit",
     "run_ifm",
-    "run_mach_zehnder",
-    "run_wheeler",
     "sample",
     "uniform_grid",
+    "wheeler_points",
     "__version__",
 ]

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, islice, product, starmap
 
 import numpy as np
@@ -26,13 +27,10 @@ from .experiments import (
     bghz_left_circuit,
     bghz_points,
     bghz_right_circuit,
-    chsh,
+    chsh_points,
     mach_zehnder_circuit,
     mach_zehnder_points,
-    run_bghz,
     run_ifm,
-    run_mach_zehnder,
-    run_wheeler,
     sample,
     wheeler_points,
 )
@@ -139,35 +137,30 @@ def check_congruence() -> CheckResult:
     (clock,) = initial_clocks([7])
     grid = np.linspace(0.0, 2.0 * np.pi, 8).tolist()
 
-    def arms(circuit):
-        return [next(terminal_amplitudes(circuit, [({}, clock)], port=k)) for k in (0, 1)]
+    def arms(structure, shifter):
+        settings = [({shifter: shift}, clock) for shift in grid]
+        return list(zip(*(terminal_amplitudes(structure, settings, port=k) for k in (0, 1))))
 
-    lefts = [arms(bghz_left_circuit(alpha)) for alpha in grid]
-    rights = [arms(bghz_right_circuit(beta)) for beta in grid]
+    lefts = arms(bghz_left_circuit(0.0), "shift_a")
+    rights = arms(bghz_right_circuit(0.0), "shift_b")
     deviations = chain.from_iterable(starmap(_congruence_deviations, product(lefts, rights)))
     return _below("congruence", "max deviation", deviations)
 
 
+_CHSH_ANGLES = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
+
+
 def check_chsh_exact(seed: int = 20260814) -> CheckResult:
-    report = chsh(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4, "streams", seed=seed)
+    (report,) = chsh_points([(_CHSH_ANGLES, seed)], "streams")
     err = abs(report.s_value - _S_TARGET)
-    return _result(
-        "chsh-exact",
-        err < 1e-9 and report.violation,
-        f"S = {report.s_value:.9f}, |S - 2 sqrt 2| = {err:.3e}",
-    )
+    detail = f"S = {report.s_value:.9f}, |S - 2 sqrt 2| = {err:.3e}"
+    return _result("chsh-exact", err < 1e-9 and report.violation, detail)
 
 
 def check_chsh_monte_carlo(shots: int = 1_000_000, seed: int = 20260814) -> CheckResult:
-    report = chsh(
-        0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4, "streams",
-        shots=shots, seed=seed,
-    )
-    return _result(
-        "chsh-monte-carlo",
-        report.s_value >= 2.4,
-        f"S = {report.s_value:.4f} from {shots} shots per setting",
-    )
+    (report,) = chsh_points([(_CHSH_ANGLES, seed)], "streams", shots=shots)
+    detail = f"S = {report.s_value:.4f} from {shots} shots per setting"
+    return _result("chsh-monte-carlo", report.s_value >= 2.4, detail)
 
 
 def check_ifm() -> CheckResult:
@@ -225,9 +218,10 @@ def check_unitarity(corpus: list[tuple]) -> CheckResult:
 def check_clock_invariance() -> CheckResult:
     """Outcome probabilities identical for 100 different clock values."""
     clocks = np.linspace(0.0, 2.0 * np.pi, 100, endpoint=False).tolist()
+    settings = [({"shift_a": 0.9}, c) for c in clocks]
     base, *rest = (
         {k: abs(v) ** 2 for k, v in amps.items()}
-        for amps in terminal_amplitudes(mach_zehnder_circuit(0.9, 0.4), [({}, c) for c in clocks])
+        for amps in terminal_amplitudes(mach_zehnder_circuit(0.0, 0.4), settings)
     )
     spreads = (abs(probs[k] - base[k]) for probs in rest for k in base)
     return _below("clock-invariance", "max spread", spreads, tol=1e-14)
@@ -276,12 +270,12 @@ def _chi2_sf(x: float, df: int) -> float:
 
 
 def check_sampling(shots: int = 1_000_000, seed: int = 4242) -> CheckResult:
-    """Chi-square goodness of fit, p > 1e-4, for the canned distributions."""
+    """Chi-square goodness of fit, p > 1e-4, for canned streams runs at seed 0."""
     dists = [
-        run_mach_zehnder(2 * math.pi / 3, "streams"),
-        run_wheeler(0.8, True, "streams"),
-        run_ifm("a", "streams"),
-        run_bghz(0.3, 1.1, "streams"),
+        *mach_zehnder_points([(2 * math.pi / 3, 0)]),
+        *wheeler_points([(0.8, 0)], True),
+        run_ifm("a", seed=0),
+        *bghz_points([(0.3, 1.1, 0)]),
     ]
     p_values = []
     for k, dist in enumerate(dists):
@@ -299,15 +293,22 @@ def check_sampling(shots: int = 1_000_000, seed: int = 4242) -> CheckResult:
     return _result("sampling-chi2", worst_p > 1e-4, f"min p-value = {worst_p:.4g}")
 
 
-def check_width_law() -> CheckResult:
-    """Free-packet spreading sigma(t) on the lattice vs the closed form."""
+@cache
+def _free_packet() -> tuple:
+    """The grid, free packet and lattice-propagated packet that width-law and
+    crank-nicolson share, computed once."""
     x = pathintegral.uniform_grid(1024, -30.0, 30.0)
     wf = pathintegral.gaussian_packet(x, 0.0, 1.5)
-    run = pathintegral.propagate(wf, 0.5, 10)
-    density = run.wavefunction.probability_density()
-    mean = pathintegral.expectation_x(run.wavefunction, density)
-    var = float(np.sum((x - mean) ** 2 * density) * run.wavefunction.dx)
-    t = run.wavefunction.t
+    return x, wf, pathintegral.propagate(wf, 0.5, 10).wavefunction
+
+
+def check_width_law() -> CheckResult:
+    """Free-packet spreading sigma(t) on the lattice vs the closed form."""
+    x, _, final = _free_packet()
+    density = final.probability_density()
+    mean = pathintegral.expectation_x(final, density)
+    var = float(np.sum((x - mean) ** 2 * density) * final.dx)
+    t = final.t
     want = 1.5**2 * (1.0 + (t / (2 * 1.5**2)) ** 2)
     rel = abs(var - want) / want
     return _result("width-law", rel < 1e-3, f"relative error = {rel:.3e} at t = {t}")
@@ -315,9 +316,7 @@ def check_width_law() -> CheckResult:
 
 def check_cn_agreement() -> CheckResult:
     """Lattice propagator vs the Crank-Nicolson oracle, free packet."""
-    x = pathintegral.uniform_grid(1024, -30.0, 30.0)
-    wf = pathintegral.gaussian_packet(x, 0.0, 1.5)
-    lattice = pathintegral.propagate(wf, 0.5, 10).wavefunction
+    _, wf, lattice = _free_packet()
     oracle = pathintegral.crank_nicolson_propagate(wf, 0.005, 1000)
     err = _aligned_distance(lattice.values, oracle.values, lattice.dx)
     return _result("crank-nicolson", err < 1e-3, f"L2 deviation = {err:.3e}")

@@ -157,17 +157,6 @@ class Circuit:
             self._successors[link.src].setdefault(link.dst, []).append(link)
         self._compiled: dict = {}
 
-    def with_shifts(self, shifts: dict[str, float]) -> Circuit:
-        """This circuit with new phase-shifter values, each checked as an
-        Element is.  It shares the validated structure (links, port maps,
-        topological order) and everything ``compiled`` built from it."""
-        elements = dict(self.elements)
-        for eid, shift in self.shift_values(shifts).items():
-            elements[eid] = Element(ElementType.PHASESHIFTER, shift=shift)
-        derived = object.__new__(Circuit)
-        derived.__dict__.update(self.__dict__, elements=elements)
-        return derived
-
     def shift_values(self, shifts: dict[str, float]) -> dict[str, float]:
         """``shifts`` as phase-shifter Elements hold them, reduced to [0, 2pi)."""
         for eid in shifts:
@@ -176,8 +165,8 @@ class Circuit:
         return {eid: canonical_angle(shift) for eid, shift in shifts.items()}
 
     def compiled(self, key: Hashable, build: Callable[[], Any]) -> Any:
-        """``build()``, computed once per structure and shared by every
-        circuit ``with_shifts`` derives; ``build`` must not read shift values."""
+        """``build()``, computed once per circuit and shared by every setting
+        it is evaluated at; ``build`` must not read shift values."""
         if key not in self._compiled:
             self._compiled[key] = build()
         return self._compiled[key]
@@ -482,8 +471,7 @@ class PathTable:
     for a splitter reflection (a REFLECTION_TURN), equal strings being one
     object; the number of splitter ``crossings``; the terminal the route
     ends at; and the source port it leaves through.  No column holds a shift
-    value, so one table serves every circuit ``Circuit.with_shifts`` derives
-    from the same structure.
+    value, so one table serves every setting the structure is evaluated at.
     """
 
     source: str

@@ -47,11 +47,11 @@ def _require_engine(engine: str) -> None:
 
 
 # -- canonical circuits ------------------------------------------------------
-# Each bench is circuit text, parsed once per text by one memo.  A structural
-# value (``theta``, ``arm_phase``) is written as repr(float(x)), which
-# parse_angle reads back bit for bit; Circuit.with_shifts sets the shifters.
-# Statement order is the element and link order, on which the topological
-# order and the order of the outcomes rest.
+# Each bench is circuit text, parsed once per text by one memo.  A builder's
+# value (a shift, ``theta``, ``arm_phase``) is written as repr(float(x)), which
+# parse_angle reads back bit for bit; a runner builds each structure once and
+# sets its shifters per point by settings.  Statement order is the element and
+# link order, on which the topological order and the order of the outcomes rest.
 
 _parsed = lru_cache(maxsize=64)(parse_circuit)
 
@@ -59,7 +59,7 @@ _MACH_ZEHNDER = """\
 element src source
 element bs1 beamsplitter
 element m_a mirror
-element shift_a phaseshifter:0
+element shift_a phaseshifter:{alpha}
 element m_b mirror
 element bs2 beamsplitter
 element det_u detector:u
@@ -95,7 +95,7 @@ _BLOCKED_ARMS = {"a": dict(blocked=0, kept=1, mirror="m_b"),
 
 _BGHZ_LEFT = """\
 element srcL source
-element shift_a phaseshifter:0
+element shift_a phaseshifter:{alpha}
 element bsL beamsplitter
 element det_u detector:u
 element det_d detector:d
@@ -108,7 +108,7 @@ link bsL:0 det_d:0
 
 _BGHZ_RIGHT = """\
 element srcR source
-element shift_b phaseshifter:0
+element shift_b phaseshifter:{beta}
 element bsR beamsplitter
 element det_up detector:u'
 element det_dp detector:d'
@@ -121,7 +121,7 @@ link bsR:1 det_dp:0
 
 
 def mach_zehnder_circuit(alpha: float, theta: float = 0.0) -> Circuit:
-    return _parsed(_MACH_ZEHNDER.format(theta=repr(float(theta)))).with_shifts({"shift_a": alpha})
+    return _parsed(_MACH_ZEHNDER.format(alpha=repr(float(alpha)), theta=repr(float(theta))))
 
 
 def ifm_circuit(blocked_arm: str | None) -> Circuit:
@@ -130,17 +130,16 @@ def ifm_circuit(blocked_arm: str | None) -> Circuit:
         return mach_zehnder_circuit(0.0)
     if blocked_arm not in _BLOCKED_ARMS:
         raise ValueError("blocked_arm must be 'a', 'b', or None")
-    return _parsed(_BLOCKED.format(**_BLOCKED_ARMS[blocked_arm])).with_shifts({})
+    return _parsed(_BLOCKED.format(**_BLOCKED_ARMS[blocked_arm]))
 
 
 def bghz_left_circuit(alpha: float) -> Circuit:
-    return _parsed(_BGHZ_LEFT).with_shifts({"shift_a": alpha})
+    return _parsed(_BGHZ_LEFT.format(alpha=repr(float(alpha))))
 
 
 def bghz_right_circuit(beta: float, *, arm_phase: float = 0.0) -> Circuit:
     """Right half; ``arm_phase`` desymmetrizes the plain arm when nonzero."""
-    structure = _parsed(_BGHZ_RIGHT.format(arm_phase=repr(float(arm_phase))))
-    return structure.with_shifts({"shift_b": beta})
+    return _parsed(_BGHZ_RIGHT.format(beta=repr(float(beta)), arm_phase=repr(float(arm_phase))))
 
 
 # -- experiment runners -------------------------------------------------------
@@ -186,11 +185,6 @@ def mach_zehnder_points(points: Sequence[tuple[float, int | None]], engine: str 
     return list(_distributions(engine, amps, params))
 
 
-def run_mach_zehnder(alpha: float, engine: str = ENGINE_STREAMS, *, theta: float = 0.0,
-                     seed: int | None = None) -> OutcomeDistribution:
-    return mach_zehnder_points([(alpha, seed)], engine, theta=theta)[0]
-
-
 def wheeler_points(points: Sequence[tuple[float, int | None]], peek: bool,
                    engine: str = ENGINE_STREAMS) -> list[OutcomeDistribution]:
     """The delayed-choice bench at each (alpha, seed) point; ``peek`` marks
@@ -209,11 +203,6 @@ def wheeler_points(points: Sequence[tuple[float, int | None]], peek: bool,
             for arm in ("a", "b")]
     return [OutcomeDistribution({out: a.outcomes[out] + b.outcomes[out] for out in ("u", "d")},
                                 engine, p) for p, a, b in zip(params, *arms)]
-
-
-def run_wheeler(alpha: float, peek: bool, engine: str = ENGINE_STREAMS, *,
-                seed: int | None = None) -> OutcomeDistribution:
-    return wheeler_points([(alpha, seed)], peek, engine)[0]
 
 
 def run_ifm(
@@ -277,11 +266,6 @@ def bghz_points(points: Sequence[tuple[float, float, int | None]],
     params = [{"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
                "seed": seed, "rng": RNG_NAME} for alpha, beta, seed in points]
     return list(_distributions(engine, _bghz_joints(points, clocks, engine), params))
-
-
-def run_bghz(alpha: float, beta: float, engine: str = ENGINE_STREAMS, *,
-             seed: int | None = None) -> OutcomeDistribution:
-    return bghz_points([(alpha, beta, seed)], engine)[0]
 
 
 # -- sampling -----------------------------------------------------------------
@@ -392,8 +376,3 @@ def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
         reports.append(ChshReport(tuple(angles), correlations, s_value, abs(s_value) > 2.0,
                                   engine, shots, seed))
     return reports
-
-
-def chsh(a: float, a_prime: float, b: float, b_prime: float, engine: str = ENGINE_STREAMS, *,
-         shots: int | None = None, seed: int | None = None) -> ChshReport:
-    return chsh_points([((a, a_prime, b, b_prime), seed)], engine, shots=shots)[0]

@@ -4,11 +4,12 @@ Nothing here runs in a command.  ``enumerate_paths`` walks a circuit's
 routes afresh into Path objects, and ``path_amplitude`` evaluates one of
 them step by step on a PathClock; the stream engine's path table must
 match both bit for bit.  ``render_circuit`` writes a circuit back to the
-text format and ``circuits_equal`` compares two circuits, for round trips.
+text format and ``circuits_equal`` compares two circuits, for round trips;
+``reshifted`` builds a circuit anew with other phase-shifter values.
 ``row_amplitudes`` reads the stream engine's amplitude of each table row.
 ``bghz_streams``, ``stream_arms`` and ``hilbert_arms`` build the per-arm
-inputs that experiments.pair_amplitudes pairs, as run_bghz builds them, and
-``pair_clock`` is the clock that run_bghz draws from a seed.
+inputs that experiments.pair_amplitudes pairs, as bghz_points builds them,
+and ``pair_clock`` is the clock that bghz_points draws from a seed.
 For the lattice propagator, ``dense_kernel`` is the one-step kernel as a
 matrix and ``split_operator_values`` an independent second-order oracle.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from shadowsim import hilbert
 from shadowsim.angles import canonical_angle
-from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths
+from shadowsim.circuit import REFLECTION_TURN, Circuit, Element, ElementType, compile_paths
 from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit
 from shadowsim.rng import make_rng
 from shadowsim.streams import INV_SQRT2, _table_amplitudes, terminal_amplitudes
@@ -141,6 +142,13 @@ def circuits_equal(a: Circuit, b: Circuit) -> bool:
     return elements(a) == elements(b) and links(a) == links(b)
 
 
+def reshifted(circuit: Circuit, shifts: dict[str, float]) -> Circuit:
+    """A new Circuit with the same links whose phase shifters named in
+    ``shifts`` are built anew at those values."""
+    shifters = {eid: Element(ElementType.PHASESHIFTER, shift=s) for eid, s in shifts.items()}
+    return Circuit({**circuit.elements, **shifters}, circuit.links)
+
+
 def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) -> list[complex]:
     """The stream engine's amplitude of each row of ``source``'s path table,
     in table order, under ``clock`` at the circuit's own shifts."""
@@ -153,13 +161,13 @@ def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) ->
 
 
 def pair_clock(seed: int) -> float:
-    """The one clock that run_bghz draws from ``seed`` for both daughters."""
+    """The one clock that bghz_points draws from ``seed`` for both daughters."""
     return float(make_rng(seed).uniform(0.0, 2.0 * math.pi))
 
 
 def bghz_streams(alpha, beta, *, seed, arm_phase=0.0):
     """Both bghz daughters' terminal sums per source arm, under the one clock
-    that run_bghz draws from ``seed``; ``arm_phase`` desymmetrizes the right
+    that bghz_points draws from ``seed``; ``arm_phase`` desymmetrizes the right
     side's plain arm."""
     clock = pair_clock(seed)
     return (stream_arms(bghz_left_circuit(alpha), clock),

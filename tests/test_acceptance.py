@@ -13,12 +13,12 @@ from shadowsim import hilbert, pathintegral
 from shadowsim.checks import _congruence_deviations
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
-    chsh,
+    bghz_points,
+    chsh_points,
     mach_zehnder_circuit,
-    run_bghz,
+    mach_zehnder_points,
     run_ifm,
-    run_mach_zehnder,
-    run_wheeler,
+    wheeler_points,
 )
 from shadowsim.streams import initial_clocks, terminal_amplitudes
 from reference import bghz_streams
@@ -37,7 +37,7 @@ def test_criterion_01_interferometer_law():
     worst = 0.0
     for alpha in np.linspace(0.0, 2 * math.pi, 64):
         for engine in ("streams", "hilbert"):
-            dist = run_mach_zehnder(float(alpha), engine, seed=1)
+            dist = mach_zehnder_points([(float(alpha), 1)], engine)[0]
             worst = max(
                 worst,
                 abs(dist.probability("u") - math.cos(alpha / 2) ** 2),
@@ -85,10 +85,10 @@ def test_criterion_03_pair_joint_law():
                 ("d", "u'"): 0.5 * math.sin(half) ** 2,
             }
             for engine in ("streams", "hilbert"):
-                dist = run_bghz(float(alpha), float(beta), engine, seed=3)
+                dist = bghz_points([(float(alpha), float(beta), 3)], engine)[0]
                 for key, p in want.items():
                     worst = max(worst, abs(dist.probability(key) - p))
-        equal = run_bghz(float(alpha), float(alpha), "streams", seed=3)
+        equal = bghz_points([(float(alpha), float(alpha), 3)], "streams")[0]
         correlation = max(
             correlation,
             equal.probability(("u", "d'")),
@@ -118,10 +118,10 @@ def test_criterion_05_bell_violation():
     angles = (0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
     exact_err = 0.0
     for engine in ("streams", "hilbert"):
-        report = chsh(*angles, engine)
+        report = chsh_points([(angles, None)], engine)[0]
         exact_err = max(exact_err, abs(report.s_value - S_MAX))
     shots = 1_000_000
-    mc = chsh(*angles, "streams", shots=shots, seed=20260814)
+    mc = chsh_points([(angles, 20260814)], "streams", shots=shots)[0]
     sigma_s = 2.0 / math.sqrt(shots)
     mc_ok = mc.s_value >= 2.4 and abs(mc.s_value - S_MAX) <= 4 * sigma_s
     elapsed = time.perf_counter() - start
@@ -153,13 +153,13 @@ def test_criterion_07_delayed_choice():
     worst_plain = 0.0
     for alpha in np.linspace(0.0, 2 * math.pi, 64):
         for engine in ("streams", "hilbert"):
-            peeked = run_wheeler(float(alpha), True, engine, seed=2)
+            peeked = wheeler_points([(float(alpha), 2)], True, engine)[0]
             worst_peek = max(
                 worst_peek,
                 abs(peeked.probability("u") - 0.5),
                 abs(peeked.probability("d") - 0.5),
             )
-            plain = run_wheeler(float(alpha), False, engine, seed=2)
+            plain = wheeler_points([(float(alpha), 2)], False, engine)[0]
             worst_plain = max(
                 worst_plain, abs(plain.probability("u") - math.cos(alpha / 2) ** 2)
             )

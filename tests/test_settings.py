@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowsim import hilbert
-from shadowsim.circuit import CircuitValidationError, ElementType, parse_circuit
+from shadowsim.circuit import CircuitValidationError, Element, ElementType, parse_circuit
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit, mach_zehnder_circuit
 from shadowsim.streams import terminal_amplitudes
+from reference import reshifted
 
 TWO_PI = 2.0 * math.pi
 SHIFTS = (-0.0, 0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), -1.0, -3 * math.pi, 1e300, -1e300)
@@ -70,7 +71,7 @@ def _structure_and_settings(draw):
 def test_each_setting_equals_its_one_setting_call(case):
     """Per setting, and per view (port=None and every port=k), the G-wide
     amplitudes equal under float.hex both the one-setting call and the
-    circuit that ``with_shifts`` derives, evaluated at its own shifts."""
+    circuit rebuilt with those shifts, evaluated at its own shifts."""
     circuit, shift_maps, clocks = case
     source = circuit.sole_source()
     for port in [None, *range(circuit.source_fanout(source))]:
@@ -78,7 +79,7 @@ def test_each_setting_equals_its_one_setting_call(case):
         states = list(hilbert.evolve_settings(circuit, shift_maps, port=port))
         assert len(streams) == len(states) == len(shift_maps)
         for shifts, clock, got, state in zip(shift_maps, clocks, streams, states):
-            derived = circuit.with_shifts(shifts)
+            derived = reshifted(circuit, shifts)
             (one,) = terminal_amplitudes(circuit, [(shifts, clock)], port=port)
             (built,) = terminal_amplitudes(derived, [({}, clock)], port=port)
             assert _bits(got) == _bits(one) == _bits(built)
@@ -99,10 +100,51 @@ def test_a_shift_of_two_pi_is_zero_on_both_engines():
     assert _bits(zero.amplitudes) == _bits(two_pi.amplitudes)
 
 
-@pytest.mark.parametrize("bad", [{"bs1": 1.0}, {"nowhere": 1.0}])
+@pytest.mark.parametrize(
+    "bad", [{"bs1": 1.0}, {"nowhere": 1.0}, {"src": 1.0}, {"m_a": 1.0}, {"det_u": 1.0}]
+)
 def test_a_setting_that_names_no_phase_shifter_is_refused(bad):
     circuit = mach_zehnder_circuit(0.0)
     with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
         list(terminal_amplitudes(circuit, [(bad, 0.0)]))
     with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
         list(hilbert.evolve_settings(circuit, [bad]))
+
+
+@pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_setting_is_refused_as_construction_refuses(shift):
+    """A setting's shift is checked as an Element checks its own: a nan or
+    infinite shift is refused on both engines with the same message."""
+    with pytest.raises(ValueError, match="finite") as built:
+        Element(ElementType.PHASESHIFTER, shift=shift)
+    circuit = mach_zehnder_circuit(0.0)
+    with pytest.raises(ValueError, match="finite") as streams:
+        list(terminal_amplitudes(circuit, [({"shift_a": shift}, 0.0)]))
+    with pytest.raises(ValueError, match="finite") as state:
+        list(hilbert.evolve_settings(circuit, [{"shift_a": shift}]))
+    assert str(streams.value) == str(state.value) == str(built.value)
+
+
+BUILDERS = (
+    (lambda a: mach_zehnder_circuit(a, 0.7), "shift_a"),
+    (bghz_left_circuit, "shift_a"),
+    (lambda a: bghz_right_circuit(a, arm_phase=-1.1), "shift_b"),
+)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.0, TWO_PI, 0.9, 1e300])
+@pytest.mark.parametrize("build, shifter", BUILDERS, ids=["mz", "bghz-left", "bghz-right"])
+def test_a_shift_in_the_bench_text_equals_it_as_a_setting(build, shifter, alpha):
+    """A builder writes its shift into the bench text as repr(float(x));
+    that structure at its own shift gives, under float.hex, the bits of the
+    structure built at 0 with the shift given as a setting, on both engines
+    and in every view."""
+    written, structure = build(alpha), build(0.0)
+    source = structure.sole_source()
+    for port in [None, *range(structure.source_fanout(source))]:
+        (own,) = terminal_amplitudes(written, [({}, 1.3)], port=port)
+        (given,) = terminal_amplitudes(structure, [({shifter: alpha}, 1.3)], port=port)
+        assert _bits(own) == _bits(given)
+        whole = hilbert.evolve_circuit(written, port=port)
+        (state,) = hilbert.evolve_settings(structure, [{shifter: alpha}], port=port)
+        assert _bits(whole.amplitudes) == _bits(state.amplitudes)

@@ -20,7 +20,6 @@ from shadowsim.experiments import (
     ifm_circuit,
     mach_zehnder_circuit,
     pair_amplitudes,
-    run_bghz,
 )
 from shadowsim.checks import _congruence_deviations
 from shadowsim.rng import make_rng
@@ -31,6 +30,7 @@ from reference import (
     enumerate_paths,
     pair_clock,
     path_amplitude,
+    reshifted,
     row_amplitudes,
 )
 
@@ -345,7 +345,7 @@ def test_turns_lie_in_one_turn_and_no_row_starts_at_negative_zero(shifts, clock)
     one subtraction of 2pi: every turn it adds lies in [0, 2pi), and the
     reduction that starts a row (canonical_angle's steps on the reduced
     clock plus non-negative link phases) never returns -0.0."""
-    circuit = parse_circuit(TWO_SHIFTER_TEXT).with_shifts({"p": shifts[0], "q": shifts[1]})
+    circuit = reshifted(parse_circuit(TWO_SHIFTER_TEXT), {"p": shifts[0], "q": shifts[1]})
     table = compile_paths(circuit)
     for advances in _decoded_advances(table):
         for advance in advances:
@@ -399,7 +399,7 @@ def test_unitarity_on_random_circuits(seed):
 
 def test_pair_daughters_share_one_clock(monkeypatch):
     """bghz_points evaluates both daughters, arm by arm, under the one clock
-    each point's seed draws; run_bghz is its one-point case."""
+    each point's seed draws, one point or several."""
     clocks = []
 
     def recording(circuit, pairs, *args, **kwargs):
@@ -408,7 +408,7 @@ def test_pair_daughters_share_one_clock(monkeypatch):
         return terminal_amplitudes(circuit, pairs, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "terminal_amplitudes", recording)
-    run_bghz(0.2, 1.0, "streams", seed=5)
+    experiments.bghz_points([(0.2, 1.0, 5)], "streams")
     drawn = [float(make_rng(seed).uniform(0.0, 2.0 * math.pi)) for seed in (5, 6)]
     assert clocks == [drawn[:1]] * 4  # two sides, two arms each
     clocks.clear()

@@ -12,8 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "argv",
-    [["run", "mz", "--alpha", "1"], ["check", "--corpus-cases", "1", "--shots", "1000"]],
-    ids=["run-mz", "check"],
+    [
+        ["run", "mz", "--alpha", "1"],
+        ["sweep", "mz", "--grid", "0:2pi:5", "--engine", "both", "--seed", "7"],
+        ["check", "--corpus-cases", "1", "--shots", "1000"],
+    ],
+    ids=["run-mz", "sweep-mz", "check"],
 )
 def test_traced_cli_run_exits_zero_with_its_health_values(tmp_path, argv):
     record, stdout = tmp_path / "record.json", tmp_path / "stdout.txt"
