@@ -505,6 +505,14 @@ def test_a_builder_writes_its_shift_into_the_structure():
     assert circuits_equal(parse_circuit(render_circuit(derived)), derived)
 
 
+@pytest.mark.parametrize("eid", ["src", "bs1", "m_a", "det_u", "nowhere"])
+def test_with_shifts_refuses_an_element_that_is_not_a_shifter(eid):
+    """A circuit run with shifts given as a setting takes them only for its
+    phase shifters: any other element, or an id it lacks, is refused."""
+    with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
+        mach_zehnder_circuit(0.3).shift_values({eid: 1.0})
+
+
 def test_compile_paths_walks_once_per_structure(monkeypatch):
     walks = []
     walk = circuit_module._walk_paths
