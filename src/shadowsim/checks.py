@@ -139,7 +139,7 @@ def check_congruence() -> CheckResult:
 
     def arms(structure, shifter):
         settings = [({shifter: shift}, clock) for shift in grid]
-        return list(zip(*(terminal_amplitudes(structure, settings, port=k) for k in (0, 1))))
+        return list(zip(*(terminal_amplitudes(structure.arm(k), settings) for k in (0, 1))))
 
     lefts = arms(bghz_left_circuit(0.0), "shift_a")
     rights = arms(bghz_right_circuit(0.0), "shift_b")

@@ -24,7 +24,7 @@ import enum
 import math
 import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import cycle
 from operator import attrgetter
 from typing import Any, Callable, Hashable
@@ -171,6 +171,16 @@ class Circuit:
             self._compiled[key] = build()
         return self._compiled[key]
 
+    def arm(self, k: int) -> Circuit:
+        """The circuit fed by arm ``k`` of the sole source alone: every element
+        kept, the source's other links dropped, arm k's link moved to port 0
+        with its phase.  An arm that does not exist leaves the source emitting
+        into nothing, which validation refuses."""
+        source = self.sole_source()
+        return self.compiled(("arm", k), lambda: Circuit(self.elements, [
+            replace(link, src_port=0) if link.src == source else link
+            for link in self.links if link.src != source or link.src_port == k]))
+
     # -- structure queries ------------------------------------------------
 
     def out_link(self, eid: str, port: int) -> Link | None:
@@ -185,7 +195,7 @@ class Circuit:
         return sum(map(len, self._successors[eid].values()))
 
     def sole_source(self) -> str:
-        """The source to use when the caller names none."""
+        """The circuit's one source; both engines emit from it alone."""
         if len(self.sources) != 1:
             raise CircuitValidationError(
                 f"circuit has {len(self.sources)} sources ({', '.join(self.sources)}); "
@@ -432,25 +442,14 @@ def _parse_kind(token: str, lineno: int, col: int) -> Element:
 
 # -- path tables -----------------------------------------------------------
 
-def _resolve_source(circuit: Circuit, source: str | None) -> str:
-    if source is None:
-        return circuit.sole_source()
-    if source not in circuit.elements:
-        raise CircuitValidationError(f"unknown source {source!r}")
-    if circuit.elements[source].kind is not ElementType.SOURCE:
-        raise CircuitValidationError(f"{source} is not a source")
-    return source
-
-
-def count_paths(circuit: Circuit, source: str | None = None) -> int:
-    """Number of source-to-terminal routes, counted without walking them.
+def count_paths(circuit: Circuit) -> int:
+    """Routes from the sole source to a terminal, counted without walking them.
 
     One pass over the topological order adds each element's route count to
     every element its outputs feed; the count is exact however large.
     """
-    source = _resolve_source(circuit, source)
     counts = dict.fromkeys(circuit.topo_order, 0)
-    counts[source] = 1
+    counts[circuit.sole_source()] = 1
     for eid in circuit.topo_order:
         for dst, links in circuit._successors[eid].items():
             counts[dst] += counts[eid] * len(links)
@@ -459,7 +458,7 @@ def count_paths(circuit: Circuit, source: str | None = None) -> int:
 
 @dataclass(frozen=True)
 class PathTable:
-    """Every route of one source, one row per route, in the order of their
+    """Every route of the sole source, one row per route, in the order of their
     element-id sequences; routes with one sequence keep the order of a
     depth-first walk that takes output port 0 first.
 
@@ -469,9 +468,9 @@ class PathTable:
     advance: a phase shifter's code, the rank of its id among the sorted
     ``element_ids`` (``element_ids[ord(c)]``), or ``chr(len(element_ids))``
     for a splitter reflection (a REFLECTION_TURN), equal strings being one
-    object; the number of splitter ``crossings``; the terminal the route
-    ends at; and the source port it leaves through.  No column holds a shift
-    value, so one table serves every setting the structure is evaluated at.
+    object; the number of splitter ``crossings``; and the terminal the route
+    ends at.  No column holds a shift value, so one table serves every
+    setting the structure is evaluated at.
     """
 
     source: str
@@ -480,35 +479,33 @@ class PathTable:
     advances: tuple[str, ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
-    source_ports: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.terminals)
 
 
-def compile_paths(circuit: Circuit, source: str | None = None) -> PathTable:
-    """Walk every route from ``source`` once and tabulate it.
+def compile_paths(circuit: Circuit) -> PathTable:
+    """Walk every route from the sole source once and tabulate it.
 
     The walker branches at every beamsplitter (both output ports) and at the
     source (every emission port).  The circuit being a DAG with single-linked
     output ports guarantees termination and uniqueness.  A circuit with more
     than MAX_PATHS routes is refused before the walk.  The table is walked
-    once per circuit structure and source, then shared.
+    once per circuit structure, then shared.
     """
-    source = _resolve_source(circuit, source)
-    return circuit.compiled(("paths", source), lambda: _walk_paths(circuit, source))
+    return circuit.compiled("paths", lambda: _walk_paths(circuit, circuit.sole_source()))
 
 
 def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     """Depth first over element sequences, destinations in id order, so the
     rows come out in table order.  A bundle holds the routes of one element
     sequence: the in-ports its members cycle through, then per member a
-    phase, advances and source port (-1 for the source's lone member).  Each
-    advance string is extended by a code once per walk, through a memo per
-    code, so equal strings are one object.  The geometric phases go straight
-    into an array; the other columns become tuples one at a time, each list
-    emptied once it is copied, so the table is never held twice."""
-    total = count_paths(circuit, source)
+    phase and advances.  Each advance string is extended by a code once per
+    walk, through a memo per code, so equal strings are one object.  The
+    geometric phases go straight into an array; the other columns become
+    tuples one at a time, each list emptied once it is copied, so the table
+    is never held twice."""
+    total = count_paths(circuit)
     if total > MAX_PATHS:
         raise CircuitValidationError(
             f"source {source} has {total} paths, more than the limit of {MAX_PATHS}"
@@ -520,14 +517,14 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                 if kinds[eid] is shifter_kind}
     reflected = _Extensions(chr(len(element_ids)))
     geometric_phases = array("d")
-    columns: tuple[list, ...] = ([], [], [], [])
-    stack: list[tuple] = [(source, 0, (-1,), [0.0], [""], [-1])]
+    columns: tuple[list, ...] = ([], [], [])
+    stack: list[tuple] = [(source, 0, (-1,), [0.0], [""])]
     while stack:
-        eid, crossings, in_ports, phases, advances, ports = stack.pop()
+        eid, crossings, in_ports, phases, advances = stack.pop()
         groups, n = circuit._successors[eid], len(phases)
         if not groups:  # only terminals have no outputs
             geometric_phases.extend(phases)
-            finished = (advances, [crossings] * n, [eid] * n, ports)
+            finished = (advances, [crossings] * n, [eid] * n)
             for column, values in zip(columns, finished):
                 column += values
             continue
@@ -543,17 +540,14 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                 stack.append((dst, crossings, (link.dst_port,),
                     [p + link.phase for p in phases],
                     advances if not splitter or in_ports == (out,) else
-                    [reflected[a] if ip != out else a for a, ip in zip(advances, cycle(in_ports))],
-                    [out] if eid == source else ports))
+                    [reflected[a] if ip != out else a for a, ip in zip(advances, cycle(in_ports))]))
                 continue
             # Several links into one element: each member's children, in port order.
             stack.append((dst, crossings, tuple(link.dst_port for link in links),
                 [p + link.phase for p in phases for link in links],
                 [reflected[a] if splitter and ip != link.src_port else a
-                 for a, ip in zip(advances, cycle(in_ports)) for link in links],
-                [link.src_port for link in links] if eid == source
-                else [port for port in ports for _ in links]))
-    del phases, advances, ports  # the last bundle's, already in the columns
+                 for a, ip in zip(advances, cycle(in_ports)) for link in links]))
+    del phases, advances  # the last bundle's, already in the columns
     return PathTable(source, element_ids, geometric_phases, *_frozen(columns))
 
 

@@ -764,8 +764,8 @@ def _cmd_propagate(args: argparse.Namespace, config: dict) -> int:
     times = values["times"]
     if eps is None:
         raise ConfigError("propagate needs --eps")
-    if steps is None and times is None:
-        raise ConfigError("propagate needs --steps or --times")
+    if (steps is None) == (times is None):
+        raise ConfigError("propagate needs --steps or --times, but not both")
     if steps is not None and steps < 0:
         raise ConfigError(f"steps must be a whole number >= 0, got {steps!r}")
 

@@ -151,14 +151,14 @@ def _clocks(engine: str, seeds: list) -> list:
     return initial_clocks(seeds) if engine == ENGINE_STREAMS else [None] * len(seeds)
 
 
-def _amplitudes(circuit: Circuit, engine: str, shift_maps: Iterable[dict], clocks: list,
-                port: int | None = None) -> Iterator[dict[str, complex]]:
-    """Terminal amplitudes of one circuit structure at each point's shifts,
-    each made as it is read."""
+def _amplitudes(circuit: Circuit, engine: str, shift_maps: Iterable[dict], clocks: list
+                ) -> Iterator[dict[str, complex]]:
+    """Terminal amplitudes of one emission of a circuit structure at each
+    point's shifts, each made as it is read."""
     _require_engine(engine)
     if engine == ENGINE_HILBERT:
-        return (e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps, port=port))
-    return terminal_amplitudes(circuit, zip(shift_maps, clocks), port=port)
+        return (e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps))
+    return terminal_amplitudes(circuit, zip(shift_maps, clocks))
 
 
 def _distributions(engine: str, amplitude_maps, params: Iterable[dict]
@@ -223,11 +223,12 @@ def pair_amplitudes(
 ) -> dict[Outcome, complex]:
     """Joint (left, right) terminal amplitudes of a correlated pair.
 
-    Each side gives one terminal-amplitude dict per source arm, evolved from
-    that arm alone.  The source sends both daughters out through matching
-    arm indices in an equal superposition over the arms, so arm k pairs with
-    arm k and the sum carries 1/sqrt(arms) (Bernstein, Greenberger, Horne &
-    Zeilinger, PRA 47, 78 (1993)).
+    Each side gives one terminal-amplitude dict per source arm, that of the
+    side's circuit fed by that arm alone (Circuit.arm).  The source sends both
+    daughters out through matching arm indices in an equal superposition
+    over the arms, so arm k pairs with arm k and the sum carries
+    1/sqrt(arms) (Bernstein, Greenberger, Horne & Zeilinger, PRA 47, 78
+    (1993)).
     """
     if len(left_arms) != len(right_arms):
         raise ValueError("both sides of a pair need the same number of source arms")
@@ -251,8 +252,8 @@ def _bghz_joints(settings: Sequence[tuple], clocks: list, engine: str
     def side(structure: Circuit, shifter: str, i: int) -> Iterator[tuple]:
         """One daughter's amplitudes per setting, one dict per source arm."""
         arms = range(structure.source_fanout(structure.sole_source()))
-        return zip(*[_amplitudes(structure, engine, ({shifter: s[i]} for s in settings), clocks,
-                                 port=k) for k in arms])
+        return zip(*[_amplitudes(structure.arm(k), engine, ({shifter: s[i]} for s in settings),
+                                 clocks) for k in arms])
 
     return map(pair_amplitudes, side(bghz_left_circuit(0.0), "shift_a", 0),
                side(bghz_right_circuit(0.0), "shift_b", 1))

@@ -14,9 +14,10 @@ scatters as
 
 so two splitters wired port to matched port return the input times i.  A
 one-port element moves the amplitude onto its output link times
-exp(i(link phase + its shift)).  evolve_settings evolves one structure at
-a sequence of shift maps; ``port=k`` evolves source arm k alone, the view
-experiments.pair_amplitudes pairs across the two daughters of a pair.
+exp(i(link phase + its shift)).  evolve_settings evolves one emission of a
+structure at a sequence of shift maps.  Source arm k alone is the circuit
+Circuit.arm(k), the view experiments.pair_amplitudes pairs across the two
+daughters of a pair.
 """
 
 from __future__ import annotations
@@ -84,27 +85,20 @@ def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
     return steps, terminals, index
 
 
-def evolve_settings(circuit: Circuit, shift_maps, source: str | None = None, *,
-                    port: int | None = None) -> Iterator[CircuitEvolution]:
+def evolve_settings(circuit: Circuit, shift_maps) -> Iterator[CircuitEvolution]:
     """Propagate one particle through the circuit by per-element unitaries,
     once per shift map, laid over the circuit's own by Circuit.shift_values;
     each evolution is made as it is read.
 
-    With ``port=None`` a multi-port source emits an equal-weight
-    superposition over its arms; ``port=k`` starts from arm k alone with
-    weight 1.  Link pathlength phases apply at emission onto the link.
+    The sole source emits an equal-weight superposition over its arms, each
+    amplitude divided by sqrt(fanout).  Link pathlength phases apply at
+    emission onto the link.
     """
-    if source is None:
-        source = circuit.sole_source()
+    source = circuit.sole_source()
     steps, terminals, index = circuit.compiled("hilbert", lambda: _schedule(circuit))
     fanout = circuit.source_fanout(source)
-    initial: dict[int, complex] = {}
-    for arm in range(fanout) if port is None else [port]:
-        link = circuit.out_link(source, arm)
-        if link is None:
-            raise ValueError(f"source {source} has no arm {arm}")
-        amp = cmath.exp(1j * link.phase)
-        initial[index[link]] = amp / math.sqrt(fanout) if port is None else amp
+    links = [circuit.out_link(source, arm) for arm in range(fanout)]
+    initial = {index[link]: cmath.exp(1j * link.phase) / math.sqrt(fanout) for link in links}
     initial_drift = _drift(initial)
     for shifts in shift_maps:
         shift = circuit.shift_values(shifts)
@@ -123,7 +117,6 @@ def evolve_settings(circuit: Circuit, shift_maps, source: str | None = None, *,
         yield CircuitEvolution({k: state.get(i, 0j) for k, i in terminals}, max_drift)
 
 
-def evolve_circuit(circuit: Circuit, source: str | None = None, *,
-                   port: int | None = None) -> CircuitEvolution:
+def evolve_circuit(circuit: Circuit) -> CircuitEvolution:
     """evolve_settings at the circuit's own shifts."""
-    return next(evolve_settings(circuit, [{}], source, port=port))
+    return next(evolve_settings(circuit, [{}]))

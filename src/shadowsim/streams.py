@@ -18,12 +18,13 @@ tracked by a path clock, and 1/sqrt(2) per crossing:
     shared initial clock value     -> factor exp(i*clock), once per path
 
 Amplitudes of paths within one stream add; amplitudes of distinct streams
-never add, they only multiply when a joint event needs both.  ``port=k``
-sums the rows that leave the source through arm k, which is the view
-experiments.pair_amplitudes multiplies across the two daughters of a pair.
-The clock is represented by its phase alone, so its modulus cannot drift.
-The initial clock value is uniform random per emission and drops out of
-every probability.  Every result is read from the table's columns.
+never add, they only multiply when a joint event needs both.  A source with
+several arms emits one stream over all of them; the stream of one arm alone
+is that of the circuit Circuit.arm(k), the view experiments.pair_amplitudes
+multiplies across the two daughters of a pair.  The clock is represented by
+its phase alone, so its modulus cannot drift.  The initial clock value is
+uniform random per emission and drops out of every probability.  Every
+result is read from the table's columns.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import cmath
 import math
 from collections.abc import Iterable, Iterator
 from functools import reduce
-from itertools import compress, groupby, islice
+from itertools import groupby, islice
 from operator import add, countOf
 
 from .angles import canonical_angle
@@ -50,10 +51,10 @@ def initial_clocks(seeds: Iterable[int | None]) -> list[float]:
     return uniform_draws(seeds, 2.0 * math.pi)
 
 
-def _table_amplitudes(circuit: Circuit, table: PathTable, port: int | None, settings):
+def _table_amplitudes(circuit: Circuit, table: PathTable, settings):
     """Per setting, a shift map over the circuit's own and an initial clock,
-    an iterator over arm ``port``'s row amplitudes (every row's for None),
-    each made as it is read, so no list of them is held."""
+    an iterator over the row amplitudes, each made as it is read, so no list
+    of them is held."""
     elements = circuit.elements
     shifters = [(chr(rank), eid) for rank, eid in enumerate(table.element_ids)
                 if elements[eid].kind is ElementType.PHASESHIFTER]
@@ -64,11 +65,11 @@ def _table_amplitudes(circuit: Circuit, table: PathTable, port: int | None, sett
         values = {**own, **circuit.shift_values(shifts)}
         turns = {code: values[eid] for code, eid in shifters}
         turns[reflection] = REFLECTION_TURN
-        yield _row_amplitudes(table, port, canonical_angle(initial_clock), turns, magnitudes)
+        yield _row_amplitudes(table, canonical_angle(initial_clock), turns, magnitudes)
 
 
-def _row_amplitudes(table: PathTable, port: int | None, start: float, turns, magnitudes):
-    """Arm ``port``'s row amplitudes from the clock ``start`` in [0, 2pi).
+def _row_amplitudes(table: PathTable, start: float, turns, magnitudes):
+    """The row amplitudes from the clock ``start`` in [0, 2pi).
     A row's clock starts at start plus its geometric phase, reduced to
     [0, 2pi) by canonical_angle's own steps; Circuit._validate keeps the sum
     finite, so its test is not repeated per row.  After each advance 2pi is
@@ -77,10 +78,7 @@ def _row_amplitudes(table: PathTable, port: int | None, start: float, turns, mag
     is exact, which is fmod's remainder bit for bit.  cmath.rect gives the
     bits of complex(cos, sin) * magnitude."""
     rect, fmod, tau = cmath.rect, math.fmod, 2.0 * math.pi
-    rows = zip(table.geometric_phases, table.advances, table.crossings)
-    if port is not None:
-        rows = compress(rows, map(port.__eq__, table.source_ports))
-    for phase, advances, crossings in rows:
+    for phase, advances, crossings in zip(table.geometric_phases, table.advances, table.crossings):
         clock = fmod(start + phase, tau)
         if clock < 0.0:
             clock += tau
@@ -93,42 +91,37 @@ def _row_amplitudes(table: PathTable, port: int | None, start: float, turns, mag
         yield rect(magnitudes[crossings], clock)
 
 
-def _terminal_sums(circuit: Circuit, table: PathTable, port: int | None, row_sets):
-    """Per iterator over arm ``port``'s row amplitudes, the terminal
-    amplitudes, each folded left to right from 0j over its rows in table
-    order.  The rows of one bundle share a terminal, so the rows are split
-    once per call into runs of consecutive rows with one terminal, counted
-    without being copied, and each run is folded onto its terminal's sum in
-    turn as its rows are read."""
+def _terminal_sums(circuit: Circuit, table: PathTable, row_sets):
+    """Per iterator over the row amplitudes, the terminal amplitudes, each
+    folded left to right from 0j over its rows in table order.  The rows of
+    one bundle share a terminal, so the rows are split once per call into
+    runs of consecutive rows with one terminal, counted without being copied,
+    and each run is folded onto its terminal's sum in turn as its rows are
+    read."""
     keys = dict(zip(circuit.terminals, circuit.terminal_keys()))
-    terminals = (table.terminals if port is None
-                 else compress(table.terminals, map(port.__eq__, table.source_ports)))
-    runs = [(keys[terminal], countOf(run, terminal)) for terminal, run in groupby(terminals)]
+    runs = [(keys[terminal], countOf(run, terminal)) for terminal, run in groupby(table.terminals)]
     fanout = circuit.source_fanout(table.source)
     for rows in row_sets:
         sums = dict.fromkeys(keys.values(), 0j)
         for key, n in runs:
             sums[key] = reduce(add, islice(rows, n), sums[key])
-        if port is None and fanout > 1:
+        if fanout > 1:
             sums = {key: amp / math.sqrt(fanout) for key, amp in sums.items()}
         yield sums
 
 
-def terminal_amplitudes(circuit: Circuit, settings, source: str | None = None, *,
-                        port: int | None = None) -> Iterator[dict[str, complex]]:
-    """Amplitude per terminal, blockers included, unreached ones 0, at each
-    of ``settings`` (shift map, initial clock), each made as it is read, rows
-    added one by one in table order (builtin sum compensates from Python
-    3.12).  With ``port=None`` a source with several arms emits an
-    equal-weight superposition over them, so the sums carry 1/sqrt(fanout);
-    ``port=k`` sums arm k's rows alone with weight 1, as
+def terminal_amplitudes(circuit: Circuit, settings) -> Iterator[dict[str, complex]]:
+    """Amplitude per terminal, blockers included, unreached ones 0, of one
+    emission at each of ``settings`` (shift map, initial clock), each made as
+    it is read, rows added one by one in table order (builtin sum compensates
+    from Python 3.12).  A source with several arms emits an equal-weight
+    superposition over them, so the sums carry 1/sqrt(fanout), as
     hilbert.evolve_settings does."""
-    table = compile_paths(circuit, source)
-    row_sets = _table_amplitudes(circuit, table, port, settings)
-    return _terminal_sums(circuit, table, port, row_sets)
+    table = compile_paths(circuit)
+    return _terminal_sums(circuit, table, _table_amplitudes(circuit, table, settings))
 
 
 def unitarity_defect(amplitudes: dict[str, complex]) -> float:
     """|total probability - 1| of one emission's terminal amplitudes, as
-    terminal_amplitudes gives them with ``port=None``."""
+    terminal_amplitudes gives them."""
     return abs(sum(abs(amp) ** 2 for amp in amplitudes.values()) - 1.0)

@@ -8,8 +8,9 @@ text format and ``circuits_equal`` compares two circuits, for round trips;
 ``reshifted`` builds a circuit anew with other phase-shifter values.
 ``row_amplitudes`` reads the stream engine's amplitude of each table row.
 ``bghz_streams``, ``stream_arms`` and ``hilbert_arms`` build the per-arm
-inputs that experiments.pair_amplitudes pairs, as bghz_points builds them,
-and ``pair_clock`` is the clock that bghz_points draws from a seed.
+inputs that experiments.pair_amplitudes pairs, one emission of each
+Circuit.arm view, as bghz_points builds them, and ``pair_clock`` is the
+clock that bghz_points draws from a seed.
 For the lattice propagator, ``dense_kernel`` is the one-step kernel as a
 matrix and ``split_operator_values`` an independent second-order oracle.
 """
@@ -53,13 +54,12 @@ class Path:
         return tuple(step[0] for step in self.steps)
 
 
-def enumerate_paths(circuit: Circuit, source: str | None = None) -> list[Path]:
-    """Every route from ``source`` (the sole source when None), walked depth
-    first with port 0 first, then sorted by element-id sequence with ties in
-    walk order: the row order of ``compile_paths``, which walks its rows in
-    bundles and needs no sort."""
-    if source is None:
-        source = circuit.sole_source()
+def enumerate_paths(circuit: Circuit) -> list[Path]:
+    """Every route from the sole source, walked depth first with port 0
+    first, then sorted by element-id sequence with ties in walk order: the
+    row order of ``compile_paths``, which walks its rows in bundles and
+    needs no sort."""
+    source = circuit.sole_source()
     outs: dict[str, list] = {eid: [] for eid in circuit.elements}
     for link in sorted(circuit.links, key=lambda link: link.src_port):
         outs[link.src].append(link)
@@ -149,11 +149,11 @@ def reshifted(circuit: Circuit, shifts: dict[str, float]) -> Circuit:
     return Circuit({**circuit.elements, **shifters}, circuit.links)
 
 
-def row_amplitudes(circuit: Circuit, clock: float, source: str | None = None) -> list[complex]:
-    """The stream engine's amplitude of each row of ``source``'s path table,
+def row_amplitudes(circuit: Circuit, clock: float) -> list[complex]:
+    """The stream engine's amplitude of each row of the circuit's path table,
     in table order, under ``clock`` at the circuit's own shifts."""
-    table = compile_paths(circuit, source)
-    (amplitudes,) = _table_amplitudes(circuit, table, None, [({}, clock)])
+    table = compile_paths(circuit)
+    (amplitudes,) = _table_amplitudes(circuit, table, [({}, clock)])
     return list(amplitudes)
 
 
@@ -177,13 +177,13 @@ def bghz_streams(alpha, beta, *, seed, arm_phase=0.0):
 def stream_arms(circuit: Circuit, clock: float) -> list[dict]:
     """Streams terminal sums per source arm under ``clock``, arm 0 first."""
     fanout = circuit.source_fanout(circuit.sole_source())
-    return [next(terminal_amplitudes(circuit, [({}, clock)], port=k)) for k in range(fanout)]
+    return [next(terminal_amplitudes(circuit.arm(k), [({}, clock)])) for k in range(fanout)]
 
 
 def hilbert_arms(circuit: Circuit) -> list[dict]:
     """Hilbert terminal amplitudes per source arm, arm 0 first."""
     fanout = circuit.source_fanout(circuit.sole_source())
-    return [hilbert.evolve_circuit(circuit, port=k).amplitudes for k in range(fanout)]
+    return [hilbert.evolve_circuit(circuit.arm(k)).amplitudes for k in range(fanout)]
 
 
 # -- lattice propagator --------------------------------------------------------

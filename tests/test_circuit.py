@@ -458,8 +458,8 @@ def _reference_circuits() -> list[Circuit]:
 
 
 def test_path_table_columns_agree_with_the_steps():
-    """Terminal, geometric phase, crossings and source port of every row
-    equal those of the reference walk's route in the same place."""
+    """Terminal, geometric phase and crossings of every row equal those of
+    the reference walk's route in the same place."""
     for circuit in _reference_circuits():
         table = compile_paths(circuit)
         paths = enumerate_paths(circuit)
@@ -469,7 +469,6 @@ def test_path_table_columns_agree_with_the_steps():
             assert table.terminals[row] == path.terminal
             assert table.geometric_phases[row] == path.geometric_phase
             assert table.crossings[row] == kinds.count(ElementType.BEAMSPLITTER)
-            assert table.source_ports[row] == path.steps[0][2]
 
 
 def test_count_paths_on_ladders_is_two_to_the_k(ladder_text):
@@ -526,7 +525,6 @@ def test_compile_paths_walks_once_per_structure(monkeypatch):
     circuit = Circuit(dict(circuit.elements), circuit.links)
     table = compile_paths(circuit)
     assert compile_paths(circuit) is table
-    assert compile_paths(circuit, "srcR") is table
     list(terminal_amplitudes(circuit, [({"shift_b": s}, 0.0) for s in (0.1, 2.0, 5.0)]))
     assert walks == ["srcR"]
     mz = mach_zehnder_circuit(0.0)
@@ -552,6 +550,44 @@ def test_every_advance_names_a_shifter_on_its_route_or_a_reflection():
             assert [ids[ord(code)] for code in advances] == expected
             shifters_seen += len(expected) - expected.count(None)
     assert shifters_seen > 0
+
+
+# A three-arm source: arm 1 carries a -0.0 link phase, arms 0 and 2 enter one
+# splitter, and arm 1 ends at a blocker.
+ARMS_TEXT = """\
+element s source
+element m mirror
+element b beamsplitter
+element u detector:u
+element d detector:d
+element k blocker
+link s:0 b:0 phase=1.2
+link s:1 m:0 phase=-0.0
+link s:2 b:1 phase=-2pi
+link m:0 k:0
+link b:0 d:0
+link b:1 u:0
+"""
+
+
+def test_an_arm_view_keeps_every_element_and_moves_its_link_to_port_0():
+    circuit = parse_circuit(ARMS_TEXT)
+    rest = [link for link in circuit.links if link.src != "s"]
+    for k in range(circuit.source_fanout("s")):
+        link = circuit.out_link("s", k)
+        arm = circuit.arm(k)
+        assert arm.elements == circuit.elements
+        (moved,) = [out for out in arm.links if out.src == "s"]
+        assert (moved.src_port, moved.dst, moved.dst_port) == (0, link.dst, link.dst_port)
+        assert moved.phase.hex() == link.phase.hex()
+        assert [out for out in arm.links if out.src != "s"] == rest
+        assert circuit.arm(k) is arm
+
+
+def test_an_arm_the_source_lacks_is_refused():
+    circuit = parse_circuit(ARMS_TEXT)
+    with pytest.raises(CircuitValidationError, match="emits into nothing"):
+        circuit.arm(circuit.source_fanout("s"))
 
 
 # -- generated corpus properties ---------------------------------------------------

@@ -528,6 +528,22 @@ def test_propagate_requires_a_time_axis(capsys):
     assert "--steps or --times" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("in_config", [[], ["steps"], ["times"], ["steps", "times"]],
+                         ids=["flags", "steps-in-config", "times-in-config", "both-in-config"])
+def test_propagate_refuses_steps_and_times_together(tmp_path, in_config, capsys):
+    """Given both, as flags or in the config file, --times would silently
+    override --steps; the run is refused with a message naming both."""
+    given = {"steps": 3, "times": [1.0]}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({key: given[key] for key in in_config}))
+    flags = {"steps": ["--steps", "3"], "times": ["--times", "1"]}
+    argv = ["propagate", "--eps", "0.5", "--config", str(cfg)]
+    argv += [flag for key in given if key not in in_config for flag in flags[key]]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--steps" in err and "--times" in err
+
+
 def test_one_row_wavefunction_file_is_a_config_error(tmp_path, capsys):
     psi = tmp_path / "one-row.psi"
     psi.write_text("0.0 1.0 0.0\n")

@@ -61,7 +61,7 @@ def test_state_vector_enforces_unit_norm(monkeypatch):
 
 
 def test_basis_state_and_missing_mode():
-    """port= starts from one arm alone; unreached terminals read 0."""
+    """An arm view starts from that arm alone; unreached terminals read 0."""
     body = {
         "a": Element(ElementType.DETECTOR, label="a"),
         "b": Element(ElementType.DETECTOR, label="b"),
@@ -69,7 +69,7 @@ def test_basis_state_and_missing_mode():
         "c": Element(ElementType.DETECTOR, label="never-there"),
     }
     links = [Link("src", 0, "a", 0), Link("src", 1, "b", 0), Link("idle", 0, "c", 0)]
-    amps = hilbert.evolve_circuit(_two_arm_circuit(body, links), port=0).amplitudes
+    amps = hilbert.evolve_circuit(_two_arm_circuit(body, links).arm(0)).amplitudes
     assert amps["a"] == 1.0
     assert amps["b"] == 0.0
     assert amps["never-there"] == 0.0

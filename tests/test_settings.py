@@ -69,22 +69,23 @@ def _structure_and_settings(draw):
 @settings(max_examples=200, deadline=None)
 @given(_structure_and_settings())
 def test_each_setting_equals_its_one_setting_call(case):
-    """Per setting, and per view (port=None and every port=k), the G-wide
-    amplitudes equal under float.hex both the one-setting call and the
-    circuit rebuilt with those shifts, evaluated at its own shifts."""
+    """Per setting, and per view (the whole circuit and every Circuit.arm),
+    the G-wide amplitudes equal under float.hex both the one-setting call
+    and the circuit rebuilt with those shifts, evaluated at its own shifts."""
     circuit, shift_maps, clocks = case
     source = circuit.sole_source()
     for port in [None, *range(circuit.source_fanout(source))]:
-        streams = list(terminal_amplitudes(circuit, list(zip(shift_maps, clocks)), port=port))
-        states = list(hilbert.evolve_settings(circuit, shift_maps, port=port))
+        view = circuit if port is None else circuit.arm(port)
+        streams = list(terminal_amplitudes(view, list(zip(shift_maps, clocks))))
+        states = list(hilbert.evolve_settings(view, shift_maps))
         assert len(streams) == len(states) == len(shift_maps)
         for shifts, clock, got, state in zip(shift_maps, clocks, streams, states):
-            derived = reshifted(circuit, shifts)
-            (one,) = terminal_amplitudes(circuit, [(shifts, clock)], port=port)
-            (built,) = terminal_amplitudes(derived, [({}, clock)], port=port)
+            derived = reshifted(view, shifts)
+            (one,) = terminal_amplitudes(view, [(shifts, clock)])
+            (built,) = terminal_amplitudes(derived, [({}, clock)])
             assert _bits(got) == _bits(one) == _bits(built)
-            (alone,) = hilbert.evolve_settings(circuit, [shifts], port=port)
-            whole = hilbert.evolve_circuit(derived, port=port)
+            (alone,) = hilbert.evolve_settings(view, [shifts])
+            whole = hilbert.evolve_circuit(derived)
             assert _bits(state.amplitudes) == _bits(alone.amplitudes) == _bits(whole.amplitudes)
             assert state.max_norm_drift == whole.max_norm_drift
 
@@ -140,9 +141,34 @@ def test_a_shift_in_the_bench_text_equals_it_as_a_setting(build, shifter, alpha)
     written, structure = build(alpha), build(0.0)
     source = structure.sole_source()
     for port in [None, *range(structure.source_fanout(source))]:
-        (own,) = terminal_amplitudes(written, [({}, 1.3)], port=port)
-        (given,) = terminal_amplitudes(structure, [({shifter: alpha}, 1.3)], port=port)
+        own_view = written if port is None else written.arm(port)
+        view = structure if port is None else structure.arm(port)
+        (own,) = terminal_amplitudes(own_view, [({}, 1.3)])
+        (given,) = terminal_amplitudes(view, [({shifter: alpha}, 1.3)])
         assert _bits(own) == _bits(given)
-        whole = hilbert.evolve_circuit(written, port=port)
-        (state,) = hilbert.evolve_settings(structure, [{shifter: alpha}], port=port)
+        whole = hilbert.evolve_circuit(own_view)
+        (state,) = hilbert.evolve_settings(view, [{shifter: alpha}])
         assert _bits(whole.amplitudes) == _bits(state.amplitudes)
+
+
+@pytest.mark.parametrize("circuit", STRUCTURES[1:], ids=["bghz-left", "bghz-right", "three-arm"])
+def test_the_arm_views_add_up_to_the_whole_emission(circuit):
+    """The sole source emits each arm with weight 1/sqrt(fanout), so the sum
+    of the Circuit.arm views' amplitudes over sqrt(fanout) is the whole
+    circuit's, on both engines, at every setting."""
+    fanout = circuit.source_fanout(circuit.sole_source())
+    assert fanout > 1
+    shifters = [eid for eid, el in circuit.elements.items() if el.kind is ElementType.PHASESHIFTER]
+    shift_maps = [dict.fromkeys(shifters, shift) for shift in SHIFTS]
+    points = [(shifts, clock) for shifts in shift_maps for clock in CLOCKS]
+    views = [circuit.arm(k) for k in range(fanout)]
+    evaluations = [
+        (terminal_amplitudes(circuit, points),
+         [terminal_amplitudes(view, points) for view in views]),
+        ((e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps)),
+         [(e.amplitudes for e in hilbert.evolve_settings(view, shift_maps)) for view in views]),
+    ]
+    for wholes, arms in evaluations:
+        for whole, *parts in zip(wholes, *arms, strict=True):
+            for key, amp in whole.items():
+                assert abs(sum(part[key] for part in parts) / math.sqrt(fanout) - amp) < 1e-15

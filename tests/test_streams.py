@@ -198,39 +198,48 @@ def _decoded_advances(table):
     return ([ids[ord(code)] for code in advances] for advances in table.advances)
 
 
+def _rows(table):
+    """Each row of a path table as one tuple, its phase under float.hex."""
+    phases = [v.hex() for v in table.geometric_phases]
+    return list(zip(phases, table.advances, table.crossings, table.terminals, strict=True))
+
+
 def _assert_reference_bits(circuit):
-    """Every column of every source's path table, and every amplitude under
-    each of CLOCKS, equals the reference walk's, compared under float.hex so
-    that signed zeros count."""
+    """Every column of the path table, and every amplitude under each of
+    CLOCKS, equals the reference walk's, compared under float.hex so that
+    signed zeros count.  Each Circuit.arm view's table holds the rows that
+    leave the source through that arm, in the whole table's order."""
     kinds = {eid: el.kind for eid, el in circuit.elements.items()}
-    for source in circuit.sources:
-        table = compile_paths(circuit, source)
-        paths = enumerate_paths(circuit, source)
-        assert table.source == source
-        assert table.element_ids == tuple(sorted(circuit.elements))
-        assert [v.hex() for v in table.geometric_phases] == [
-            p.geometric_phase.hex() for p in paths
+    table = compile_paths(circuit)
+    paths = enumerate_paths(circuit)
+    assert table.source == circuit.sole_source()
+    assert table.element_ids == tuple(sorted(circuit.elements))
+    assert [v.hex() for v in table.geometric_phases] == [
+        p.geometric_phase.hex() for p in paths
+    ]
+    assert all(type(advances) is str for advances in table.advances)
+    assert len({id(a) for a in table.advances}) == len(set(table.advances))
+    assert list(_decoded_advances(table)) == list(
+        list(
+            None if kinds[eid] is ElementType.BEAMSPLITTER else eid
+            for eid, in_port, out_port in p.steps
+            if kinds[eid] is ElementType.PHASESHIFTER
+            or (kinds[eid] is ElementType.BEAMSPLITTER and in_port != out_port)
+        )
+        for p in paths
+    )
+    assert table.crossings == tuple(
+        [kinds[eid] for eid in p.element_ids].count(ElementType.BEAMSPLITTER) for p in paths
+    )
+    assert table.terminals == tuple(p.terminal for p in paths)
+    for clock in CLOCKS:
+        assert _bits(row_amplitudes(circuit, clock)) == _bits(
+            path_amplitude(p, circuit, clock) for p in paths
+        )
+    for k in range(circuit.source_fanout(table.source)):
+        assert _rows(compile_paths(circuit.arm(k))) == [
+            row for row, p in zip(_rows(table), paths) if p.steps[0][2] == k
         ]
-        assert all(type(advances) is str for advances in table.advances)
-        assert len({id(a) for a in table.advances}) == len(set(table.advances))
-        assert list(_decoded_advances(table)) == list(
-            list(
-                None if kinds[eid] is ElementType.BEAMSPLITTER else eid
-                for eid, in_port, out_port in p.steps
-                if kinds[eid] is ElementType.PHASESHIFTER
-                or (kinds[eid] is ElementType.BEAMSPLITTER and in_port != out_port)
-            )
-            for p in paths
-        )
-        assert table.crossings == tuple(
-            [kinds[eid] for eid in p.element_ids].count(ElementType.BEAMSPLITTER) for p in paths
-        )
-        assert table.terminals == tuple(p.terminal for p in paths)
-        assert table.source_ports == tuple(p.steps[0][2] for p in paths)
-        for clock in CLOCKS:
-            assert _bits(row_amplitudes(circuit, clock, source)) == _bits(
-                path_amplitude(p, circuit, clock) for p in paths
-            )
 
 
 def test_table_amplitudes_equal_reference_on_the_corpus():
@@ -375,10 +384,11 @@ def test_one_setting_holds_no_list_of_row_amplitudes(ladder_text, port):
     past the compiled table, one setting peaks below 8 bytes a row, where a
     list of the row amplitudes alone takes 40."""
     circuit = parse_circuit(ladder_text(14))
-    compile_paths(circuit)
+    view = circuit if port is None else circuit.arm(port)
+    compile_paths(view)
     tracemalloc.start()
     try:
-        (sums,) = terminal_amplitudes(circuit, [({}, 2.5)], port=port)
+        (sums,) = terminal_amplitudes(view, [({}, 2.5)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -16,8 +16,10 @@ ROOT = Path(__file__).resolve().parents[1]
         ["run", "mz", "--alpha", "1"],
         ["sweep", "mz", "--grid", "0:2pi:5", "--engine", "both", "--seed", "7"],
         ["check", "--corpus-cases", "1", "--shots", "1000"],
+        ["sweep", "bghz", "--grid", "0:pi:3", "--engine", "both", "--seed", "7"],
+        ["run", "chsh", "--angles", "0,pi/2,pi/4,3pi/4", "--engine", "both"],
     ],
-    ids=["run-mz", "sweep-mz", "check"],
+    ids=["run-mz", "sweep-mz", "check", "sweep-bghz", "run-chsh"],
 )
 def test_traced_cli_run_exits_zero_with_its_health_values(tmp_path, argv):
     record, stdout = tmp_path / "record.json", tmp_path / "stdout.txt"
