@@ -27,7 +27,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, streams
 from .circuit import Circuit, parse_circuit
 from .outcomes import (
     ENGINE_HILBERT,
@@ -36,7 +36,7 @@ from .outcomes import (
     OutcomeDistribution,
 )
 from .rng import RNG_NAME, child_seeds, make_rng
-from .streams import initial_clocks, terminal_amplitudes
+from .streams import initial_clocks
 
 ENGINES = (ENGINE_STREAMS, ENGINE_HILBERT)
 
@@ -154,11 +154,11 @@ def _clocks(engine: str, seeds: list) -> list:
 def _amplitudes(circuit: Circuit, engine: str, shift_maps: Iterable[dict], clocks: list
                 ) -> Iterator[dict[str, complex]]:
     """Terminal amplitudes of one emission of a circuit structure at each
-    point's shifts, each made as it is read."""
+    point's shifts, each made as it is read.  The engine's function is looked
+    up on its module at each call, so a rebound one is the one called."""
     _require_engine(engine)
-    if engine == ENGINE_HILBERT:
-        return (e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps))
-    return terminal_amplitudes(circuit, zip(shift_maps, clocks))
+    module = hilbert if engine == ENGINE_HILBERT else streams
+    return module.terminal_amplitudes(circuit, zip(shift_maps, clocks))
 
 
 def _distributions(engine: str, amplitude_maps, params: Iterable[dict]

@@ -14,10 +14,11 @@ scatters as
 
 so two splitters wired port to matched port return the input times i.  A
 one-port element moves the amplitude onto its output link times
-exp(i(link phase + its shift)).  evolve_settings evolves one emission of a
-structure at a sequence of shift maps.  Source arm k alone is the circuit
-Circuit.arm(k), the view experiments.pair_amplitudes pairs across the two
-daughters of a pair.
+exp(i(link phase + its shift)).  terminal_amplitudes evolves one emission of
+a structure at a sequence of settings and takes them in the form
+streams.terminal_amplitudes does, so either engine answers one call.  Source
+arm k alone is the circuit Circuit.arm(k), the view
+experiments.pair_amplitudes pairs across the two daughters of a pair.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from . import streams
 from .circuit import Circuit, ElementType, TERMINAL_TYPES
-from .outcomes import Outcome
 
 ENGINE_VERSION = "1.0"
 
@@ -39,30 +39,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BS_BLOCK = ((1j * _INV_SQRT2, _INV_SQRT2), (_INV_SQRT2, 1j * _INV_SQRT2))
 
 
-@dataclass(frozen=True)
-class CircuitEvolution:
-    """Terminal amplitudes of a particle fed through a circuit."""
-
-    amplitudes: dict[Outcome, complex]
-    max_norm_drift: float
-
-    def probabilities(self) -> dict[Outcome, float]:
-        return {key: abs(amp) ** 2 for key, amp in self.amplitudes.items()}
-
-
-def _drift(state: dict[int, complex]) -> float:
-    """Distance of the state norm from 1; refuses a non-unitary step."""
-    drift = abs(math.sqrt(sum(abs(amp) ** 2 for amp in state.values())) - 1.0)
-    if drift > _NORM_TOL:
-        raise ValueError(f"state norm drifted from 1 by {drift!r}")
-    return drift
-
-
 def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
-    """The structure evolve_settings reads, links by index in ``circuit.links``
-    (None unfed): non-terminal elements in topological order with their links
-    and out-link factors (None for a phase shifter, whose shift is no
-    structure), each terminal's key and in-link, and the index."""
+    """The structure terminal_amplitudes reads, links by index in
+    ``circuit.links`` (None unfed): non-terminal elements in topological order
+    with their links and out-link factors (None for a phase shifter, whose
+    shift is no structure), each terminal's key and in-link, and the index."""
     index = {link: i for i, link in enumerate(circuit.links)}
 
     def fed(eid: str, port: int) -> int | None:
@@ -85,24 +66,25 @@ def _schedule(circuit: Circuit) -> tuple[list[tuple], tuple, dict]:
     return steps, terminals, index
 
 
-def evolve_settings(circuit: Circuit, shift_maps) -> Iterator[CircuitEvolution]:
-    """Propagate one particle through the circuit by per-element unitaries,
-    once per shift map, laid over the circuit's own by Circuit.shift_values;
-    each evolution is made as it is read.
+def terminal_amplitudes(circuit: Circuit, settings) -> Iterator[dict[str, complex]]:
+    """Amplitude per terminal, blockers included, unreached ones 0, of one
+    emission at each of ``settings`` (shift map, initial clock), each made as
+    it is read, the shift map laid over the circuit's own by
+    Circuit.shift_values.  The clock is a global phase and is not read.
 
     The sole source emits an equal-weight superposition over its arms, each
     amplitude divided by sqrt(fanout).  Link pathlength phases apply at
-    emission onto the link.
+    emission onto the link.  Each emission's norm is checked once, by
+    streams.unitarity_defect; a step that breaks it, or a NaN, is refused.
     """
     source = circuit.sole_source()
     steps, terminals, index = circuit.compiled("hilbert", lambda: _schedule(circuit))
     fanout = circuit.source_fanout(source)
     links = [circuit.out_link(source, arm) for arm in range(fanout)]
     initial = {index[link]: cmath.exp(1j * link.phase) / math.sqrt(fanout) for link in links}
-    initial_drift = _drift(initial)
-    for shifts in shift_maps:
+    for shifts, _clock in settings:
         shift = circuit.shift_values(shifts)
-        state, max_drift = dict(initial), initial_drift
+        state = dict(initial)
         for eid, splitter, ins, outs in steps:
             if splitter:
                 m1, m2 = (state.pop(link, 0.0 + 0.0j) for link in ins)
@@ -113,10 +95,8 @@ def evolve_settings(circuit: Circuit, shift_maps) -> Iterator[CircuitEvolution]:
                 if factor is None:
                     factor = cmath.exp(1j * (phase + shift.get(eid, circuit.elements[eid].shift)))
                 state[out] = state.pop(ins) * factor
-            max_drift = max(max_drift, _drift(state))
-        yield CircuitEvolution({k: state.get(i, 0j) for k, i in terminals}, max_drift)
-
-
-def evolve_circuit(circuit: Circuit) -> CircuitEvolution:
-    """evolve_settings at the circuit's own shifts."""
-    return next(evolve_settings(circuit, [{}]))
+        amplitudes = {k: state.get(i, 0j) for k, i in terminals}
+        defect = streams.unitarity_defect(amplitudes)
+        if not defect <= _NORM_TOL:
+            raise ValueError(f"emission norm off 1 by {defect!r}")
+        yield amplitudes

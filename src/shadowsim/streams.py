@@ -116,7 +116,7 @@ def terminal_amplitudes(circuit: Circuit, settings) -> Iterator[dict[str, comple
     it is read, rows added one by one in table order (builtin sum compensates
     from Python 3.12).  A source with several arms emits an equal-weight
     superposition over them, so the sums carry 1/sqrt(fanout), as
-    hilbert.evolve_settings does."""
+    hilbert.terminal_amplitudes, which takes the same settings, does."""
     table = compile_paths(circuit)
     return _terminal_sums(circuit, table, _table_amplitudes(circuit, table, settings))
 

@@ -7,6 +7,8 @@ match both bit for bit.  ``render_circuit`` writes a circuit back to the
 text format and ``circuits_equal`` compares two circuits, for round trips;
 ``reshifted`` builds a circuit anew with other phase-shifter values.
 ``row_amplitudes`` reads the stream engine's amplitude of each table row.
+``hilbert_amplitudes`` is one hilbert emission at the circuit's own shifts
+and ``probabilities`` squares amplitudes into Born probabilities.
 ``bghz_streams``, ``stream_arms`` and ``hilbert_arms`` build the per-arm
 inputs that experiments.pair_amplitudes pairs, one emission of each
 Circuit.arm view, as bghz_points builds them, and ``pair_clock`` is the
@@ -180,10 +182,19 @@ def stream_arms(circuit: Circuit, clock: float) -> list[dict]:
     return [next(terminal_amplitudes(circuit.arm(k), [({}, clock)])) for k in range(fanout)]
 
 
+def hilbert_amplitudes(circuit: Circuit) -> dict:
+    """Hilbert terminal amplitudes of one emission at the circuit's own shifts."""
+    return next(hilbert.terminal_amplitudes(circuit, [({}, None)]))
+
+
+def probabilities(amplitudes: dict) -> dict:
+    return {key: abs(amp) ** 2 for key, amp in amplitudes.items()}
+
+
 def hilbert_arms(circuit: Circuit) -> list[dict]:
     """Hilbert terminal amplitudes per source arm, arm 0 first."""
     fanout = circuit.source_fanout(circuit.sole_source())
-    return [hilbert.evolve_circuit(circuit.arm(k)).amplitudes for k in range(fanout)]
+    return [hilbert_amplitudes(circuit.arm(k)) for k in range(fanout)]
 
 
 # -- lattice propagator --------------------------------------------------------

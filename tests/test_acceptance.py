@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from shadowsim import hilbert, pathintegral
+from shadowsim import pathintegral
 from shadowsim.checks import _congruence_deviations
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
@@ -21,7 +21,7 @@ from shadowsim.experiments import (
     wheeler_points,
 )
 from shadowsim.streams import initial_clocks, terminal_amplitudes
-from reference import bghz_streams
+from reference import bghz_streams, hilbert_amplitudes, probabilities
 
 S_MAX = 2 * math.sqrt(2.0)
 
@@ -175,7 +175,7 @@ def test_criterion_08_engine_cross_validation():
     for i, clock in enumerate(initial_clocks(range(cases))):
         circuit = random_circuit(i)
         (amps,) = terminal_amplitudes(circuit, [({}, clock)])
-        probs_h = hilbert.evolve_circuit(circuit).probabilities()
+        probs_h = probabilities(hilbert_amplitudes(circuit))
         for key, p in probs_h.items():
             worst = max(worst, abs(abs(amps[key]) ** 2 - p))
     _report(

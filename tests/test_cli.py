@@ -1188,6 +1188,16 @@ def test_sweep_grid_past_the_float_range_is_refused(argv):
     assert "Traceback" not in err
 
 
+def test_a_negative_pi_expression_is_given_in_the_equals_form(capsys):
+    """A value that starts with '-' and is no plain number reads as a flag,
+    so it is written --alpha=-pi/2, as the README says."""
+    assert cli.main(["run", "mz", "--alpha=-pi/2"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["u", "0.500000"]
+    code, err = _exit_code(["run", "mz", "--alpha", "-pi/2"])
+    assert code == 2
+    assert "expected one argument" in err
+
+
 @pytest.mark.parametrize(
     ("argv", "flag"),
     [

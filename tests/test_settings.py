@@ -12,7 +12,7 @@ from shadowsim.circuit import CircuitValidationError, Element, ElementType, pars
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import bghz_left_circuit, bghz_right_circuit, mach_zehnder_circuit
 from shadowsim.streams import terminal_amplitudes
-from reference import reshifted
+from reference import hilbert_amplitudes, reshifted
 
 TWO_PI = 2.0 * math.pi
 SHIFTS = (-0.0, 0.0, TWO_PI, math.nextafter(TWO_PI, 0.0), -1.0, -3 * math.pi, 1e300, -1e300)
@@ -71,23 +71,24 @@ def _structure_and_settings(draw):
 def test_each_setting_equals_its_one_setting_call(case):
     """Per setting, and per view (the whole circuit and every Circuit.arm),
     the G-wide amplitudes equal under float.hex both the one-setting call
-    and the circuit rebuilt with those shifts, evaluated at its own shifts."""
+    and the circuit rebuilt with those shifts, evaluated at its own shifts.
+    Both engines read one settings list; hilbert's amplitudes equal those at
+    clock None, so it does not read the clock."""
     circuit, shift_maps, clocks = case
     source = circuit.sole_source()
+    pairs = list(zip(shift_maps, clocks))
     for port in [None, *range(circuit.source_fanout(source))]:
         view = circuit if port is None else circuit.arm(port)
-        streams = list(terminal_amplitudes(view, list(zip(shift_maps, clocks))))
-        states = list(hilbert.evolve_settings(view, shift_maps))
+        streams = list(terminal_amplitudes(view, pairs))
+        states = list(hilbert.terminal_amplitudes(view, pairs))
         assert len(streams) == len(states) == len(shift_maps)
         for shifts, clock, got, state in zip(shift_maps, clocks, streams, states):
             derived = reshifted(view, shifts)
             (one,) = terminal_amplitudes(view, [(shifts, clock)])
             (built,) = terminal_amplitudes(derived, [({}, clock)])
             assert _bits(got) == _bits(one) == _bits(built)
-            (alone,) = hilbert.evolve_settings(view, [shifts])
-            whole = hilbert.evolve_circuit(derived)
-            assert _bits(state.amplitudes) == _bits(alone.amplitudes) == _bits(whole.amplitudes)
-            assert state.max_norm_drift == whole.max_norm_drift
+            (alone,) = hilbert.terminal_amplitudes(view, [(shifts, None)])
+            assert _bits(state) == _bits(alone) == _bits(hilbert_amplitudes(derived))
 
 
 def test_a_shift_of_two_pi_is_zero_on_both_engines():
@@ -97,8 +98,10 @@ def test_a_shift_of_two_pi_is_zero_on_both_engines():
         circuit, [({"shift_a": 0.0}, 1.0), ({"shift_a": TWO_PI}, 1.0)]
     )
     assert _bits(at_zero) == _bits(at_two_pi)
-    zero, two_pi = hilbert.evolve_settings(circuit, [{"shift_a": 0.0}, {"shift_a": TWO_PI}])
-    assert _bits(zero.amplitudes) == _bits(two_pi.amplitudes)
+    zero, two_pi = hilbert.terminal_amplitudes(
+        circuit, [({"shift_a": 0.0}, None), ({"shift_a": TWO_PI}, None)]
+    )
+    assert _bits(zero) == _bits(two_pi)
 
 
 @pytest.mark.parametrize("bad", [{"bs1": 1.0}, {"nowhere": 1.0}])
@@ -107,7 +110,7 @@ def test_a_setting_that_names_no_phase_shifter_is_refused(bad):
     with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
         list(terminal_amplitudes(circuit, [(bad, 0.0)]))
     with pytest.raises(CircuitValidationError, match="is not a phase shifter"):
-        list(hilbert.evolve_settings(circuit, [bad]))
+        list(hilbert.terminal_amplitudes(circuit, [(bad, None)]))
 
 
 @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf])
@@ -120,7 +123,7 @@ def test_a_non_finite_setting_is_refused_as_construction_refuses(shift):
     with pytest.raises(ValueError, match="finite") as streams:
         list(terminal_amplitudes(circuit, [({"shift_a": shift}, 0.0)]))
     with pytest.raises(ValueError, match="finite") as state:
-        list(hilbert.evolve_settings(circuit, [{"shift_a": shift}]))
+        list(hilbert.terminal_amplitudes(circuit, [({"shift_a": shift}, None)]))
     assert str(streams.value) == str(state.value) == str(built.value)
 
 
@@ -146,9 +149,8 @@ def test_a_shift_in_the_bench_text_equals_it_as_a_setting(build, shifter, alpha)
         (own,) = terminal_amplitudes(own_view, [({}, 1.3)])
         (given,) = terminal_amplitudes(view, [({shifter: alpha}, 1.3)])
         assert _bits(own) == _bits(given)
-        whole = hilbert.evolve_circuit(own_view)
-        (state,) = hilbert.evolve_settings(view, [{shifter: alpha}])
-        assert _bits(whole.amplitudes) == _bits(state.amplitudes)
+        (state,) = hilbert.terminal_amplitudes(view, [({shifter: alpha}, None)])
+        assert _bits(hilbert_amplitudes(own_view)) == _bits(state)
 
 
 @pytest.mark.parametrize("circuit", STRUCTURES[1:], ids=["bghz-left", "bghz-right", "three-arm"])
@@ -162,13 +164,9 @@ def test_the_arm_views_add_up_to_the_whole_emission(circuit):
     shift_maps = [dict.fromkeys(shifters, shift) for shift in SHIFTS]
     points = [(shifts, clock) for shifts in shift_maps for clock in CLOCKS]
     views = [circuit.arm(k) for k in range(fanout)]
-    evaluations = [
-        (terminal_amplitudes(circuit, points),
-         [terminal_amplitudes(view, points) for view in views]),
-        ((e.amplitudes for e in hilbert.evolve_settings(circuit, shift_maps)),
-         [(e.amplitudes for e in hilbert.evolve_settings(view, shift_maps)) for view in views]),
-    ]
-    for wholes, arms in evaluations:
+    for evaluate in (terminal_amplitudes, hilbert.terminal_amplitudes):
+        wholes = evaluate(circuit, points)
+        arms = [evaluate(view, points) for view in views]
         for whole, *parts in zip(wholes, *arms, strict=True):
             for key, amp in whole.items():
                 assert abs(sum(part[key] for part in parts) / math.sqrt(fanout) - amp) < 1e-15

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowsim import experiments, hilbert
+from shadowsim import experiments, streams
 from shadowsim.angles import canonical_angle
 from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths, parse_circuit
 from shadowsim.corpus import random_circuit
@@ -28,6 +28,7 @@ from reference import (
     PathClock,
     bghz_streams,
     enumerate_paths,
+    hilbert_amplitudes,
     pair_clock,
     path_amplitude,
     reshifted,
@@ -277,7 +278,7 @@ def test_table_amplitudes_equal_reference_on_a_walk(walk_text, steps):
     circuit = parse_circuit(walk_text(steps))
     _assert_reference_bits(circuit)
     (amps,) = terminal_amplitudes(circuit, [({}, 0.0)])
-    matrix_amps = hilbert.evolve_circuit(circuit).amplitudes
+    matrix_amps = hilbert_amplitudes(circuit)
     assert set(amps) == set(matrix_amps)
     assert max(abs(amps[key] - amp) for key, amp in matrix_amps.items()) < 1e-13
 
@@ -417,7 +418,7 @@ def test_pair_daughters_share_one_clock(monkeypatch):
         clocks.append([clock for _, clock in pairs])
         return terminal_amplitudes(circuit, pairs, *args, **kwargs)
 
-    monkeypatch.setattr(experiments, "terminal_amplitudes", recording)
+    monkeypatch.setattr(streams, "terminal_amplitudes", recording)
     experiments.bghz_points([(0.2, 1.0, 5)], "streams")
     drawn = [float(make_rng(seed).uniform(0.0, 2.0 * math.pi)) for seed in (5, 6)]
     assert clocks == [drawn[:1]] * 4  # two sides, two arms each

@@ -30,5 +30,6 @@ def test_traced_cli_run_exits_zero_with_its_health_values(tmp_path, argv):
     )
     result = json.loads(record.read_text())
     assert result["rc"] == 0
-    if argv[0] == "check":
+    if argv[0] == "check" or "both" in argv:
+        # hilbert checks each emission's norm with streams.unitarity_defect.
         assert "streams.unitarity_defect.max" in result["metrics"]
