@@ -24,8 +24,9 @@ import enum
 import math
 import re
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import cycle
+from itertools import cycle, groupby
 from operator import attrgetter
 from typing import Any, Callable, Hashable
 
@@ -53,6 +54,14 @@ REFLECTION_TURN = math.pi / 2.0
 # Most routes one source may have before compile_paths refuses the circuit:
 # k cascaded splitters give 2**k routes, so this admits 20 of them.
 MAX_PATHS = 2**20
+
+# A path table of at least COLUMN_MIN_ROWS rows, with at least
+# COLUMN_ROWS_PER_ADVANCE rows per distinct advance string, is grouped for
+# evaluation COLUMN_BLOCK rows at a time (PathTable.blocks).  Below either
+# bound the per-group array work costs more than it saves.
+COLUMN_MIN_ROWS = 2**10
+COLUMN_ROWS_PER_ADVANCE = 32
+COLUMN_BLOCK = 2**12
 
 
 class ElementType(enum.Enum):
@@ -471,6 +480,13 @@ class PathTable:
     object; the number of splitter ``crossings``; and the terminal the route
     ends at.  No column holds a shift value, so one table serves every
     setting the structure is evaluated at.
+
+    ``blocks``, for the streams engine's column route, is empty unless the
+    table has COLUMN_MIN_ROWS rows and COLUMN_ROWS_PER_ADVANCE rows per
+    distinct advance string.  Then it holds one entry per COLUMN_BLOCK rows
+    in table order: the offsets within the block of its rows with advances,
+    an ``array('H')`` sorted by advance string, and the block's advance
+    steps, each a code and the run of that order it advances.
     """
 
     source: str
@@ -479,6 +495,7 @@ class PathTable:
     advances: tuple[str, ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
+    blocks: tuple[tuple[array, tuple[tuple[str, int, int], ...]], ...]
 
     def __len__(self) -> int:
         return len(self.terminals)
@@ -490,8 +507,9 @@ def compile_paths(circuit: Circuit) -> PathTable:
     The walker branches at every beamsplitter (both output ports) and at the
     source (every emission port).  The circuit being a DAG with single-linked
     output ports guarantees termination and uniqueness.  A circuit with more
-    than MAX_PATHS routes is refused before the walk.  The table is walked
-    once per circuit structure, then shared.
+    than MAX_PATHS routes is refused before the walk.  The table is walked,
+    and a long one grouped into blocks, once per circuit structure, then
+    shared.
     """
     return circuit.compiled("paths", lambda: _walk_paths(circuit, circuit.sole_source()))
 
@@ -548,7 +566,9 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                 [reflected[a] if splitter and ip != link.src_port else a
                  for a, ip in zip(advances, cycle(in_ports)) for link in links]))
     del phases, advances  # the last bundle's, already in the columns
-    return PathTable(source, element_ids, geometric_phases, *_frozen(columns))
+    advances, crossings, terminals = _frozen(columns)
+    return PathTable(source, element_ids, geometric_phases, advances, crossings, terminals,
+                     _advance_blocks(advances))
 
 
 def _frozen(columns):
@@ -556,6 +576,47 @@ def _frozen(columns):
     for column in columns:
         yield tuple(column)
         column.clear()
+
+
+def _advance_blocks(advances: tuple[str, ...]) -> tuple:
+    """PathTable.blocks of a table with these advance strings: empty unless
+    the table is long enough and shares its strings enough to be evaluated a
+    block at a time.  The distinct strings are counted a block at a time, so
+    a table that shares too little is turned away early."""
+    n = len(advances)
+    if n < COLUMN_MIN_ROWS:
+        return ()
+    distinct: set[str] = set()
+    for start in range(0, n, COLUMN_BLOCK):
+        distinct.update(advances[start:start + COLUMN_BLOCK])
+        if COLUMN_ROWS_PER_ADVANCE * len(distinct) > n:
+            return ()
+    blocks = []
+    for start in range(0, n, COLUMN_BLOCK):
+        groups: defaultdict[str, list[int]] = defaultdict(list)
+        for offset, string in enumerate(advances[start:start + COLUMN_BLOCK]):
+            groups[string].append(offset)
+        groups.pop("", None)  # no advance, nothing to add
+        strings = sorted(groups)
+        order, bounds = array("H"), [0]
+        for string in strings:
+            order.extend(groups[string])
+            bounds.append(len(order))
+        blocks.append((order, tuple(_advance_steps(strings, bounds))))
+    return tuple(blocks)
+
+
+def _advance_steps(strings: list[str], bounds: list[int]):
+    """Depth by depth, (code, first, end) for each run of consecutive sorted
+    ``strings`` that take ``code`` at that depth, the rows of ``strings[i]``
+    lying at [bounds[i], bounds[i + 1]) of the block's order.  Sorting keeps
+    the rows that share a prefix together, so each of its advances is one
+    step over all of them."""
+    for depth in range(max(map(len, strings), default=0)):
+        for code, run in groupby(range(len(strings)), lambda i: strings[i][depth:depth + 1]):
+            if code:
+                run = list(run)
+                yield code, bounds[run[0]], bounds[run[-1] + 1]
 
 
 class _Extensions(dict):

@@ -228,7 +228,8 @@ def _values(args: argparse.Namespace, config: dict, keys, **defaults) -> dict:
     default (``defaults`` overrides the table's), converted.
 
     A config-file value of the wrong JSON type is a ConfigError naming the
-    key, and so is a value its conversion refuses.
+    key, and so is a value its conversion refuses.  The --format flag with
+    no out to write is a flag nothing reads, refused as any other is.
     """
     values = {}
     for key in keys:
@@ -244,6 +245,8 @@ def _values(args: argparse.Namespace, config: dict, keys, **defaults) -> dict:
             values[key] = None if value is None else convert(value)
         except (ValueError, OverflowError) as exc:  # OverflowError: a JSON int past float range
             raise ConfigError(f"{key}: {exc}") from exc
+    if "format" in keys and args.format is not None and values["out"] is None:
+        raise ConfigError("--format needs --out: without a file the results are printed")
     return values
 
 

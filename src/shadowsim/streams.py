@@ -25,6 +25,11 @@ multiplies across the two daughters of a pair.  The clock is represented by
 its phase alone, so its modulus cannot drift.  The initial clock value is
 uniform random per emission and drops out of every probability.  Every
 result is read from the table's columns.
+
+A long table whose rows share advance strings (PathTable.blocks) takes a
+column route: numpy does the row route's adds, compares and fmod a block of
+rows at a time, in the same order per row, so the bits are the same.  This
+module imports numpy inside that route only (rng still loads it).
 """
 
 from __future__ import annotations
@@ -33,11 +38,11 @@ import cmath
 import math
 from collections.abc import Iterable, Iterator
 from functools import reduce
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import add, countOf
 
 from .angles import canonical_angle
-from .circuit import REFLECTION_TURN, Circuit, ElementType, PathTable, compile_paths
+from .circuit import COLUMN_BLOCK, REFLECTION_TURN, Circuit, ElementType, PathTable, compile_paths
 from .rng import uniform_draws
 
 ENGINE_VERSION = "1.0"
@@ -61,11 +66,12 @@ def _table_amplitudes(circuit: Circuit, table: PathTable, settings):
     reflection = chr(len(table.element_ids))
     own = {eid: elements[eid].shift for _, eid in shifters}
     magnitudes = [INV_SQRT2**k for k in range(max(table.crossings, default=0) + 1)]
+    route = _block_amplitudes if table.blocks else _row_amplitudes
     for shifts, initial_clock in settings:
         values = {**own, **circuit.shift_values(shifts)}
         turns = {code: values[eid] for code, eid in shifters}
         turns[reflection] = REFLECTION_TURN
-        yield _row_amplitudes(table, canonical_angle(initial_clock), turns, magnitudes)
+        yield route(table, canonical_angle(initial_clock), turns, magnitudes)
 
 
 def _row_amplitudes(table: PathTable, start: float, turns, magnitudes):
@@ -89,6 +95,41 @@ def _row_amplitudes(table: PathTable, start: float, turns, magnitudes):
             if clock >= tau:
                 clock -= tau
         yield rect(magnitudes[crossings], clock)
+
+
+def _block_amplitudes(table: PathTable, start: float, turns, magnitudes):
+    """The row amplitudes of _row_amplitudes, bit for bit, with the clock
+    arithmetic done on COLUMN_BLOCK rows at a time: the start and its two
+    fix-ups on the whole block, then each step of the block's advance steps,
+    one turn and one conditional subtraction over a run of its rows sorted
+    by advance string.  These IEEE adds, compares and fmod are exact or
+    correctly rounded in any implementation, and each row takes them in the
+    row route's order.  cmath.rect then reads the clocks row by row in table
+    order; a block is evaluated when the rows before it have been read."""
+    import numpy as np
+
+    tau = 2.0 * math.pi
+    phases = np.frombuffer(table.geometric_phases)
+    buffer = np.empty(min(COLUMN_BLOCK, len(phases)))
+
+    def block_clocks(first_row, block):
+        order, steps = block
+        block_phases = phases[first_row:first_row + COLUMN_BLOCK]
+        clocks = np.add(start, block_phases, out=buffer[:len(block_phases)])
+        np.fmod(clocks, tau, out=clocks)
+        np.add(clocks, tau, out=clocks, where=clocks < 0.0)
+        np.subtract(clocks, tau, out=clocks, where=clocks >= tau)
+        rows = np.frombuffer(order, dtype=np.uint16)
+        grouped = clocks[rows]
+        for code, first, end in steps:
+            run = grouped[first:end]
+            run += turns[code]
+            np.subtract(run, tau, out=run, where=run >= tau)
+        clocks[rows] = grouped
+        return memoryview(clocks)
+
+    clocks = chain.from_iterable(map(block_clocks, range(0, len(phases), COLUMN_BLOCK), table.blocks))
+    return map(cmath.rect, map(magnitudes.__getitem__, table.crossings), clocks)
 
 
 def _terminal_sums(circuit: Circuit, table: PathTable, row_sets):

@@ -413,7 +413,8 @@ def _run_sweep_check_argv(draw):
     Sizes stay small: grids of at most 9 points, a few hundred shots, and
     check at --corpus-cases 1 --shots 1000 when its values are valid.  Each
     flag the chosen experiment reads is drawn one time in two, and one time
-    in four one flag it does not read (refused with exit 2) is added."""
+    in four one flag it does not read (refused with exit 2) is added.
+    --format without --out is refused with exit 2 as well."""
     command = draw(st.sampled_from(["run", "sweep", "check"]))
     if command == "check":
         argv = [
@@ -464,7 +465,11 @@ def _run_sweep_check_argv(draw):
 @settings(max_examples=200, deadline=None)
 @given(_run_sweep_check_argv())
 def test_run_sweep_check_flags_exit_cleanly(argv):
-    _assert_clean_exit(argv, *_exit_code(argv))
+    code, err = _exit_code(argv)
+    _assert_clean_exit(argv, code, err)
+    flags = {word.split("=", 1)[0] for word in argv}
+    if "--format" in flags and "--out" not in flags:
+        assert code == 2, (argv, err)
 
 
 _RUN_KEYS = ("experiment", "engine", "seed", "out", "format", "shots", "angles",
@@ -521,6 +526,29 @@ def test_config_values_of_any_type_exit_cleanly(case):
         finally:
             os.chdir(cwd)
     _assert_clean_exit(argv, code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "mz", "--format", "json"],
+    ["run", "pathintegral", "--eps", "0.5", "--steps", "1", "--format", "csv"],
+    ["sweep", "bghz", "--grid", "0:2pi:5", "--format", "json", "--seed", "7"],
+    ["propagate", "--eps", "0.5", "--steps", "1", "--format", "json"],
+], ids=["run", "run-pathintegral", "sweep", "propagate"])
+def test_format_without_out_is_refused(argv, capsys):
+    """--format says how the --out file is written; with no file it would be
+    ignored and the results printed, so it is refused as an unread flag is."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--format needs --out" in err
+
+
+def test_format_with_out_from_the_config_file_is_read(tmp_path):
+    out = tmp_path / "mz.json"
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"out": str(out)}))
+    assert cli.main(["run", "mz", "--format", "json", "--config", str(cfg)]) == 0
+    assert "results" in json.loads(out.read_text())
 
 
 def test_propagate_requires_a_time_axis(capsys):

@@ -10,9 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowsim import circuit as circuit_module
 from shadowsim import experiments, streams
 from shadowsim.angles import canonical_angle
-from shadowsim.circuit import REFLECTION_TURN, Circuit, ElementType, compile_paths, parse_circuit
+from shadowsim.circuit import (
+    COLUMN_BLOCK,
+    REFLECTION_TURN,
+    Circuit,
+    Element,
+    ElementType,
+    compile_paths,
+    parse_circuit,
+)
 from shadowsim.corpus import random_circuit
 from shadowsim.experiments import (
     bghz_left_circuit,
@@ -23,7 +32,13 @@ from shadowsim.experiments import (
 )
 from shadowsim.checks import _congruence_deviations
 from shadowsim.rng import make_rng
-from shadowsim.streams import INV_SQRT2, initial_clocks, terminal_amplitudes, unitarity_defect
+from shadowsim.streams import (
+    INV_SQRT2,
+    _table_amplitudes,
+    initial_clocks,
+    terminal_amplitudes,
+    unitarity_defect,
+)
 from reference import (
     PathClock,
     bghz_streams,
@@ -395,6 +410,124 @@ def test_one_setting_holds_no_list_of_row_amplitudes(ladder_text, port):
         tracemalloc.stop()
     assert unitarity_defect(sums) < 1e-12
     assert peak < 8 * 2**14
+
+
+# -- row and column routes ------------------------------------------------------
+
+
+def _route_bits(monkeypatch, build, column, settings):
+    """Under thresholds that send every table down one route, each setting's
+    row amplitudes and terminal sums (keys in order, values under float.hex)
+    of a circuit ``build()`` makes afresh, so its table is compiled under
+    them."""
+    monkeypatch.setattr(circuit_module, "COLUMN_MIN_ROWS", 0 if column else math.inf)
+    monkeypatch.setattr(circuit_module, "COLUMN_ROWS_PER_ADVANCE", 0)
+    circuit = build()
+    table = compile_paths(circuit)
+    assert bool(table.blocks) is column
+    rows = [_bits(amplitudes) for amplitudes in _table_amplitudes(circuit, table, settings)]
+    sums = [(list(amps), _bits(amps.values())) for amps in terminal_amplitudes(circuit, settings)]
+    return rows, sums
+
+
+def _assert_routes_agree(monkeypatch, build):
+    """Both routes give every row amplitude and every terminal sum bit for
+    bit, over settings read in one call: clocks of 0.0, -0.0, 1e6 and one
+    drawn from no seed, and the circuit's phase shifters moved off their own
+    values."""
+    shifters = sorted(eid for eid, el in build().elements.items()
+                      if el.kind is ElementType.PHASESHIFTER)
+    (drawn,) = initial_clocks([None])
+    settings = [({}, 0.0), ({}, drawn),
+                ({eid: 0.5 + 1.7 * i for i, eid in enumerate(shifters)}, -0.0), ({}, 1e6)]
+    assert _route_bits(monkeypatch, build, False, settings) == _route_bits(
+        monkeypatch, build, True, settings)
+
+
+def _with_link_phases(circuit: Circuit, phase) -> Circuit:
+    """``circuit`` with each link's phase replaced by ``phase(link.phase)``."""
+    return Circuit(circuit.elements, [replace(link, phase=phase(link.phase)) for link in circuit.links])
+
+
+def _shifter_ladder(ladder_text, k: int) -> Circuit:
+    """A k-splitter ladder with a phase shifter on each arm from one
+    splitter's port 0 to the next splitter's: the shifters a route passes
+    name its port choices, so every route has its own advance string."""
+    ladder = parse_circuit(ladder_text(k))
+    elements, links = dict(ladder.elements), []
+    for link in ladder.links:
+        if link.src_port == 0 and link.dst.startswith("bs"):
+            shifter = f"ps{link.src[2:]}"
+            elements[shifter] = Element(ElementType.PHASESHIFTER, shift=0.1 * len(elements))
+            links += [replace(link, dst=shifter), replace(link, src=shifter, phase=0.0)]
+        else:
+            links.append(link)
+    return Circuit(elements, links)
+
+
+def test_routes_agree_on_the_corpus(monkeypatch):
+    for seed in range(500):
+        _assert_routes_agree(monkeypatch, lambda: random_circuit(seed))
+
+
+# Tables of 512 to 65,536 rows, Circuit.arm views compiled as circuits of
+# their own, a ladder whose every link carries a negative phase, so that rows
+# start below 0 and the column route's first fix-up adds 2pi, and a ladder
+# with a phase shifter on its arms.
+ROUTE_CASES = {
+    **{f"ladder-{k}": lambda ladder, walk, k=k: parse_circuit(ladder(k)) for k in (9, 10, 14, 16)},
+    **{f"walk-{t}": lambda ladder, walk, t=t: parse_circuit(walk(t)) for t in (12, 16)},
+    "two-arm-0": lambda ladder, walk: parse_circuit(TWO_ARM_TEXT).arm(0),
+    "two-arm-1": lambda ladder, walk: parse_circuit(TWO_ARM_TEXT).arm(1),
+    "three-arm-1": lambda ladder, walk: parse_circuit(THREE_ARM_TEXT).arm(1),
+    "ladder-10-negative-links": lambda ladder, walk: _with_link_phases(
+        parse_circuit(ladder(10)), lambda phase: -3.0 - phase),
+    "shifter-ladder-10": lambda ladder, walk: _shifter_ladder(ladder, 10),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_routes_agree(monkeypatch, ladder_text, walk_text, case):
+    _assert_routes_agree(monkeypatch, lambda: ROUTE_CASES[case](ladder_text, walk_text))
+
+
+def test_negative_link_phases_start_rows_below_zero(ladder_text):
+    """The case above does reach the first fix-up: fmod keeps the sign."""
+    circuit = _with_link_phases(parse_circuit(ladder_text(10)), lambda phase: -3.0 - phase)
+    assert all(math.fmod(0.0 + phase, 2 * math.pi) < 0.0
+               for phase in compile_paths(circuit).geometric_phases)
+
+
+def _block_advances(table):
+    """Each grouped row's advance string as the table's blocks spell it: the
+    codes of the steps whose runs cover its place in its block's order."""
+    spelled = {}
+    for start, (order, steps) in zip(range(0, len(table), COLUMN_BLOCK), table.blocks):
+        codes = [""] * len(order)
+        for code, first, end in steps:
+            for place in range(first, end):
+                codes[place] += code
+        spelled.update({start + offset: string for offset, string in zip(order, codes)})
+    return spelled
+
+
+def test_a_table_takes_the_column_route_when_long_and_shared(monkeypatch, ladder_text):
+    """512 rows stay on the row route and 1024 take the column route; a
+    16-splitter ladder whose 65,536 routes each have their own advance
+    string stays on the row route, where grouping would cost more than the
+    row walk.  A grouped table's blocks give every row with advances its
+    own advance string, one code per step in order."""
+    assert compile_paths(parse_circuit(ladder_text(9))).blocks == ()
+    shifted = compile_paths(_shifter_ladder(ladder_text, 16))
+    assert len(shifted) == len(set(shifted.advances)) == 2**16
+    assert shifted.blocks == ()
+    tables = [compile_paths(parse_circuit(ladder_text(k))) for k in (10, 14)]
+    monkeypatch.setattr(circuit_module, "COLUMN_ROWS_PER_ADVANCE", 0)
+    tables.append(compile_paths(_shifter_ladder(ladder_text, 12)))
+    for table in tables:
+        assert len(table.blocks) == -(-len(table) // COLUMN_BLOCK)
+        assert _block_advances(table) == {
+            row: advances for row, advances in enumerate(table.advances) if advances}
 
 
 @settings(max_examples=60, deadline=None)
