@@ -9,7 +9,8 @@ experiments module wires up the canonical interferometer benches.
 The names below are what a script needs to reproduce a command-line
 result; everything else is imported from its module.  A canned bench runs
 through its ``*_points`` runner, one structure evaluated at each point's
-settings: ``mach_zehnder_points([(alpha, seed)])[0]`` is one point.
+settings: ``mach_zehnder_points([(alpha, seed)])[0]`` is one point.  A
+lattice run of ``steps`` steps is ``propagate_snapshots(wf, eps, [steps * eps])``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .pathintegral import (
     PropagationUnstableError,
     TabulatedPotential,
     gaussian_packet,
-    propagate,
     propagate_snapshots,
     uniform_grid,
 )
@@ -55,7 +55,6 @@ __all__ = [
     "mach_zehnder_points",
     "parse_angle",
     "parse_circuit",
-    "propagate",
     "propagate_snapshots",
     "run_circuit",
     "run_ifm",

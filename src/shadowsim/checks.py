@@ -299,7 +299,8 @@ def _free_packet() -> tuple:
     crank-nicolson share, computed once."""
     x = pathintegral.uniform_grid(1024, -30.0, 30.0)
     wf = pathintegral.gaussian_packet(x, 0.0, 1.5)
-    return x, wf, pathintegral.propagate(wf, 0.5, 10).wavefunction
+    [(_, final)], _ = pathintegral.propagate_snapshots(wf, 0.5, [10 * 0.5])
+    return x, wf, final
 
 
 def check_width_law() -> CheckResult:
@@ -346,9 +347,11 @@ def check_convergence_order() -> CheckResult:
     wf = pathintegral.gaussian_packet(x, x0, math.sqrt(1.0 / (2.0 * omega)))
     target = _coherent_state(x, omega, x0, t_final)
     eps_values = [0.5, 1.0 / 3.0, 0.25]
-    finals = (pathintegral.propagate(wf, eps, round(t_final / eps), well).wavefunction
-              for eps in eps_values)
-    errors = [_aligned_distance(final.values, target, final.dx) for final in finals]
+    errors = []
+    for eps in eps_values:
+        [(_, final)], _ = pathintegral.propagate_snapshots(
+            wf, eps, [round(t_final / eps) * eps], well)
+        errors.append(_aligned_distance(final.values, target, final.dx))
     slope = np.polyfit(np.log(eps_values), np.log(errors), 1)[0]
     return _result(
         "convergence-order", slope >= 1.8, f"measured order = {slope:.2f}"

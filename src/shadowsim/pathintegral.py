@@ -27,9 +27,10 @@ kernel diag . Toeplitz . diag for any potential, where the Toeplitz part is
 the free kernel, which depends on x - a alone and is one circulant
 convolution on a 2N embedding; nothing of size N^2 is built.  The rule is
 second order in eps (Trotter, Proc. AMS 10, 545 (1959); Feit, Fleck &
-Steiger, J. Comput. Phys. 47, 412 (1982)).  Two budgets fail fast instead
-of exhausting memory or time: ``uniform_grid`` refuses grids whose arrays
-would exceed FFT_MAX_BYTES, and no run takes more than MAX_STEPS steps.
+Steiger, J. Comput. Phys. 47, 412 (1982)).  Budgets fail fast instead of
+exhausting memory or time: ``uniform_grid`` refuses grids whose arrays would
+exceed FFT_MAX_BYTES, ``propagate_snapshots`` (the one way to propagate)
+snapshots whose states would, and no run takes more than MAX_STEPS steps.
 
 Boundaries are hard walls: no amplitude beyond the grid, so keep packets
 several widths away from the edges for the duration of a run.
@@ -52,10 +53,8 @@ __all__ = [
     "HarmonicPotential",
     "TabulatedPotential",
     "PropagationUnstableError",
-    "PropagationRun",
     "uniform_grid",
     "gaussian_packet",
-    "propagate",
     "propagate_snapshots",
     "expectation_x",
     "mean_velocity",
@@ -162,16 +161,6 @@ class PropagationUnstableError(RuntimeError):
         self.span = span
 
 
-@dataclass(frozen=True)
-class PropagationRun:
-    """Final state of a propagation plus the worst recorded step drift."""
-
-    wavefunction: LatticeWavefunction
-    steps: int
-    eps: float
-    max_step_drift: float
-
-
 def uniform_grid(n: int, xmin: float, xmax: float) -> np.ndarray:
     """``n`` evenly spaced points; refuses, before allocating, a grid whose
     FFT-path arrays would exceed FFT_MAX_BYTES or whose squared span (the
@@ -223,11 +212,6 @@ def aliasing_ghost_shift(eps: float, dx: float, mass: float, hbar: float) -> flo
     return 2.0 * math.pi * hbar * eps / mass / dx  # mass * dx could underflow to 0
 
 
-def _check_eps(eps: float) -> None:
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-
-
 def _prefactor(wf: LatticeWavefunction, eps: float) -> complex:
     """Free-kernel normalisation A times the quadrature weight dx."""
     amplitude = math.sqrt(wf.mass / (2.0 * math.pi * wf.hbar * eps))
@@ -244,7 +228,6 @@ def _kernel_apply(wf: LatticeWavefunction, eps: float, potential):
     when the kernel leaves the float range, or when its prefactor is so
     small that the squares a step's norm sums would underflow.
     """
-    _check_eps(eps)
     m, hbar, n = wf.mass, wf.hbar, wf.n
     prefactor = _prefactor(wf, eps)
     if abs(prefactor) < math.sqrt(sys.float_info.min):
@@ -279,77 +262,20 @@ def _kernel_apply(wf: LatticeWavefunction, eps: float, potential):
     return apply
 
 
-def _apply_step(
-    wf: LatticeWavefunction, apply, eps: float
-) -> tuple[LatticeWavefunction, float]:
-    values = apply(wf.values)
-    norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * wf.dx))
-    drift = abs(norm - 1.0)
-    if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift fails too
-        span = float(wf.x[-1] - wf.x[0])
-        ghost = aliasing_ghost_shift(eps, wf.dx, wf.mass, wf.hbar)
-        bound = wf.mass * wf.dx * span / (2 * math.pi * wf.hbar)
-        cause = (f"kernel aliasing puts ghost copies every {ghost:.3g} units on a grid spanning "
-                 f"{span:.3g} (stable when the shift exceeds the span, i.e. eps >= {bound:.3g}); "
-                 "increase eps or shrink the grid" if ghost < span else f"eps = {eps:.3g} meets "
-                 f"the aliasing bound eps >= {bound:.3g}, but the kernel spreads the packet past "
-                 "the grid in one step; use a larger mass, a smaller eps or a wider grid")
-        raise PropagationUnstableError(
-            f"one-step norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; {cause}",
-            drift=drift,
-            eps=eps,
-            dx=wf.dx,
-            ghost_shift=ghost,
-            span=span,
-        )
-    return (
-        replace(wf, values=values / norm, t=wf.t + eps),
-        drift,
+def _unstable(wf: LatticeWavefunction, eps: float, drift: float) -> PropagationUnstableError:
+    """The refusal of a step whose norm drifted by ``drift``, naming the likely cause."""
+    span = float(wf.x[-1] - wf.x[0])
+    ghost = aliasing_ghost_shift(eps, wf.dx, wf.mass, wf.hbar)
+    bound = wf.mass * wf.dx * span / (2 * math.pi * wf.hbar)
+    cause = (f"kernel aliasing puts ghost copies every {ghost:.3g} units on a grid spanning "
+             f"{span:.3g} (stable when the shift exceeds the span, i.e. eps >= {bound:.3g}); "
+             "increase eps or shrink the grid" if ghost < span else f"eps = {eps:.3g} meets "
+             f"the aliasing bound eps >= {bound:.3g}, but the kernel spreads the packet past "
+             "the grid in one step; use a larger mass, a smaller eps or a wider grid")
+    return PropagationUnstableError(
+        f"one-step norm drift {drift:.3e} exceeds {NORM_DRIFT_LIMIT}; {cause}",
+        drift=drift, eps=eps, dx=wf.dx, ghost_shift=ghost, span=span,
     )
-
-
-def _advance(
-    wf: LatticeWavefunction,
-    eps: float,
-    counts: list[int],
-    potential,
-) -> tuple[list[LatticeWavefunction], float]:
-    """States after each of the ascending step ``counts``, and the worst drift.
-
-    Refuses, before building the kernel (none when no step is taken), a run
-    of more than MAX_STEPS steps."""
-    if counts and counts[-1] > MAX_STEPS:
-        from decimal import Decimal  # formats a count past the float range too
-        raise ValueError(
-            f"{Decimal(counts[-1]):.3g} steps exceed the {MAX_STEPS}-step budget; "
-            "use a larger eps or an earlier time"
-        )
-    apply = _kernel_apply(wf, eps, potential) if any(counts) else None
-    states: list[LatticeWavefunction] = []
-    max_drift = 0.0
-    done = 0
-    for k in counts:
-        while done < k:
-            wf, drift = _apply_step(wf, apply, eps)
-            max_drift = max(max_drift, drift)
-            done += 1
-        states.append(wf)
-    return states, max_drift
-
-
-def propagate(
-    wf: LatticeWavefunction,
-    eps: float,
-    steps: int,
-    potential=FREE,
-) -> PropagationRun:
-    """Advance by ``steps`` equal steps, reusing one kernel."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if steps == 0:
-        return PropagationRun(wf, 0, eps, 0.0)
-    (new_wf,), max_drift = _advance(wf, eps, [steps], potential)
-    return PropagationRun(new_wf, steps, eps, max_drift)
 
 
 def propagate_snapshots(
@@ -358,8 +284,15 @@ def propagate_snapshots(
     times: list[float],
     potential=FREE,
 ) -> tuple[list[tuple[float, LatticeWavefunction]], float]:
-    """States at the requested times, each of which must be a multiple of eps."""
-    _check_eps(eps)
+    """States at the requested times, each a whole number of steps of size
+    eps after wf.t, in ascending order, and the worst one-step norm drift.
+
+    One kernel serves every step.  Refuses, before building it (none is
+    built when no step is taken), a run of more than MAX_STEPS steps and
+    snapshots whose states would take the run past FFT_MAX_BYTES.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     steps_at = []
     for t in sorted(times):
         k = (t - wf.t) / eps
@@ -372,8 +305,38 @@ def propagate_snapshots(
         if off_grid:
             raise ValueError(f"snapshot time {t} is not a whole number of steps")
         steps_at.append((int(k), t))
-    states, max_drift = _advance(wf, eps, [k for k, _ in steps_at], potential)
-    return [(t, state) for (_, t), state in zip(steps_at, states)], max_drift
+    counts = sorted({k for k, _ in steps_at})
+    last = counts[-1] if counts else 0
+    if last > MAX_STEPS:
+        from decimal import Decimal  # formats a count past the float range too
+        raise ValueError(
+            f"{Decimal(last):.3g} steps exceed the {MAX_STEPS}-step budget; "
+            "use a larger eps or an earlier time"
+        )
+    # Each snapshot holds a state of 16 bytes a point, and the CLI a density of 8.
+    needed = (len(counts) * 24 + _FFT_BYTES_PER_POINT) * wf.n
+    if needed > FFT_MAX_BYTES:
+        raise ValueError(
+            f"{len(counts)} snapshots of N = {wf.n} grid points need about {needed} bytes, "
+            f"over the {FFT_MAX_BYTES}-byte budget; ask for fewer times or grid points"
+        )
+    apply = _kernel_apply(wf, eps, potential) if last else None
+    states = {}
+    values, t, dx = wf.values, wf.t, wf.dx
+    max_drift, done = 0.0, 0
+    for k in counts:
+        for _ in range(k - done):
+            values = apply(values)
+            norm = float(np.sqrt(np.sum(np.abs(values) ** 2) * dx))
+            drift = abs(norm - 1.0)
+            if not drift <= NORM_DRIFT_LIMIT:  # a NaN drift fails too
+                raise _unstable(wf, eps, drift)
+            max_drift = max(max_drift, drift)
+            values = values / norm
+            t += eps
+        done = k
+        states[k] = replace(wf, values=values, t=t) if k else wf
+    return [(time, states[k]) for k, time in steps_at], max_drift
 
 
 # -- observables -------------------------------------------------------------

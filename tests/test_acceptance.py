@@ -192,14 +192,14 @@ def test_criterion_09_lattice_propagator():
 
     width_err = 0.0
     for steps in (4, 10):
-        run = pathintegral.propagate(wf, 0.5, steps)
-        t = run.wavefunction.t
-        density = run.wavefunction.probability_density()
-        var = float(np.sum(run.wavefunction.x**2 * density) * run.wavefunction.dx)
+        [(_, final)], _ = pathintegral.propagate_snapshots(wf, 0.5, [steps * 0.5])
+        t = final.t
+        density = final.probability_density()
+        var = float(np.sum(final.x**2 * density) * final.dx)
         want = sigma0**2 * (1.0 + (t / (2 * sigma0**2)) ** 2)
         width_err = max(width_err, abs(var - want) / want)
 
-    lattice = pathintegral.propagate(wf, 0.5, 10).wavefunction
+    [(_, lattice)], _ = pathintegral.propagate_snapshots(wf, 0.5, [10 * 0.5])
     oracle = pathintegral.crank_nicolson_propagate(wf, 0.005, 1000)
     overlap = np.sum(np.conj(oracle.values) * lattice.values) * lattice.dx
     aligned = lattice.values * np.exp(-1j * np.angle(overlap))
@@ -216,12 +216,12 @@ def test_criterion_09_lattice_propagator():
     errors = []
     eps_values = [0.5, 1.0 / 3.0, 0.25]
     for eps in eps_values:
-        run = pathintegral.propagate(
-            wfh, eps, round(t_final / eps), pathintegral.HarmonicPotential(omega)
+        [(_, final)], _ = pathintegral.propagate_snapshots(
+            wfh, eps, [round(t_final / eps) * eps], pathintegral.HarmonicPotential(omega)
         )
-        ov = np.sum(np.conj(target) * run.wavefunction.values) * run.wavefunction.dx
-        al = run.wavefunction.values * np.exp(-1j * np.angle(ov))
-        errors.append(float(np.sqrt(np.sum(np.abs(al - target) ** 2) * run.wavefunction.dx)))
+        ov = np.sum(np.conj(target) * final.values) * final.dx
+        al = final.values * np.exp(-1j * np.angle(ov))
+        errors.append(float(np.sqrt(np.sum(np.abs(al - target) ** 2) * final.dx)))
     order = float(np.polyfit(np.log(eps_values), np.log(errors), 1)[0])
 
     elapsed = time.perf_counter() - start

@@ -117,16 +117,17 @@ def test_sampling_reads_no_fresh_entropy(monkeypatch):
 
 def test_width_law_and_crank_nicolson_share_one_propagation(monkeypatch):
     calls = []
-    real = checks.pathintegral.propagate
+    real = checks.pathintegral.propagate_snapshots
 
     def counted(*args, **kwargs):
         calls.append(args[1:])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(checks.pathintegral, "propagate", counted)
+    monkeypatch.setattr(checks.pathintegral, "propagate_snapshots", counted)
+    checks._free_packet.cache_clear()
     assert checks.check_width_law().passed
     assert checks.check_cn_agreement().passed
-    assert len(calls) <= 1
+    assert len(calls) == 1
 
 
 def test_every_per_check_metric_names_a_check_function():

@@ -85,10 +85,11 @@ def test_module_entry_point_runs():
 
 
 def test_package_exports_resolve():
-    namespace = {}
-    exec("from shadowsim import *", namespace)
-    for name in shadowsim.__all__:
-        assert namespace[name] is getattr(shadowsim, name)
+    for module in (shadowsim, pathintegral, shadowsim.circuit):
+        namespace = {}
+        exec(f"from {module.__name__} import *", namespace)
+        for name in module.__all__:
+            assert namespace[name] is getattr(module, name)
 
 
 def test_cli_and_check_import_no_scipy():
@@ -834,6 +835,16 @@ def test_step_count_past_its_budget_exits_two_quickly(capsys):
     assert elapsed < 2.0
 
 
+def test_snapshots_past_the_memory_budget_exit_two(monkeypatch, tmp_path):
+    # Room for the grid and two snapshot states of 256 points, but not three.
+    budget = (pathintegral._FFT_BYTES_PER_POINT + 2 * 24) * 256
+    monkeypatch.setattr(pathintegral, "FFT_MAX_BYTES", budget)
+    argv = ["propagate", "--grid-n", "256", "--xmin", "-10", "--xmax", "10", "--eps", "0.5"]
+    err = _refused(argv + ["--times", "0.5,1,1.5"], tmp_path / "out.csv", 2)
+    assert err.startswith("error: 3 snapshots of N = 256 grid points")
+    assert cli.main(argv + ["--times", "0.5,1,1,0.5"]) == 0
+
+
 @pytest.mark.parametrize(("flag", "value", "count"), [
     ("--times", "1e308", "1.00e+308"), ("--steps", "100000000000000000000000", "1.00e+23"),
 ])
@@ -847,7 +858,7 @@ def test_a_step_count_past_the_budget_is_reported_short(capsys, flag, value, cou
 def test_propagate_refuses_steps_past_the_budget():
     wf = pathintegral.gaussian_packet(pathintegral.uniform_grid(64, -30.0, 30.0), 0.0, 1.5)
     with pytest.raises(ValueError, match="step budget"):
-        pathintegral.propagate(wf, 0.5, pathintegral.MAX_STEPS + 1)
+        pathintegral.propagate_snapshots(wf, 0.5, [(pathintegral.MAX_STEPS + 1) * 0.5])
 
 
 def test_tabulated_propagation_stays_within_the_fft_budget(tmp_path, capsys):

@@ -53,6 +53,13 @@ CASES = {
     "sweep-mz-many-shots": ["sweep", "mz", "--grid", "0:2pi:9", "--shots", "100000",
                             "--seed", "7"] + BOTH,
     "check": ["check", "--seed", "5"],
+    # The propagator at several snapshot times, in a potential, and from a file.
+    "propagate-harmonic-json": ["propagate", "--grid-n", "64", "--xmin", "-10", "--xmax", "10",
+                                "--k0", "0.5", "--eps", "1.5", "--times", "1.5,3,6",
+                                "--potential", "harmonic", "--omega", "0.15", "--format", "json"],
+    "propagate-potential-file": ["propagate", "--grid-n", "64", "--xmin", "-10", "--xmax", "10",
+                                 "--k0", "0.4", "--eps", "1.5", "--steps", "3",
+                                 "--potential", "file", "--potential-file", "barrier.txt"],
 }
 # Cases that write no data file: their whole output is stdout.
 STDOUT_ONLY = {"sweep-stdout", "check"}
@@ -61,6 +68,11 @@ CONFIGS = {
                    "seed": 9, "format": "csv", "shots": 300},
     "sweep-config": {"experiment": "wheeler", "grid": "0:pi:3", "peek": True, "seed": 3,
                      "shots": 200},
+}
+# Input files a case reads, written to the directory it runs in, so that the
+# relative path its meta block names is the same on every machine.
+FILES = {
+    "propagate-potential-file": {"barrier.txt": "# x V\n-10 0\n3 0\n4 0.6\n5 0.6\n6 0\n10 0\n"},
 }
 # Benchmark-sized seeded sweeps on both engines: the sha256 of the data file.
 DIGESTS = {
@@ -115,7 +127,10 @@ def _corpus_digest():
 
 
 def _run(name, argv, tmp):
-    """stdout and data file bytes (None without --out) of one in-process call."""
+    """stdout and data file bytes (None without --out) of one in-process call,
+    run in ``tmp``."""
+    for file_name, text in FILES.get(name, {}).items():
+        (tmp / file_name).write_text(text)
     if name in CONFIGS:
         cfg = tmp / f"{name}.json"
         cfg.write_text(json.dumps(CONFIGS[name]))
@@ -124,7 +139,7 @@ def _run(name, argv, tmp):
     if data is not None:
         argv = argv + ["--out", str(data)]
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.chdir(tmp), contextlib.redirect_stdout(out):
         assert cli.main(argv) == 0
     return out.getvalue().encode(), None if data is None else data.read_bytes()
 

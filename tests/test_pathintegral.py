@@ -86,40 +86,32 @@ def test_free_width_law():
     sigma0 = 1.5
     x = pi.uniform_grid(1024, -30.0, 30.0)
     wf = pi.gaussian_packet(x, 0.0, sigma0)
-    for steps in (4, 10):
-        run = pi.propagate(wf, 0.5, steps)
-        t = run.wavefunction.t
+    snaps, _ = pi.propagate_snapshots(wf, 0.5, [4 * 0.5, 10 * 0.5])
+    for t, final in snaps:
+        assert final.t == t
         want = sigma0**2 * (1.0 + (t / (2 * sigma0**2)) ** 2)
-        assert _variance(run.wavefunction) == pytest.approx(want, rel=1e-3)
+        assert _variance(final) == pytest.approx(want, rel=1e-3)
 
 
 def test_free_step_drift_is_negligible_in_stable_regime():
     x = pi.uniform_grid(1024, -30.0, 30.0)
-    run = pi.propagate(pi.gaussian_packet(x, 0.0, 1.5), 0.5, 10)
-    assert run.max_step_drift < 1e-12
-    assert run.wavefunction.norm() == pytest.approx(1.0, abs=1e-12)
+    [(_, final)], drift = pi.propagate_snapshots(pi.gaussian_packet(x, 0.0, 1.5), 0.5, [10 * 0.5])
+    assert drift < 1e-12
+    assert final.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_moving_packet_translates_at_group_velocity():
     x = pi.uniform_grid(1024, -15.0, 15.0)
     wf = pi.gaussian_packet(x, -5.0, 1.5, 0.4)
-    run = pi.propagate(wf, 0.5, 8)
-    assert pi.expectation_x(run.wavefunction) == pytest.approx(-5.0 + 0.4 * 4.0, abs=1e-6)
-    assert pi.mean_velocity(run.wavefunction) == pytest.approx(0.4, abs=1e-4)
-
-
-def test_zero_steps_returns_identity_run():
-    x = pi.uniform_grid(64, -10.0, 10.0)
-    wf = pi.gaussian_packet(x, 0.0, 1.0)
-    run = pi.propagate(wf, 0.5, 0)
-    assert run.wavefunction is wf
-    assert run.max_step_drift == 0.0
+    [(_, final)], _ = pi.propagate_snapshots(wf, 0.5, [8 * 0.5])
+    assert pi.expectation_x(final) == pytest.approx(-5.0 + 0.4 * 4.0, abs=1e-6)
+    assert pi.mean_velocity(final) == pytest.approx(0.4, abs=1e-4)
 
 
 def test_parity_preserved_for_symmetric_packet():
     x = pi.uniform_grid(1024, -30.0, 30.0)
-    run = pi.propagate(pi.gaussian_packet(x, 0.0, 1.5), 0.5, 10)
-    values = run.wavefunction.values
+    [(_, final)], _ = pi.propagate_snapshots(pi.gaussian_packet(x, 0.0, 1.5), 0.5, [10 * 0.5])
+    values = final.values
     assert np.max(np.abs(values - values[::-1])) < 1e-9
 
 
@@ -129,7 +121,7 @@ def test_parity_preserved_for_symmetric_packet():
 def test_matches_crank_nicolson_oracle():
     x = pi.uniform_grid(1024, -30.0, 30.0)
     wf = pi.gaussian_packet(x, 0.0, 1.5)
-    lattice = pi.propagate(wf, 0.5, 10).wavefunction
+    [(_, lattice)], _ = pi.propagate_snapshots(wf, 0.5, [10 * 0.5])
     oracle = pi.crank_nicolson_propagate(wf, 0.005, 1000)
     assert _l2_up_to_phase(lattice.values, oracle.values, lattice.dx) < 1e-3
 
@@ -193,8 +185,8 @@ def test_harmonic_coherent_state_against_closed_form():
     omega, x0 = 0.15, 2.0
     x = pi.uniform_grid(1024, -16.0, 16.0)
     wf = pi.gaussian_packet(x, x0, math.sqrt(1.0 / (2.0 * omega)))
-    run = pi.propagate(wf, 0.25, 32, pi.HarmonicPotential(omega))
-    err = _l2_up_to_phase(run.wavefunction.values, _coherent_state(x, omega, x0, 8.0), run.wavefunction.dx)
+    [(_, final)], _ = pi.propagate_snapshots(wf, 0.25, [32 * 0.25], pi.HarmonicPotential(omega))
+    err = _l2_up_to_phase(final.values, _coherent_state(x, omega, x0, 8.0), final.dx)
     assert err < 5e-3
 
 
@@ -206,8 +198,9 @@ def test_convergence_order_in_eps_is_quadratic():
     eps_values = [0.5, 1.0 / 3.0, 0.25]
     errors = []
     for eps in eps_values:
-        run = pi.propagate(wf, eps, round(t_final / eps), pi.HarmonicPotential(omega))
-        errors.append(_l2_up_to_phase(run.wavefunction.values, target, run.wavefunction.dx))
+        [(_, final)], _ = pi.propagate_snapshots(
+            wf, eps, [round(t_final / eps) * eps], pi.HarmonicPotential(omega))
+        errors.append(_l2_up_to_phase(final.values, target, final.dx))
     slope = np.polyfit(np.log(eps_values), np.log(errors), 1)[0]
     assert slope >= 1.8
     assert errors[0] > errors[-1]
@@ -228,8 +221,8 @@ def test_tabulated_potential_matches_its_analytic_twin():
     wf = pi.gaussian_packet(x, 2.0, math.sqrt(1.0 / (2.0 * omega)))
     table_x = np.linspace(-16.0, 16.0, 2001)
     tabulated = pi.TabulatedPotential(table_x, 0.5 * omega**2 * table_x**2)
-    got = pi.propagate(wf, 0.25, 16, tabulated).wavefunction
-    want = pi.propagate(wf, 0.25, 16, pi.HarmonicPotential(omega)).wavefunction
+    [(_, got)], _ = pi.propagate_snapshots(wf, 0.25, [16 * 0.25], tabulated)
+    [(_, want)], _ = pi.propagate_snapshots(wf, 0.25, [16 * 0.25], pi.HarmonicPotential(omega))
     assert np.sqrt(np.sum(np.abs(got.values - want.values) ** 2) * got.dx) < 1e-5
 
 
@@ -241,7 +234,7 @@ def test_tabulated_well_matches_split_operator_oracle():
     wf = pi.gaussian_packet(x, 0.0, 1.5)
     table_x = np.linspace(-30.0, 30.0, 301)
     well = pi.TabulatedPotential(table_x, 0.01 * table_x**2 + 0.05 * np.sin(table_x))
-    got = pi.propagate(wf, 0.5, 20, well).wavefunction
+    [(_, got)], _ = pi.propagate_snapshots(wf, 0.5, [20 * 0.5], well)
     want = split_operator_values(wf, well, 10.0, 0.01)
     assert _l2_up_to_phase(got.values, want, wf.dx) < 2e-3
 
@@ -276,7 +269,7 @@ def test_unstable_step_aborts_with_diagnostics():
     x = pi.uniform_grid(1024, -30.0, 30.0)
     wf = pi.gaussian_packet(x, 0.0, 1.5)
     with pytest.raises(pi.PropagationUnstableError) as err:
-        pi.propagate(wf, 0.05, 1)
+        pi.propagate_snapshots(wf, 0.05, [0.05])
     assert err.value.drift > pi.NORM_DRIFT_LIMIT
     assert err.value.ghost_shift < err.value.span
     assert "eps" in str(err.value)
@@ -289,6 +282,55 @@ def test_snapshots_at_no_step_build_no_kernel():
         pi.propagate_snapshots(wf, 0.5, [0.5], pi.HarmonicPotential(1e155))
     snaps, drift = pi.propagate_snapshots(wf, 0.5, [0.0], pi.HarmonicPotential(1e155))
     assert [t for t, _ in snaps] == [0.0] and snaps[0][1] is wf and drift == 0.0
+
+
+def test_snapshots_past_the_memory_budget_are_refused_before_the_kernel(monkeypatch):
+    x = pi.uniform_grid(256, -10.0, 10.0)
+    wf = pi.gaussian_packet(x, 0.0, 1.5)
+    # Room for the run and two snapshot states, but not three.
+    monkeypatch.setattr(pi, "FFT_MAX_BYTES", (pi._FFT_BYTES_PER_POINT + 2 * 24) * 256)
+
+    def no_kernel(*args):
+        raise AssertionError("the kernel was built")
+
+    monkeypatch.setattr(pi, "_kernel_apply", no_kernel)
+    with pytest.raises(ValueError, match=f"3 snapshots .* over the {pi.FFT_MAX_BYTES}-byte budget"):
+        pi.propagate_snapshots(wf, 0.5, [0.5, 1.0, 1.5])
+    with pytest.raises(AssertionError, match="the kernel was built"):
+        pi.propagate_snapshots(wf, 0.5, [0.5, 1.0, 1.0, 0.5])
+
+
+def test_one_state_is_built_per_distinct_snapshot_step_count(monkeypatch):
+    x = pi.uniform_grid(256, -10.0, 10.0)
+    wf = pi.gaussian_packet(x, 0.0, 1.5)
+    built = []
+    real = pi.LatticeWavefunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(pi.LatticeWavefunction, "__post_init__", counted)
+    [(_, final)], _ = pi.propagate_snapshots(wf, 0.5, [20 * 0.5])
+    assert built == [final]
+    built.clear()
+    snaps, _ = pi.propagate_snapshots(wf, 1.5, [0, 1.5, 1.5, 3])
+    assert len(built) == 2
+    assert snaps[0][1] is wf and snaps[1][1] is snaps[2][1]
+    assert [snap.t for _, snap in snaps] == [0.0, 1.5, 1.5, 3.0]
+
+
+def test_snapshot_time_is_accumulated_one_step_at_a_time():
+    """The state's t adds eps once per step: at eps = 1/3 the sum of 24 steps
+    is not 24 * eps, which width-law's printed time would show."""
+    x = pi.uniform_grid(1024, -16.0, 16.0)
+    wf = pi.gaussian_packet(x, 2.0, math.sqrt(1.0 / 0.3))
+    eps = 1.0 / 3.0
+    [(_, final)], _ = pi.propagate_snapshots(wf, eps, [24 * eps], pi.HarmonicPotential(0.15))
+    t = 0.0
+    for _ in range(24):
+        t += eps
+    assert final.t == t != 24 * eps
 
 
 def test_mean_velocity_refuses_a_result_past_the_float_range():
@@ -354,7 +396,7 @@ def test_kernel_past_the_float_range_is_refused(potential, mass, hbar, xmax):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="past the float range"):
-            pi.propagate(wf, 10.0, 2, potential)
+            pi.propagate_snapshots(wf, 10.0, [2 * 10.0], potential)
 
 
 def test_snapshot_times_must_be_whole_steps():

@@ -33,3 +33,18 @@ def test_traced_cli_run_exits_zero_with_its_health_values(tmp_path, argv):
     if argv[0] == "check" or "both" in argv:
         # hilbert checks each emission's norm with streams.unitarity_defect.
         assert "streams.unitarity_defect.max" in result["metrics"]
+
+
+def test_traced_propagate_counts_its_steps(tmp_path):
+    record, stdout = tmp_path / "record.json", tmp_path / "stdout.txt"
+    argv = ["propagate", "--grid-n", "256", "--xmin", "-10", "--xmax", "10", "--eps", "0.5",
+            "--steps", "3"]
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), "--src", str(ROOT / "src"),
+         "--record", str(record), "--stdout", str(stdout), "--trace", "--", *argv],
+        check=True, timeout=120,
+    )
+    result = json.loads(record.read_text())
+    assert result["rc"] == 0
+    assert result["metrics"]["pathintegral.steps"] == 3
+    assert "pathintegral.max_step_drift" in result["metrics"]
