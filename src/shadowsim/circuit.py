@@ -24,7 +24,6 @@ import enum
 import math
 import re
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass, replace
 from itertools import cycle, groupby
 from operator import attrgetter
@@ -473,13 +472,14 @@ class PathTable:
 
     Column entry i describes route i: its geometric phase, the link phases
     added one by one from the source, held unboxed in an ``array('d')``;
-    the clock ``advances`` in route order, a string with one character per
-    advance: a phase shifter's code, the rank of its id among the sorted
-    ``element_ids`` (``element_ids[ord(c)]``), or ``chr(len(element_ids))``
-    for a splitter reflection (a REFLECTION_TURN), equal strings being one
-    object; the number of splitter ``crossings``; and the terminal the route
-    ends at.  No column holds a shift value, so one table serves every
-    setting the structure is evaluated at.
+    its clock ``advances``, an ``array('I')`` of indices into
+    ``advance_strings``, which holds each advance string once; the number of
+    splitter ``crossings``; and the terminal the route ends at.  An advance
+    string has one character per advance in route order: a phase shifter's
+    code, the rank of its id among the sorted ``element_ids``
+    (``element_ids[ord(c)]``), or ``chr(len(element_ids))`` for a splitter
+    reflection (a REFLECTION_TURN).  No column holds a shift value, so one
+    table serves every setting the structure is evaluated at.
 
     ``blocks``, for the streams engine's column route, is empty unless the
     table has COLUMN_MIN_ROWS rows and COLUMN_ROWS_PER_ADVANCE rows per
@@ -492,7 +492,8 @@ class PathTable:
     source: str
     element_ids: tuple[str, ...]
     geometric_phases: array
-    advances: tuple[str, ...]
+    advances: array
+    advance_strings: tuple[str, ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
     blocks: tuple[tuple[array, tuple[tuple[str, int, int], ...]], ...]
@@ -518,11 +519,14 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     """Depth first over element sequences, destinations in id order, so the
     rows come out in table order.  A bundle holds the routes of one element
     sequence: the in-ports its members cycle through, then per member a
-    phase and advances.  Each advance string is extended by a code once per
-    walk, through a memo per code, so equal strings are one object.  The
-    geometric phases go straight into an array; the other columns become
-    tuples one at a time, each list emptied once it is copied, so the table
-    is never held twice."""
+    phase and the index of its advance string.  Each string is extended by a
+    code once per walk, through a memo per code, so the walk makes each
+    string once.  A bundle of fewer than COLUMN_MIN_ROWS members holds
+    Python lists; a longer one holds numpy columns, made by _column_children
+    with the same adds, so the bits do not change.  The geometric phases and
+    advances go straight into arrays; the other columns become tuples one at
+    a time, each list emptied once it is copied, so the table is never held
+    twice."""
     total = count_paths(circuit)
     if total > MAX_PATHS:
         raise CircuitValidationError(
@@ -531,44 +535,87 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
     kinds = {eid: el.kind for eid, el in circuit.elements.items()}
     splitter_kind, shifter_kind = ElementType.BEAMSPLITTER, ElementType.PHASESHIFTER
     element_ids = tuple(sorted(kinds))
-    extended = {eid: _Extensions(chr(rank)) for rank, eid in enumerate(element_ids)
+    strings = [""]
+    extended = {eid: _Extensions(chr(rank), strings) for rank, eid in enumerate(element_ids)
                 if kinds[eid] is shifter_kind}
-    reflected = _Extensions(chr(len(element_ids)))
-    geometric_phases = array("d")
-    columns: tuple[list, ...] = ([], [], [])
-    stack: list[tuple] = [(source, 0, (-1,), [0.0], [""])]
+    reflected = _Extensions(chr(len(element_ids)), strings)
+    geometric_phases, advance_column = array("d"), array("I")
+    crossing_column: list[int] = []
+    terminal_column: list[str] = []
+    column_min = COLUMN_MIN_ROWS
+    stack: list[tuple] = [(source, 0, (-1,), [0.0], [0])]
     while stack:
         eid, crossings, in_ports, phases, advances = stack.pop()
         groups, n = circuit._successors[eid], len(phases)
         if not groups:  # only terminals have no outputs
-            geometric_phases.extend(phases)
-            finished = (advances, [crossings] * n, [eid] * n)
-            for column, values in zip(columns, finished):
-                column += values
+            if type(phases) is list:
+                geometric_phases.extend(phases)
+                advance_column.extend(advances)
+            else:
+                geometric_phases.frombytes(phases.data.cast("B"))
+                advance_column.frombytes(advances.data.cast("B"))
+            crossing_column += [crossings] * n
+            terminal_column += [eid] * n
             continue
         splitter = kinds[eid] is splitter_kind
         if splitter:
             crossings += 1
         elif kinds[eid] is shifter_kind:
-            advances = list(map(extended[eid].__getitem__, advances))
+            advances = _mapped(extended[eid], advances)
         for dst, links in reversed(groups.items()):
-            if len(links) == 1:
+            if n * len(links) >= column_min:
+                stack.append((dst, crossings, tuple(link.dst_port for link in links), *_column_children(
+                    phases, advances, in_ports, links, reflected if splitter else None)))
+            elif len(links) == 1:
                 (link,) = links
                 out = link.src_port
                 stack.append((dst, crossings, (link.dst_port,),
                     [p + link.phase for p in phases],
                     advances if not splitter or in_ports == (out,) else
                     [reflected[a] if ip != out else a for a, ip in zip(advances, cycle(in_ports))]))
-                continue
-            # Several links into one element: each member's children, in port order.
-            stack.append((dst, crossings, tuple(link.dst_port for link in links),
-                [p + link.phase for p in phases for link in links],
-                [reflected[a] if splitter and ip != link.src_port else a
-                 for a, ip in zip(advances, cycle(in_ports)) for link in links]))
+            else:  # several links into one element: each member's children, in port order
+                stack.append((dst, crossings, tuple(link.dst_port for link in links),
+                    [p + link.phase for p in phases for link in links],
+                    [reflected[a] if splitter and ip != link.src_port else a
+                     for a, ip in zip(advances, cycle(in_ports)) for link in links]))
     del phases, advances  # the last bundle's, already in the columns
-    advances, crossings, terminals = _frozen(columns)
-    return PathTable(source, element_ids, geometric_phases, advances, crossings, terminals,
-                     _advance_blocks(advances))
+    crossings, terminals = _frozen((crossing_column, terminal_column))
+    advance_strings = tuple(strings)
+    return PathTable(source, element_ids, geometric_phases, advance_column, advance_strings,
+                     crossings, terminals, _advance_blocks(advance_column, advance_strings))
+
+
+def _column_children(phases, advances, in_ports, links, reflected):
+    """The phases and advances of one destination's children of a bundle as
+    numpy columns, in the list route's order: member by member, each taking
+    its in-port from ``in_ports`` in turn, one child per link in port order.
+    A child's phase is its member's plus the link's, one IEEE add as in the
+    list route; its advance is reflected, through the memo ``reflected`` (None
+    off a splitter), where the link leaves by the port the member did not
+    come in by."""
+    import numpy as np
+
+    phases = np.asarray(phases, dtype=np.float64)
+    advances = np.asarray(advances, dtype=np.uintc)
+    child_phases = (phases[:, None] + [link.phase for link in links]).ravel()
+    turned = np.array([[ip != link.src_port for link in links] for ip in in_ports])
+    if reflected is None or not turned.any():
+        return child_phases, advances if len(links) == 1 else np.repeat(advances, len(links))
+    members = advances.reshape(-1, len(in_ports), 1)
+    return child_phases, np.where(turned, _mapped(reflected, members), members).ravel()
+
+
+def _mapped(memo: _Extensions, advances):
+    """Each advance index through ``memo``: a list one by one; a numpy array
+    by one ``take`` from a lookup table that maps each distinct index once."""
+    if isinstance(advances, list):
+        return list(map(memo.__getitem__, advances))
+    import numpy as np
+
+    distinct = np.flatnonzero(np.bincount(advances.ravel()))
+    lookup = np.zeros(distinct[-1] + 1, dtype=np.uintc)
+    lookup[distinct] = list(map(memo.__getitem__, distinct.tolist()))
+    return lookup.take(advances)
 
 
 def _frozen(columns):
@@ -578,31 +625,34 @@ def _frozen(columns):
         column.clear()
 
 
-def _advance_blocks(advances: tuple[str, ...]) -> tuple:
-    """PathTable.blocks of a table with these advance strings: empty unless
-    the table is long enough and shares its strings enough to be evaluated a
-    block at a time.  The distinct strings are counted a block at a time, so
-    a table that shares too little is turned away early."""
+def _advance_blocks(advances: array, strings: tuple[str, ...]) -> tuple:
+    """PathTable.blocks of a table with these advance indices into
+    ``strings``: empty unless the table is long enough and shares its
+    strings enough to be evaluated a block at a time.  Each string used gets
+    its rank in sorted order, the empty string, which advances nothing, the
+    last; a block's rows are ordered by one stable argsort of their ranks,
+    and one bincount gives each string's run."""
     n = len(advances)
     if n < COLUMN_MIN_ROWS:
         return ()
-    distinct: set[str] = set()
-    for start in range(0, n, COLUMN_BLOCK):
-        distinct.update(advances[start:start + COLUMN_BLOCK])
-        if COLUMN_ROWS_PER_ADVANCE * len(distinct) > n:
-            return ()
+    import numpy as np
+
+    indices = np.frombuffer(advances, dtype=np.uintc)
+    used = np.flatnonzero(np.bincount(indices))
+    if COLUMN_ROWS_PER_ADVANCE * len(used) > n:
+        return ()
+    ordered = sorted((i for i in used.tolist() if i), key=strings.__getitem__)  # strings[0] == ""
+    ranks = np.full(len(strings), len(ordered))
+    ranks[ordered] = np.arange(len(ordered))
     blocks = []
     for start in range(0, n, COLUMN_BLOCK):
-        groups: defaultdict[str, list[int]] = defaultdict(list)
-        for offset, string in enumerate(advances[start:start + COLUMN_BLOCK]):
-            groups[string].append(offset)
-        groups.pop("", None)  # no advance, nothing to add
-        strings = sorted(groups)
-        order, bounds = array("H"), [0]
-        for string in strings:
-            order.extend(groups[string])
-            bounds.append(len(order))
-        blocks.append((order, tuple(_advance_steps(strings, bounds))))
+        block_ranks = ranks.take(indices[start:start + COLUMN_BLOCK])
+        counts = np.bincount(block_ranks, minlength=len(ordered) + 1)[:-1]
+        order = np.argsort(block_ranks, kind="stable")[:counts.sum()].astype(np.uint16)
+        present = np.flatnonzero(counts)
+        bounds = [0, *np.cumsum(counts[present]).tolist()]
+        steps = _advance_steps([strings[ordered[r]] for r in present.tolist()], bounds)
+        blocks.append((array("H", order.tobytes()), tuple(steps)))
     return tuple(blocks)
 
 
@@ -620,11 +670,14 @@ def _advance_steps(strings: list[str], bounds: list[int]):
 
 
 class _Extensions(dict):
-    """Memo from an advance string to that string extended by ``code``."""
+    """Memo from the index of an advance string in ``strings`` to that of the
+    string extended by ``code``, which is appended to ``strings`` when first
+    asked for."""
 
-    def __init__(self, code: str):
-        self.code = code
+    def __init__(self, code: str, strings: list[str]):
+        self.code, self.strings = code, strings
 
-    def __missing__(self, advances: str) -> str:
-        self[advances] = extended = advances + self.code
+    def __missing__(self, index: int) -> int:
+        self[index] = extended = len(self.strings)
+        self.strings.append(self.strings[index] + self.code)
         return extended

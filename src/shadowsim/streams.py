@@ -6,11 +6,12 @@ terminal sums at each of a sequence of settings; every caller, one setting
 or many, goes through it.  The engine compiles the circuit into a path
 table (circuit.PathTable), one row per path, walked in bundles of rows with
 one element sequence.  A row's clock advances are a string of one-character
-codes, each naming a phase shifter or a splitter reflection.  The table
-holds no shift value, so terminal_amplitudes evaluates its rows at a whole
-sequence of settings, each a shift map and a clock, one setting at a time
-as they are read.  A path's amplitude is the product of a unit phase,
-tracked by a path clock, and 1/sqrt(2) per crossing:
+codes, each naming a phase shifter or a splitter reflection; the table holds
+each string once and a row the index of its own.  The table holds no shift
+value, so terminal_amplitudes evaluates its rows at a whole sequence of
+settings, each a shift map and a clock, one setting at a time as they are
+read.  A path's amplitude is the product of a unit phase, tracked by a path
+clock, and 1/sqrt(2) per crossing:
 
     reflection at a beamsplitter   -> extra quarter turn (factor i)
     phase shifter with shift alpha -> factor exp(i*alpha)
@@ -84,13 +85,14 @@ def _row_amplitudes(table: PathTable, start: float, turns, magnitudes):
     is exact, which is fmod's remainder bit for bit.  cmath.rect gives the
     bits of complex(cos, sin) * magnitude."""
     rect, fmod, tau = cmath.rect, math.fmod, 2.0 * math.pi
-    for phase, advances, crossings in zip(table.geometric_phases, table.advances, table.crossings):
+    strings = table.advance_strings
+    for phase, index, crossings in zip(table.geometric_phases, table.advances, table.crossings):
         clock = fmod(start + phase, tau)
         if clock < 0.0:
             clock += tau
         if clock >= tau:
             clock -= tau
-        for code in advances:
+        for code in strings[index]:
             clock += turns[code]
             if clock >= tau:
                 clock -= tau

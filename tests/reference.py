@@ -9,6 +9,8 @@ text format and ``circuits_equal`` compares two circuits, for round trips;
 ``row_amplitudes`` reads the stream engine's amplitude of each table row.
 ``hilbert_amplitudes`` is one hilbert emission at the circuit's own shifts
 and ``probabilities`` squares amplitudes into Born probabilities.
+``exact_amplitudes`` evolves a circuit whose phases are multiples of pi/4
+with no rounding at all, and ``exact_error`` measures an engine against it.
 ``bghz_streams``, ``stream_arms`` and ``hilbert_arms`` build the per-arm
 inputs that experiments.pair_amplitudes pairs, one emission of each
 Circuit.arm view, as bghz_points builds them, and ``pair_clock`` is the
@@ -22,6 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -157,6 +160,85 @@ def row_amplitudes(circuit: Circuit, clock: float) -> list[complex]:
     table = compile_paths(circuit)
     (amplitudes,) = _table_amplitudes(circuit, table, [({}, clock)])
     return list(amplitudes)
+
+
+# -- exact amplitudes ----------------------------------------------------------
+
+# An amplitude z / (sqrt2**k * sqrt(fanout)) with z = a0 + a1 w + a2 w^2 + a3 w^3
+# in Z[w], w = exp(i pi/4), held as ((a0, a1, a2, a3), k).
+_ZERO = ((0, 0, 0, 0), 0)
+
+
+def _eighths(angle: float) -> int:
+    """``angle`` as a count of eighth turns mod 8; refused unless it lies
+    within 1e-9 of a multiple of pi/4."""
+    turns = round(angle / (math.pi / 4))
+    if abs(angle - turns * math.pi / 4) > 1e-9:
+        raise ValueError(f"{angle!r} is not a multiple of pi/4")
+    return turns % 8
+
+
+def _turned(z, eighths: int):
+    """z * w**eighths: each factor w moves every coefficient up one power,
+    w^4 = -1 coming round to the constant."""
+    for _ in range(eighths):
+        a0, a1, a2, a3 = z
+        z = (-a3, a0, a1, a2)
+    return z
+
+
+def _sum(x, y):
+    """x + y over the larger of their powers of sqrt2, sqrt2 = w - w^3."""
+    (zx, kx), (zy, ky) = sorted((x, y), key=lambda amp: amp[1])
+    for _ in range(ky - kx):
+        zx = tuple(a - b for a, b in zip(_turned(zx, 1), _turned(zx, 3)))
+    return tuple(a + b for a, b in zip(zx, zy)), ky
+
+
+def exact_amplitudes(circuit: Circuit) -> dict[str, tuple]:
+    """Amplitude per terminal key of one emission at the circuit's own shifts
+    and clock 0, evolved exactly link by link in topological order as hilbert
+    does: each link's amplitude z / sqrt2**k with z in Z[w] in Python ints.
+    Every link phase and shift must be a multiple of pi/4.  The values are
+    read with exact_error."""
+    source = circuit.sole_source()
+    elements = circuit.elements
+    on_link: dict = {}
+
+    def arrived(eid, port):
+        return on_link.get(circuit.in_link(eid, port), _ZERO)
+
+    def emit(eid, port, amp):
+        link = circuit.out_link(eid, port)
+        on_link[link] = _turned(amp[0], _eighths(link.phase)), amp[1]
+
+    for eid in circuit.topo_order:
+        kind = elements[eid].kind
+        if eid == source:
+            for port in range(circuit.source_fanout(eid)):
+                emit(eid, port, ((1, 0, 0, 0), 0))
+        elif kind is ElementType.BEAMSPLITTER:
+            (z0, k0), (z1, k1) = arrived(eid, 0), arrived(eid, 1)
+            for port, (zt, kt), (zr, kr) in ((0, (z0, k0), (z1, k1)), (1, (z1, k1), (z0, k0))):
+                z, k = _sum((zt, kt), (_turned(zr, 2), kr))  # reflection: factor i
+                emit(eid, port, (z, k + 1))
+        elif kind in (ElementType.MIRROR, ElementType.PHASESHIFTER):
+            z, k = arrived(eid, 0)
+            emit(eid, 0, (_turned(z, _eighths(elements[eid].shift)), k))
+    fanout = circuit.source_fanout(source)
+    return {circuit.terminal_key(t): (*arrived(t, 0), fanout) for t in circuit.terminals}
+
+
+def exact_error(exact: tuple, amp: complex) -> float:
+    """|amp - exact| for an exact_amplitudes value, computed at 60 digits."""
+    (a0, a1, a2, a3), k, fanout = exact
+    with localcontext() as context:
+        context.prec = 60
+        root2 = Decimal(2).sqrt()
+        scale = root2**k * Decimal(fanout).sqrt()
+        real = (a0 + (a1 - a3) / root2) / scale
+        imag = (a2 + (a1 + a3) / root2) / scale
+        return float(((Decimal(amp.real) - real) ** 2 + (Decimal(amp.imag) - imag) ** 2).sqrt())
 
 
 # -- correlated pairs ----------------------------------------------------------

@@ -2,7 +2,9 @@
 
 import cmath
 import math
+import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 
 import numpy as np
@@ -211,13 +213,14 @@ def _bits(values):
 def _decoded_advances(table):
     """Each row's advances as element ids, None for a splitter reflection."""
     ids = table.element_ids + (None,)
-    return ([ids[ord(code)] for code in advances] for advances in table.advances)
+    return ([ids[ord(code)] for code in table.advance_strings[index]] for index in table.advances)
 
 
 def _rows(table):
     """Each row of a path table as one tuple, its phase under float.hex."""
     phases = [v.hex() for v in table.geometric_phases]
-    return list(zip(phases, table.advances, table.crossings, table.terminals, strict=True))
+    strings = [table.advance_strings[index] for index in table.advances]
+    return list(zip(phases, strings, table.crossings, table.terminals, strict=True))
 
 
 def _assert_reference_bits(circuit):
@@ -233,8 +236,9 @@ def _assert_reference_bits(circuit):
     assert [v.hex() for v in table.geometric_phases] == [
         p.geometric_phase.hex() for p in paths
     ]
-    assert all(type(advances) is str for advances in table.advances)
-    assert len({id(a) for a in table.advances}) == len(set(table.advances))
+    assert type(table.advances) is array and table.advances.typecode == "I"
+    assert all(type(string) is str for string in table.advance_strings)
+    assert len(table.advance_strings) == len(set(table.advance_strings))
     assert list(_decoded_advances(table)) == list(
         list(
             None if kinds[eid] is ElementType.BEAMSPLITTER else eid
@@ -498,6 +502,79 @@ def test_negative_link_phases_start_rows_below_zero(ladder_text):
                for phase in compile_paths(circuit).geometric_phases)
 
 
+# -- list and array bundles -----------------------------------------------------
+
+
+def _walked(monkeypatch, build, arrays):
+    """The path table of a circuit ``build()`` makes afresh, walked with every
+    bundle held as numpy columns or none, as comparable values: the phase
+    bytes, each row's advance string, crossings and terminal, and the blocks
+    _advance_blocks makes of its advances with every table grouped."""
+    calls = []
+    column_children = circuit_module._column_children
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return column_children(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(circuit_module, "COLUMN_MIN_ROWS", 0 if arrays else math.inf)
+        patch.setattr(circuit_module, "_column_children", counted)
+        table = compile_paths(build())
+        patch.setattr(circuit_module, "COLUMN_MIN_ROWS", 0)
+        patch.setattr(circuit_module, "COLUMN_ROWS_PER_ADVANCE", 0)
+        blocks = circuit_module._advance_blocks(table.advances, table.advance_strings)
+    assert bool(calls) is arrays
+    assert len(table.advance_strings) == len(set(table.advance_strings))
+    strings = [table.advance_strings[index] for index in table.advances]
+    return (table.geometric_phases.tobytes(), strings, table.crossings, table.terminals,
+            [(order.tobytes(), steps) for order, steps in blocks])
+
+
+def _assert_bundles_agree(monkeypatch, build):
+    assert _walked(monkeypatch, build, False) == _walked(monkeypatch, build, True)
+
+
+def test_array_bundles_walk_the_list_table_on_the_corpus(monkeypatch):
+    for seed in range(500):
+        _assert_bundles_agree(monkeypatch, lambda: random_circuit(seed))
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_array_bundles_walk_the_list_table(monkeypatch, ladder_text, walk_text, case):
+    _assert_bundles_agree(monkeypatch, lambda: ROUTE_CASES[case](ladder_text, walk_text))
+
+
+def test_short_tables_compile_without_numpy(monkeypatch, ladder_text):
+    """A table whose bundles all stay below COLUMN_MIN_ROWS, and which is too
+    short to be grouped, is walked with no numpy; a 1,024-row ladder is not."""
+    circuits = [random_circuit(seed) for seed in range(500)]
+    circuits.append(parse_circuit(ladder_text(9)))
+    longer = parse_circuit(ladder_text(10))
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for circuit in circuits:
+        compile_paths(circuit)
+    with pytest.raises(ImportError):
+        compile_paths(longer)
+
+
+@pytest.mark.parametrize("k", [16, 18])
+def test_compiling_a_long_ladder_peaks_below_the_list_walk(ladder_text, k):
+    """The walk with every bundle held in Python lists peaked at 65.2 and
+    65.6 bytes a row (tracemalloc, 16 and 18 splitters); numpy columns must
+    not peak higher, within 1%.  They peak at about 39 bytes a row."""
+    circuit = parse_circuit(ladder_text(k))
+    compile_paths(parse_circuit(ladder_text(12)))  # numpy's first-use allocations
+    tracemalloc.start()
+    try:
+        table = compile_paths(circuit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert type(table.advances) is array and table.advances.typecode == "I"
+    assert peak < 66.0 * 2**k
+
+
 def _block_advances(table):
     """Each grouped row's advance string as the table's blocks spell it: the
     codes of the steps whose runs cover its place in its block's order."""
@@ -526,8 +603,9 @@ def test_a_table_takes_the_column_route_when_long_and_shared(monkeypatch, ladder
     tables.append(compile_paths(_shifter_ladder(ladder_text, 12)))
     for table in tables:
         assert len(table.blocks) == -(-len(table) // COLUMN_BLOCK)
+        strings = table.advance_strings
         assert _block_advances(table) == {
-            row: advances for row, advances in enumerate(table.advances) if advances}
+            row: strings[index] for row, index in enumerate(table.advances) if strings[index]}
 
 
 @settings(max_examples=60, deadline=None)
