@@ -61,6 +61,9 @@ CASES = {
                                  "--k0", "0.4", "--eps", "1.5", "--steps", "3",
                                  "--potential", "file", "--potential-file", "barrier.txt"],
 }
+# The same runs with JSON results, whose per-engine parameters are pinned too.
+CASES.update({f"{name}-json": CASES[name][:-1] + ["json"] for name in (
+    "run-mz", "run-wheeler", "run-wheeler-peek", "run-ifm-none", "run-bghz")})
 # Cases that write no data file: their whole output is stdout.
 STDOUT_ONLY = {"sweep-stdout", "check"}
 CONFIGS = {
