@@ -8,7 +8,9 @@ Output files are byte-identical for identical (config, seed) pairs: no
 timestamps, sorted config keys, fixed float formatting.  CSV files start
 with ``#`` metadata lines embedding the config, seed, and engine versions;
 JSON files carry the same block as a ``meta`` object.  CSV floats use 12
-significant digits.
+significant digits.  A run's config records the experiment, engine, seed
+and every other key the bench read, and each JSON result's ``parameters``
+is that record with the result's own engine and the rng.
 
 Two tables drive every subcommand: ``KEYS`` describes each flag once and
 ``REGISTRY`` each experiment once.
@@ -50,9 +52,9 @@ from .rng import RNG_NAME, child_seeds
 # before any work.  sample() counts shots in chunks, so they bound its time, not
 # its memory: about 6.4 ms per 10**6 (hilbert MZ, min of 3x3, 2-core x86 VM).
 MAX_SHOTS = 2**26
-# A sweep's memory peaks at about 4.8 kB per grid point (tracemalloc: bghz on
-# both engines, four joint rows a point; chsh takes 2.6 kB and mz to CSV
-# 2.7 kB), so MAX_GRID_POINTS points stay under 2**30 bytes.
+# A sweep's memory peaks at about 4.2 kB per grid point (tracemalloc, 4096 seeded
+# points to CSV on both engines: bghz, four joint rows a point; chsh 2.4 kB, mz
+# 2.1 kB), so MAX_GRID_POINTS points stay under 2**30 bytes.
 MAX_GRID_POINTS = 2**16
 # Time bound on a sweep's draws, summed over points, engines and settings:
 # about 7 s at that rate.
@@ -434,11 +436,15 @@ def _report_distributions(name: str, values: dict, dists: list[OutcomeDistributi
             print(f"{_outcome_str(outcome).ljust(14)}{freq:16.6f}")
     if values["out"] is None:
         return
-    config = {"experiment": name, "engine": values["engine"]}
-    config.update({k: v for k, v in dists[0].parameters.items() if k not in ("engine", "rng")})
+    config = {"experiment": name, "engine": values["engine"], "seed": seed,
+              **{key.replace("-", "_"): value for key, value in values.items()
+                 if key in KEYS and key not in BENCH_KEYS}}
     meta = _meta_block(config, seed)
     if values["format"] == "json":
-        _write_json(values["out"], meta, [d.to_jsonable() for d in dists])
+        _write_json(values["out"], meta, [
+            {"engine": d.engine, "parameters": {**config, "engine": d.engine, "rng": RNG_NAME},
+             "outcomes": [{"outcome": o, "probability": p} for o, p in d.outcomes.items()]}
+            for d in dists])
         return
     rows = []
     for dist in dists:
@@ -518,12 +524,6 @@ def _check_theta(values: dict) -> dict:
     return values
 
 
-def _run_circuit_file(points: list[dict], engine: str) -> list[OutcomeDistribution]:
-    return [run_circuit(p["circuit"], engine, {"experiment": "circuit", "engine": engine,
-                        "circuit_file": p["circuit-file"], "seed": p["seed"], "rng": RNG_NAME},
-                        seed=p["seed"]) for p in points]
-
-
 class Experiment(NamedTuple):
     """One bench: the keys it reads, its runner and its sweep axis.
 
@@ -533,7 +533,8 @@ class Experiment(NamedTuple):
     an experiment without one cannot be swept.  ``report`` prints and writes
     a run's results, one per engine, and ``cells`` gives the sweep columns of
     one engine's result at one grid point.  ``load`` maps a run's values to
-    those its engines read, once per run."""
+    those its engines read, once per run; a ``KEYS`` value it adds is recorded
+    in the run's config as one read."""
 
     keys: tuple[str, ...]
     run: Callable | None
@@ -570,6 +571,8 @@ REGISTRY = {
         lambda points, engine: wheeler_points(
             [(p["alpha"], p["seed"]) for p in points], points[0]["peek"], engine),
         ("alpha", lambda x: {"alpha": x}),
+        # Unpeeked, the bench is the Mach-Zehnder at theta 0, which its run records.
+        load=lambda values: values if values["peek"] else {**values, "theta": 0.0},
     ),
     "ifm": Experiment(
         BENCH_KEYS + ("blocked-arm",),
@@ -591,8 +594,9 @@ REGISTRY = {
     ),
     # run pathintegral is the propagate command.
     "pathintegral": Experiment(PROPAGATE_KEYS, None),
-    "circuit": Experiment(BENCH_KEYS + ("circuit-file",), _run_circuit_file,
-                          load=_read_circuit_file),
+    "circuit": Experiment(BENCH_KEYS + ("circuit-file",), lambda points, engine: [
+        run_circuit(p["circuit"], engine, seed=p["seed"]) for p in points],
+        load=_read_circuit_file),
 }
 EXPERIMENTS = tuple(REGISTRY)
 SWEEPABLE = tuple(name for name, experiment in REGISTRY.items() if experiment.axis)

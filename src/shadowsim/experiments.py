@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .outcomes import (
     Outcome,
     OutcomeDistribution,
 )
-from .rng import RNG_NAME, child_seeds, make_rng
+from .rng import child_seeds, make_rng
 from .streams import initial_clocks
 
 ENGINES = (ENGINE_STREAMS, ENGINE_HILBERT)
@@ -161,28 +161,23 @@ def _amplitudes(circuit: Circuit, engine: str, shift_maps: Iterable[dict], clock
     return module.terminal_amplitudes(circuit, zip(shift_maps, clocks))
 
 
-def _distributions(engine: str, amplitude_maps, params: Iterable[dict]
-                   ) -> Iterator[OutcomeDistribution]:
-    return (OutcomeDistribution({key: abs(amp) ** 2 for key, amp in amps.items()}, engine, p)
-            for amps, p in zip(amplitude_maps, params))
+def _distributions(engine: str, amplitude_maps) -> Iterator[OutcomeDistribution]:
+    return (OutcomeDistribution({key: abs(amp) ** 2 for key, amp in amps.items()}, engine)
+            for amps in amplitude_maps)
 
 
-def run_circuit(circuit: Circuit, engine: str, params: dict, *,
-                seed: int | None = None) -> OutcomeDistribution:
+def run_circuit(circuit: Circuit, engine: str, *, seed: int | None = None) -> OutcomeDistribution:
     """One single-particle circuit on either engine."""
-    amps = _amplitudes(circuit, engine, [{}], _clocks(engine, [seed]))
-    return next(_distributions(engine, amps, [params]))
+    return next(_distributions(engine, _amplitudes(circuit, engine, [{}], _clocks(engine, [seed]))))
 
 
 def mach_zehnder_points(points: Sequence[tuple[float, int | None]], engine: str = ENGINE_STREAMS,
                         *, theta: float = 0.0) -> list[OutcomeDistribution]:
     """The Mach-Zehnder at each (alpha, seed) point."""
-    params = [{"experiment": "mz", "alpha": alpha, "theta": theta, "engine": engine,
-               "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
     amps = _amplitudes(mach_zehnder_circuit(0.0, theta), engine,
                        [{"shift_a": a} for a, _ in points],
                        _clocks(engine, [seed for _, seed in points]))
-    return list(_distributions(engine, amps, params))
+    return list(_distributions(engine, amps))
 
 
 def wheeler_points(points: Sequence[tuple[float, int | None]], peek: bool,
@@ -192,17 +187,12 @@ def wheeler_points(points: Sequence[tuple[float, int | None]], peek: bool,
     each arm's contribution stands alone, so the two arm-blocked benches add
     as probabilities and a phase on a lone arm drops out of |amplitude|^2."""
     if not peek:
-        return [OutcomeDistribution(d.outcomes, d.engine,
-                                    {**d.parameters, "experiment": "wheeler", "peek": False})
-                for d in mach_zehnder_points(points, engine)]
-    params = [{"experiment": "wheeler", "alpha": alpha, "peek": True, "engine": engine,
-               "seed": seed, "rng": RNG_NAME} for alpha, seed in points]
+        return mach_zehnder_points(points, engine)
     clocks = _clocks(engine, [seed for _, seed in points])
-    arms = [_distributions(engine, _amplitudes(ifm_circuit(arm), engine,
-                                               [{}] * len(points), clocks), params)
-            for arm in ("a", "b")]
+    arms = [_distributions(engine, _amplitudes(ifm_circuit(arm), engine, [{}] * len(points),
+                                               clocks)) for arm in ("a", "b")]
     return [OutcomeDistribution({out: a.outcomes[out] + b.outcomes[out] for out in ("u", "d")},
-                                engine, p) for p, a, b in zip(params, *arms)]
+                                engine) for a, b in zip(*arms)]
 
 
 def run_ifm(
@@ -213,9 +203,7 @@ def run_ifm(
 ) -> OutcomeDistribution:
     """Blocked-arm bench.  Unblocked, every particle exits at u; blocked,
     the absorbed/u/d split is 1/2, 1/4, 1/4 whichever arm is blocked."""
-    params = {"experiment": "ifm", "blocked_arm": blocked_arm, "engine": engine,
-              "seed": seed, "rng": RNG_NAME}
-    return run_circuit(ifm_circuit(blocked_arm), engine, params, seed=seed)
+    return run_circuit(ifm_circuit(blocked_arm), engine, seed=seed)
 
 
 def pair_amplitudes(
@@ -264,9 +252,7 @@ def bghz_points(points: Sequence[tuple[float, float, int | None]],
     """The pair bench at each (alpha, beta, seed) point: both sides run
     under the point's one clock and are paired arm by arm."""
     clocks = _clocks(engine, [seed for _, _, seed in points])
-    params = [{"experiment": "bghz", "alpha": alpha, "beta": beta, "engine": engine,
-               "seed": seed, "rng": RNG_NAME} for alpha, beta, seed in points]
-    return list(_distributions(engine, _bghz_joints(points, clocks, engine), params))
+    return list(_distributions(engine, _bghz_joints(points, clocks, engine)))
 
 
 # -- sampling -----------------------------------------------------------------
@@ -279,8 +265,6 @@ class SampleResult:
     counts: dict[Outcome, int]
     frequencies: dict[Outcome, float]
     shots: int
-    seed: int | None
-    rng: str = RNG_NAME
 
 
 def sample(dist: OutcomeDistribution, shots: int, seed: int | None = None) -> SampleResult:
@@ -309,7 +293,7 @@ def sample(dist: OutcomeDistribution, shots: int, seed: int | None = None) -> Sa
     counts = np.diff(below, prepend=0)
     count_map = {label: int(c) for label, c in zip(labels, counts)}
     freq_map = {label: c / shots for label, c in count_map.items()}
-    return SampleResult(counts=count_map, frequencies=freq_map, shots=shots, seed=seed)
+    return SampleResult(counts=count_map, frequencies=freq_map, shots=shots)
 
 
 # -- CHSH ---------------------------------------------------------------------
@@ -322,13 +306,11 @@ class ChshReport:
     """Correlators and the CHSH combination
     S = E(a,b) - E(a,b') + E(a',b) + E(a',b') for four angle settings."""
 
-    angles: tuple[float, float, float, float]
     correlations: dict[tuple[float, float], float]
     s_value: float
     violation: bool
     engine: str
     shots: int | None = None
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         slack = 0.0 if self.shots is None else 4.0 * 2.0 / math.sqrt(self.shots)
@@ -362,18 +344,16 @@ def chsh_points(points: Sequence[tuple[Sequence[float], int | None]],
     _require_engine(engine)
     rows = [[(a, b), (a, b2), (a2, b), (a2, b2)] for (a, a2, b, b2), _ in points]
     clocks = [clock for clock in _clocks(engine, [seed for _, seed in points]) for _ in range(4)]
-    joints = _bghz_joints(list(chain.from_iterable(rows)), clocks, engine)
-    dists = _distributions(engine, joints, repeat({}))
+    dists = _distributions(engine, _bghz_joints(list(chain.from_iterable(rows)), clocks, engine))
     shot_seeds = iter(child_seeds([(seed, i) for _, seed in points for i in range(4)])
                       if shots is not None else ())
     reports = []
-    for settings, (angles, seed) in zip(rows, points):
+    for settings in rows:
         correlations: dict[tuple[float, float], float] = {}
         for (x, y), dist in zip(settings, dists):
             probs = (dist.outcomes if shots is None
                      else sample(dist, shots, next(shot_seeds)).frequencies)
             correlations[(x, y)] = _correlator(probs)
         s_value = sum(s * correlations[setting] for s, setting in zip(_SIGNS, settings))
-        reports.append(ChshReport(tuple(angles), correlations, s_value, abs(s_value) > 2.0,
-                                  engine, shots, seed))
+        reports.append(ChshReport(correlations, s_value, abs(s_value) > 2.0, engine, shots))
     return reports

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 Outcome = Union[str, tuple[str, str]]
@@ -18,14 +18,13 @@ class OutcomeDistribution:
     """Normalized probabilities over detector (or joint detector) outcomes.
 
     ``engine`` records which backend produced the numbers: streams or hilbert.
-    ``parameters`` carries everything needed to reproduce the run, seed
-    included when one was used.  The probabilities are the whole result:
-    no engine attaches per-path detail to them.
+    The probabilities are the whole result: no engine attaches per-path
+    detail to them, and what reproduces a run (its settings and seed) is
+    recorded by the command that ran it, not here.
     """
 
     outcomes: dict[Outcome, float]
     engine: str
-    parameters: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         cleaned: dict[Outcome, float] = {}
@@ -41,15 +40,3 @@ class OutcomeDistribution:
 
     def probability(self, outcome: Outcome) -> float:
         return self.outcomes.get(outcome, 0.0)
-
-    def to_jsonable(self) -> dict:
-        """JSON-friendly form; joint outcomes become two-element lists."""
-        rows = []
-        for key, p in self.outcomes.items():
-            out = list(key) if isinstance(key, tuple) else key
-            rows.append({"outcome": out, "probability": p})
-        return {
-            "engine": self.engine,
-            "parameters": dict(self.parameters),
-            "outcomes": rows,
-        }

@@ -264,6 +264,56 @@ def test_parse_errors_carry_position(text, line, fragment):
     assert err.value.column >= 1
 
 
+# Every refusal of circuit.py that an element or a circuit text can reach, with
+# its whole message; a parse error's names its line and column.
+_SOURCE_TO_U = "element src source\nelement u detector:u\nlink src:0 u:0\n"
+REFUSALS = {
+    "label": (lambda: Element(ElementType.MIRROR, label="x"), "mirror takes no label"),
+    "empty": (lambda: parse_circuit(""), "no source: circuit has no elements"),
+    "blocker-label": (
+        lambda: parse_circuit("element src source\nelement bs beamsplitter\nelement u blocker\n"
+                              "element d detector:u\nlink src:0 bs:0\nlink bs:0 u:0\n"
+                              "link bs:1 d:0"),
+        "blocker id 'u' collides with a detector label"),
+    "terminal-output": (
+        lambda: parse_circuit(_SOURCE_TO_U + "element d detector:d\nlink u:0 d:0"),
+        "port arity violation: u (detector) has no outputs"),
+    "output-port": (
+        lambda: parse_circuit("element src source\nelement m mirror\nelement u detector:u\n"
+                              "link src:0 m:0\nlink m:1 u:0"),
+        "port arity violation: m has no output port 1"),
+    "source-input": (
+        lambda: parse_circuit("element src source\nelement s2 source\nelement m mirror\n"
+                              "link src:0 m:0\nlink m:0 s2:0"),
+        "port arity violation: s2 (source) has no inputs"),
+    "source-ports": (
+        lambda: parse_circuit(_SOURCE_TO_U + "element d detector:d\nlink src:2 d:0"),
+        "source src output ports must be contiguous from 0, got [0, 2]"),
+    "element-statement": (lambda: parse_circuit("element a"),
+                          "line 1, column 1: expected: element <id> <kind>"),
+    "element-id": (lambda: parse_circuit("element a-b mirror"),
+                   "line 1, column 9: bad element id 'a-b'"),
+    "destination-port": (lambda: parse_circuit("element src source\nlink src:0 u"),
+                         "line 2, column 12: bad port reference 'u'"),
+    "phase-keyword": (lambda: parse_circuit(_SOURCE_TO_U.rstrip("\n") + " angle=1"),
+                      "line 3, column 16: expected phase=<radians>, got 'angle=1'"),
+    "dangling": (lambda: parse_circuit("element src source\nlink src:0 u:0"),
+                 "line 2, column 12: dangling link: unknown element 'u'"),
+    "shifter-angle": (lambda: parse_circuit("element p phaseshifter"),
+                      "line 1, column 11: phaseshifter needs an angle: phaseshifter:<radians>"),
+    "argument": (lambda: parse_circuit("element m mirror:1"),
+                 "line 1, column 11: mirror takes no argument"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_reachable_refusal_gives_its_message(case):
+    build, message = REFUSALS[case]
+    with pytest.raises((CircuitParseError, CircuitValidationError)) as err:
+        build()
+    assert str(err.value) == message
+
+
 # -- path enumeration -------------------------------------------------------------
 
 

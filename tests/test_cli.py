@@ -84,6 +84,15 @@ def test_module_entry_point_runs():
     assert shadowsim.__version__ in proc.stdout
 
 
+def test_package_version_matches_the_project_metadata():
+    """Every data file's meta records __version__, so a drift from the
+    packaged version would change every golden file."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as fh:
+        assert shadowsim.__version__ == tomllib.load(fh)["project"]["version"]
+
+
 def test_package_exports_resolve():
     for module in (shadowsim, pathintegral, shadowsim.circuit):
         namespace = {}
