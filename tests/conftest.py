@@ -21,6 +21,17 @@ def _ladder_text(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _shifted_ladder_text(k: int) -> str:
+    """_ladder_text(k) with a phase shifter of pi/4 on the source link and one
+    of 3pi/4 on the bs0:0 -> bs1:0 arm, each after its link's phase: a long
+    table whose rows share a few advance strings that name shifters."""
+    text = _ladder_text(k).replace("link src:0 bs0:0", "link src:0 ps0:0")
+    text = text.replace("link bs0:0 bs1:0", "link bs0:0 ps1:0")
+    text = text.replace("element u detector:u\n", "element u detector:u\n"
+                        "element ps0 phaseshifter:pi/4\nelement ps1 phaseshifter:3pi/4\n")
+    return text + "link ps0:0 bs0:0\nlink ps1:0 bs1:0\n"
+
+
 def _walk_text(steps: int) -> str:
     """A ``steps``-step discrete-time quantum walk: a triangle of
     steps(steps+1)/2 splitters, 2**steps paths, each with its own element

@@ -17,7 +17,7 @@ import pytest
 
 from shadowsim import cli
 from shadowsim.corpus import random_circuit
-from conftest import _ladder_text, _walk_text
+from conftest import _ladder_text, _shifted_ladder_text, _walk_text
 from reference import render_circuit
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -110,6 +110,10 @@ CIRCUIT_DIGESTS = {
     "run-circuit-ladder-14": (
         _ladder_text(14),
         "a5eaf6f3a59abccc6580972035e744fbf04480c358f489b52eae0a68a8ce1880",
+    ),
+    "run-circuit-shifter-ladder-12": (
+        _shifted_ladder_text(12),
+        "9912451ef7d641efd973d5aee07f8e54751eaf089553d3fbc993c5790f27ba1a",
     ),
     "run-circuit-walk-12": (
         _walk_text(12),
