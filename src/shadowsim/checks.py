@@ -36,9 +36,10 @@ from .experiments import (
 )
 from .streams import initial_clocks, terminal_amplitudes, unitarity_defect
 
-# cross-engine's bound: tests/test_exact.py holds streams' amplitude error to 4 eps per
-# log2(rows), 80 eps ~ 1.8e-14 at MAX_PATHS = 2**20 rows, 56x below 1e-12; with hilbert's
-# 2 eps per log2(rows), |dP| <= 2 |da| <= 2 (80 + 40) eps ~ 5.3e-14 stays 19x below.
+# cross-engine's bound, from tests/test_exact.py: streams within 4 eps per log2(rows), hilbert
+# 2, so at MAX_PATHS = 2**20 rows |dP| <= 2 |da| <= 2 (80 + 40) eps ~ 5.3e-14, 19x below; on
+# the corpus, 4 and 3 eps per link of the longest route, at most 66 links (growth stops past
+# 60 elements, 6 outputs open), so |dP| <= 2 (4 + 3) 66 eps ~ 2.1e-13, 4.9x below.
 _TOL = 1e-12
 _S_TARGET = 2.0 * math.sqrt(2.0)
 

@@ -25,7 +25,7 @@ import math
 import re
 from array import array
 from dataclasses import dataclass, replace
-from itertools import cycle, groupby
+from itertools import cycle
 from operator import attrgetter
 from typing import Any, Callable, Hashable
 
@@ -54,13 +54,10 @@ REFLECTION_TURN = math.pi / 2.0
 # k cascaded splitters give 2**k routes, so this admits 20 of them.
 MAX_PATHS = 2**20
 
-# A path table of at least COLUMN_MIN_ROWS rows, with at least
-# COLUMN_ROWS_PER_ADVANCE rows per distinct advance string, is grouped for
-# evaluation COLUMN_BLOCK rows at a time (PathTable.blocks).  Below either
-# bound the per-group array work costs more than it saves.
+# Rows below which numpy's per-call cost exceeds what its arrays save: the
+# walk holds a bundle of fewer rows in Python lists, and streams evaluates a
+# table of fewer rows row by row.
 COLUMN_MIN_ROWS = 2**10
-COLUMN_ROWS_PER_ADVANCE = 32
-COLUMN_BLOCK = 2**12
 
 
 class ElementType(enum.Enum):
@@ -480,13 +477,6 @@ class PathTable:
     (``element_ids[ord(c)]``), or ``chr(len(element_ids))`` for a splitter
     reflection (a REFLECTION_TURN).  No column holds a shift value, so one
     table serves every setting the structure is evaluated at.
-
-    ``blocks``, for the streams engine's column route, is empty unless the
-    table has COLUMN_MIN_ROWS rows and COLUMN_ROWS_PER_ADVANCE rows per
-    distinct advance string.  Then it holds one entry per COLUMN_BLOCK rows
-    in table order: the offsets within the block of its rows with advances,
-    an ``array('H')`` sorted by advance string, and the block's advance
-    steps, each a code and the run of that order it advances.
     """
 
     source: str
@@ -496,7 +486,6 @@ class PathTable:
     advance_strings: tuple[str, ...]
     crossings: tuple[int, ...]
     terminals: tuple[str, ...]
-    blocks: tuple[tuple[array, tuple[tuple[str, int, int], ...]], ...]
 
     def __len__(self) -> int:
         return len(self.terminals)
@@ -508,9 +497,8 @@ def compile_paths(circuit: Circuit) -> PathTable:
     The walker branches at every beamsplitter (both output ports) and at the
     source (every emission port).  The circuit being a DAG with single-linked
     output ports guarantees termination and uniqueness.  A circuit with more
-    than MAX_PATHS routes is refused before the walk.  The table is walked,
-    and a long one grouped into blocks, once per circuit structure, then
-    shared.
+    than MAX_PATHS routes is refused before the walk.  The table is walked
+    once per circuit structure, then shared.
     """
     return circuit.compiled("paths", lambda: _walk_paths(circuit, circuit.sole_source()))
 
@@ -580,9 +568,8 @@ def _walk_paths(circuit: Circuit, source: str) -> PathTable:
                      for a, ip in zip(advances, cycle(in_ports)) for link in links]))
     del phases, advances  # the last bundle's, already in the columns
     crossings, terminals = _frozen((crossing_column, terminal_column))
-    advance_strings = tuple(strings)
-    return PathTable(source, element_ids, geometric_phases, advance_column, advance_strings,
-                     crossings, terminals, _advance_blocks(advance_column, advance_strings))
+    return PathTable(source, element_ids, geometric_phases, advance_column, tuple(strings),
+                     crossings, terminals)
 
 
 def _column_children(phases, advances, in_ports, links, reflected):
@@ -623,50 +610,6 @@ def _frozen(columns):
     for column in columns:
         yield tuple(column)
         column.clear()
-
-
-def _advance_blocks(advances: array, strings: tuple[str, ...]) -> tuple:
-    """PathTable.blocks of a table with these advance indices into
-    ``strings``: empty unless the table is long enough and shares its
-    strings enough to be evaluated a block at a time.  Each string used gets
-    its rank in sorted order, the empty string, which advances nothing, the
-    last; a block's rows are ordered by one stable argsort of their ranks,
-    and one bincount gives each string's run."""
-    n = len(advances)
-    if n < COLUMN_MIN_ROWS:
-        return ()
-    import numpy as np
-
-    indices = np.frombuffer(advances, dtype=np.uintc)
-    used = np.flatnonzero(np.bincount(indices))
-    if COLUMN_ROWS_PER_ADVANCE * len(used) > n:
-        return ()
-    ordered = sorted((i for i in used.tolist() if i), key=strings.__getitem__)  # strings[0] == ""
-    ranks = np.full(len(strings), len(ordered))
-    ranks[ordered] = np.arange(len(ordered))
-    blocks = []
-    for start in range(0, n, COLUMN_BLOCK):
-        block_ranks = ranks.take(indices[start:start + COLUMN_BLOCK])
-        counts = np.bincount(block_ranks, minlength=len(ordered) + 1)[:-1]
-        order = np.argsort(block_ranks, kind="stable")[:counts.sum()].astype(np.uint16)
-        present = np.flatnonzero(counts)
-        bounds = [0, *np.cumsum(counts[present]).tolist()]
-        steps = _advance_steps([strings[ordered[r]] for r in present.tolist()], bounds)
-        blocks.append((array("H", order.tobytes()), tuple(steps)))
-    return tuple(blocks)
-
-
-def _advance_steps(strings: list[str], bounds: list[int]):
-    """Depth by depth, (code, first, end) for each run of consecutive sorted
-    ``strings`` that take ``code`` at that depth, the rows of ``strings[i]``
-    lying at [bounds[i], bounds[i + 1]) of the block's order.  Sorting keeps
-    the rows that share a prefix together, so each of its advances is one
-    step over all of them."""
-    for depth in range(max(map(len, strings), default=0)):
-        for code, run in groupby(range(len(strings)), lambda i: strings[i][depth:depth + 1]):
-            if code:
-                run = list(run)
-                yield code, bounds[run[0]], bounds[run[-1] + 1]
 
 
 class _Extensions(dict):

@@ -27,10 +27,10 @@ its phase alone, so its modulus cannot drift.  The initial clock value is
 uniform random per emission and drops out of every probability.  Every
 result is read from the table's columns.
 
-A long table whose rows share advance strings (PathTable.blocks) takes a
-column route: numpy does the row route's adds, compares and fmod a block of
-rows at a time, in the same order per row, so the bits are the same.  This
-module imports numpy inside that route only (rng still loads it).
+A long table whose rows share advance strings takes a column route: numpy
+does the row route's fmod, adds and compares on a block of rows at a time,
+depth by depth along the strings, in the same order per row, so the bits are
+the same.  numpy is imported inside that route only (rng still loads it).
 """
 
 from __future__ import annotations
@@ -43,12 +43,20 @@ from itertools import chain, groupby, islice
 from operator import add, countOf
 
 from .angles import canonical_angle
-from .circuit import COLUMN_BLOCK, REFLECTION_TURN, Circuit, ElementType, PathTable, compile_paths
+from .circuit import (COLUMN_MIN_ROWS, REFLECTION_TURN, Circuit, ElementType, PathTable,
+                      compile_paths)
 from .rng import uniform_draws
 
 ENGINE_VERSION = "1.0"
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# A table of COLUMN_MIN_ROWS rows and COLUMN_ROWS_PER_ADVANCE rows per advance
+# string takes the column route, COLUMN_BLOCK rows at a time.  Where rows share
+# fewer strings it costs more memory than it saves time: a 16-splitter ladder
+# with 81,921 strings took 89-115 ms against 96-136, peaking at 45 MiB against 3.9.
+COLUMN_ROWS_PER_ADVANCE = 32
+COLUMN_BLOCK = 2**12
 
 
 def initial_clocks(seeds: Iterable[int | None]) -> list[float]:
@@ -67,7 +75,7 @@ def _table_amplitudes(circuit: Circuit, table: PathTable, settings):
     reflection = chr(len(table.element_ids))
     own = {eid: elements[eid].shift for _, eid in shifters}
     magnitudes = [INV_SQRT2**k for k in range(max(table.crossings, default=0) + 1)]
-    route = _block_amplitudes if table.blocks else _row_amplitudes
+    route = _route(table)
     for shifts, initial_clock in settings:
         values = {**own, **circuit.shift_values(shifts)}
         turns = {code: values[eid] for code, eid in shifters}
@@ -99,38 +107,52 @@ def _row_amplitudes(table: PathTable, start: float, turns, magnitudes):
         yield rect(magnitudes[crossings], clock)
 
 
+def _route(table: PathTable):
+    """The column route for a long table whose rows share advance strings."""
+    rows = len(table)
+    shared = rows >= COLUMN_MIN_ROWS and rows >= COLUMN_ROWS_PER_ADVANCE * len(table.advance_strings)
+    return _block_amplitudes if shared else _row_amplitudes
+
+
 def _block_amplitudes(table: PathTable, start: float, turns, magnitudes):
     """The row amplitudes of _row_amplitudes, bit for bit, with the clock
     arithmetic done on COLUMN_BLOCK rows at a time: the start and its two
-    fix-ups on the whole block, then each step of the block's advance steps,
-    one turn and one conditional subtraction over a run of its rows sorted
-    by advance string.  These IEEE adds, compares and fmod are exact or
-    correctly rounded in any implementation, and each row takes them in the
-    row route's order.  cmath.rect then reads the clocks row by row in table
-    order; a block is evaluated when the rows before it have been read."""
+    fix-ups on the whole block, then, depth by depth along the advance
+    strings, each row's turn at that depth and one conditional subtraction.
+    A row whose string is shorter than the depth adds -0.0, which leaves
+    every float as it is, so each row takes the row route's adds and
+    compares in its order.  These IEEE adds, compares and fmod are exact or
+    correctly rounded in any implementation.  cmath.rect then reads the
+    clocks row by row in table order; a block is evaluated when the rows
+    before it have been read."""
     import numpy as np
 
     tau = 2.0 * math.pi
+    strings = table.advance_strings
+    lengths = np.array(list(map(len, strings)))
+    # A code past 0xD7FF is a surrogate, which only "surrogatepass" encodes.
+    codes = np.frombuffer("".join(strings).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    turn_of_code = np.zeros(len(table.element_ids) + 1)
+    turn_of_code[list(map(ord, turns))] = list(turns.values())
+    depth_turns = np.full((lengths.max(), len(strings)), -0.0)  # per depth, a turn per string
+    depth_turns.T[np.arange(lengths.max()) < lengths[:, None]] = turn_of_code.take(codes)
     phases = np.frombuffer(table.geometric_phases)
-    buffer = np.empty(min(COLUMN_BLOCK, len(phases)))
+    advances = np.frombuffer(table.advances, dtype=np.uintc)
+    buffer, turned = np.empty((2, min(COLUMN_BLOCK, len(phases))))
 
-    def block_clocks(first_row, block):
-        order, steps = block
-        block_phases = phases[first_row:first_row + COLUMN_BLOCK]
-        clocks = np.add(start, block_phases, out=buffer[:len(block_phases)])
+    def block_clocks(first_row):
+        block = slice(first_row, first_row + COLUMN_BLOCK)
+        clocks = np.add(start, phases[block], out=buffer[:len(phases[block])])
         np.fmod(clocks, tau, out=clocks)
         np.add(clocks, tau, out=clocks, where=clocks < 0.0)
         np.subtract(clocks, tau, out=clocks, where=clocks >= tau)
-        rows = np.frombuffer(order, dtype=np.uint16)
-        grouped = clocks[rows]
-        for code, first, end in steps:
-            run = grouped[first:end]
-            run += turns[code]
-            np.subtract(run, tau, out=run, where=run >= tau)
-        clocks[rows] = grouped
+        rows, row_turns = advances[block].astype(np.intp), turned[:len(clocks)]
+        for turns_at_depth in depth_turns:  # "clip" lets take write to out unbuffered
+            clocks += turns_at_depth.take(rows, out=row_turns, mode="clip")
+            np.subtract(clocks, tau, out=clocks, where=clocks >= tau)
         return memoryview(clocks)
 
-    clocks = chain.from_iterable(map(block_clocks, range(0, len(phases), COLUMN_BLOCK), table.blocks))
+    clocks = chain.from_iterable(map(block_clocks, range(0, len(phases), COLUMN_BLOCK)))
     return map(cmath.rect, map(magnitudes.__getitem__, table.crossings), clocks)
 
 

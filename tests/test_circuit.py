@@ -314,6 +314,31 @@ def test_each_reachable_refusal_gives_its_message(case):
     assert str(err.value) == message
 
 
+# Refusals that no circuit text reaches: a Circuit built in code, and the
+# queries that name the wrong kind of element.
+_SOURCE, _U = Element(ElementType.SOURCE), Element(ElementType.DETECTOR, label="u")
+CALL_REFUSALS = {
+    "element-id": (lambda: Circuit({"": _SOURCE}, []), "bad element id ''"),
+    "source-port": (lambda: Circuit({"src": _SOURCE, "u": _U}, [Link("src", -1, "u", 0)]),
+                    "port arity violation: bad source port -1"),
+    "not-a-source": (lambda: parse_circuit(_SOURCE_TO_U).source_fanout("u"), "u is not a source"),
+    "not-a-terminal": (lambda: parse_circuit(_SOURCE_TO_U).terminal_key("src"),
+                       "src is not a terminal"),
+}
+
+
+@pytest.mark.parametrize("case", CALL_REFUSALS)
+def test_each_refusal_of_a_call_gives_its_message(case):
+    build, message = CALL_REFUSALS[case]
+    with pytest.raises(CircuitValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_circuit_repr_counts_elements_and_links():
+    assert repr(parse_circuit(_SOURCE_TO_U)) == "Circuit(2 elements, 1 links)"
+
+
 # -- path enumeration -------------------------------------------------------------
 
 

@@ -1601,3 +1601,30 @@ def test_check_failure_flips_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL  doom: boom" in out
     assert "0/1 checks passed" in out
+
+
+def _readme_commands(readme: str):
+    """The README's ``sh`` blocks' ``shadowsim`` commands, each with its ``\\``
+    continuations joined and its ``#`` comment dropped, and the text of its
+    circuit block, the one that starts with ``element``."""
+    blocks = readme.split("```")[1::2]
+    commands = []
+    for block in blocks:
+        if block.startswith("sh\n"):
+            lines = block[3:].replace("\\\n", " ").splitlines()
+            commands += [line.split("#", 1)[0].split() for line in lines
+                         if line.startswith("shadowsim ")]
+    (circuit,) = [block[1:] for block in blocks if block.startswith("\nelement")]
+    return commands, circuit
+
+
+def test_every_readme_command_runs(tmp_path, capsys):
+    """Each command the README shows exits 0 as it is written, its files read
+    and written in one directory holding the README's circuit as mz.circuit."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands, circuit = _readme_commands(readme.read_text())
+    assert len(commands) == 13
+    (tmp_path / "mz.circuit").write_text(circuit)
+    with contextlib.chdir(tmp_path):
+        for command in commands:
+            assert cli.main(command[1:]) == 0, command

@@ -16,7 +16,6 @@ from shadowsim import circuit as circuit_module
 from shadowsim import experiments, streams
 from shadowsim.angles import canonical_angle
 from shadowsim.circuit import (
-    COLUMN_BLOCK,
     REFLECTION_TURN,
     Circuit,
     Element,
@@ -420,15 +419,14 @@ def test_one_setting_holds_no_list_of_row_amplitudes(ladder_text, port):
 
 
 def _route_bits(monkeypatch, build, column, settings):
-    """Under thresholds that send every table down one route, each setting's
-    row amplitudes and terminal sums (keys in order, values under float.hex)
-    of a circuit ``build()`` makes afresh, so its table is compiled under
-    them."""
-    monkeypatch.setattr(circuit_module, "COLUMN_MIN_ROWS", 0 if column else math.inf)
-    monkeypatch.setattr(circuit_module, "COLUMN_ROWS_PER_ADVANCE", 0)
+    """Under streams thresholds that send every table down one route, each
+    setting's row amplitudes and terminal sums (keys in order, values under
+    float.hex) of a circuit ``build()`` makes afresh."""
+    monkeypatch.setattr(streams, "COLUMN_MIN_ROWS", 0 if column else math.inf)
+    monkeypatch.setattr(streams, "COLUMN_ROWS_PER_ADVANCE", 0)
     circuit = build()
     table = compile_paths(circuit)
-    assert bool(table.blocks) is column
+    assert streams._route(table) is (streams._block_amplitudes if column else streams._row_amplitudes)
     rows = [_bits(amplitudes) for amplitudes in _table_amplitudes(circuit, table, settings)]
     sums = [(list(amps), _bits(amps.values())) for amps in terminal_amplitudes(circuit, settings)]
     return rows, sums
@@ -469,6 +467,14 @@ def _shifter_ladder(ladder_text, k: int) -> Circuit:
     return Circuit(elements, links)
 
 
+def _past_surrogates(circuit: Circuit) -> Circuit:
+    """``circuit`` beside 0xD800 unfed detectors whose ids sort before its
+    own, so that its advance codes, ranks among the element ids, lie in the
+    surrogate range, which only "surrogatepass" encodes."""
+    spares = {f"a{i:05}": Element(ElementType.DETECTOR, label=f"a{i:05}") for i in range(0xD800)}
+    return Circuit({**spares, **circuit.elements}, circuit.links)
+
+
 def test_routes_agree_on_the_corpus(monkeypatch):
     for seed in range(500):
         _assert_routes_agree(monkeypatch, lambda: random_circuit(seed))
@@ -477,7 +483,7 @@ def test_routes_agree_on_the_corpus(monkeypatch):
 # Tables of 512 to 65,536 rows, Circuit.arm views compiled as circuits of
 # their own, a ladder whose every link carries a negative phase, so that rows
 # start below 0 and the column route's first fix-up adds 2pi, and a ladder
-# with a phase shifter on its arms.
+# with a phase shifter on its arms, also with advance codes past 0xD7FF.
 ROUTE_CASES = {
     **{f"ladder-{k}": lambda ladder, walk, k=k: parse_circuit(ladder(k)) for k in (9, 10, 14, 16)},
     **{f"walk-{t}": lambda ladder, walk, t=t: parse_circuit(walk(t)) for t in (12, 16)},
@@ -487,6 +493,7 @@ ROUTE_CASES = {
     "ladder-10-negative-links": lambda ladder, walk: _with_link_phases(
         parse_circuit(ladder(10)), lambda phase: -3.0 - phase),
     "shifter-ladder-10": lambda ladder, walk: _shifter_ladder(ladder, 10),
+    "shifter-ladder-10-surrogates": lambda ladder, walk: _past_surrogates(_shifter_ladder(ladder, 10)),
 }
 
 
@@ -508,8 +515,7 @@ def test_negative_link_phases_start_rows_below_zero(ladder_text):
 def _walked(monkeypatch, build, arrays):
     """The path table of a circuit ``build()`` makes afresh, walked with every
     bundle held as numpy columns or none, as comparable values: the phase
-    bytes, each row's advance string, crossings and terminal, and the blocks
-    _advance_blocks makes of its advances with every table grouped."""
+    bytes, each row's advance string, crossings and terminal."""
     calls = []
     column_children = circuit_module._column_children
 
@@ -521,14 +527,10 @@ def _walked(monkeypatch, build, arrays):
         patch.setattr(circuit_module, "COLUMN_MIN_ROWS", 0 if arrays else math.inf)
         patch.setattr(circuit_module, "_column_children", counted)
         table = compile_paths(build())
-        patch.setattr(circuit_module, "COLUMN_MIN_ROWS", 0)
-        patch.setattr(circuit_module, "COLUMN_ROWS_PER_ADVANCE", 0)
-        blocks = circuit_module._advance_blocks(table.advances, table.advance_strings)
     assert bool(calls) is arrays
     assert len(table.advance_strings) == len(set(table.advance_strings))
     strings = [table.advance_strings[index] for index in table.advances]
-    return (table.geometric_phases.tobytes(), strings, table.crossings, table.terminals,
-            [(order.tobytes(), steps) for order, steps in blocks])
+    return table.geometric_phases.tobytes(), strings, table.crossings, table.terminals
 
 
 def _assert_bundles_agree(monkeypatch, build):
@@ -546,11 +548,12 @@ def test_array_bundles_walk_the_list_table(monkeypatch, ladder_text, walk_text, 
 
 
 def test_short_tables_compile_without_numpy(monkeypatch, ladder_text):
-    """A table whose bundles all stay below COLUMN_MIN_ROWS, and which is too
-    short to be grouped, is walked with no numpy; a 1,024-row ladder is not."""
+    """A table whose bundles all stay below COLUMN_MIN_ROWS is walked with no
+    numpy, however long: a 10-splitter ladder's last bundle has 512 rows.
+    An 11-splitter ladder's last has 1,024, and its walk imports numpy."""
     circuits = [random_circuit(seed) for seed in range(500)]
-    circuits.append(parse_circuit(ladder_text(9)))
-    longer = parse_circuit(ladder_text(10))
+    circuits += [parse_circuit(ladder_text(k)) for k in (9, 10)]
+    longer = parse_circuit(ladder_text(11))
     monkeypatch.setitem(sys.modules, "numpy", None)
     for circuit in circuits:
         compile_paths(circuit)
@@ -575,37 +578,19 @@ def test_compiling_a_long_ladder_peaks_below_the_list_walk(ladder_text, k):
     assert peak < 66.0 * 2**k
 
 
-def _block_advances(table):
-    """Each grouped row's advance string as the table's blocks spell it: the
-    codes of the steps whose runs cover its place in its block's order."""
-    spelled = {}
-    for start, (order, steps) in zip(range(0, len(table), COLUMN_BLOCK), table.blocks):
-        codes = [""] * len(order)
-        for code, first, end in steps:
-            for place in range(first, end):
-                codes[place] += code
-        spelled.update({start + offset: string for offset, string in zip(order, codes)})
-    return spelled
+def test_a_table_takes_the_column_route_when_long_and_shared(ladder_text):
+    """streams evaluates 512 rows on the row route and 1,024 on the column
+    route; a 16-splitter ladder whose 65,536 routes each have their own
+    advance string stays on the row route, where the column route would
+    cost more memory than it saves time."""
+    def route(circuit):
+        return streams._route(compile_paths(circuit))
 
-
-def test_a_table_takes_the_column_route_when_long_and_shared(monkeypatch, ladder_text):
-    """512 rows stay on the row route and 1024 take the column route; a
-    16-splitter ladder whose 65,536 routes each have their own advance
-    string stays on the row route, where grouping would cost more than the
-    row walk.  A grouped table's blocks give every row with advances its
-    own advance string, one code per step in order."""
-    assert compile_paths(parse_circuit(ladder_text(9))).blocks == ()
+    assert route(parse_circuit(ladder_text(9))) is streams._row_amplitudes
+    assert route(parse_circuit(ladder_text(10))) is streams._block_amplitudes
     shifted = compile_paths(_shifter_ladder(ladder_text, 16))
     assert len(shifted) == len(set(shifted.advances)) == 2**16
-    assert shifted.blocks == ()
-    tables = [compile_paths(parse_circuit(ladder_text(k))) for k in (10, 14)]
-    monkeypatch.setattr(circuit_module, "COLUMN_ROWS_PER_ADVANCE", 0)
-    tables.append(compile_paths(_shifter_ladder(ladder_text, 12)))
-    for table in tables:
-        assert len(table.blocks) == -(-len(table) // COLUMN_BLOCK)
-        strings = table.advance_strings
-        assert _block_advances(table) == {
-            row: strings[index] for row, index in enumerate(table.advances) if strings[index]}
+    assert streams._route(shifted) is streams._row_amplitudes
 
 
 @settings(max_examples=60, deadline=None)
